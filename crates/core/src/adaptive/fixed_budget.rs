@@ -293,7 +293,7 @@ impl FixedBudgetAdaptiveHull {
         use geom::dyadic::Dir;
         let r = reader.u32()?;
         let depth = reader.u32()?;
-        if !r.is_power_of_two() || !(8..=1 << 20).contains(&r) || depth > 32 {
+        if !r.is_power_of_two() || !(8..=geom::dyadic::MAX_R).contains(&r) || depth > 32 {
             return Err(SnapshotError::Malformed("invalid adaptive grid shape"));
         }
         let extra_budget = reader.u64()? as usize;

@@ -35,13 +35,13 @@
 
 use crate::adaptive::arena::{Arena, NodeId};
 use crate::adaptive::queue::{BucketQueue, HeapQueue, UnrefineQueue};
-use crate::adaptive::weight::{slant, unrefine_threshold, weight};
+use crate::adaptive::weight::{slant_between, uncertainty_between, unrefine_threshold, weight};
 use crate::batch::{incircle, CertCache, BATCH_LEAF};
 use crate::summary::{GenCache, HullCache, HullSummary, Mergeable};
 use crate::uniform::{BeatenArc, UniformEffect, UniformHull};
 use core::f64::consts::TAU;
-use geom::dyadic::{DirGrid, DirRange};
-use geom::{ConvexPolygon, Point2, UncertaintyTriangle};
+use geom::dyadic::{DirGrid, DirRange, MAX_R};
+use geom::{ConvexPolygon, Point2, UncertaintyTriangle, Vec2};
 
 /// Which unrefinement queue the adaptive hull uses.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
@@ -130,11 +130,21 @@ impl AdaptiveHullConfig {
 }
 
 /// A refinement-tree node.
+///
+/// A node stores no unit vectors of its range boundaries: tree walks carry
+/// them down from the sector roots (which read the uniform substrate's
+/// table) through each internal node's cached bisector, so no visit pays
+/// for trigonometry.
 #[derive(Clone, Copy, Debug)]
 struct Node {
     range: DirRange,
     kind: NodeKind,
 }
+
+// The cached bisector fits beside the two child ids (both variants are 32
+// bytes), so arena slots — and the `approx_bytes` that charges for them —
+// keep their size.
+const _: () = assert!(size_of::<Node>() == 64);
 
 #[derive(Clone, Copy, Debug)]
 enum NodeKind {
@@ -144,7 +154,17 @@ enum NodeKind {
     Leaf { a: Point2, b: Point2 },
     /// Refined edge; the bisecting direction `range.mid()` is an active
     /// sample direction whose extremum is the children's shared endpoint.
-    Internal { left: NodeId, right: NodeId },
+    /// `mid` caches its unit vector, `grid.unit(range.mid())`.
+    Internal {
+        left: NodeId,
+        right: NodeId,
+        mid: Vec2,
+    },
+}
+
+/// `true` iff `u` and `v` have identical bit patterns.
+fn same_bits(u: Vec2, v: Vec2) -> bool {
+    u.x.to_bits() == v.x.to_bits() && u.y.to_bits() == v.y.to_bits()
 }
 
 /// The streaming adaptive-sampling convex hull summary (Theorem 5.4).
@@ -265,11 +285,40 @@ impl AdaptiveHull {
         (self.leftmost(id), self.rightmost(id))
     }
 
+    /// Unit vectors of uniform sector `j`'s boundary directions, read from
+    /// the substrate's shared table (bit-equal to `grid.unit` there).
+    fn sector_units(&self, j: u32) -> (Vec2, Vec2) {
+        (self.uniform.unit(j), self.uniform.unit(j + 1))
+    }
+
+    /// Unit vectors of a live node's range boundaries, collected from the
+    /// cached bisectors on the path down from its sector's root.
+    fn boundary_units(&self, range: &DirRange) -> (Vec2, Vec2) {
+        let j = self.grid.sector_of(range.lo);
+        let (mut ul, mut ur) = self.sector_units(j);
+        let mut cur = self.roots[j as usize];
+        let mut lo = self.grid.uniform_dir(j).0;
+        let mut half = self.grid.sector_steps();
+        for _ in 0..range.depth {
+            let NodeKind::Internal { left, right, mid } = self.node(cur).kind else {
+                unreachable!("ancestor of a live node is a leaf");
+            };
+            half /= 2;
+            if range.lo.0 >= lo + half {
+                lo += half;
+                (ul, cur) = (mid, right);
+            } else {
+                (ur, cur) = (mid, left);
+            }
+        }
+        (ul, ur)
+    }
+
     /// Frees a whole subtree, decrementing the active-direction count for
     /// every internal node removed.
     fn free_subtree(&mut self, id: NodeId) {
         if let Some(node) = self.arena.remove(id) {
-            if let NodeKind::Internal { left, right } = node.kind {
+            if let NodeKind::Internal { left, right, .. } = node.kind {
                 self.internal_count -= 1;
                 self.free_subtree(left);
                 self.free_subtree(right);
@@ -281,41 +330,22 @@ impl AdaptiveHull {
     fn collapse(&mut self, id: NodeId) {
         let (a, b) = self.endpoints(id);
         let node = self.node(id);
-        let NodeKind::Internal { left, right } = node.kind else {
+        let NodeKind::Internal { left, right, .. } = node.kind else {
             return;
         };
         self.internal_count -= 1;
         // Free children (their own Internal descendants decrement too).
-        if let Some(n) = self.arena.remove(left) {
-            if let NodeKind::Internal {
-                left: l2,
-                right: r2,
-            } = n.kind
-            {
-                self.internal_count -= 1;
-                self.free_subtree(l2);
-                self.free_subtree(r2);
-            }
-        }
-        if let Some(n) = self.arena.remove(right) {
-            if let NodeKind::Internal {
-                left: l2,
-                right: r2,
-            } = n.kind
-            {
-                self.internal_count -= 1;
-                self.free_subtree(l2);
-                self.free_subtree(r2);
-            }
-        }
+        self.free_subtree(left);
+        self.free_subtree(right);
         let node = self.arena.get_mut(id).unwrap();
         node.kind = NodeKind::Leaf { a, b };
     }
 
     /// Refines a leaf while its weight exceeds 1 (depth-capped). The mid
     /// extremum is chosen among the stored endpoints — exactly the
-    /// information available in a single pass (§5.2 step 5).
-    fn try_refine(&mut self, id: NodeId) {
+    /// information available in a single pass (§5.2 step 5). `ul` and `ur`
+    /// are the unit vectors of the leaf's range boundaries.
+    fn try_refine(&mut self, id: NodeId, ul: Vec2, ur: Vec2) {
         let node = *self.node(id);
         let NodeKind::Leaf { a, b } = node.kind else {
             return;
@@ -324,12 +354,13 @@ impl AdaptiveHull {
             return;
         }
         let p = self.uniform.perimeter();
-        let s = slant(&self.grid, &node.range, a, b);
+        let s = slant_between(ul, ur, a, b);
         if weight(s, node.range.depth, self.grid.r(), p) <= 1.0 {
             return;
         }
-        let mid = node.range.mid(&self.grid);
-        let um = self.grid.unit(mid);
+        // The tree's only trigonometry: a new bisector's unit, cached in
+        // the node for every later visit.
+        let um = self.grid.unit(node.range.mid(&self.grid));
         let t = if a.dot(um) >= b.dot(um) { a } else { b };
         let (lr, rr) = node.range.bisect(&self.grid);
         let left = self.arena.insert(Node {
@@ -341,12 +372,16 @@ impl AdaptiveHull {
             kind: NodeKind::Leaf { a: t, b },
         });
         let n = self.arena.get_mut(id).unwrap();
-        n.kind = NodeKind::Internal { left, right };
+        n.kind = NodeKind::Internal {
+            left,
+            right,
+            mid: um,
+        };
         self.internal_count += 1;
         self.queue
             .push(unrefine_threshold(s, node.range.depth, self.grid.r()), id);
-        self.try_refine(left);
-        self.try_refine(right);
+        self.try_refine(left, ul, um);
+        self.try_refine(right, um, ur);
     }
 
     /// Does the node's angular range intersect the (padded) beaten arc?
@@ -360,17 +395,16 @@ impl AdaptiveHull {
         contains(a_start - PAD, a_span, b_start) || contains(b_start - PAD, b_span, a_start)
     }
 
-    /// Recursive update of a tree with a new point `q`. Returns `true` iff
+    /// Recursive update of a tree with a new point `q`; `ul` and `ur` are
+    /// the unit vectors of `id`'s range boundaries. Returns `true` iff
     /// anything under `id` changed.
-    fn update_node(&mut self, id: NodeId, q: Point2, arc: &BeatenArc) -> bool {
+    fn update_node(&mut self, id: NodeId, q: Point2, arc: &BeatenArc, ul: Vec2, ur: Vec2) -> bool {
         let node = *self.node(id);
         if !self.range_overlaps_arc(&node.range, arc) {
             return false;
         }
         match node.kind {
             NodeKind::Leaf { a, b } => {
-                let ul = self.grid.unit(node.range.lo);
-                let ur = self.grid.unit(node.range.hi);
                 let beats_l = q.dot(ul) > a.dot(ul);
                 let beats_r = q.dot(ur) > b.dot(ur);
                 if !beats_l && !beats_r {
@@ -381,25 +415,25 @@ impl AdaptiveHull {
                     a: if beats_l { q } else { a },
                     b: if beats_r { q } else { b },
                 };
-                self.try_refine(id);
+                self.try_refine(id, ul, ur);
                 true
             }
-            NodeKind::Internal { left, right } => {
-                let cl = self.update_node(left, q, arc);
-                let cr = self.update_node(right, q, arc);
+            NodeKind::Internal { left, right, mid } => {
+                let cl = self.update_node(left, q, arc, ul, mid);
+                let cr = self.update_node(right, q, arc, mid, ur);
                 if !(cl || cr) {
                     return false;
                 }
                 // Endpoints may have moved: re-evaluate this node.
                 let (a, b) = self.endpoints(id);
-                let s = slant(&self.grid, &node.range, a, b);
+                let s = slant_between(ul, ur, a, b);
                 let p = self.uniform.perimeter();
                 if weight(s, node.range.depth, self.grid.r(), p) <= 1.0 {
                     self.collapse(id);
                     // A collapsed edge may immediately need re-refinement
                     // with the new endpoints (weights are not monotone in
                     // endpoint moves); keep the leaf invariant.
-                    self.try_refine(id);
+                    self.try_refine(id, ul, ur);
                 } else {
                     self.queue
                         .push(unrefine_threshold(s, node.range.depth, self.grid.r()), id);
@@ -421,8 +455,9 @@ impl AdaptiveHull {
             let NodeKind::Internal { .. } = node.kind else {
                 continue; // node was collapsed and is a leaf now
             };
+            let (ul, ur) = self.boundary_units(&node.range);
             let (a, b) = self.endpoints(id);
-            let s = slant(&self.grid, &node.range, a, b);
+            let s = slant_between(ul, ur, a, b);
             let t = unrefine_threshold(s, node.range.depth, self.grid.r());
             if self.queue.due(t, p) {
                 self.collapse(id);
@@ -449,22 +484,28 @@ impl AdaptiveHull {
     // Introspection used by metrics, tests, and visualisation
     // ------------------------------------------------------------------
 
-    /// In-order leaves (range, a, b) across all sectors.
-    pub(crate) fn leaves(&self) -> Vec<(DirRange, Point2, Point2)> {
-        let mut out = Vec::new();
-        for &root in &self.roots {
-            self.collect_leaves(root, &mut out);
+    /// Calls `f(range, ul, ur, a, b)` for every leaf in direction order,
+    /// with `ul`, `ur` the unit vectors of the leaf's range boundaries.
+    fn for_each_leaf(&self, f: &mut impl FnMut(&DirRange, Vec2, Vec2, Point2, Point2)) {
+        for (j, &root) in self.roots.iter().enumerate() {
+            let (ul, ur) = self.sector_units(j as u32);
+            self.visit_leaves(root, ul, ur, f);
         }
-        out
     }
 
-    fn collect_leaves(&self, id: NodeId, out: &mut Vec<(DirRange, Point2, Point2)>) {
+    fn visit_leaves(
+        &self,
+        id: NodeId,
+        ul: Vec2,
+        ur: Vec2,
+        f: &mut impl FnMut(&DirRange, Vec2, Vec2, Point2, Point2),
+    ) {
         let node = self.node(id);
         match node.kind {
-            NodeKind::Leaf { a, b } => out.push((node.range, a, b)),
-            NodeKind::Internal { left, right } => {
-                self.collect_leaves(left, out);
-                self.collect_leaves(right, out);
+            NodeKind::Leaf { a, b } => f(&node.range, ul, ur, a, b),
+            NodeKind::Internal { left, right, mid } => {
+                self.visit_leaves(left, ul, mid, f);
+                self.visit_leaves(right, mid, ur, f);
             }
         }
     }
@@ -472,41 +513,51 @@ impl AdaptiveHull {
     /// The uncertainty triangles of the current adaptive hull's
     /// (non-degenerate) edges — the paper's per-edge error certificates.
     pub fn uncertainty_triangles(&self) -> Vec<UncertaintyTriangle> {
-        self.leaves()
-            .into_iter()
-            .filter(|(_, a, b)| a != b)
-            .map(|(range, a, b)| crate::adaptive::weight::uncertainty(&self.grid, &range, a, b))
-            .collect()
+        let mut out = Vec::new();
+        self.for_each_leaf(&mut |_, ul, ur, a, b| {
+            if a != b {
+                out.push(uncertainty_between(ul, ur, a, b));
+            }
+        });
+        out
     }
 
-    /// Distinct stored sample points, in direction order.
+    /// Distinct stored sample points, in direction order: one walk over the
+    /// leaves, skipping each endpoint equal to the point before it (shared
+    /// leaf endpoints, cross-sector repeats) and the wrap-around repeats of
+    /// the first point.
     pub fn sample_points(&self) -> Vec<Point2> {
         let mut pts = Vec::new();
-        for (_, a, b) in self.leaves() {
-            for p in [a, b] {
-                if pts.last() != Some(&p) {
-                    pts.push(p);
+        for &root in &self.roots {
+            self.push_sample_points(root, &mut pts);
+        }
+        while pts.len() > 1 && pts.first() == pts.last() {
+            pts.pop();
+        }
+        pts
+    }
+
+    fn push_sample_points(&self, id: NodeId, out: &mut Vec<Point2>) {
+        match self.node(id).kind {
+            NodeKind::Leaf { a, b } => {
+                for p in [a, b] {
+                    if out.last() != Some(&p) {
+                        out.push(p);
+                    }
                 }
             }
-        }
-        // Cross-sector duplicates and the wrap-around duplicate.
-        let mut dedup: Vec<Point2> = Vec::with_capacity(pts.len());
-        for p in pts {
-            if dedup.last() == Some(&p) {
-                continue;
+            NodeKind::Internal { left, right, .. } => {
+                self.push_sample_points(left, out);
+                self.push_sample_points(right, out);
             }
-            dedup.push(p);
         }
-        while dedup.len() > 1 && dedup.first() == dedup.last() {
-            dedup.pop();
-        }
-        dedup
     }
 
     /// Verifies the structural invariants (used heavily in tests):
     /// adjacent leaves share endpoints, sector boundaries agree with the
-    /// uniform extrema, and every internal node still deserves to exist
-    /// (`w > 1`, up to the queue's factor-2 rounding).
+    /// uniform extrema, every internal node still deserves to exist (`w >
+    /// 1`, up to the queue's factor-2 rounding), and every cached unit
+    /// vector is bit-equal to the grid's.
     pub fn check_invariants(&self) -> Result<(), String> {
         if self.roots.is_empty() {
             return Ok(());
@@ -515,7 +566,8 @@ impl AdaptiveHull {
         if self.roots.len() != r as usize {
             return Err(format!("{} roots for r = {r}", self.roots.len()));
         }
-        let leaves = self.leaves();
+        let mut leaves = Vec::new();
+        self.for_each_leaf(&mut |range, _, _, a, b| leaves.push((*range, a, b)));
         // 1. Leaf ranges tile the circle in order.
         let mut expected = geom::dyadic::Dir(0);
         for (range, _, _) in &leaves {
@@ -556,19 +608,34 @@ impl AdaptiveHull {
                 }
             }
         }
-        // 4. Every internal node has weight > 1 after draining.
+        // 4. Every internal node has weight > 1 after draining, and caches
+        //    its bisector's exact unit; 5. the sector tables match the grid.
         let p = self.uniform.perimeter();
-        for &root in &self.roots {
-            self.check_internal_weights(root, p)?
+        for (j, &root) in self.roots.iter().enumerate() {
+            let (ul, ur) = self.sector_units(j as u32);
+            let sector = DirRange::sector(&self.grid, j as u32);
+            if !same_bits(ul, self.grid.unit(sector.lo))
+                || !same_bits(ur, self.grid.unit(sector.hi))
+            {
+                return Err(format!("sector {j} boundary units disagree with the grid"));
+            }
+            self.check_internal_nodes(root, p, ul, ur)?
         }
         Ok(())
     }
 
-    fn check_internal_weights(&self, id: NodeId, p: f64) -> Result<(), String> {
+    fn check_internal_nodes(&self, id: NodeId, p: f64, ul: Vec2, ur: Vec2) -> Result<(), String> {
         let node = self.node(id);
-        if let NodeKind::Internal { left, right } = node.kind {
+        if let NodeKind::Internal { left, right, mid } = node.kind {
+            let want = self.grid.unit(node.range.mid(&self.grid));
+            if !same_bits(mid, want) {
+                return Err(format!(
+                    "internal node {:?} caches bisector unit {mid:?}, the grid's is {want:?}",
+                    node.range
+                ));
+            }
             let (a, b) = self.endpoints(id);
-            let s = slant(&self.grid, &node.range, a, b);
+            let s = slant_between(ul, ur, a, b);
             let w = weight(s, node.range.depth, self.grid.r(), p);
             if w <= 1.0 - 1e-9 {
                 return Err(format!(
@@ -576,8 +643,8 @@ impl AdaptiveHull {
                     node.range
                 ));
             }
-            self.check_internal_weights(left, p)?;
-            self.check_internal_weights(right, p)?;
+            self.check_internal_nodes(left, p, ul, mid)?;
+            self.check_internal_nodes(right, p, mid, ur)?;
         }
         Ok(())
     }
@@ -629,7 +696,7 @@ impl AdaptiveHull {
                 put_point(out, a);
                 put_point(out, b);
             }
-            NodeKind::Internal { left, right } => {
+            NodeKind::Internal { left, right, .. } => {
                 put_u8(out, 1);
                 self.write_node(left, out);
                 self.write_node(right, out);
@@ -644,7 +711,7 @@ impl AdaptiveHull {
         use crate::snapshot::SnapshotError;
         let r = reader.u32()?;
         let depth = reader.u32()?;
-        if !r.is_power_of_two() || !(8..=1 << 20).contains(&r) || depth > 32 {
+        if !r.is_power_of_two() || !(8..=MAX_R).contains(&r) || depth > 32 {
             return Err(SnapshotError::Malformed("invalid adaptive grid shape"));
         }
         let queue_kind = match reader.u8()? {
@@ -681,26 +748,28 @@ impl AdaptiveHull {
             // Re-seed the unrefinement queue: one entry per internal node
             // with its current threshold (see `snapshot_payload` for why
             // this is behaviourally equivalent to the original backlog).
-            for i in 0..s.roots.len() {
-                s.seed_queue(s.roots[i]);
+            for j in 0..r {
+                let (ul, ur) = s.sector_units(j);
+                s.seed_queue(s.roots[j as usize], ul, ur);
             }
         }
         Ok(s)
     }
 
     /// Pushes the current unrefinement threshold of every internal node
-    /// under `id` (decode support).
-    fn seed_queue(&mut self, id: NodeId) {
+    /// under `id`, whose range boundaries have units `ul`, `ur` (decode
+    /// support).
+    fn seed_queue(&mut self, id: NodeId, ul: Vec2, ur: Vec2) {
         let node = *self.node(id);
-        let NodeKind::Internal { left, right } = node.kind else {
+        let NodeKind::Internal { left, right, mid } = node.kind else {
             return;
         };
         let (a, b) = self.endpoints(id);
-        let s = slant(&self.grid, &node.range, a, b);
+        let s = slant_between(ul, ur, a, b);
         self.queue
             .push(unrefine_threshold(s, node.range.depth, self.grid.r()), id);
-        self.seed_queue(left);
-        self.seed_queue(right);
+        self.seed_queue(left, ul, mid);
+        self.seed_queue(right, mid, ur);
     }
 
     fn read_node(
@@ -734,10 +803,11 @@ impl AdaptiveHull {
                 if !range.bisectable(&self.grid) {
                     return Err(SnapshotError::Malformed("refinement below the depth cap"));
                 }
+                let mid = self.grid.unit(range.mid(&self.grid));
                 let (lr, rr) = range.bisect(&self.grid);
                 let left = self.read_node(reader, lr)?;
                 let right = self.read_node(reader, rr)?;
-                self.arena.get_mut(id).unwrap().kind = NodeKind::Internal { left, right };
+                self.arena.get_mut(id).unwrap().kind = NodeKind::Internal { left, right, mid };
                 self.internal_count += 1;
             }
             _ => return Err(SnapshotError::Malformed("unknown tree node tag")),
@@ -772,7 +842,8 @@ impl AdaptiveHull {
                 for i in 0..count {
                     let s = (first + i) % r;
                     let root = self.roots[s as usize];
-                    self.update_node(root, q, &arc);
+                    let (ul, ur) = self.sector_units(s);
+                    self.update_node(root, q, &arc, ul, ur);
                 }
                 self.drain_queue();
                 true

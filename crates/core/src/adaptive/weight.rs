@@ -14,12 +14,19 @@
 //! which in terms of `P` is the threshold `P >= r·ℓ̃/(1 + d)`.
 
 use geom::dyadic::{DirGrid, DirRange};
-use geom::{Point2, UncertaintyTriangle};
+use geom::{Point2, UncertaintyTriangle, Vec2};
 
 /// Uncertainty triangle of edge `(a, b)` over the dyadic range: supporting
 /// normals are the unit vectors of the range's two boundary directions.
 pub fn uncertainty(grid: &DirGrid, range: &DirRange, a: Point2, b: Point2) -> UncertaintyTriangle {
-    UncertaintyTriangle::new(a, b, grid.unit(range.lo), grid.unit(range.hi))
+    uncertainty_between(grid.unit(range.lo), grid.unit(range.hi), a, b)
+}
+
+/// [`uncertainty`] given the range's boundary unit vectors: `ul` at
+/// `range.lo`, `ur` at `range.hi`. Refinement-tree walks carry these down
+/// instead of recomputing them.
+pub fn uncertainty_between(ul: Vec2, ur: Vec2, a: Point2, b: Point2) -> UncertaintyTriangle {
+    UncertaintyTriangle::new(a, b, ul, ur)
 }
 
 /// `ℓ̃(e)`: total length of the two non-base sides of the uncertainty
@@ -28,7 +35,16 @@ pub fn slant(grid: &DirGrid, range: &DirRange, a: Point2, b: Point2) -> f64 {
     if a == b {
         return 0.0;
     }
-    uncertainty(grid, range, a, b).slant_length()
+    slant_between(grid.unit(range.lo), grid.unit(range.hi), a, b)
+}
+
+/// [`slant`] given the range's boundary unit vectors (see
+/// [`uncertainty_between`]).
+pub fn slant_between(ul: Vec2, ur: Vec2, a: Point2, b: Point2) -> f64 {
+    if a == b {
+        return 0.0;
+    }
+    uncertainty_between(ul, ur, a, b).slant_length()
 }
 
 /// The sample weight `w(e)`. With `P <= 0` (degenerate hull) the weight is

@@ -20,8 +20,20 @@
 use crate::batch::{incircle, BatchScratch, CertCache, BATCH_LEAF, PREFILTER_MIN_DIRS};
 use crate::summary::{GenCache, HullCache, HullSummary, Mergeable};
 use core::f64::consts::TAU;
+use geom::dyadic::{fan_unit, MAX_R};
 use geom::tangent::visible_chain;
 use geom::{ConvexPolygon, Point2, Vec2};
+
+/// Unit vectors of the `r` uniform directions `j·2π/r` ([`fan_unit`]).
+///
+/// # Panics
+/// Panics unless `4 <= r <= 2^20` ([`MAX_R`]), the range every uniform
+/// summary's constructor and snapshot decoder accepts.
+fn direction_units(r: u32) -> Vec<Vec2> {
+    assert!(r >= 4, "need at least 4 directions, got {r}");
+    assert!(r <= MAX_R, "at most 2^20 directions, got {r}");
+    (0..r as u64).map(|j| fan_unit(j, r as u64)).collect()
+}
 
 /// The naive `O(r)`-per-point uniformly sampled hull (FKZ baseline).
 #[derive(Clone, Debug)]
@@ -41,14 +53,10 @@ pub struct NaiveUniformHull {
 }
 
 impl NaiveUniformHull {
-    /// Creates the summary with `r >= 4` sample directions.
+    /// Creates the summary with `4 <= r <= 2^20` sample directions.
     pub fn new(r: u32) -> Self {
-        assert!(r >= 4, "need at least 4 directions, got {r}");
-        let units = (0..r)
-            .map(|j| Vec2::from_angle(TAU * j as f64 / r as f64))
-            .collect();
         NaiveUniformHull {
-            units,
+            units: direction_units(r),
             extrema: Vec::new(),
             dots: Vec::new(),
             seen: 0,
@@ -122,8 +130,10 @@ impl NaiveUniformHull {
     ) -> Result<Self, crate::snapshot::SnapshotError> {
         use crate::snapshot::SnapshotError;
         let dirs = r.u32()?;
-        if dirs < 4 {
-            return Err(SnapshotError::Malformed("uniform-naive needs r >= 4"));
+        if !(4..=MAX_R).contains(&dirs) {
+            return Err(SnapshotError::Malformed(
+                "uniform-naive needs 4 <= r <= 2^20",
+            ));
         }
         let seen = r.u64()?;
         let count = r.count(16)?;
@@ -292,6 +302,22 @@ pub struct DirRun {
     pub hi: u32,
 }
 
+/// Appends the run `[lo, hi]` owned by `point` to a direction-ordered run
+/// list: nothing when `lo > hi`, and an extension of the last run when that
+/// has the same owner and ends at `lo - 1`.
+fn push_run(out: &mut Vec<DirRun>, point: Point2, lo: u32, hi: u32) {
+    if lo > hi {
+        return;
+    }
+    if let Some(prev) = out.last_mut() {
+        if prev.point == point && prev.hi + 1 == lo {
+            prev.hi = hi;
+            return;
+        }
+    }
+    out.push(DirRun { point, lo, hi });
+}
+
 /// The counterclockwise angular arc of directions a new point beats,
 /// reported by [`UniformHull::insert_detailed`]. Angles in radians,
 /// normalised to `[0, 2π)`; the arc runs ccw from `start` to `end` and its
@@ -351,16 +377,12 @@ pub struct UniformHull {
 }
 
 impl UniformHull {
-    /// Creates the summary with `r >= 4` sample directions.
+    /// Creates the summary with `4 <= r <= 2^20` sample directions.
     pub fn new(r: u32) -> Self {
-        assert!(r >= 4, "need at least 4 directions, got {r}");
-        let units = (0..r)
-            .map(|j| Vec2::from_angle(TAU * j as f64 / r as f64))
-            .collect();
         UniformHull {
             r,
             theta0: TAU / r as f64,
-            units,
+            units: direction_units(r),
             runs: Vec::new(),
             hull: ConvexPolygon::empty(),
             perimeter: 0.0,
@@ -588,73 +610,48 @@ impl UniformHull {
     /// Rewrites the ownership runs so `q` owns the circular inclusive range
     /// `[first, last]`, then refreshes the cached hull and perimeter.
     ///
-    /// Allocation-free in steady state: the run rewrite, the point
-    /// collection, and the hull rebuild all reuse buffers held on the
-    /// struct.
+    /// Linear, sort-free and allocation-free in steady state: the runs are
+    /// already in direction order, so `q`'s run is spliced in place (merging
+    /// with an equal-owner neighbour), and their owners are already in
+    /// counterclockwise order, so the strict hull comes from one
+    /// [`ConvexPolygon::assign_hull_of_ccw_cycle`] pass. All buffers live
+    /// on the struct.
     fn apply_beaten(&mut self, q: Point2, first: u32, last: u32) {
-        let r = self.r;
-        let in_beaten = |j: u32| -> bool { (j + r - first) % r <= (last + r - first) % r };
         let out = &mut self.runs_scratch;
         out.clear();
-        for run in &self.runs {
-            // Split the (non-wrapping) run into maximal sub-runs that
-            // survive outside the beaten set.
-            let mut j = run.lo;
-            while j <= run.hi {
-                if in_beaten(j) {
-                    j += 1;
-                    continue;
-                }
-                let start = j;
-                while j <= run.hi && !in_beaten(j) {
-                    j += 1;
-                }
-                out.push(DirRun {
-                    point: run.point,
-                    lo: start,
-                    hi: j - 1,
-                });
-            }
-        }
-        // Insert q's run (split at the wrap point if needed).
         if first <= last {
-            out.push(DirRun {
-                point: q,
-                lo: first,
-                hi: last,
-            });
-        } else {
-            out.push(DirRun {
-                point: q,
-                lo: first,
-                hi: r - 1,
-            });
-            out.push(DirRun {
-                point: q,
-                lo: 0,
-                hi: last,
-            });
-        }
-        out.sort_by_key(|run| run.lo);
-        // Merge adjacent runs owned by the same point, writing back into
-        // the (cleared) live run list.
-        self.runs.clear();
-        for &run in out.iter() {
-            if let Some(prev) = self.runs.last_mut() {
-                if prev.point == run.point && prev.hi + 1 == run.lo {
-                    prev.hi = run.hi;
-                    continue;
+            // Owners keep `[0, first)` and `(last, r)`; `q` takes the
+            // directions in between.
+            let mut spliced = false;
+            for run in &self.runs {
+                if run.lo < first {
+                    push_run(out, run.point, run.lo, run.hi.min(first - 1));
+                }
+                if run.hi >= first && !spliced {
+                    push_run(out, q, first, last);
+                    spliced = true;
+                }
+                if run.hi > last {
+                    push_run(out, run.point, run.lo.max(last + 1), run.hi);
                 }
             }
-            self.runs.push(run);
+        } else {
+            // `q` owns both ends of the index range; owners keep
+            // `(last, first)`.
+            push_run(out, q, 0, last);
+            for run in &self.runs {
+                push_run(out, run.point, run.lo.max(last + 1), run.hi.min(first - 1));
+            }
+            push_run(out, q, first, self.r - 1);
         }
+        core::mem::swap(&mut self.runs, &mut self.runs_scratch);
         debug_assert!(self.runs_partition_all());
 
         self.pts_scratch.clear();
         self.pts_scratch
             .extend(self.runs.iter().map(|run| run.point));
         self.hull
-            .assign_hull_of(&self.pts_scratch, &mut self.hull_scratch);
+            .assign_hull_of_ccw_cycle(&self.pts_scratch, &mut self.hull_scratch);
         self.perimeter = self.hull.perimeter();
         self.generation += 1;
     }
@@ -686,8 +683,8 @@ impl UniformHull {
     ) -> Result<Self, crate::snapshot::SnapshotError> {
         use crate::snapshot::SnapshotError;
         let r = reader.u32()?;
-        if r < 4 {
-            return Err(SnapshotError::Malformed("uniform needs r >= 4"));
+        if !(4..=MAX_R).contains(&r) {
+            return Err(SnapshotError::Malformed("uniform needs 4 <= r <= 2^20"));
         }
         let seen = reader.u64()?;
         let generation = reader.u64()?;

@@ -10,10 +10,32 @@
 //! [`DirGrid`] owns the parameters; [`Dir`] is an index on that circle; and
 //! [`DirRange`] is a closed angular interval with exact midpoint bisection.
 //! Unit vectors are derived on demand (and are the *only* place floating
-//! point enters).
+//! point enters), always through [`fan_unit`].
 
 use crate::point::Vec2;
 use core::f64::consts::TAU;
+
+/// Largest number of uniform directions any summary accepts (`2^20`).
+pub const MAX_R: u32 = 1 << 20;
+
+/// Angle `2π·index/count` of direction `index` in a fan of `count` evenly
+/// spaced directions.
+#[inline]
+fn fan_angle(index: u64, count: u64) -> f64 {
+    TAU * (index as f64) / (count as f64)
+}
+
+/// Unit vector of direction `index` in a fan of `count` evenly spaced
+/// directions: the one formula behind every direction unit vector in the
+/// workspace. [`DirGrid::unit`] evaluates it on the refined circle and the
+/// uniform summaries' direction tables on the `r`-fan; scaling `index` and
+/// `count` by the same power of two is exact, so a table for `r`
+/// directions is bit-equal to the grid's units at the uniform directions
+/// of every depth.
+#[inline]
+pub fn fan_unit(index: u64, count: u64) -> Vec2 {
+    Vec2::from_angle(fan_angle(index, count))
+}
 
 /// A direction index on a circle subdivided into `resolution` equal parts.
 ///
@@ -40,16 +62,13 @@ impl DirGrid {
     /// limit `depth`.
     ///
     /// # Panics
-    /// Panics unless `r` is a power of two with `8 <= r <= 2^20` and
-    /// `depth <= 32`. Powers of two keep sector bisection exact; `r >= 8`
-    /// keeps each sector's angular span below `π/4`, which the streaming
-    /// update's pruning proof (see `sh-core`) relies on.
+    /// Panics unless `r` is a power of two with `8 <= r <= 2^20`
+    /// ([`MAX_R`]) and `depth <= 32`. Powers of two keep sector bisection
+    /// exact; `r >= 8` keeps each sector's angular span below `π/4`, which
+    /// the streaming update's pruning proof (see `sh-core`) relies on.
     pub fn new(r: u32, depth: u32) -> Self {
         assert!(r.is_power_of_two(), "r must be a power of two, got {r}");
-        assert!(
-            (8..=1 << 20).contains(&r),
-            "r must be in [8, 2^20], got {r}"
-        );
+        assert!((8..=MAX_R).contains(&r), "r must be in [8, 2^20], got {r}");
         assert!(depth <= 32, "depth must be <= 32, got {depth}");
         DirGrid {
             r,
@@ -106,13 +125,14 @@ impl DirGrid {
     #[inline]
     pub fn angle(&self, d: Dir) -> f64 {
         debug_assert!(d.0 < self.resolution);
-        TAU * (d.0 as f64) / (self.resolution as f64)
+        fan_angle(d.0, self.resolution)
     }
 
-    /// Unit vector of direction `d`.
+    /// Unit vector of direction `d` (one `sin_cos`; hot paths cache it).
     #[inline]
     pub fn unit(&self, d: Dir) -> Vec2 {
-        Vec2::from_angle(self.angle(d))
+        debug_assert!(d.0 < self.resolution);
+        fan_unit(d.0, self.resolution)
     }
 
     /// Adds `steps` grid steps to `d`, wrapping around the circle.

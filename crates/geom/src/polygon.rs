@@ -40,6 +40,28 @@ impl ConvexPolygon {
         self.verts = verts;
     }
 
+    /// Recomputes `self` as the convex hull of `cycle`, a closed sequence
+    /// expected to be in weakly convex counterclockwise position — repeats
+    /// and collinear runs allowed — such as the extrema of a direction fan
+    /// listed in direction order.
+    ///
+    /// When the expectation holds this is one linear pass with no sort:
+    /// repeats collapse, collinear middles drop (exact [`orient2d_sign`]),
+    /// and the cycle starts at its lexicographically smallest vertex. It
+    /// falls back to [`ConvexPolygon::assign_hull_of`] on a reflex turn, a
+    /// collinear turn that doubles back, a cycle winding more than once, a
+    /// result with fewer than 3 vertices, or input that `lex_cmp` and `==`
+    /// disagree on (a non-finite point or an `x` of `-0.0`). Either way the
+    /// result is bit-identical to `ConvexPolygon::hull_of(cycle)`.
+    pub fn assign_hull_of_ccw_cycle(&mut self, cycle: &[Point2], scratch: &mut Vec<Point2>) {
+        let mut verts = core::mem::take(&mut self.verts);
+        let strict = strict_ccw_cycle(cycle, &mut verts);
+        self.verts = verts;
+        if !strict {
+            self.assign_hull_of(cycle, scratch);
+        }
+    }
+
     /// Wraps a vertex list that is already a strictly convex ccw cycle.
     ///
     /// Returns `None` if validation fails. Use [`ConvexPolygon::hull_of`]
@@ -302,6 +324,95 @@ impl ConvexPolygon {
         }
         ConvexPolygon::from_ccw(verts).map(|poly| (poly, need))
     }
+}
+
+/// Bit pattern of `-0.0`.
+const NEG_ZERO_BITS: u64 = 0x8000_0000_0000_0000;
+
+/// The linear pass behind [`ConvexPolygon::assign_hull_of_ccw_cycle`].
+/// Writes the corners of `cycle` into `out` in counterclockwise order from
+/// the lexicographically smallest point and returns `true`; returns
+/// `false` (leaving `out` unspecified) unless `cycle` is a weakly convex
+/// ccw cycle that winds once and has at least 3 corners.
+///
+/// Why the result equals the monotone chain's: every dropped point repeats
+/// a kept one or lies strictly between two kept points on a line, so the
+/// kept points have the input's hull. All kept turns are strictly left and
+/// lexicographic order rises once and falls once around them (turning
+/// number 1), so they are exactly that hull's corners, in its order.
+/// Repeats keep their `lex_cmp`-smallest copy, as sort + dedup does; with
+/// no `x` of `-0.0`, copies of one point differ at most in the sign of a
+/// zero `y`, which sorts them next to each other.
+fn strict_ccw_cycle(cycle: &[Point2], out: &mut Vec<Point2>) -> bool {
+    out.clear();
+    if cycle.len() < 3 {
+        return false;
+    }
+    let mut start = 0;
+    for (i, p) in cycle.iter().enumerate() {
+        if !p.is_finite() || p.x.to_bits() == NEG_ZERO_BITS {
+            return false;
+        }
+        if p.lex_cmp(cycle[start]) == Ordering::Less {
+            start = i;
+        }
+    }
+    for &p in cycle[start..].iter().chain(&cycle[..start]) {
+        if let Some(top) = out.last_mut() {
+            if *top == p {
+                if p.lex_cmp(*top) == Ordering::Less {
+                    *top = p;
+                }
+                continue;
+            }
+        }
+        if !pop_collinear_middles(out, p) {
+            return false;
+        }
+        out.push(p);
+    }
+    // Close the cycle at its start, the smallest copy of its point.
+    let first = out[0];
+    if out.len() > 1 && out[out.len() - 1] == first {
+        out.pop();
+    }
+    if !pop_collinear_middles(out, first) || out.len() < 3 {
+        return false;
+    }
+    let m = out.len();
+    if orient2d_sign(out[m - 1], first, out[1]) != Ordering::Greater {
+        return false;
+    }
+    let mut peaks = 0;
+    let mut rising = true;
+    for i in 0..m {
+        let up = out[(i + 1) % m].lex_cmp(out[i]) == Ordering::Greater;
+        peaks += usize::from(rising && !up);
+        rising = up;
+    }
+    peaks == 1
+}
+
+/// Pops the top of `out` while it lies strictly between its predecessor and
+/// `p` on one line; `false` on a right turn or a collinear turn that
+/// doubles back.
+fn pop_collinear_middles(out: &mut Vec<Point2>, p: Point2) -> bool {
+    while let [.., a, b] = *out.as_slice() {
+        match orient2d_sign(a, b, p) {
+            Ordering::Greater => return true,
+            Ordering::Equal if strictly_between(a, b, p) => {
+                out.pop();
+            }
+            _ => return false,
+        }
+    }
+    true
+}
+
+/// For collinear `a`, `b`, `c`: `b` lies strictly between the other two.
+fn strictly_between(a: Point2, b: Point2, c: Point2) -> bool {
+    let ab = a.lex_cmp(b);
+    ab != Ordering::Equal && ab == b.lex_cmp(c)
 }
 
 #[cfg(test)]

@@ -1,0 +1,185 @@
+//! The identities the sort- and trigonometry-free ingestion paths rest on,
+//! pinned bit for bit:
+//!
+//! * the uniform summaries' direction tables equal the dyadic grid's unit
+//!   vectors at the uniform directions, at every depth;
+//! * the linear extrema-hull pass (`assign_hull_of_ccw_cycle`) equals
+//!   `ConvexPolygon::hull_of` on run-owner sequences — real ones taken from
+//!   `UniformHull`, and synthetic ones with repeats, collinear owners,
+//!   signed zeros and deliberately broken convexity.
+//!
+//! The refinement tree's cached bisector units are checked by
+//! `AdaptiveHull::check_invariants`, which the summary proptests call.
+
+use geom::dyadic::DirGrid;
+use geom::hull::monotone_chain_with;
+use proptest::prelude::*;
+use streamhull::prelude::*;
+
+fn bits(p: Point2) -> (u64, u64) {
+    (p.x.to_bits(), p.y.to_bits())
+}
+
+fn vertex_bits(poly: &ConvexPolygon) -> Vec<(u64, u64)> {
+    poly.vertices().iter().copied().map(bits).collect()
+}
+
+/// `assign_hull_of_ccw_cycle` (into a polygon holding stale vertices)
+/// against `hull_of`, bit for bit.
+fn check_cycle(cycle: &[Point2]) -> TestCaseResult {
+    let want = ConvexPolygon::hull_of(cycle);
+    let mut got = ConvexPolygon::hull_of(&[Point2::new(7.0, 7.0), Point2::new(8.0, 9.0)]);
+    let mut scratch = vec![Point2::new(1.0, 1.0)];
+    got.assign_hull_of_ccw_cycle(cycle, &mut scratch);
+    prop_assert_eq!(vertex_bits(&got), vertex_bits(&want), "cycle {:?}", cycle);
+    Ok(())
+}
+
+/// Small deterministic generator for the synthetic cycles.
+struct Lcg(u64);
+
+impl Lcg {
+    fn next(&mut self) -> u64 {
+        self.0 = self
+            .0
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        self.0 >> 33
+    }
+
+    fn below(&mut self, n: u64) -> u64 {
+        self.next() % n
+    }
+}
+
+/// A weakly convex ccw cycle on a small lattice — the inclusive hull
+/// boundary, so collinear owners appear — with repeats, a random start,
+/// zeros of random sign and, when `break_it`, one perturbation that may
+/// destroy convexity: a swap, an interior point, a reversal, or a cycle
+/// winding twice (the whole cycle repeated, or every second point — a
+/// star when the length is odd).
+fn synthetic_cycle(seed: u64, n: usize, span: i32, break_it: bool) -> Vec<Point2> {
+    let mut rng = Lcg(seed);
+    let side = 2 * span as u64 + 1;
+    let mut pts: Vec<Point2> = (0..n)
+        .map(|_| {
+            let x = rng.below(side) as i32 - span;
+            let y = rng.below(side) as i32 - span;
+            Point2::new(x as f64, y as f64)
+        })
+        .collect();
+    let mut boundary = Vec::new();
+    monotone_chain_with(&mut pts, &mut boundary, true);
+    // A fully collinear input lists its middle points twice, once per
+    // chain: that is a cycle doubling back, which must fall back.
+    let mut cycle = Vec::new();
+    for p in boundary {
+        for _ in 0..=rng.below(3) {
+            let flip = |v: f64, rng: &mut Lcg| {
+                if v.to_bits() == 0 && rng.below(2) == 0 {
+                    -0.0
+                } else {
+                    v
+                }
+            };
+            let x = flip(p.x, &mut rng);
+            let y = flip(p.y, &mut rng);
+            cycle.push(Point2::new(x, y));
+        }
+    }
+    if cycle.is_empty() {
+        return cycle;
+    }
+    let start = rng.below(cycle.len() as u64) as usize;
+    cycle.rotate_left(start);
+    if break_it {
+        let len = cycle.len() as u64;
+        match rng.below(5) {
+            0 => {
+                let (i, j) = (rng.below(len) as usize, rng.below(len) as usize);
+                cycle.swap(i, j);
+            }
+            1 => {
+                let i = rng.below(len) as usize;
+                cycle.insert(i, Point2::new(0.0, 0.0));
+            }
+            2 => cycle.reverse(),
+            3 => cycle.extend(cycle.clone()),
+            _ => {
+                let len = cycle.len();
+                cycle = (0..len).map(|i| cycle[2 * i % len]).collect();
+            }
+        }
+    }
+    cycle
+}
+
+fn pt_strategy() -> impl Strategy<Value = Point2> {
+    prop_oneof![
+        (-50.0f64..50.0, -50.0f64..50.0).prop_map(|(x, y)| Point2::new(x, y)),
+        // Lattice points: repeated and collinear extrema, and zeros.
+        (-3i32..4, -3i32..4).prop_map(|(x, y)| Point2::new(x as f64, y as f64)),
+        // Negative zeros on either axis.
+        (-3i32..4, 0i32..2).prop_map(|(v, axis)| {
+            if axis == 0 {
+                Point2::new(-0.0, v as f64)
+            } else {
+                Point2::new(v as f64, -0.0)
+            }
+        }),
+        // Skinny band: long runs and near-collinear owners.
+        (-50.0f64..50.0, -0.01f64..0.01).prop_map(|(x, y)| Point2::new(x, y)),
+    ]
+}
+
+#[test]
+fn uniform_direction_tables_equal_the_grid_units() {
+    for log_r in 3..=12u32 {
+        let r = 1u32 << log_r;
+        let uniform = UniformHull::new(r);
+        let naive = NaiveUniformHull::new(r);
+        for depth in 0..=log_r + 2 {
+            let grid = DirGrid::new(r, depth);
+            for j in 0..r {
+                let want = grid.unit(grid.uniform_dir(j));
+                for (who, got) in [("uniform", uniform.unit(j)), ("naive", naive.unit(j))] {
+                    assert_eq!(
+                        (got.x.to_bits(), got.y.to_bits()),
+                        (want.x.to_bits(), want.y.to_bits()),
+                        "{who}: r = {r}, depth = {depth}, j = {j}"
+                    );
+                }
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn extrema_hull_pass_matches_hull_of_on_real_run_owners(
+        pts in prop::collection::vec(pt_strategy(), 1..120),
+        rexp in 2u32..7,
+    ) {
+        let r = 1u32 << rexp; // 4..64
+        let mut u = UniformHull::new(r);
+        for &q in &pts {
+            u.insert(q);
+            let owners: Vec<Point2> = u.runs().iter().map(|run| run.point).collect();
+            check_cycle(&owners)?;
+            let want = ConvexPolygon::hull_of(&owners);
+            prop_assert_eq!(vertex_bits(u.hull_ref()), vertex_bits(&want));
+        }
+    }
+
+    #[test]
+    fn extrema_hull_pass_matches_hull_of_on_synthetic_cycles(
+        seed in 0u64..u64::MAX,
+        n in 1usize..40,
+        span in 1i32..6,
+        break_it in 0u32..4,
+    ) {
+        check_cycle(&synthetic_cycle(seed, n, span, break_it == 0))?;
+    }
+}

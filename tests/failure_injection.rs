@@ -580,4 +580,32 @@ fn forged_checksum_valid_payloads_are_rejected() {
         Err(SnapshotError::Malformed(_)) => {}
         other => panic!("forged NaN extremum must be Malformed, got {other:?}"),
     }
+
+    // A direction count forged above the 2^20 ceiling must be rejected
+    // before anything is allocated for it: for both uniform kinds, and for
+    // the substrate embedded in an adaptive snapshot (after a valid grid
+    // shape: r u32, depth u32, queue tag u8).
+    let origin = Point2::new(1.0, 2.0);
+    let mut naive = NaiveUniformHull::new(8);
+    naive.insert(origin);
+    let mut uniform = UniformHull::new(8);
+    uniform.insert(origin);
+    let mut adaptive = AdaptiveHull::with_r(8);
+    adaptive.insert(origin);
+    for (name, clean, at) in [
+        ("uniform-naive", naive.encode_snapshot(), 16),
+        ("uniform", uniform.encode_snapshot(), 16),
+        ("adaptive substrate", adaptive.encode_snapshot(), 25),
+    ] {
+        assert_eq!(clean[at..at + 4], 8u32.to_le_bytes(), "{name}: r offset");
+        for forged in [u32::MAX, (1 << 20) + 1] {
+            let mut bytes = clean.clone();
+            bytes[at..at + 4].copy_from_slice(&forged.to_le_bytes());
+            reseal(&mut bytes);
+            match SummaryBuilder::restore(&bytes) {
+                Err(SnapshotError::Malformed(_)) => {}
+                other => panic!("{name}: forged r = {forged} must be Malformed, got {other:?}"),
+            }
+        }
+    }
 }
