@@ -35,7 +35,7 @@
 
 use crate::adaptive::arena::{Arena, NodeId};
 use crate::adaptive::queue::{BucketQueue, HeapQueue, UnrefineQueue};
-use crate::adaptive::weight::{slant_between, uncertainty_between, unrefine_threshold, weight};
+use crate::adaptive::weight::{slant_between, unrefine_threshold, weight};
 use crate::batch::{incircle, CertCache, BATCH_LEAF};
 use crate::summary::{GenCache, HullCache, HullSummary, Mergeable};
 use crate::uniform::{BeatenArc, UniformEffect, UniformHull};
@@ -160,11 +160,6 @@ enum NodeKind {
         right: NodeId,
         mid: Vec2,
     },
-}
-
-/// `true` iff `u` and `v` have identical bit patterns.
-fn same_bits(u: Vec2, v: Vec2) -> bool {
-    u.x.to_bits() == v.x.to_bits() && u.y.to_bits() == v.y.to_bits()
 }
 
 /// The streaming adaptive-sampling convex hull summary (Theorem 5.4).
@@ -516,7 +511,7 @@ impl AdaptiveHull {
         let mut out = Vec::new();
         self.for_each_leaf(&mut |_, ul, ur, a, b| {
             if a != b {
-                out.push(uncertainty_between(ul, ur, a, b));
+                out.push(UncertaintyTriangle::new(a, b, ul, ur));
             }
         });
         out
@@ -556,8 +551,8 @@ impl AdaptiveHull {
     /// Verifies the structural invariants (used heavily in tests):
     /// adjacent leaves share endpoints, sector boundaries agree with the
     /// uniform extrema, every internal node still deserves to exist (`w >
-    /// 1`, up to the queue's factor-2 rounding), and every cached unit
-    /// vector is bit-equal to the grid's.
+    /// 1`, up to the queue's factor-2 rounding), and every cached bisector
+    /// unit is bit-equal to the grid's.
     pub fn check_invariants(&self) -> Result<(), String> {
         if self.roots.is_empty() {
             return Ok(());
@@ -609,16 +604,10 @@ impl AdaptiveHull {
             }
         }
         // 4. Every internal node has weight > 1 after draining, and caches
-        //    its bisector's exact unit; 5. the sector tables match the grid.
+        //    its bisector's exact unit.
         let p = self.uniform.perimeter();
         for (j, &root) in self.roots.iter().enumerate() {
             let (ul, ur) = self.sector_units(j as u32);
-            let sector = DirRange::sector(&self.grid, j as u32);
-            if !same_bits(ul, self.grid.unit(sector.lo))
-                || !same_bits(ur, self.grid.unit(sector.hi))
-            {
-                return Err(format!("sector {j} boundary units disagree with the grid"));
-            }
             self.check_internal_nodes(root, p, ul, ur)?
         }
         Ok(())
@@ -628,7 +617,7 @@ impl AdaptiveHull {
         let node = self.node(id);
         if let NodeKind::Internal { left, right, mid } = node.kind {
             let want = self.grid.unit(node.range.mid(&self.grid));
-            if !same_bits(mid, want) {
+            if (mid.x.to_bits(), mid.y.to_bits()) != (want.x.to_bits(), want.y.to_bits()) {
                 return Err(format!(
                     "internal node {:?} caches bisector unit {mid:?}, the grid's is {want:?}",
                     node.range

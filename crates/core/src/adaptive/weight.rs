@@ -19,14 +19,7 @@ use geom::{Point2, UncertaintyTriangle, Vec2};
 /// Uncertainty triangle of edge `(a, b)` over the dyadic range: supporting
 /// normals are the unit vectors of the range's two boundary directions.
 pub fn uncertainty(grid: &DirGrid, range: &DirRange, a: Point2, b: Point2) -> UncertaintyTriangle {
-    uncertainty_between(grid.unit(range.lo), grid.unit(range.hi), a, b)
-}
-
-/// [`uncertainty`] given the range's boundary unit vectors: `ul` at
-/// `range.lo`, `ur` at `range.hi`. Refinement-tree walks carry these down
-/// instead of recomputing them.
-pub fn uncertainty_between(ul: Vec2, ur: Vec2, a: Point2, b: Point2) -> UncertaintyTriangle {
-    UncertaintyTriangle::new(a, b, ul, ur)
+    UncertaintyTriangle::new(a, b, grid.unit(range.lo), grid.unit(range.hi))
 }
 
 /// `ℓ̃(e)`: total length of the two non-base sides of the uncertainty
@@ -38,13 +31,14 @@ pub fn slant(grid: &DirGrid, range: &DirRange, a: Point2, b: Point2) -> f64 {
     slant_between(grid.unit(range.lo), grid.unit(range.hi), a, b)
 }
 
-/// [`slant`] given the range's boundary unit vectors (see
-/// [`uncertainty_between`]).
+/// [`slant`] given the range's boundary unit vectors: `ul` at `range.lo`,
+/// `ur` at `range.hi`. Refinement-tree walks carry these down instead of
+/// recomputing them.
 pub fn slant_between(ul: Vec2, ur: Vec2, a: Point2, b: Point2) -> f64 {
     if a == b {
         return 0.0;
     }
-    uncertainty_between(ul, ur, a, b).slant_length()
+    UncertaintyTriangle::new(a, b, ul, ur).slant_length()
 }
 
 /// The sample weight `w(e)`. With `P <= 0` (degenerate hull) the weight is
