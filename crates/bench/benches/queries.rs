@@ -1,10 +1,10 @@
 //! Query costs on sampled hulls (paper §6: `O(r)` for diameter/width/
 //! overlap, `O(log r)` for directional extent, membership, separation
-//! probes).
+//! probes), measured on the `geom` kernels a summary's hull feeds.
 
-use adaptive_hull::{queries, AdaptiveHull, HullSummary};
+use adaptive_hull::{AdaptiveHull, HullSummary};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use geom::{ConvexPolygon, Point2, Vec2};
+use geom::{calipers, clip, distance, locate, ConvexPolygon, Point2, Vec2};
 use streamgen::{Ellipse, Translate};
 
 fn build_hull(r: u32, seed: u64, dx: f64) -> ConvexPolygon {
@@ -22,28 +22,28 @@ fn bench_queries(c: &mut Criterion) {
         let mut group = c.benchmark_group("queries");
 
         group.bench_with_input(BenchmarkId::new("diameter", r), &a, |bch, a| {
-            bch.iter(|| queries::diameter(a).map(|(_, _, d)| d))
+            bch.iter(|| calipers::diameter(a).map(|(_, _, d)| d))
         });
         group.bench_with_input(BenchmarkId::new("width", r), &a, |bch, a| {
-            bch.iter(|| queries::width(a))
+            bch.iter(|| calipers::width(a))
         });
         group.bench_with_input(BenchmarkId::new("directional_extent", r), &a, |bch, a| {
             let dir = Vec2::from_angle(0.7);
-            bch.iter(|| queries::directional_extent(a, dir))
+            bch.iter(|| locate::directional_extent(a, dir))
         });
         group.bench_with_input(BenchmarkId::new("contains_point", r), &a, |bch, a| {
             let q = Point2::new(0.1, 0.1);
-            bch.iter(|| queries::contains_point(a, q))
+            bch.iter(|| locate::contains(a, q))
         });
         group.bench_with_input(
             BenchmarkId::new("min_distance", r),
             &(&a, &b),
-            |bch, (a, b)| bch.iter(|| queries::min_distance(a, b)),
+            |bch, (a, b)| bch.iter(|| distance::min_distance(a, b)),
         );
         group.bench_with_input(
             BenchmarkId::new("overlap_area", r),
             &(&a, &b),
-            |bch, (a, b)| bch.iter(|| queries::overlap_area(a, b)),
+            |bch, (a, b)| bch.iter(|| clip::overlap_area(a, b)),
         );
         group.finish();
     }

@@ -61,7 +61,7 @@
 use adaptive_hull::telemetry::names;
 use adaptive_hull::window::WindowConfig;
 use adaptive_hull::{
-    Estimate, HullSummary, Mergeable, PairAnswer, QueryEngine, ShardedIngest, StreamId,
+    Estimate, HullSummary, Mergeable, PairAnswer, QueryEngine, ShardRun, ShardedIngest, StreamId,
     SummaryBuilder, SummaryKind, SupervisedIngest, Telemetry, TenantConfig, TenantEngine,
 };
 use bench_harness::TABLE1_SEED;
@@ -755,6 +755,22 @@ fn time_sharded_ns_per_point(
     reps: usize,
 ) -> f64 {
     let engine = ShardedIngest::new(*builder, shards).with_chunk(chunk);
+    // One partition for every entry point: the zero-copy slice run and the
+    // streaming run must agree bit for bit (checked once, outside the
+    // timed loop).
+    let vertex_bits = |run: &ShardRun| -> Vec<(u64, u64)> {
+        let hull = run.summary.hull_ref();
+        hull.vertices()
+            .iter()
+            .map(|p| (p.x.to_bits(), p.y.to_bits()))
+            .collect()
+    };
+    assert_eq!(
+        vertex_bits(&engine.run(pts)),
+        vertex_bits(&engine.run_stream(pts.iter().copied())),
+        "{}/{shards}: run and run_stream diverged",
+        builder.kind()
+    );
     let mut best = f64::INFINITY;
     for _ in 0..reps.max(1) {
         let run = engine.run(pts);

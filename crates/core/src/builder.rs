@@ -3,8 +3,8 @@
 //! plus parameters into a boxed [`HullSummary`] / [`Mergeable`] trait
 //! object — "any summary, chosen at runtime".
 //!
-//! This is what lets the bench harness, the §6 query layer
-//! ([`MultiStreamTracker`](crate::queries::MultiStreamTracker)), examples,
+//! This is what lets the bench harness, the tenant engine and its
+//! serving layer ([`QueryEngine`](crate::queries::QueryEngine)), examples,
 //! and tests drive every backend through one code path instead of
 //! hand-rolled per-type dispatch. Feed built summaries in chunks via
 //! [`insert_batch`](crate::summary::HullSummary::insert_batch) where the

@@ -16,7 +16,8 @@
 //! * [`FrozenHull`] — fixed direction set ("partially adaptive", Table 1);
 //! * [`adaptive`] — the static and streaming adaptive schemes (§4, §5);
 //! * [`parallel`] — the sharded ingestion engine ([`ShardedIngest`]):
-//!   scoped worker threads per shard, deterministic [`Mergeable`] reduce;
+//!   one chunk → shard partition (chunk `c` to shard `c % N`) shared by
+//!   every entry point, and a deterministic [`Mergeable`] reduce;
 //! * [`window`] — sliding-window summaries ([`WindowedSummary`]): extent
 //!   queries over the last `N` points / last `T` time units of the stream
 //!   via an exponential-histogram chain of buckets, over any backend;
@@ -26,20 +27,23 @@
 //!   ([`SummaryBuilder::restore`](builder::SummaryBuilder::restore),
 //!   [`ShardedIngest::merge_snapshots`](parallel::ShardedIngest::merge_snapshots));
 //! * [`recovery`] — fault-tolerant supervised ingestion
-//!   ([`SupervisedIngest`]): per-shard checkpointing, deterministic fault
-//!   injection ([`FaultPlan`]), checkpoint-replay recovery under a seeded
+//!   ([`SupervisedIngest`]): per-shard checkpointing through validated
+//!   [`CheckpointEnvelope`]s, deterministic fault injection
+//!   ([`FaultPlan`]), checkpoint-replay recovery under a seeded
 //!   [`RetryPolicy`], and degraded completion with a [`RecoveryReport`];
 //! * [`tenant`] — the resource-governed multi-tenant engine
 //!   ([`TenantEngine`]): millions of per-stream summaries under a byte
 //!   budget, with per-tenant quotas, admission control, load shedding
 //!   ([`OverloadPolicy`]), hot/cold spill with hardened bit-exact restore
-//!   and per-tenant quarantine, and a [`PressureReport`] ledger;
+//!   and per-tenant quarantine, backfill from a [`SupervisedRun`] through
+//!   the same write path, and a [`PressureReport`] ledger;
 //! * [`telemetry`] — zero-dependency observability ([`Telemetry`]):
 //!   striped counters, gauges, log-scale histograms and a deterministic
 //!   trace ring threaded through the engines above, with Prometheus-text
 //!   and JSON-lines exporters and a [`telemetry::Scrape`] snapshot API;
-//! * [`queries`] — diameter/width/extent/separation/containment/overlap
-//!   (§6) plus a multi-stream tracker, and the serving layer
+//! * [`queries`] — the §6 queries, which are [`geom`] kernels
+//!   (`calipers`, `locate`, `distance`, `clip`) applied to a summary's
+//!   cached [`hull_ref`](HullSummary::hull_ref), and the serving layer
 //!   ([`queries::serving::QueryEngine`]): cached, error-bounded analytics
 //!   over a whole [`TenantEngine`] fleet with bbox/incircle-pruned
 //!   top-k scans and separation joins;
@@ -90,7 +94,7 @@ pub use builder::{SummaryBuilder, SummaryKind};
 pub use cluster::{ClusterHull, ClusterHullConfig};
 pub use exact::ExactHull;
 pub use frozen::FrozenHull;
-pub use parallel::{CheckpointedRun, ShardCheckpoint, ShardRun, ShardStats, ShardedIngest};
+pub use parallel::{ShardRun, ShardStats, ShardedIngest};
 pub use queries::serving::{
     Estimate, JoinAnswer, JoinCertificate, JoinPair, PairAnswer, QDir, QueryCacheStats,
     QueryEngine, QueryError, TopKAnswer, TopKEntry,

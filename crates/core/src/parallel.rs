@@ -2,29 +2,32 @@
 //! [`Mergeable`] story.
 //!
 //! [`ShardedIngest`] splits a point stream across `N` worker shards, runs
-//! each shard through its own [`SummaryBuilder`]-constructed summary on a
-//! scoped thread (so the whole engine works on borrowed slices, with no
-//! `'static` bounds and no extra dependencies), and reduces the workers
-//! with [`Mergeable::merge_from`] **in shard order** into a fresh collector
-//! of the same kind.
+//! each shard through its own [`SummaryBuilder`]-constructed summary, and
+//! reduces the workers with [`Mergeable::merge_from`] **in shard order**
+//! into a fresh collector of the same kind.
 //!
 //! # Determinism contract
 //!
-//! For a fixed input stream, summary configuration (including its seed),
-//! shard count, and chunk size, the result is **bit-identical across
-//! runs** regardless of how the OS schedules the worker threads:
+//! Every entry point shares one partition: the stream is cut into chunks
+//! of the configured size and chunk `c` goes to shard `c % N`. For a fixed
+//! input stream, summary configuration (including its seed), shard count,
+//! and chunk size, the result is therefore **bit-identical** across runs
+//! and across entry points, however the OS schedules the worker threads:
+//! [`run`](ShardedIngest::run) on a slice, [`run_stream`](ShardedIngest::run_stream)
+//! on an iterator, a fault-free
+//! [`SupervisedIngest::run_stream`](crate::recovery::SupervisedIngest::run_stream),
+//! and [`merge_snapshots`](ShardedIngest::merge_snapshots) over per-shard
+//! files built from the same partition all agree, because
 //!
-//! * shard assignment is a pure function of point index and shard count
-//!   (contiguous split for [`run`](ShardedIngest::run), round-robin over
-//!   chunks for [`run_stream`](ShardedIngest::run_stream)) — never of
+//! * shard assignment is a pure function of the chunk index — never of
 //!   thread timing;
 //! * each worker is sequential and deterministic;
 //! * the reduce always merges workers in shard order `0, 1, …, N-1`.
 //!
-//! Changing the shard count is allowed to change the result (the collector
-//! re-summarises different shard samples); the property tests in
-//! `tests/sharded_parallel.rs` pin the contract per shard count for every
-//! [`SummaryKind`](crate::builder::SummaryKind).
+//! Changing the shard count (or the chunk size) is allowed to change the
+//! result (the collector re-summarises different shard samples); the
+//! property tests in `tests/sharded_parallel.rs` pin the contract per shard
+//! count for every [`SummaryKind`](crate::builder::SummaryKind).
 //!
 //! # Error guarantee
 //!
@@ -38,14 +41,10 @@
 use crate::builder::SummaryBuilder;
 use crate::snapshot::SnapshotError;
 use crate::summary::{Mergeable, NonFiniteInput};
-use crate::telemetry::{names, Telemetry};
+use crate::telemetry::{names, Counter, Histogram, Telemetry};
 use crate::window::{WindowConfig, WindowPolicy, WindowedRun};
 use geom::Point2;
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
-
-/// A boxed shard worker summary.
-type Worker = Box<dyn Mergeable + Send + Sync>;
 
 /// Default points per `insert_batch` call inside each worker.
 pub const DEFAULT_CHUNK: usize = 1024;
@@ -94,6 +93,47 @@ impl ShardRun {
     }
 }
 
+/// The per-backend ingest instruments every shard worker records through
+/// — the slice workers of [`ShardedIngest::run`] and the supervisor's
+/// workers alike. Registered once per run (registration locks); the
+/// `Copy` handles then ride into each worker for free, and a chunk costs
+/// one timestamp pair and three relaxed atomic adds.
+#[derive(Clone, Copy)]
+pub(crate) struct IngestInstruments {
+    points: Counter,
+    batches: Counter,
+    chunk_ns: Histogram,
+}
+
+impl IngestInstruments {
+    pub(crate) fn register(telemetry: Telemetry, builder: SummaryBuilder) -> Self {
+        let backend = [("backend", builder.kind().label())];
+        IngestInstruments {
+            points: telemetry.counter(names::INGEST_POINTS, &backend),
+            batches: telemetry.counter(names::INGEST_BATCHES, &backend),
+            chunk_ns: telemetry.histogram(names::INGEST_CHUNK_NS, &backend),
+        }
+    }
+
+    /// Runs `ingest` over one chunk of `len` stream items, recording the
+    /// whole chunk's latency and its point and batch counts. Whole-chunk
+    /// nanoseconds keep the histogram's `_sum` exact, so `_sum` over the
+    /// points counter is the true ns/point.
+    pub(crate) fn chunk<R>(&self, len: usize, ingest: impl FnOnce() -> R) -> R {
+        let out = if self.chunk_ns.enabled() {
+            let t0 = Instant::now();
+            let out = ingest();
+            self.chunk_ns.record(t0.elapsed().as_nanos() as u64);
+            out
+        } else {
+            ingest()
+        };
+        self.points.add(len as u64);
+        self.batches.inc();
+        out
+    }
+}
+
 /// Sharded parallel ingestion engine over any
 /// [`SummaryKind`](crate::builder::SummaryKind).
 ///
@@ -134,7 +174,8 @@ impl ShardedIngest {
         }
     }
 
-    /// Sets the worker batch size (points per `insert_batch` call).
+    /// Sets the worker batch size (points per `insert_batch` call), which
+    /// is also the unit of the chunk → shard partition.
     pub fn with_chunk(mut self, chunk: usize) -> Self {
         assert!(chunk >= 1, "chunk must be at least 1");
         self.chunk = chunk;
@@ -142,7 +183,7 @@ impl ShardedIngest {
     }
 
     /// Attaches an observability handle: every entry point then records
-    /// per-backend point/batch counters and a per-chunk ns/point
+    /// per-backend point/batch counters and a per-chunk latency
     /// histogram (labelled `backend=<kind>`), at chunk granularity so
     /// the hot path cost is one timestamp and three relaxed atomic adds
     /// per *chunk*. The default is [`Telemetry::disabled`], under which
@@ -176,18 +217,32 @@ impl ShardedIngest {
         self.builder
     }
 
-    /// Ingests a materialised stream: shard `i` gets the `i`-th of `N`
-    /// near-equal **contiguous** slices (first `len % N` shards take one
-    /// extra point), runs on its own scoped thread, and the workers are
-    /// merged in shard order.
-    ///
-    /// Contiguous slices keep each worker's stream locality intact, which
-    /// is what the batched fast paths (interior certificate, pre-hull)
-    /// feed on.
+    /// Ingests a materialised stream without copying it: shard `i` runs on
+    /// its own scoped thread over the borrowed chunks `i, i + N, i + 2N, …`
+    /// of the slice (the shared partition, chunk `c` → shard `c % N`), and
+    /// the workers are merged in shard order. Bit-identical to
+    /// [`run_stream`](ShardedIngest::run_stream) over the same points,
+    /// without its per-chunk copy and channel hop.
     pub fn run(&self, points: &[Point2]) -> ShardRun {
         let start = Instant::now();
-        let workers = self.fan_out_slices(points, |_, s, piece| {
-            s.insert_batch(piece);
+        let inst = IngestInstruments::register(self.telemetry, self.builder);
+        let workers = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..self.shards)
+                .map(|shard| {
+                    scope.spawn(move || {
+                        let mut s = self.builder.build_mergeable();
+                        let mine = points.chunks(self.chunk).skip(shard).step_by(self.shards);
+                        for piece in mine {
+                            inst.chunk(piece.len(), || s.insert_batch(piece));
+                        }
+                        s
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("shard worker panicked")) // lint:allow(no-panic): re-raising a worker panic on the coordinator is the only sound way to surface it
+                .collect()
         });
         self.reduce(workers, start)
     }
@@ -203,131 +258,14 @@ impl ShardedIngest {
         Ok(self.run(points))
     }
 
-    /// Shared fan-out scaffold of the slice-based entry points: shard `i`
-    /// runs `per_chunk(shard, summary, chunk)` over its contiguous slice
-    /// on a scoped thread; workers are returned in shard order.
-    fn fan_out_slices<F>(&self, points: &[Point2], per_chunk: F) -> Vec<Worker>
-    where
-        F: Fn(usize, &mut Worker, &[Point2]) + Sync,
-    {
-        let per_chunk = &per_chunk;
-        // Instruments are registered once here (registration locks); the
-        // Copy handles then ride into every worker closure for free.
-        let backend = self.builder.kind().label();
-        let points_total = self
-            .telemetry
-            .counter(names::INGEST_POINTS, &[("backend", backend)]);
-        let batches_total = self
-            .telemetry
-            .counter(names::INGEST_BATCHES, &[("backend", backend)]);
-        let ns_per_point = self
-            .telemetry
-            .histogram(names::INGEST_NS_PER_POINT, &[("backend", backend)]);
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = split_contiguous(points, self.shards)
-                .enumerate()
-                .map(|(shard, slice)| {
-                    let builder = self.builder;
-                    let chunk = self.chunk;
-                    scope.spawn(move || {
-                        let mut s = builder.build_mergeable();
-                        for piece in slice.chunks(chunk) {
-                            if ns_per_point.enabled() && !piece.is_empty() {
-                                let t0 = Instant::now();
-                                per_chunk(shard, &mut s, piece);
-                                let ns = t0.elapsed().as_nanos() as u64 / piece.len() as u64;
-                                ns_per_point.record(ns);
-                            } else {
-                                per_chunk(shard, &mut s, piece);
-                            }
-                            points_total.add(piece.len() as u64);
-                            batches_total.inc();
-                        }
-                        s
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("shard worker panicked")) // lint:allow(no-panic): re-raising a worker panic on the coordinator is the only sound way to surface it
-                .collect()
-        })
-    }
-
-    /// [`run`](ShardedIngest::run) with periodic durability: each worker
-    /// serialises its summary with the snapshot codec every
-    /// `interval` ingested points (and once more at the end of its
-    /// slice), so a crashed or migrated shard resumes from its last
-    /// checkpoint instead of replaying the stream.
-    ///
-    /// The ingestion itself is bit-identical to [`run`](ShardedIngest::run)
-    /// — snapshots are taken between chunks and never mutate the summary —
-    /// and the per-shard *final* checkpoints are exactly the inputs
-    /// [`merge_snapshots`](ShardedIngest::merge_snapshots) needs to rebuild
-    /// the same collector in another process.
-    pub fn run_checkpointed(&self, points: &[Point2], interval: u64) -> CheckpointedRun {
-        assert!(interval >= 1, "checkpoint interval must be at least 1");
-        let start = Instant::now();
-        let cps: Mutex<Vec<Vec<ShardCheckpoint>>> =
-            Mutex::new((0..self.shards).map(|_| Vec::new()).collect());
-        let since_last: Mutex<Vec<u64>> = Mutex::new(vec![0; self.shards]);
-        let encode_ns = self.telemetry.histogram(names::CHECKPOINT_ENCODE_NS, &[]);
-        let timed_encode = |s: &Worker| {
-            if encode_ns.enabled() {
-                let t0 = Instant::now();
-                let bytes = s.encode_snapshot();
-                encode_ns.record(t0.elapsed().as_nanos() as u64);
-                bytes
-            } else {
-                s.encode_snapshot()
-            }
-        };
-        let workers = self.fan_out_slices(points, |shard, s, piece| {
-            s.insert_batch(piece);
-            let mut since = since_last.lock().unwrap_or_else(|e| e.into_inner());
-            since[shard] += piece.len() as u64;
-            if since[shard] >= interval {
-                since[shard] = 0;
-                drop(since);
-                cps.lock().unwrap_or_else(|e| e.into_inner())[shard].push(ShardCheckpoint {
-                    shard,
-                    points_seen: s.points_seen(),
-                    bytes: timed_encode(s),
-                });
-            }
-        });
-        let mut checkpoints = Vec::new();
-        for (shard, (mut shard_cps, worker)) in cps
-            .into_inner()
-            .unwrap_or_else(|e| e.into_inner())
-            .into_iter()
-            .zip(&workers)
-            .enumerate()
-        {
-            // Final checkpoint: always present, so the set of
-            // last-per-shard checkpoints reconstructs the run.
-            if shard_cps.last().map(|c| c.points_seen) != Some(worker.points_seen()) {
-                shard_cps.push(ShardCheckpoint {
-                    shard,
-                    points_seen: worker.points_seen(),
-                    bytes: worker.encode_snapshot(),
-                });
-            }
-            checkpoints.extend(shard_cps);
-        }
-        CheckpointedRun {
-            run: self.reduce(workers, start),
-            checkpoints,
-        }
-    }
-
     /// Reduces snapshots produced in *other* processes (or machines, or
-    /// earlier crashed runs) exactly as [`run`](ShardedIngest::run)'s
-    /// in-process reduce would: each snapshot is restored via the kind
-    /// tag, per-shard stats recorded, and the summaries merged **in
-    /// iteration order** into a fresh collector built from this engine's
-    /// builder — feed the per-shard final snapshots in shard order and the
-    /// result is bit-identical to the in-process run on the same input.
+    /// earlier crashed runs) exactly as the in-process reduce would: each
+    /// snapshot is restored via the kind tag, per-shard stats recorded,
+    /// and the summaries merged **in iteration order** into a fresh
+    /// collector built from this engine's builder. Feed one file per
+    /// shard, in shard order, each summarising that shard's chunks of the
+    /// shared partition (chunk `c` → shard `c % N`), and the result is
+    /// bit-identical to [`run`](ShardedIngest::run) on the same input.
     ///
     /// Fails with a typed [`SnapshotError`] (and no partial state) if any
     /// snapshot is corrupted, truncated, version-skewed, or windowed.
@@ -349,11 +287,8 @@ impl ShardedIngest {
     /// to shard `c % N` over a bounded channel (backpressure: a slow shard
     /// stalls the reader instead of buffering the stream).
     ///
-    /// The chunk→shard assignment depends only on the chunk index, so the
-    /// determinism contract holds exactly as for
-    /// [`run`](ShardedIngest::run) (the two entry points partition the
-    /// stream differently and therefore may produce different — each
-    /// individually reproducible — results).
+    /// The partition is [`run`](ShardedIngest::run)'s, so the two entry
+    /// points give bit-identical results on the same points.
     ///
     /// A worker panic is re-raised on the caller (pinned by a
     /// characterization test); for fault tolerance wrap the engine in
@@ -376,10 +311,10 @@ impl ShardedIngest {
     /// carried on the tick clock (each point has a distinct tick, so
     /// "ticks newer than `now - n`" is exactly the last `n` stream
     /// points), which is what keeps the policy meaningful when the stream
-    /// is split across shards. The determinism contract of
-    /// [`run_stream`](ShardedIngest::run_stream) carries over: chunk →
-    /// shard assignment is pure round-robin, workers are sequential, and
-    /// [`WindowedRun::query_window`] merges live buckets in shard order.
+    /// is split across shards. The determinism contract carries over:
+    /// chunk → shard assignment is the shared round-robin partition,
+    /// workers are sequential, and [`WindowedRun::query_window`] merges
+    /// live buckets in shard order.
     pub fn run_stream_windowed<I>(&self, points: I, config: WindowConfig) -> WindowedRun
     where
         I: IntoIterator<Item = Point2>,
@@ -435,66 +370,6 @@ impl ShardedIngest {
     }
 }
 
-/// One durable snapshot taken during
-/// [`ShardedIngest::run_checkpointed`].
-#[derive(Clone, Debug)]
-pub struct ShardCheckpoint {
-    /// Which shard produced it.
-    pub shard: usize,
-    /// The shard's cumulative seen-count at snapshot time.
-    pub points_seen: u64,
-    /// The sealed snapshot envelope
-    /// ([`SummaryBuilder::restore`](crate::builder::SummaryBuilder::restore)
-    /// reads it back).
-    pub bytes: Vec<u8>,
-}
-
-/// The result of [`ShardedIngest::run_checkpointed`]: the ordinary
-/// [`ShardRun`] plus every checkpoint taken along the way, ordered by
-/// shard then by progress (each shard's last entry is its final state).
-#[derive(Debug)]
-#[must_use = "dropping a checkpointed run discards both the summary and the checkpoints"]
-pub struct CheckpointedRun {
-    /// The merged result, identical to what [`ShardedIngest::run`] returns
-    /// for the same input.
-    pub run: ShardRun,
-    /// All checkpoints, ordered by `(shard, points_seen)`.
-    pub checkpoints: Vec<ShardCheckpoint>,
-}
-
-impl CheckpointedRun {
-    /// The final checkpoint of each shard, in shard order — exactly the
-    /// snapshot set [`ShardedIngest::merge_snapshots`] reduces to the same
-    /// collector.
-    pub fn final_snapshots(&self) -> Vec<&[u8]> {
-        let mut last: Vec<Option<&ShardCheckpoint>> = vec![None; self.run.shards.len()];
-        for cp in &self.checkpoints {
-            if let Some(slot) = last.get_mut(cp.shard) {
-                *slot = Some(cp);
-            }
-        }
-        last.into_iter()
-            .flatten()
-            .map(|cp| cp.bytes.as_slice())
-            .collect()
-    }
-}
-
-/// Splits `points` into `n` near-equal contiguous slices (the first
-/// `len % n` slices get one extra point). Always yields exactly `n`
-/// slices; trailing ones are empty when `len < n`.
-fn split_contiguous(points: &[Point2], n: usize) -> impl Iterator<Item = &[Point2]> {
-    let base = points.len() / n;
-    let extra = points.len() % n;
-    let mut start = 0;
-    (0..n).map(move |i| {
-        let len = base + usize::from(i < extra);
-        let slice = &points[start..start + len];
-        start += len;
-        slice
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -509,24 +384,6 @@ mod tests {
                 Point2::new(rad * t.cos(), rad * t.sin())
             })
             .collect()
-    }
-
-    #[test]
-    fn contiguous_split_covers_everything_in_order() {
-        let pts = spiral(10);
-        let slices: Vec<&[Point2]> = split_contiguous(&pts, 3).collect();
-        assert_eq!(slices.len(), 3);
-        assert_eq!(slices[0].len(), 4, "first shard takes the remainder");
-        assert_eq!(slices[1].len(), 3);
-        assert_eq!(slices[2].len(), 3);
-        let rejoined: Vec<Point2> = slices.concat();
-        assert_eq!(rejoined, pts);
-        // More shards than points: trailing slices are empty.
-        let tiny: Vec<&[Point2]> = split_contiguous(&pts[..2], 4).collect();
-        assert_eq!(
-            tiny.iter().map(|s| s.len()).collect::<Vec<_>>(),
-            [1, 1, 0, 0]
-        );
     }
 
     #[test]
@@ -574,20 +431,25 @@ mod tests {
     }
 
     #[test]
-    fn stream_and_slice_entry_points_agree_on_single_shard() {
-        // With one shard both entry points feed one worker the whole
-        // stream in order, in chunk-sized batches — and insert_batch is
-        // contractually identical to the loop, so the results coincide.
+    fn stream_and_slice_entry_points_agree() {
+        // Both entry points deal chunk `c` to shard `c % N` in the same
+        // chunk-sized batches, and insert_batch is contractually
+        // identical to the loop, so the results coincide bit for bit.
         let pts = spiral(700);
-        let engine = ShardedIngest::new(SummaryBuilder::new(SummaryKind::Adaptive).with_r(8), 1)
-            .with_chunk(100);
-        let a = engine.run(&pts);
-        let b = engine.run_stream(pts.iter().copied());
-        assert_eq!(
-            a.summary.hull_ref().vertices(),
-            b.summary.hull_ref().vertices()
-        );
-        assert_eq!(a.summary.points_seen(), b.summary.points_seen());
+        for shards in [1, 3] {
+            let engine =
+                ShardedIngest::new(SummaryBuilder::new(SummaryKind::Adaptive).with_r(8), shards)
+                    .with_chunk(100);
+            let a = engine.run(&pts);
+            let b = engine.run_stream(pts.iter().copied());
+            assert_eq!(
+                a.summary.encode_snapshot(),
+                b.summary.encode_snapshot(),
+                "{shards} shards"
+            );
+            let seen = |r: &ShardRun| r.shards.iter().map(|s| s.points_seen).collect::<Vec<_>>();
+            assert_eq!(seen(&a), seen(&b), "{shards} shards");
+        }
     }
 
     #[test]
@@ -689,10 +551,12 @@ mod tests {
             s.counter_with(names::INGEST_POINTS, &[("backend", backend)]),
             Some(1000)
         );
-        // 500 points per shard in chunks of 128 → 4 chunks each.
+        // 8 chunks of 128 (the last one short), dealt round-robin.
         assert_eq!(s.counter_total(names::INGEST_BATCHES), 8);
         assert_eq!(s.histograms.len(), 1);
+        assert_eq!(s.histograms[0].name, names::INGEST_CHUNK_NS);
         assert_eq!(s.histograms[0].count, 8);
+        assert!(s.histograms[0].sum > 0, "whole-chunk ns accumulate");
     }
 
     #[test]

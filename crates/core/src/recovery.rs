@@ -47,7 +47,7 @@
 
 use crate::builder::SummaryBuilder;
 use crate::exact::ExactHull;
-use crate::parallel::{ShardRun, ShardedIngest};
+use crate::parallel::{IngestInstruments, ShardRun, ShardedIngest};
 use crate::snapshot::{open_checkpoint, seal_checkpoint, Snapshot, SnapshotError};
 use crate::summary::{HullSummary, Mergeable};
 use crate::telemetry::{names, Counter, Histogram, Telemetry};
@@ -1062,26 +1062,13 @@ struct Link<F: ShardFactory> {
 }
 
 /// The `Copy` instrument set each worker epoch records through: the
-/// shared per-backend ingest counters/histogram (same series the
-/// unsupervised slice engine feeds) plus the checkpoint encode latency,
-/// measured where the encode actually runs.
+/// shared per-backend ingest instruments (the same series the slice
+/// workers of [`ShardedIngest::run`] feed) plus the checkpoint encode
+/// latency, measured where the encode actually runs.
 #[derive(Clone, Copy)]
 struct WorkerInstruments {
-    points: Counter,
-    batches: Counter,
-    ns_per_point: Histogram,
+    ingest: IngestInstruments,
     encode_ns: Histogram,
-}
-
-impl WorkerInstruments {
-    fn register(telemetry: Telemetry, backend: &'static str) -> Self {
-        WorkerInstruments {
-            points: telemetry.counter(names::INGEST_POINTS, &[("backend", backend)]),
-            batches: telemetry.counter(names::INGEST_BATCHES, &[("backend", backend)]),
-            ns_per_point: telemetry.histogram(names::INGEST_NS_PER_POINT, &[("backend", backend)]),
-            encode_ns: telemetry.histogram(names::CHECKPOINT_ENCODE_NS, &[]),
-        }
-    }
 }
 
 fn spawn_worker<F: ShardFactory>(state: F::State, inst: WorkerInstruments) -> Link<F> {
@@ -1109,19 +1096,11 @@ fn worker_loop<F: ShardFactory>(
             Some(Inject::Stall(hold)) => std::thread::sleep(hold),
             None => {}
         }
-        let dropped = if inst.ns_per_point.enabled() && !cmd.items.is_empty() {
-            let t0 = Instant::now();
-            let dropped = F::ingest(&mut state, &cmd.items);
-            inst.ns_per_point
-                .record(t0.elapsed().as_nanos() as u64 / cmd.items.len() as u64);
-            dropped
-        } else {
-            F::ingest(&mut state, &cmd.items)
-        };
-        // Replays re-ingest, so these counters measure work actually
+        // Replays re-ingest, so the ingest counters measure work actually
         // performed — a recovered run records more than a fault-free one.
-        inst.points.add(cmd.items.len() as u64);
-        inst.batches.inc();
+        let dropped = inst
+            .ingest
+            .chunk(cmd.items.len(), || F::ingest(&mut state, &cmd.items));
         let snapshot = cmd.checkpoint.then(|| {
             if inst.encode_ns.enabled() {
                 let t0 = Instant::now();
@@ -1358,10 +1337,12 @@ impl<'e, F: ShardFactory> SupervisorCore<'e, F> {
             checkpoints_taken: 0,
             checkpoints_rejected: 0,
             inst: RecoveryInstruments::register(engine.telemetry()),
-            worker_inst: WorkerInstruments::register(
-                engine.telemetry(),
-                engine.builder().kind().label(),
-            ),
+            worker_inst: WorkerInstruments {
+                ingest: IngestInstruments::register(engine.telemetry(), engine.builder()),
+                encode_ns: engine
+                    .telemetry()
+                    .histogram(names::CHECKPOINT_ENCODE_NS, &[]),
+            },
         }
     }
 

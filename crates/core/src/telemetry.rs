@@ -920,8 +920,9 @@ pub mod names {
     pub const INGEST_POINTS: &str = "streamhull_ingest_points_total";
     /// Batches (chunks) processed by a backend (`backend` label).
     pub const INGEST_BATCHES: &str = "streamhull_ingest_batches_total";
-    /// Per-chunk ingest latency in ns/point (`backend` label, histogram).
-    pub const INGEST_NS_PER_POINT: &str = "streamhull_ingest_ns_per_point";
+    /// Whole-chunk ingest latency in ns (`backend` label, histogram):
+    /// `_sum` over [`INGEST_POINTS`] is the exact mean ns/point.
+    pub const INGEST_CHUNK_NS: &str = "streamhull_ingest_chunk_ns";
 
     /// Window generation seals (bucket boundaries crossed).
     pub const WINDOW_SEALS: &str = "streamhull_window_seals_total";

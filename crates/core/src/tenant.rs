@@ -30,9 +30,17 @@
 //!   radial tenants carry one sector table, not a million.
 //! * **Bulk interleaved ingest** — `(stream, point)` traffic is grouped
 //!   per call and, via [`ShardedTenants`], routed across engine shards by
-//!   stream-id hash on scoped threads. Per-stream backfill composes with
-//!   [`ShardedIngest`] and [`crate::recovery::SupervisedIngest`], so PR
-//!   7's crash/stall recovery story holds at tenant scale.
+//!   stream-id hash on scoped threads.
+//! * **Backfill** — [`TenantEngine::absorb`] merges a finished
+//!   [`SupervisedRun`] (an archive replayed through
+//!   [`SupervisedIngest`](crate::recovery::SupervisedIngest), which
+//!   recovers from shard crashes and stalls) into one stream. It is a
+//!   write like any other: it takes the engine's single write path, so
+//!   the gate, the caps, the budget and the `Reject`-policy rollback
+//!   apply to it exactly as to [`TenantEngine::insert_batch`].
+//!
+//! A refused write is never half-taken, and `seen == ingested + shed`
+//! holds globally and per tenant at every call boundary.
 //!
 //! This module is a declared **no-panic zone** (enforced by `hull-lint`):
 //! every overload, corruption, and quota outcome is a value, not a crash.
@@ -40,10 +48,8 @@
 use crate::builder::{SummaryBuilder, SummaryKind};
 use crate::frozen::FrozenHull;
 use crate::fxhash::FxBuild;
-use crate::parallel::ShardedIngest;
-use crate::queries::MultiStreamTracker;
 use crate::radial::RadialHull;
-use crate::recovery::{RecoveryReport, SupervisedIngest};
+use crate::recovery::SupervisedRun;
 use crate::snapshot::{peek_kind, Snapshot, SnapshotError};
 use crate::summary::{HullSummary, Mergeable};
 use crate::telemetry::{names, Counter, Gauge, Telemetry};
@@ -575,6 +581,14 @@ struct Tenant {
     bound_withdrawn: bool,
 }
 
+/// What one write feeds a tenant: a batch of points, or a finished
+/// supervised run to merge in.
+#[derive(Clone, Copy)]
+enum Feed<'a> {
+    Points(&'a [Point2]),
+    Run(&'a SupervisedRun),
+}
+
 /// The governed multi-tenant engine. See the [module docs](self) for the
 /// full contract; in one sentence: millions of per-stream summaries in a
 /// slab, under a byte budget that degrades gracefully instead of
@@ -725,12 +739,12 @@ impl TenantEngine {
     /// Feeds one point (registering the stream if new). Non-finite points
     /// are silently dropped — the summaries' own contract.
     pub fn insert(&mut self, id: StreamId, p: Point2) -> Result<(), AdmissionError> {
-        self.write(id, &[p])
+        self.write(id, Feed::Points(&[p]))
     }
 
     /// Feeds a batch into one stream (registering it if new).
     pub fn insert_batch(&mut self, id: StreamId, points: &[Point2]) -> Result<(), AdmissionError> {
-        self.write(id, points)
+        self.write(id, Feed::Points(points))
     }
 
     /// Bulk interleaved ingest: `(stream, point)` traffic in arrival
@@ -787,7 +801,7 @@ impl TenantEngine {
         }
         for id in order {
             let pts = groups.remove(&id).unwrap_or_default();
-            match self.write(id, &pts) {
+            match self.write(id, Feed::Points(&pts)) {
                 Ok(()) => {}
                 Err(e) if self.config.policy == OverloadPolicy::Reject => return Err(e),
                 Err(_) => {
@@ -978,128 +992,20 @@ impl TenantEngine {
         }
     }
 
-    /// Backfills one stream from a point slice through the sharded engine
-    /// ([`ShardedIngest`]): shards summarise in parallel, the reduce is
-    /// merged into the tenant, and the tenant's carried bound widens by
-    /// the run's composed shard + collector bound.
-    pub fn backfill_sharded(
-        &mut self,
-        id: StreamId,
-        points: &[Point2],
-        shards: usize,
-    ) -> Result<(), AdmissionError> {
-        let run = ShardedIngest::new(self.config.builder, shards).run(points);
-        let bound = match (run.shard_bound_sum(), run.summary.error_bound()) {
-            (Some(parts), Some(own)) => Some(parts + own),
-            _ => None,
-        };
-        self.absorb(id, &*run.summary, bound)
-    }
-
-    /// Backfills one stream through [`SupervisedIngest`] — checkpointed,
-    /// fault-detecting, replay-recovering ingestion at tenant scale. The
-    /// run's [`RecoveryReport`] is returned for inspection; its lost
-    /// points (if the run degraded) are tallied as shed on the tenant.
-    pub fn backfill_supervised(
-        &mut self,
-        id: StreamId,
-        points: &[Point2],
-        shards: usize,
-        checkpoint_interval: u64,
-    ) -> Result<RecoveryReport, AdmissionError> {
-        let run = SupervisedIngest::new(ShardedIngest::new(self.config.builder, shards))
-            .with_checkpoint_interval(checkpoint_interval)
-            .run_stream(points.iter().copied());
-        let bound = run.error_bound();
-        let lost = run.report.lost_points;
-        self.absorb(id, &*run.run.summary, bound)?;
-        if lost > 0 {
-            self.shed_points(id, lost);
-            self.sync_telemetry();
-        }
-        Ok(run.report)
-    }
-
-    /// Merges a finished summary into `id` (registering it if new): the
-    /// governed path for adopting shard results or migrated tenants. The
-    /// tenant's carried bound widens by `donor_bound` (the donor's own
-    /// composed error against its stream), or is withdrawn if `None`.
-    pub fn absorb(
-        &mut self,
-        id: StreamId,
-        donor: &dyn Mergeable,
-        donor_bound: Option<f64>,
-    ) -> Result<(), AdmissionError> {
-        let result = self.absorb_inner(id, donor, donor_bound);
-        self.sync_telemetry();
-        result
-    }
-
-    fn absorb_inner(
-        &mut self,
-        id: StreamId,
-        donor: &dyn Mergeable,
-        donor_bound: Option<f64>,
-    ) -> Result<(), AdmissionError> {
-        let idx = self.admit(id)?;
-        self.make_hot(idx)?;
-        let Some(Some(t)) = self.slots.get_mut(idx) else {
-            return Err(AdmissionError::UnknownStream { stream: id });
-        };
-        if let Residency::Hot(s) = &mut t.residency {
-            let before = t.bytes;
-            s.merge_from(donor);
-            let after = s.approx_bytes();
-            t.bytes = after;
-            t.seen += donor.points_seen();
-            t.ingested += donor.points_seen();
-            match donor_bound {
-                Some(b) => t.carried_bound += b,
-                None => t.bound_withdrawn = true,
-            }
-            self.bytes_in_use = self.bytes_in_use + after - before;
-            self.report.points_seen += donor.points_seen();
-            self.report.points_ingested += donor.points_seen();
-            self.note_peak();
-        }
-        self.touch(idx);
-        self.enforce_budget(Some(idx))
-    }
-
-    /// Exports a set of tenants into a [`MultiStreamTracker`] for pairwise
-    /// analytics (separation, containment, overlap). Each summary is
-    /// cloned via a snapshot round-trip, so the tracker is independent of
-    /// the engine; streams are named by their decimal id.
-    pub fn export_tracker(
-        &mut self,
-        ids: &[StreamId],
-    ) -> Result<MultiStreamTracker, AdmissionError> {
-        let result = self.export_tracker_inner(ids);
-        self.sync_telemetry();
-        result
-    }
-
-    fn export_tracker_inner(
-        &mut self,
-        ids: &[StreamId],
-    ) -> Result<MultiStreamTracker, AdmissionError> {
-        let mut tracker = MultiStreamTracker::new(self.config.builder);
-        for &id in ids {
-            let idx = self.lookup(id)?;
-            self.make_hot(idx)?;
-            let encoded = match self.slots.get(idx).and_then(|s| s.as_ref()) {
-                Some(Tenant {
-                    residency: Residency::Hot(s),
-                    ..
-                }) => s.encode_snapshot(),
-                _ => return Err(AdmissionError::UnknownStream { stream: id }),
-            };
-            match self.decode_interned(&encoded) {
-                Ok(copy) => tracker.adopt_stream(&id.to_string(), copy),
-                Err(error) => return Err(AdmissionError::Quarantined { stream: id, error }),
-            }
-        }
-        Ok(tracker)
+    /// Backfills `id` (registering it if new) from a finished supervised
+    /// run: the run's merged summary is merged into the tenant, the
+    /// tenant's carried bound widens by the run's composed
+    /// [`error_bound`](SupervisedRun::error_bound) (or is withdrawn when
+    /// the run has none), and the points the run lost are tallied as shed.
+    ///
+    /// This is the engine's single write path, the one behind
+    /// [`insert_batch`](Self::insert_batch): the run's points are gated,
+    /// capped, and budgeted like any batch, and a refused backfill is never
+    /// half-taken — under [`OverloadPolicy::Reject`] the merge is rolled
+    /// back bit-exactly (a new id is unregistered again) and the run's
+    /// points are counted as rejected.
+    pub fn absorb(&mut self, id: StreamId, run: &SupervisedRun) -> Result<(), AdmissionError> {
+        self.write(id, Feed::Run(run))
     }
 
     /// Drops a stream entirely (any tier — including quarantined, which is
@@ -1491,28 +1397,34 @@ impl TenantEngine {
         self.push_event(id, PressureAction::ShedPoints { points: n });
     }
 
-    /// The single write path behind `insert`/`insert_batch`/`ingest_bulk`:
-    /// runs the real write, then publishes the (now settled) ledger to
-    /// telemetry — after any Reject-policy rollback, so counters never
-    /// see a state the report would later retract.
-    fn write(&mut self, id: StreamId, points: &[Point2]) -> Result<(), AdmissionError> {
-        let result = self.write_inner(id, points);
+    /// The single write path behind `insert`/`insert_batch`/`ingest_bulk`
+    /// and `absorb`: runs the real write, then publishes the (now settled)
+    /// ledger to telemetry — after any Reject-policy rollback, so counters
+    /// never see a state the report would later retract.
+    fn write(&mut self, id: StreamId, feed: Feed<'_>) -> Result<(), AdmissionError> {
+        let result = self.write_inner(id, feed);
         self.sync_telemetry();
         result
     }
 
-    fn write_inner(&mut self, id: StreamId, points: &[Point2]) -> Result<(), AdmissionError> {
+    fn write_inner(&mut self, id: StreamId, feed: Feed<'_>) -> Result<(), AdmissionError> {
         // Non-finite points are silently dropped up front — the same
         // contract every summary honours — so the engine ledger counts
         // finite points only and `seen == ingested + shed` stays exact.
         let finite: Vec<Point2>;
-        let points: &[Point2] = if points.iter().all(|p| p.is_finite()) {
-            points
-        } else {
-            finite = points.iter().copied().filter(|p| p.is_finite()).collect();
-            &finite
+        let feed = match feed {
+            Feed::Points(points) if !points.iter().all(|p| p.is_finite()) => {
+                finite = points.iter().copied().filter(|p| p.is_finite()).collect();
+                Feed::Points(&finite)
+            }
+            feed => feed,
         };
-        let n = points.len() as u64;
+        // `n` points enter the summary if the write is kept; a run's lost
+        // points never reach it and are shed instead.
+        let (n, lost) = match feed {
+            Feed::Points(points) => (points.len() as u64, 0),
+            Feed::Run(run) => (run.run.summary.points_seen(), run.report.lost_points),
+        };
         // Reject-policy engines gate *before* mutating: once at budget (and
         // spilling cannot relieve), the points are refused, not half-taken.
         if self.config.policy == OverloadPolicy::Reject && self.over_budget() {
@@ -1549,7 +1461,7 @@ impl TenantEngine {
                         });
                     }
                     OverloadPolicy::ShedOldest => {
-                        self.shed_points(id, n);
+                        self.shed_points(id, n + lost);
                         self.touch(idx);
                         return Ok(());
                     }
@@ -1560,7 +1472,7 @@ impl TenantEngine {
                             None => false,
                         };
                         if still {
-                            self.shed_points(id, n);
+                            self.shed_points(id, n + lost);
                             self.touch(idx);
                             return Ok(());
                         }
@@ -1597,7 +1509,10 @@ impl TenantEngine {
         if let Some(Some(t)) = self.slots.get_mut(idx) {
             if let Residency::Hot(s) = &mut t.residency {
                 let before = t.bytes;
-                s.insert_batch(points);
+                match feed {
+                    Feed::Points(points) => s.insert_batch(points),
+                    Feed::Run(run) => s.merge_from(&*run.run.summary),
+                }
                 let after = s.approx_bytes();
                 t.bytes = after;
                 t.seen += n;
@@ -1610,7 +1525,12 @@ impl TenantEngine {
         self.report.points_ingested += n;
         self.note_peak();
         match self.enforce_budget(Some(idx)) {
-            Ok(()) => Ok(()),
+            Ok(()) => {
+                if let Feed::Run(run) = feed {
+                    self.settle_run(id, run);
+                }
+                Ok(())
+            }
             Err(e) => {
                 let rolled_back = if was_known {
                     match &undo {
@@ -1629,6 +1549,30 @@ impl TenantEngine {
                     Err(e)
                 }
             }
+        }
+    }
+
+    /// Books a kept backfill: the carried bound widens by the run's
+    /// composed bound (or is withdrawn when it has none), and the points
+    /// the run lost are tallied as shed. Overload relief may have evicted
+    /// the tenant by now; the report still counts the lost points.
+    fn settle_run(&mut self, id: StreamId, run: &SupervisedRun) {
+        let bound = run.error_bound();
+        let lost = run.report.lost_points;
+        if let Some(&idx) = self.index.get(&id) {
+            if let Some(Some(t)) = self.slots.get_mut(idx) {
+                match bound {
+                    Some(b) => t.carried_bound += b,
+                    None => t.bound_withdrawn = true,
+                }
+                t.seen += lost;
+                t.shed += lost;
+            }
+        }
+        if lost > 0 {
+            self.report.points_seen += lost;
+            self.report.points_shed += lost;
+            self.push_event(id, PressureAction::ShedPoints { points: lost });
         }
     }
 
@@ -1900,7 +1844,7 @@ fn splitmix64(mut z: u64) -> u64 {
 /// `N` independent [`TenantEngine`]s with traffic routed by stream-id
 /// hash: tenants are disjoint across shards, so bulk ingest fans out onto
 /// scoped threads with no cross-shard coordination (the same worker
-/// discipline as [`ShardedIngest`]) and
+/// discipline as [`ShardedIngest`](crate::parallel::ShardedIngest)) and
 /// every per-shard guarantee — budget, quarantine isolation, exact
 /// accounting — holds for the fleet.
 #[derive(Debug)]
@@ -2371,12 +2315,21 @@ mod tests {
     }
 
     #[test]
-    fn absorb_and_backfill_compose_with_sharded_recovery() {
+    fn absorb_composes_with_sharded_recovery() {
+        use crate::parallel::ShardedIngest;
+        use crate::recovery::{FaultPlan, RetryPolicy, SupervisedIngest};
         let pts = ring(5000, 0.0, 0.0, 4.0);
         let mut e = engine(SummaryKind::Adaptive);
-        e.backfill_sharded(StreamId(1), &pts, 4).unwrap();
-        let report = e.backfill_supervised(StreamId(2), &pts, 2, 1024).unwrap();
-        assert_eq!(report.lost_points, 0);
+        let sharded = ShardedIngest::new(e.config().builder, 4);
+        let plain = SupervisedIngest::new(sharded).with_retry_policy(RetryPolicy::none());
+        e.absorb(StreamId(1), &plain.run_stream(pts.iter().copied()))
+            .unwrap();
+        let crashing = SupervisedIngest::new(ShardedIngest::new(e.config().builder, 2))
+            .with_checkpoint_interval(1024)
+            .with_fault_plan(FaultPlan::new().crash(1, 3));
+        let run = crashing.run_stream(pts.iter().copied());
+        assert_eq!(run.report.lost_points, 0);
+        e.absorb(StreamId(2), &run).unwrap();
         let s1 = e.stats(StreamId(1)).unwrap();
         assert_eq!(s1.seen, 5000);
         assert_eq!(s1.seen, s1.ingested + s1.shed);
@@ -2390,21 +2343,25 @@ mod tests {
     }
 
     #[test]
-    fn export_tracker_bridges_to_pairwise_queries() {
-        let mut e = engine(SummaryKind::Adaptive);
-        e.insert_batch(StreamId(1), &ring(200, 0.0, 0.0, 1.0))
-            .unwrap();
-        e.insert_batch(StreamId(2), &ring(200, 10.0, 0.0, 1.0))
-            .unwrap();
-        let mut tracker = e.export_tracker(&[StreamId(1), StreamId(2)]).unwrap();
-        tracker.refresh();
-        assert!(matches!(
-            tracker.pair_state("1", "2"),
-            crate::queries::PairState::Separated(d) if d > 5.0
-        ));
-        // The export is a snapshot: mutating the engine does not move it.
-        e.insert(StreamId(1), Point2::new(100.0, 0.0)).unwrap();
-        assert_eq!(tracker.summary("1").unwrap().points_seen(), 200);
+    fn absorb_books_a_degraded_run_as_shed() {
+        use crate::parallel::ShardedIngest;
+        use crate::recovery::{FaultPlan, RetryPolicy, SupervisedIngest};
+        let pts = ring(4000, 0.0, 0.0, 1.0);
+        let mut e = engine(SummaryKind::Exact);
+        let run = SupervisedIngest::new(ShardedIngest::new(e.config().builder, 2).with_chunk(100))
+            .with_checkpoint_interval(200)
+            .with_retry_policy(RetryPolicy::none())
+            .with_fault_plan(FaultPlan::new().crash(0, 4))
+            .run_stream(pts.iter().copied());
+        let lost = run.report.lost_points;
+        assert!(lost > 0, "a quarantined shard loses points");
+        e.absorb(StreamId(5), &run).unwrap();
+        let s = e.stats(StreamId(5)).unwrap();
+        assert_eq!(s.seen, 4000);
+        assert_eq!(s.shed, lost);
+        assert_eq!(s.ingested, 4000 - lost);
+        let r = e.pressure_report();
+        assert_eq!(r.points_seen, r.points_ingested + r.points_shed);
     }
 
     #[test]

@@ -1,16 +1,25 @@
 //! Checkpoint, crash, recover: the snapshot codec as a durability story.
 //!
-//! A sharded pipeline summarises a 200k-point stream while writing
-//! periodic per-shard snapshots ("checkpoint files"). We then simulate a
-//! machine dying by throwing the in-process state away, restore the
-//! shards from their last checkpoints in a "different process", and merge
-//! them with `merge_snapshots` — verifying the recovered collector is
-//! bit-identical to the uninterrupted run. Finally a windowed summary
-//! round-trips through the same codec mid-stream.
+//! Four gateways split a 200k-point stream by the sharded engine's
+//! partition: chunk `c` of 2,048 points goes to gateway `c % 4`. Each
+//! gateway summarises its chunks and rewrites its shard file every 25k
+//! points. One gateway dies mid-stream; it restarts from its last file and
+//! replays the chunks the file does not cover. A collector in "another
+//! process" then reduces the four final files with `merge_snapshots`, and
+//! the result is bit-identical to `ShardedIngest::run` over the whole
+//! stream in one process. (In-process crash recovery, with validated
+//! checkpoints and a replay buffer, is `SupervisedIngest`; see the
+//! `chaos_recovery` example.) Finally a windowed summary round-trips
+//! through the same codec mid-stream.
 //!
 //! Run: `cargo run --release --example checkpoint_restore`
 
 use streamhull::prelude::*;
+
+const GATEWAYS: usize = 4;
+const CHUNK: usize = 2048;
+/// Points a gateway ingests between rewrites of its shard file.
+const EVERY: u64 = 25_000;
 
 fn stream(n: usize) -> Vec<Point2> {
     (0..n)
@@ -22,68 +31,105 @@ fn stream(n: usize) -> Vec<Point2> {
         .collect()
 }
 
+/// What one gateway leaves behind.
+struct GatewayLog {
+    file: Vec<u8>,
+    writes: usize,
+    replayed: usize,
+}
+
+/// One gateway process: summarises its chunks, rewriting its shard file
+/// every [`EVERY`] points and after its last chunk. With `crash_before =
+/// Some(k)` the process dies before chunk `k`; it restarts from its last
+/// file (only the file survives) and replays the chunks since.
+fn gateway(
+    builder: SummaryBuilder,
+    chunks: &[&[Point2]],
+    crash_before: Option<usize>,
+) -> GatewayLog {
+    let mut summary = builder.build_mergeable();
+    let mut log = GatewayLog {
+        file: summary.encode_snapshot(),
+        writes: 0,
+        replayed: 0,
+    };
+    let (mut next, mut covered, mut since) = (0, 0, 0u64);
+    let mut crash = crash_before;
+    while next < chunks.len() {
+        if crash == Some(next) {
+            crash = None;
+            summary = SummaryBuilder::restore(&log.file).expect("shard file decodes");
+            log.replayed += next - covered;
+            next = covered;
+            since = 0;
+            continue;
+        }
+        summary.insert_batch(chunks[next]);
+        since += chunks[next].len() as u64;
+        next += 1;
+        if since >= EVERY || next == chunks.len() {
+            log.file = summary.encode_snapshot();
+            log.writes += 1;
+            covered = next;
+            since = 0;
+        }
+    }
+    log
+}
+
 fn main() {
     let pts = stream(200_000);
     let builder = SummaryBuilder::new(SummaryKind::Adaptive).with_r(32);
-    let engine = ShardedIngest::new(builder, 4).with_chunk(2048);
+    let engine = ShardedIngest::new(builder, GATEWAYS).with_chunk(CHUNK);
 
-    // --- Phase 1: the pipeline runs and checkpoints every 25k points ---
-    let checkpointed = engine.run_checkpointed(&pts, 25_000);
-    let elapsed = checkpointed.run.elapsed;
-    println!(
-        "checkpointed run: {} points in {:.1} ms ({:.1}M pts/s), {} checkpoints",
-        checkpointed.run.summary.points_seen(),
-        elapsed.as_secs_f64() * 1e3,
-        pts.len() as f64 / elapsed.as_secs_f64() / 1e6,
-        checkpointed.checkpoints.len(),
-    );
-    println!("\n  shard  checkpoint@points  snapshot bytes");
-    for cp in &checkpointed.checkpoints {
-        println!(
-            "  {:>5}  {:>17}  {:>14}",
-            cp.shard,
-            cp.points_seen,
-            cp.bytes.len()
-        );
-    }
-
-    // --- Phase 2: "the machine dies"; only the snapshot bytes survive ---
-    let shard_files: Vec<Vec<u8>> = checkpointed
-        .final_snapshots()
-        .into_iter()
-        .map(<[u8]>::to_vec)
+    // --- Phase 1: the gateways run; gateway 2 dies two thirds through ---
+    println!("  gateway  chunks  file writes  replayed chunks  file bytes");
+    let files: Vec<Vec<u8>> = (0..GATEWAYS)
+        .map(|g| {
+            let mine: Vec<&[Point2]> = pts.chunks(CHUNK).skip(g).step_by(GATEWAYS).collect();
+            let crash = (g == 2).then_some(mine.len() * 2 / 3);
+            let log = gateway(builder, &mine, crash);
+            println!(
+                "  {g:>7}  {:>6}  {:>11}  {:>15}  {:>10}",
+                mine.len(),
+                log.writes,
+                log.replayed,
+                log.file.len()
+            );
+            log.file
+        })
         .collect();
-    let reference_hull = checkpointed.run.summary.hull_ref().clone();
-    let reference_bound = checkpointed.run.summary.error_bound();
-    drop(checkpointed); // everything in-process is gone
 
-    // --- Phase 3: another process restores and reduces the shard files ---
-    let recovered = engine
-        .merge_snapshots(&shard_files)
-        .expect("shard files decode");
+    // --- Phase 2: another process reduces the shard files ---
+    let recovered = engine.merge_snapshots(&files).expect("shard files decode");
+    let reference = engine.run(&pts);
     assert_eq!(
-        recovered.summary.hull_ref().vertices(),
-        reference_hull.vertices(),
-        "recovered hull must be bit-identical to the uninterrupted run"
+        recovered.summary.encode_snapshot(),
+        reference.summary.encode_snapshot(),
+        "the reduced files must be bit-identical to the in-process run"
     );
-    assert_eq!(recovered.summary.error_bound(), reference_bound);
+    assert_eq!(
+        recovered.summary.error_bound(),
+        reference.summary.error_bound()
+    );
     println!(
-        "\nrecovered from {} shard files: {} points, {}-vertex hull, error bound {:.2e} — bit-identical",
-        shard_files.len(),
+        "\nreduced {} shard files: {} points, {}-vertex hull, error bound {:.2e} — \
+         bit-identical to the in-process sharded run",
+        files.len(),
         recovered.summary.points_seen(),
         recovered.summary.hull_ref().len(),
         recovered.summary.error_bound().unwrap_or(f64::NAN),
     );
 
     // A corrupted file is rejected with a typed error, never a panic.
-    let mut corrupt = shard_files[0].clone();
+    let mut corrupt = files[0].clone();
     corrupt[20] ^= 0x40;
     let err = engine
         .merge_snapshots([corrupt.as_slice()])
         .expect_err("corruption must be detected");
     println!("corrupted file rejected: {err}");
 
-    // --- Phase 4: windowed chains snapshot too ---
+    // --- Phase 3: windowed chains snapshot too ---
     let mut window = builder.windowed(WindowConfig::last_n(10_000).with_granularity(512));
     let (head, tail) = pts.split_at(150_000);
     window.insert_batch(head);

@@ -74,10 +74,10 @@ fn main() {
     ] {
         println!(
             "probe {probe:?}: single hull says inside = {}, clusters say inside = {}",
-            streamhull::queries::contains_point(single_hull, probe),
+            streamhull::geom::locate::contains(single_hull, probe),
             clusters.covers(probe),
         );
-        assert!(streamhull::queries::contains_point(single_hull, probe));
+        assert!(streamhull::geom::locate::contains(single_hull, probe));
         assert!(!clusters.covers(probe));
     }
     assert!(clusters.total_area() < single_hull.area() * 0.5);

@@ -149,16 +149,24 @@ fn instrumented_ingest(tel: Telemetry) {
         scrape.counter_total(names::WINDOW_SEALS) > 0,
         "window chain left no seal trail"
     );
-    let ns = scrape
+    let chunk_ns = scrape
         .histograms
         .iter()
-        .find(|h| h.name == names::INGEST_NS_PER_POINT)
-        .expect("ns/pt histogram missing");
+        .find(|h| h.name == names::INGEST_CHUNK_NS)
+        .expect("chunk ns histogram missing");
+    assert_eq!(
+        chunk_ns.count,
+        scrape.counter_total(names::INGEST_BATCHES),
+        "one latency sample per chunk"
+    );
+    // Whole-chunk ns keep `_sum` exact, so the mean ns/point is a ratio.
+    let ns_per_point = chunk_ns.sum as f64 / points.len() as f64;
     println!(
-        "ok  ingest     {} points across 4 shards: {} batches, ns/pt histogram n={} (log2 buckets)",
+        "ok  ingest     {} points across 4 shards: {} batches, {:.1} ns/pt (chunk histogram n={}, log2 buckets)",
         points.len(),
         scrape.counter_total(names::INGEST_BATCHES),
-        ns.count,
+        ns_per_point,
+        chunk_ns.count,
     );
 }
 

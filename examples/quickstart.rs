@@ -10,8 +10,8 @@
 //!
 //! Run: `cargo run --release --example quickstart`
 
+use streamhull::geom::{calipers, locate};
 use streamhull::prelude::*;
-use streamhull::queries;
 
 fn main() {
     // A stream too big to want to keep around: two million points from a
@@ -60,22 +60,22 @@ fn main() {
     // Repeated queries share one generation-counted cached hull — no
     // rebuild, no clone.
     let hull = summary.hull_ref();
-    let (a, b, d) = queries::diameter(hull).expect("non-degenerate stream");
+    let (a, b, d) = calipers::diameter(hull).expect("non-degenerate stream");
     println!("diameter           : {d:.3}  between {a:?} and {b:?}");
-    println!("width              : {:.3}", queries::width(hull));
+    println!("width              : {:.3}", calipers::width(hull));
     println!(
         "extent along x     : {:.3}",
-        queries::directional_extent(hull, Vec2::new(1.0, 0.0))
+        locate::directional_extent(hull, Vec2::new(1.0, 0.0))
     );
     println!(
         "extent along y     : {:.3}",
-        queries::directional_extent(hull, Vec2::new(0.0, 1.0))
+        locate::directional_extent(hull, Vec2::new(0.0, 1.0))
     );
-    let (min, max) = queries::bounding_box(hull).unwrap();
+    let (min, max) = calipers::bounding_box(hull).unwrap();
     println!("bounding box       : {min:?} .. {max:?}");
     println!(
         "origin inside hull : {}",
-        queries::contains_point(hull, Point2::ORIGIN)
+        locate::contains(hull, Point2::ORIGIN)
     );
 
     // The guarantee, live from the summary itself: the true hull of all
@@ -92,7 +92,7 @@ fn main() {
     println!(
         "windowed (last {}k): x-extent {:.3} over {} pts in {} buckets (≤ {} stale)",
         100,
-        queries::directional_extent(ans.hull(), Vec2::new(1.0, 0.0)),
+        locate::directional_extent(ans.hull(), Vec2::new(1.0, 0.0)),
         ans.merged_points,
         ans.buckets,
         ans.stale_points,

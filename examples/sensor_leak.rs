@@ -11,8 +11,8 @@
 //!
 //! Run: `cargo run --release --example sensor_leak`
 
+use streamhull::geom::{distance, locate};
 use streamhull::prelude::*;
-use streamhull::queries;
 
 /// A deterministic pseudo-random generator so the demo is reproducible.
 struct Lcg(u64);
@@ -74,8 +74,8 @@ fn main() {
 
         let region = plume.hull_ref();
         let area = region.area();
-        let east = queries::directional_extent(region, Vec2::new(1.0, 0.0));
-        let dist = queries::min_distance(region, &depot);
+        let east = locate::directional_extent(region, Vec2::new(1.0, 0.0));
+        let dist = distance::min_distance(region, &depot);
         // min_distance is non-negative, so `<= 0.0` is exactly the
         // "separation lost" test without a raw float equality.
         let breached = dist <= 0.0;

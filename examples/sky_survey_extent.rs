@@ -7,9 +7,9 @@
 //!
 //! Run: `cargo run --release --example sky_survey_extent`
 
+use streamhull::geom::{calipers, locate};
 use streamhull::metrics;
 use streamhull::prelude::*;
-use streamhull::queries;
 
 fn main() {
     let n = 1_000_000usize;
@@ -59,7 +59,7 @@ fn main() {
 
     let exact = &fleet[0];
     let truth = exact.hull_ref().clone();
-    let d_exact = queries::diameter(&truth).unwrap().2;
+    let d_exact = calipers::diameter(&truth).unwrap().2;
     println!("objects streamed      : {n}");
     println!("true diameter         : {d_exact:.4}");
 
@@ -70,7 +70,7 @@ fn main() {
              hull err {:.4}{}",
             s.name(),
             s.sample_size(),
-            queries::diameter(hull).unwrap().2,
+            calipers::diameter(hull).unwrap().2,
             metrics::diameter_error(hull, &truth),
             metrics::hausdorff_error(hull, &truth),
             match s.error_bound() {
@@ -90,8 +90,8 @@ fn main() {
         let dir = Vec2::from_angle(angle_deg * core::f64::consts::PI / 180.0);
         println!(
             "extent @ {angle_deg:>4.0} deg     : exact {:>8.4}  adaptive {:>8.4}",
-            queries::directional_extent(&truth, dir),
-            queries::summary_extent(adaptive.as_ref(), dir),
+            locate::directional_extent(&truth, dir),
+            locate::directional_extent(adaptive.hull_ref(), dir),
         );
     }
 

@@ -12,8 +12,8 @@
 //! Run: `cargo run --release --example sliding_extent`
 
 use streamgen::{Drift, Timestamped};
+use streamhull::geom::locate;
 use streamhull::prelude::*;
-use streamhull::queries;
 
 fn main() {
     let n = 400_000usize;
@@ -48,8 +48,8 @@ fn main() {
         println!(
             "{:>9.1} {:>16.1} {:>16.1} {:>9} {:>9} {:>12.4}",
             windowed.now().unwrap_or(0.0),
-            queries::directional_extent(ans.hull(), x),
-            queries::directional_extent(global.hull_ref(), x),
+            locate::directional_extent(ans.hull(), x),
+            locate::directional_extent(global.hull_ref(), x),
             ans.buckets,
             ans.stale_points,
             ans.error_bound().unwrap_or(f64::NAN),
@@ -65,7 +65,7 @@ fn main() {
     let ans = run.query_window();
     println!(
         "sharded (4 shards): window x-extent {:.1}, {} points merged across {} buckets",
-        queries::directional_extent(ans.hull(), x),
+        locate::directional_extent(ans.hull(), x),
         ans.merged_points,
         ans.buckets,
     );

@@ -26,7 +26,7 @@
 //! // ≤ 2r + 1 points stored, answers extremal queries about the stream:
 //! assert!(hull.sample_size() <= 65);
 //! let poly = hull.hull_ref(); // cached: repeated queries don't rebuild
-//! let (_, _, diameter) = streamhull::queries::diameter(poly).unwrap();
+//! let (_, _, diameter) = streamhull::geom::calipers::diameter(poly).unwrap();
 //! assert!((diameter - 32.0).abs() < 0.05);
 //! ```
 //!
@@ -56,7 +56,10 @@
 //! Sync`), then merge at a collector. The merged hull's error against the
 //! union stream is at most the sum of the shards' errors plus the
 //! collector's own `O(D/r²)` bound — verified by the shard-merge property
-//! tests.
+//! tests. [`ShardedIngest`] runs that pattern on worker threads with one
+//! partition (chunk `c` to shard `c % N`), so a slice run, a stream run, a
+//! fault-free supervised run and a reduce of per-shard snapshot files all
+//! give the same bits.
 //!
 //! ```
 //! use streamhull::prelude::*;
@@ -141,7 +144,9 @@
 //! widened), idle-stream spill to snapshot envelopes with bit-exact
 //! restore, per-tenant quarantine of corrupt spills, and an exact
 //! [`PressureReport`] ledger — the resource-pressure mirror of
-//! [`RecoveryReport`]:
+//! [`RecoveryReport`]. Backfill a stream from an archive with
+//! [`TenantEngine::absorb`], which merges a finished [`SupervisedRun`]
+//! through the same governed write path:
 //!
 //! ```
 //! use streamhull::prelude::*;
@@ -162,6 +167,12 @@
 //! let report = engine.pressure_report();
 //! assert!(report.bytes_in_use <= 64 * 1024); // the budget holds at every call boundary
 //! assert_eq!(report.points_seen, report.points_ingested + report.points_shed);
+//!
+//! let archive: Vec<Point2> = (0..4096).map(|j| Point2::new(j as f64, 0.5)).collect();
+//! let sharded = ShardedIngest::new(*engine.config().builder(), 2);
+//! let run = SupervisedIngest::new(sharded).run_stream(archive.iter().copied());
+//! engine.absorb(StreamId(1_000), &run).unwrap();
+//! assert_eq!(engine.stats(StreamId(1_000)).unwrap().seen, 4096);
 //! ```
 //!
 //! ## Observability
@@ -243,10 +254,11 @@
 //!   / ellipse / changing-distribution experiments, plus adversarial ones);
 //! * [`adaptive_hull`] — the summaries: exact, uniform, radial, frozen,
 //!   cluster, and the static/streaming/fixed-budget adaptive samplers,
-//!   with the [`SummaryBuilder`] registry, the §6 query layer
-//!   ([`queries`], including the backend-agnostic
-//!   [`MultiStreamTracker`](queries::MultiStreamTracker)), and error
-//!   metrics ([`metrics`]).
+//!   with the [`SummaryBuilder`] registry, sharded and supervised
+//!   ingestion, the tenant engine and its serving layer ([`queries`];
+//!   the §6 queries themselves are [`geom`] kernels on a summary's
+//!   [`hull_ref`](HullSummary::hull_ref)), and error metrics
+//!   ([`metrics`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -258,17 +270,16 @@ pub use streamgen;
 pub use adaptive_hull::window::WindowedRun;
 pub use adaptive_hull::{metrics, queries, recovery, snapshot, telemetry, tenant, viz, window};
 pub use adaptive_hull::{
-    AdaptiveHull, AdaptiveHullConfig, AdmissionError, CheckpointEnvelope, CheckpointedRun,
-    ClusterHull, ClusterHullConfig, DetectedFault, Estimate, ExactHull, Fault, FaultEvent,
-    FaultPlan, FixedBudgetAdaptiveHull, FrozenHull, HullCache, HullSummary, HullSummaryExt,
-    JoinAnswer, JoinCertificate, JoinPair, Mergeable, NaiveUniformHull, NonFiniteInput,
-    OverloadPolicy, PairAnswer, PressureAction, PressureEvent, PressureReport, QDir,
-    QueryCacheStats, QueryEngine, QueryError, RadialHull, RecoveryAction, RecoveryReport,
-    RetryPolicy, ShardCheckpoint, ShardHealth, ShardRun, ShardStats, ShardStatus, ShardedIngest,
-    ShardedTenants, Snapshot, SnapshotError, StreamId, SummaryBuilder, SummaryKind,
-    SupervisedIngest, SupervisedRun, SupervisedWindowedRun, Telemetry, TenantConfig, TenantEngine,
-    TenantStats, Tier, TopKAnswer, TopKEntry, UniformHull, WindowAnswer, WindowConfig,
-    WindowPolicy, WindowedSummary,
+    AdaptiveHull, AdaptiveHullConfig, AdmissionError, CheckpointEnvelope, ClusterHull,
+    ClusterHullConfig, DetectedFault, Estimate, ExactHull, Fault, FaultEvent, FaultPlan,
+    FixedBudgetAdaptiveHull, FrozenHull, HullCache, HullSummary, HullSummaryExt, JoinAnswer,
+    JoinCertificate, JoinPair, Mergeable, NaiveUniformHull, NonFiniteInput, OverloadPolicy,
+    PairAnswer, PressureAction, PressureEvent, PressureReport, QDir, QueryCacheStats, QueryEngine,
+    QueryError, RadialHull, RecoveryAction, RecoveryReport, RetryPolicy, ShardHealth, ShardRun,
+    ShardStats, ShardStatus, ShardedIngest, ShardedTenants, Snapshot, SnapshotError, StreamId,
+    SummaryBuilder, SummaryKind, SupervisedIngest, SupervisedRun, SupervisedWindowedRun, Telemetry,
+    TenantConfig, TenantEngine, TenantStats, Tier, TopKAnswer, TopKEntry, UniformHull,
+    WindowAnswer, WindowConfig, WindowPolicy, WindowedSummary,
 };
 pub use adaptive_hull::{Counter, Gauge, Histogram, Scrape, Span, TraceEvent};
 pub use geom::{ConvexPolygon, Point2, Vec2};
@@ -276,16 +287,15 @@ pub use geom::{ConvexPolygon, Point2, Vec2};
 /// Everything most applications need.
 pub mod prelude {
     pub use crate::{
-        AdaptiveHull, AdaptiveHullConfig, AdmissionError, CheckpointedRun, ClusterHull,
-        ClusterHullConfig, ConvexPolygon, Estimate, ExactHull, Fault, FaultPlan,
-        FixedBudgetAdaptiveHull, FrozenHull, HullSummary, HullSummaryExt, JoinAnswer,
-        JoinCertificate, JoinPair, Mergeable, NaiveUniformHull, NonFiniteInput, OverloadPolicy,
-        PairAnswer, Point2, PressureAction, PressureEvent, PressureReport, QDir, QueryCacheStats,
-        QueryEngine, QueryError, RadialHull, RecoveryReport, RetryPolicy, Scrape, ShardCheckpoint,
-        ShardRun, ShardStats, ShardedIngest, ShardedTenants, Snapshot, SnapshotError, StreamId,
-        SummaryBuilder, SummaryKind, SupervisedIngest, SupervisedRun, SupervisedWindowedRun,
-        Telemetry, TenantConfig, TenantEngine, TenantStats, Tier, TopKAnswer, TopKEntry,
-        UniformHull, Vec2, WindowAnswer, WindowConfig, WindowPolicy, WindowedRun, WindowedSummary,
+        AdaptiveHull, AdaptiveHullConfig, AdmissionError, ClusterHull, ClusterHullConfig,
+        ConvexPolygon, Estimate, ExactHull, Fault, FaultPlan, FixedBudgetAdaptiveHull, FrozenHull,
+        HullSummary, HullSummaryExt, JoinAnswer, JoinCertificate, JoinPair, Mergeable,
+        NaiveUniformHull, NonFiniteInput, OverloadPolicy, PairAnswer, Point2, PressureAction,
+        PressureEvent, PressureReport, QDir, QueryCacheStats, QueryEngine, QueryError, RadialHull,
+        RecoveryReport, RetryPolicy, Scrape, ShardRun, ShardStats, ShardedIngest, ShardedTenants,
+        Snapshot, SnapshotError, StreamId, SummaryBuilder, SummaryKind, SupervisedIngest,
+        SupervisedRun, SupervisedWindowedRun, Telemetry, TenantConfig, TenantEngine, TenantStats,
+        Tier, TopKAnswer, TopKEntry, UniformHull, Vec2, WindowAnswer, WindowConfig, WindowPolicy,
+        WindowedRun, WindowedSummary,
     };
-    pub use adaptive_hull::queries::{MultiStreamTracker, PairEvent, PairState};
 }

@@ -166,25 +166,24 @@ fn check_sharded(
     shards: usize,
 ) -> Result<(), TestCaseError> {
     let dirty = poisoned_stream(clean, inj);
+    let chunk = 32;
     for &kind in &SummaryKind::ALL {
         let builder = SummaryBuilder::new(kind).with_r(8);
-        let engine = ShardedIngest::new(builder, shards).with_chunk(32);
+        let engine = ShardedIngest::new(builder, shards).with_chunk(chunk);
         let got = engine.run(&dirty);
         prop_assert_eq!(got.summary.points_seen(), clean.len() as u64, "{}", kind);
 
-        // Partition-faithful reference: the poison shifts the contiguous
-        // shard boundaries, so compare against the same split of the
-        // *dirty* stream filtered shard by shard — parallel drops must be
-        // indistinguishable from sequential per-shard drops.
+        // Partition-faithful reference: the poison shifts the chunk
+        // boundaries, so compare against the same partition of the
+        // *dirty* stream (chunk `c` → shard `c % N`) filtered shard by
+        // shard — parallel drops must be indistinguishable from sequential
+        // per-shard drops.
         let mut reference = builder.build_mergeable();
-        let base = dirty.len() / shards;
-        let extra = dirty.len() % shards;
-        let mut offset = 0usize;
         for i in 0..shards {
-            let len = base + usize::from(i < extra);
             let mut worker = builder.build_mergeable();
-            worker.insert_batch(&dirty[offset..offset + len]);
-            offset += len;
+            for piece in dirty.chunks(chunk).skip(i).step_by(shards) {
+                worker.insert_batch(piece);
+            }
             reference.merge_from(worker.as_ref());
         }
         prop_assert_eq!(

@@ -1,12 +1,11 @@
 #![recursion_limit = "256"]
-//! End-to-end tests of the §6 query layer on *approximate* summaries:
-//! the answers computed from 2r+1-point adaptive samples must agree with
-//! the answers computed from the exact hulls up to the paper's error
-//! bounds.
+//! End-to-end tests of the §6 queries on *approximate* summaries: the
+//! `geom` kernels applied to 2r+1-point adaptive samples must agree with
+//! the same kernels on the exact hulls up to the paper's error bounds.
 
 use streamgen::{Disk, Ellipse, Translate};
+use streamhull::geom::{calipers, clip, distance, locate};
 use streamhull::prelude::*;
-use streamhull::queries;
 
 fn build(seed: u64, n: usize, aspect: f64, dx: f64) -> (AdaptiveHull, ExactHull) {
     let mut a = AdaptiveHull::with_r(32);
@@ -24,11 +23,11 @@ fn diameter_and_width_track_exact_within_bound() {
     let (ah, eh) = (a.hull(), e.hull());
     let bound = 2.0 * 16.0 * std::f64::consts::PI * a.uniform().perimeter() / (32.0f64 * 32.0);
     let (da, de) = (
-        queries::diameter(&ah).unwrap().2,
-        queries::diameter(&eh).unwrap().2,
+        calipers::diameter(&ah).unwrap().2,
+        calipers::diameter(&eh).unwrap().2,
     );
     assert!(de >= da && de - da <= bound, "diameter: {da} vs {de}");
-    let (wa, we) = (queries::width(&ah), queries::width(&eh));
+    let (wa, we) = (calipers::width(&ah), calipers::width(&eh));
     assert!((we - wa).abs() <= bound, "width: {wa} vs {we}");
 }
 
@@ -39,8 +38,8 @@ fn directional_extent_tracks_exact() {
     let bound = 2.0 * 16.0 * std::f64::consts::PI * a.uniform().perimeter() / (32.0f64 * 32.0);
     for k in 0..24 {
         let dir = Vec2::from_angle(std::f64::consts::TAU * k as f64 / 24.0 + 0.011);
-        let xa = queries::directional_extent(&ah, dir);
-        let xe = queries::directional_extent(&eh, dir);
+        let xa = locate::directional_extent(&ah, dir);
+        let xe = locate::directional_extent(&eh, dir);
         assert!(xe >= xa - 1e-9, "approx extent cannot exceed exact");
         assert!(xe - xa <= bound, "dir {k}: {xa} vs {xe}");
     }
@@ -50,15 +49,15 @@ fn directional_extent_tracks_exact() {
 fn min_distance_between_summaries_tracks_exact() {
     let (a1, e1) = build(103, 20_000, 2.0, -6.0);
     let (a2, e2) = build(104, 20_000, 2.0, 6.0);
-    let d_approx = queries::min_distance(a1.hull_ref(), a2.hull_ref());
-    let d_exact = queries::min_distance(e1.hull_ref(), e2.hull_ref());
-    // The summary-level entry points agree with the polygon-level ones,
-    // bit for bit (same code path, not approximate agreement).
+    let d_approx = distance::min_distance(a1.hull_ref(), a2.hull_ref());
+    let d_exact = distance::min_distance(e1.hull_ref(), e2.hull_ref());
+    // The cached hulls agree with freshly built ones, bit for bit (same
+    // code path, not approximate agreement).
     assert_eq!(
-        queries::summary_min_distance(&a1, &a2).to_bits(),
+        distance::min_distance(&a1.hull(), &a2.hull()).to_bits(),
         d_approx.to_bits()
     );
-    assert!(queries::summary_separation(&a1, &a2)
+    assert!(distance::separation(a1.hull_ref(), a2.hull_ref())
         .unwrap()
         .is_separated());
     // Approximate hulls are inside the exact ones => distance can only
@@ -93,8 +92,8 @@ fn separability_transition_is_detected_at_same_point_as_exact() {
             b_approx.insert(p);
             b_exact.insert(p);
         }
-        let sa = queries::separation(&a_approx.hull(), &b_approx.hull()).unwrap();
-        let se = queries::separation(&a_exact.hull(), &b_exact.hull()).unwrap();
+        let sa = distance::separation(&a_approx.hull(), &b_approx.hull()).unwrap();
+        let se = distance::separation(&a_exact.hull(), &b_exact.hull()).unwrap();
         if !sa.is_separated() && flip_approx.is_none() {
             flip_approx = Some(step);
         }
@@ -124,10 +123,10 @@ fn containment_with_margin() {
     }
     // The outer approximate hull contains the inner approximate hull:
     // margin 0.4 is far above the O(D/r²) error at r = 32.
-    assert!(queries::contains(&ho.hull(), &hi.hull()));
-    assert!(!queries::contains(&hi.hull(), &ho.hull()));
+    assert!(distance::contains_polygon(&ho.hull(), &hi.hull()));
+    assert!(!distance::contains_polygon(&hi.hull(), &ho.hull()));
     // Violation of the reverse containment is about 0.4.
-    let v = queries::containment_violation(&hi.hull(), &ho.hull());
+    let v = distance::containment_violation(&hi.hull(), &ho.hull());
     assert!((v - 0.4).abs() < 0.1, "violation {v}");
 }
 
@@ -135,8 +134,8 @@ fn containment_with_margin() {
 fn overlap_area_matches_exact_within_percent() {
     let (a1, e1) = build(109, 30_000, 3.0, 0.0);
     let (a2, e2) = build(110, 30_000, 3.0, 2.0);
-    let oa = queries::overlap_area(&a1.hull(), &a2.hull());
-    let oe = queries::overlap_area(&e1.hull(), &e2.hull());
+    let oa = clip::overlap_area(&a1.hull(), &a2.hull());
+    let oe = clip::overlap_area(&e1.hull(), &e2.hull());
     assert!(oe > 0.0);
     assert!((oa - oe).abs() / oe < 0.02, "overlap {oa} vs exact {oe}");
 }
@@ -219,8 +218,8 @@ mod serving_props {
     fn check_intervals_contain_truth(pts: &[Point2]) -> Result<(), TestCaseError> {
         let id = StreamId(3);
         let exact = ConvexPolygon::hull_of(pts);
-        let w_truth = queries::width(&exact);
-        let d_truth = queries::diameter(&exact).map(|(_, _, d)| d);
+        let w_truth = calipers::width(&exact);
+        let d_truth = calipers::diameter(&exact).map(|(_, _, d)| d);
         for kind in SummaryKind::ALL {
             let mut q = engine(kind);
             q.tenants_mut().insert_batch(id, pts).unwrap();
@@ -278,7 +277,7 @@ mod serving_props {
             }
             for i in 0..ids.len() {
                 for j in (i + 1)..ids.len() {
-                    let d = queries::min_distance(&hulls[i], &hulls[j]);
+                    let d = distance::min_distance(&hulls[i], &hulls[j]);
                     let pair = reported.get(&(ids[i], ids[j]));
                     if d <= thr {
                         let Some(p) = pair else {
@@ -349,11 +348,11 @@ fn farthest_point_and_bbox_consistency() {
     let (a, e) = build(111, 20_000, 5.0, 0.0);
     let (ah, eh) = (a.hull(), e.hull());
     let q = Point2::new(-20.0, 3.0);
-    let fa = queries::farthest_point(&ah, q).unwrap();
-    let fe = queries::farthest_point(&eh, q).unwrap();
+    let fa = calipers::farthest_vertex(&ah, q).unwrap();
+    let fe = calipers::farthest_vertex(&eh, q).unwrap();
     assert!((q.distance(fa) - q.distance(fe)).abs() < 0.1);
-    let (amin, amax) = queries::bounding_box(&ah).unwrap();
-    let (emin, emax) = queries::bounding_box(&eh).unwrap();
+    let (amin, amax) = calipers::bounding_box(&ah).unwrap();
+    let (emin, emax) = calipers::bounding_box(&eh).unwrap();
     for (x, y) in [
         (amin.x, emin.x),
         (amin.y, emin.y),

@@ -19,6 +19,20 @@ fn stream_strategy(max: usize) -> impl Strategy<Value = Vec<Point2>> {
     prop::collection::vec(pt_strategy(), 1..max)
 }
 
+/// Every `ShardStats` field of a run, bit-exact.
+fn shard_stats(run: &ShardRun) -> Vec<(u64, usize, Option<u64>)> {
+    run.shards
+        .iter()
+        .map(|s| {
+            (
+                s.points_seen,
+                s.sample_size,
+                s.error_bound.map(f64::to_bits),
+            )
+        })
+        .collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -52,14 +66,17 @@ proptest! {
     fn sharded_ingest_is_deterministic_per_shard_count(
         pts in stream_strategy(250),
         shards in 1usize..5,
+        chunk in prop_oneof![Just(1usize), 1usize..80],
     ) {
         // The determinism contract: for a fixed input, configuration, and
         // shard count, the merged summary is identical across runs — shard
         // assignment and merge order never depend on thread scheduling.
-        // Covers both entry points (slices and streams).
+        // Covers both entry points (slices and streams), and pins the one
+        // partition they share with the supervisor (chunk c → shard c % N):
+        // all three agree bit for bit.
         for &kind in &SummaryKind::ALL {
             let engine = ShardedIngest::new(SummaryBuilder::new(kind).with_r(8), shards)
-                .with_chunk(32);
+                .with_chunk(chunk);
             let a = engine.run(&pts);
             let b = engine.run(&pts);
             prop_assert_eq!(
@@ -76,6 +93,25 @@ proptest! {
                 sb.summary.hull_ref().vertices(),
                 "{}: stream entry varies across runs", kind
             );
+            let sup = SupervisedIngest::new(engine).run_stream(pts.iter().copied());
+            prop_assert!(!sup.is_degraded(), "{}: fault-free run degraded", kind);
+            let bytes = a.summary.encode_snapshot();
+            let bound = a.summary.error_bound().map(f64::to_bits);
+            let stats = shard_stats(&a);
+            for (entry, other) in [("run_stream", &sa), ("supervised", &sup.run)] {
+                prop_assert_eq!(
+                    &other.summary.encode_snapshot(), &bytes,
+                    "{}: {} snapshot differs from run", kind, entry
+                );
+                prop_assert_eq!(
+                    other.summary.error_bound().map(f64::to_bits), bound,
+                    "{}: {} error bound differs from run", kind, entry
+                );
+                prop_assert_eq!(
+                    &shard_stats(other), &stats,
+                    "{}: {} shard stats differ from run", kind, entry
+                );
+            }
         }
     }
 

@@ -214,3 +214,82 @@ fn sharded_bulk_ingest_matches_serial_engine() {
         );
     }
 }
+
+/// Under [`OverloadPolicy::Reject`] a refused backfill is never
+/// half-taken: the ledger and the registry are exactly as before the call,
+/// the run's points are counted as rejected, and the budget holds.
+/// Refused into a known tenant, the footprint and the tier are unchanged
+/// too. Refused into a new id, the id stays unregistered; the governor's
+/// relief — a bit-exact spill of the idle tenant, which it runs before
+/// refusing any write — is the only trace, exactly as a refused
+/// `insert_batch` of the same points leaves it.
+#[test]
+fn refused_absorb_leaves_the_engine_untouched() {
+    let config = TenantConfig::new(SummaryBuilder::new(SummaryKind::Exact))
+        .with_budget_bytes(4096)
+        .with_policy(OverloadPolicy::Reject);
+    let mut engine = TenantEngine::new(config);
+    let mut twin = TenantEngine::new(config);
+    let seed = [
+        Point2::new(0.0, 0.0),
+        Point2::new(1.0, 0.0),
+        Point2::new(0.0, 1.0),
+    ];
+    engine.insert_batch(StreamId(1), &seed).unwrap();
+    twin.insert_batch(StreamId(1), &seed).unwrap();
+    let seed_state = fingerprint(engine.summary(StreamId(1)).unwrap());
+    let archive: Vec<Point2> = (0..2000)
+        .map(|i| {
+            let t = std::f64::consts::TAU * i as f64 / 2000.0;
+            Point2::new(t.cos(), t.sin())
+        })
+        .collect();
+    let sharded = ShardedIngest::new(*engine.config().builder(), 2);
+    let run = SupervisedIngest::new(sharded).run_stream(archive.iter().copied());
+    assert_eq!(run.run.summary.points_seen(), 2000);
+
+    let ledger = |e: &TenantEngine| {
+        let r = e.pressure_report();
+        let t = e.stats(StreamId(1)).unwrap();
+        (
+            r.streams_admitted,
+            r.points_seen,
+            r.points_ingested,
+            r.points_shed,
+            (t.seen, t.ingested, t.shed),
+        )
+    };
+    for id in [StreamId(1), StreamId(2)] {
+        let before = ledger(&engine);
+        let bytes = engine.bytes_in_use();
+        let rejected = engine.pressure_report().points_rejected;
+        let err = engine.absorb(id, &run).unwrap_err();
+        assert!(
+            matches!(err, AdmissionError::OverBudget { .. }),
+            "{id}: {err}"
+        );
+        assert!(twin.insert_batch(id, &archive).is_err(), "{id}");
+        assert_eq!(ledger(&engine), before, "{id}: ledger moved");
+        assert_eq!(
+            engine.pressure_report().points_rejected,
+            rejected + 2000,
+            "{id}: the run's points are rejected"
+        );
+        assert!(engine.bytes_in_use() <= 4096, "{id}: budget breached");
+        assert!(!engine.contains(StreamId(2)), "{id}");
+        assert_eq!(engine.tier(StreamId(2)), None, "{id}");
+        if id == StreamId(1) {
+            assert_eq!(engine.bytes_in_use(), bytes, "{id}: footprint moved");
+            assert_eq!(engine.tier(id), Some(Tier::Hot), "{id}: tier moved");
+        }
+        assert_eq!(engine.bytes_in_use(), twin.bytes_in_use(), "{id}");
+        assert_eq!(engine.tier(StreamId(1)), twin.tier(StreamId(1)), "{id}");
+        assert_eq!(ledger(&engine), ledger(&twin), "{id}");
+        assert_eq!(
+            fingerprint(engine.summary(StreamId(1)).unwrap()),
+            seed_state,
+            "{id}: tenant 1 differs from its pre-absorb state"
+        );
+        twin.summary(StreamId(1)).unwrap();
+    }
+}

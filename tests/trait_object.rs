@@ -12,6 +12,7 @@
 //! * sharded ingestion on real threads + [`Mergeable::merge_from`] agrees
 //!   with single-stream ingestion up to the merge error contract.
 
+use streamhull::geom::distance;
 use streamhull::metrics;
 use streamhull::prelude::*;
 
@@ -215,12 +216,12 @@ fn sharded_threads_then_merge_matches_single_stream() {
         // The merged hull must cover each shard's hull up to the shard's
         // own error contribution — spot check: the merged diameter is at
         // least any shard's diameter minus the collector's bound.
-        let merged_d = streamhull::queries::diameter(merged.hull_ref())
+        let merged_d = streamhull::geom::calipers::diameter(merged.hull_ref())
             .map(|(_, _, d)| d)
             .unwrap_or(0.0);
         let slack = merged.error_bound().unwrap_or(0.0) + 2e-1;
         for shard in &shards {
-            if let Some((_, _, d)) = streamhull::queries::diameter(shard.hull_ref()) {
+            if let Some((_, _, d)) = streamhull::geom::calipers::diameter(shard.hull_ref()) {
                 assert!(
                     merged_d + slack >= d,
                     "{kind}: merged diameter {merged_d} lost a shard's {d}"
@@ -254,30 +255,30 @@ fn merge_across_kinds() {
 
 #[test]
 fn tracker_runs_generically_over_kinds() {
-    // The §6 query layer over runtime-chosen backends.
+    // The §6 pair queries over runtime-chosen backends: separation of two
+    // streams is `geom::distance::separation` on their cached hulls.
     for kind in [
         SummaryKind::Adaptive,
         SummaryKind::Uniform,
         SummaryKind::Exact,
         SummaryKind::Radial,
     ] {
-        let mut tracker = MultiStreamTracker::new(SummaryBuilder::new(kind).with_r(32));
-        let left: Vec<Point2> = (0..400)
+        let builder = SummaryBuilder::new(kind).with_r(32);
+        let left_pts: Vec<Point2> = (0..400)
             .map(|i| {
                 let t = std::f64::consts::TAU * i as f64 / 400.0;
                 Point2::new(-6.0 + t.cos(), t.sin())
             })
             .collect();
-        let right: Vec<Point2> = left.iter().map(|p| Point2::new(-p.x, p.y)).collect();
-        tracker.insert_batch("left", &left);
-        tracker.insert_batch("right", &right);
-        let events = tracker.refresh();
-        assert_eq!(events.len(), 1, "{kind:?}");
-        match events[0].to {
-            PairState::Separated(d) => {
+        let right_pts: Vec<Point2> = left_pts.iter().map(|p| Point2::new(-p.x, p.y)).collect();
+        let (mut left, mut right) = (builder.build(), builder.build());
+        left.insert_batch(&left_pts);
+        right.insert_batch(&right_pts);
+        match distance::separation(left.hull_ref(), right.hull_ref()) {
+            Some(distance::Separation::Separated { distance: d, .. }) => {
                 assert!((d - 10.0).abs() < 0.3, "{kind:?}: distance {d}")
             }
-            ref other => panic!("{kind:?}: expected separation, got {other:?}"),
+            other => panic!("{kind:?}: expected separation, got {other:?}"),
         }
     }
 }
