@@ -40,7 +40,9 @@
 //! * [`telemetry`] — zero-dependency observability ([`Telemetry`]):
 //!   striped counters, gauges, log-scale histograms and a deterministic
 //!   trace ring threaded through the engines above, with Prometheus-text
-//!   and JSON-lines exporters and a [`telemetry::Scrape`] snapshot API;
+//!   and JSON-lines exporters and a [`telemetry::Scrape`] snapshot API
+//!   into which the ledgers ([`PressureReport`], [`RecoveryReport`]) are
+//!   exported;
 //! * [`queries`] — the §6 queries, which are [`geom`] kernels
 //!   (`calipers`, `locate`, `distance`, `clip`) applied to a summary's
 //!   cached [`hull_ref`](HullSummary::hull_ref), and the serving layer

@@ -101,7 +101,6 @@ impl ShardRun {
 #[derive(Clone, Copy)]
 pub(crate) struct IngestInstruments {
     points: Counter,
-    batches: Counter,
     chunk_ns: Histogram,
 }
 
@@ -110,15 +109,15 @@ impl IngestInstruments {
         let backend = [("backend", builder.kind().label())];
         IngestInstruments {
             points: telemetry.counter(names::INGEST_POINTS, &backend),
-            batches: telemetry.counter(names::INGEST_BATCHES, &backend),
             chunk_ns: telemetry.histogram(names::INGEST_CHUNK_NS, &backend),
         }
     }
 
     /// Runs `ingest` over one chunk of `len` stream items, recording the
-    /// whole chunk's latency and its point and batch counts. Whole-chunk
-    /// nanoseconds keep the histogram's `_sum` exact, so `_sum` over the
-    /// points counter is the true ns/point.
+    /// whole chunk's latency (one histogram sample per chunk, so `_count`
+    /// is the chunk count) and its point count. Whole-chunk nanoseconds
+    /// keep the histogram's `_sum` exact, so `_sum` over the points
+    /// counter is the true ns/point.
     pub(crate) fn chunk<R>(&self, len: usize, ingest: impl FnOnce() -> R) -> R {
         let out = if self.chunk_ns.enabled() {
             let t0 = Instant::now();
@@ -129,7 +128,6 @@ impl IngestInstruments {
             ingest()
         };
         self.points.add(len as u64);
-        self.batches.inc();
         out
     }
 }
@@ -183,8 +181,8 @@ impl ShardedIngest {
     }
 
     /// Attaches an observability handle: every entry point then records
-    /// per-backend point/batch counters and a per-chunk latency
-    /// histogram (labelled `backend=<kind>`), at chunk granularity so
+    /// a per-backend point counter and a per-chunk latency histogram
+    /// (labelled `backend=<kind>`), at chunk granularity so
     /// the hot path cost is one timestamp and three relaxed atomic adds
     /// per *chunk*. The default is [`Telemetry::disabled`], under which
     /// the instrumentation collapses to a branch per chunk.
@@ -551,8 +549,8 @@ mod tests {
             s.counter_with(names::INGEST_POINTS, &[("backend", backend)]),
             Some(1000)
         );
-        // 8 chunks of 128 (the last one short), dealt round-robin.
-        assert_eq!(s.counter_total(names::INGEST_BATCHES), 8);
+        // 8 chunks of 128 (the last one short), dealt round-robin: one
+        // latency sample each.
         assert_eq!(s.histograms.len(), 1);
         assert_eq!(s.histograms[0].name, names::INGEST_CHUNK_NS);
         assert_eq!(s.histograms[0].count, 8);

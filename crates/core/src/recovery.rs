@@ -35,6 +35,11 @@
 //! seed-driven with **no wall-clock randomness**, so every chaos scenario
 //! replays exactly in CI.
 //!
+//! The [`RecoveryReport`] is the supervisor's only ledger: its run totals
+//! sum the per-shard [`ShardHealth`] tallies, and a scrape shows the
+//! `streamhull_recovery_*` series of the runs whose reports
+//! [`RecoveryReport::export_to`] wrote into it.
+//!
 //! # Determinism contract
 //!
 //! The supervised entry points inherit the [`ShardedIngest`] contract:
@@ -50,7 +55,7 @@ use crate::exact::ExactHull;
 use crate::parallel::{IngestInstruments, ShardRun, ShardedIngest};
 use crate::snapshot::{open_checkpoint, seal_checkpoint, Snapshot, SnapshotError};
 use crate::summary::{HullSummary, Mergeable};
-use crate::telemetry::{names, Counter, Histogram, Telemetry};
+use crate::telemetry::{names, Histogram, Scrape, Telemetry};
 use crate::window::{WindowConfig, WindowedRun, WindowedSummary};
 use geom::{ConvexPolygon, Point2};
 use std::collections::VecDeque;
@@ -409,6 +414,18 @@ pub enum DetectedFault {
     },
 }
 
+impl DetectedFault {
+    /// This fault's `kind` label in `streamhull_recovery_faults_total`.
+    fn kind(&self) -> &'static str {
+        match self {
+            DetectedFault::WorkerPanic => "panic",
+            DetectedFault::Stall => "stall",
+            DetectedFault::CorruptCheckpoint(_) => "corrupt_checkpoint",
+            DetectedFault::NonFinite { .. } => "non_finite",
+        }
+    }
+}
+
 /// What the supervisor did about a detected fault.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum RecoveryAction {
@@ -575,6 +592,36 @@ impl RecoveryReport {
     #[must_use]
     pub fn total_retries(&self) -> u32 {
         self.shards.iter().map(|s| s.retries).sum()
+    }
+
+    /// Writes this run's `streamhull_recovery_*` series into `scrape`,
+    /// every one even at zero, summed into samples already there;
+    /// `faults_total{kind}` counts the fault log's entries of that kind.
+    pub fn export_to(&self, scrape: &mut Scrape) {
+        for kind in ["panic", "stall", "corrupt_checkpoint", "non_finite"] {
+            let n = self.events.iter().filter(|e| e.fault.kind() == kind);
+            scrape.add_counter(names::RECOVERY_FAULTS, &[("kind", kind)], n.count() as u64);
+        }
+        let counters = [
+            (names::RECOVERY_REPLAYED_CHUNKS, self.replayed_chunks),
+            (names::RECOVERY_REPLAYED_POINTS, self.replayed_points),
+            (names::RECOVERY_LOST_POINTS, self.lost_points),
+            (names::RECOVERY_DROPPED_NON_FINITE, self.dropped_non_finite),
+            (
+                names::RECOVERY_INJECTED_NON_FINITE,
+                self.injected_non_finite,
+            ),
+        ];
+        for (name, n) in counters {
+            scrape.add_counter(name, &[], n);
+        }
+        let checkpoints = [
+            ("taken", self.checkpoints_taken),
+            ("rejected", self.checkpoints_rejected),
+        ];
+        for (outcome, n) in checkpoints {
+            scrape.add_counter(names::RECOVERY_CHECKPOINTS, &[("outcome", outcome)], n);
+        }
     }
 }
 
@@ -1227,57 +1274,6 @@ enum Pulled<S> {
     Dead,
 }
 
-/// The supervisor's registered instruments. Every counter is bumped at
-/// exactly the code site that bumps the matching [`RecoveryReport`]
-/// tally, so a live scrape and the post-run report can be cross-checked
-/// for equality (pinned by `tests/telemetry.rs`).
-#[derive(Clone, Copy)]
-struct RecoveryInstruments {
-    tel: Telemetry,
-    faults_panic: Counter,
-    faults_stall: Counter,
-    faults_corrupt: Counter,
-    faults_non_finite: Counter,
-    checkpoints_taken: Counter,
-    checkpoints_rejected: Counter,
-    replayed_chunks: Counter,
-    replayed_points: Counter,
-    lost_points: Counter,
-    dropped_non_finite: Counter,
-    injected_non_finite: Counter,
-    decode_ns: Histogram,
-}
-
-impl RecoveryInstruments {
-    fn register(tel: Telemetry) -> Self {
-        RecoveryInstruments {
-            tel,
-            faults_panic: tel.counter(names::RECOVERY_FAULTS, &[("kind", "panic")]),
-            faults_stall: tel.counter(names::RECOVERY_FAULTS, &[("kind", "stall")]),
-            faults_corrupt: tel.counter(names::RECOVERY_FAULTS, &[("kind", "corrupt_checkpoint")]),
-            faults_non_finite: tel.counter(names::RECOVERY_FAULTS, &[("kind", "non_finite")]),
-            checkpoints_taken: tel.counter(names::RECOVERY_CHECKPOINTS, &[("outcome", "taken")]),
-            checkpoints_rejected: tel
-                .counter(names::RECOVERY_CHECKPOINTS, &[("outcome", "rejected")]),
-            replayed_chunks: tel.counter(names::RECOVERY_REPLAYED_CHUNKS, &[]),
-            replayed_points: tel.counter(names::RECOVERY_REPLAYED_POINTS, &[]),
-            lost_points: tel.counter(names::RECOVERY_LOST_POINTS, &[]),
-            dropped_non_finite: tel.counter(names::RECOVERY_DROPPED_NON_FINITE, &[]),
-            injected_non_finite: tel.counter(names::RECOVERY_INJECTED_NON_FINITE, &[]),
-            decode_ns: tel.histogram(names::CHECKPOINT_DECODE_NS, &[]),
-        }
-    }
-
-    /// The fault-class counter a [`Detected`] fault rolls up into.
-    fn fault_counter(&self, detected: &Detected) -> Counter {
-        match detected {
-            Detected::Panic(_) => self.faults_panic,
-            Detected::Stall => self.faults_stall,
-            Detected::BadCheckpoint(_) => self.faults_corrupt,
-        }
-    }
-}
-
 /// The supervisor: owns the per-shard worker epochs, the replay buffers,
 /// the fault plan, and all accounting.
 struct SupervisorCore<'e, F: ShardFactory> {
@@ -1291,16 +1287,13 @@ struct SupervisorCore<'e, F: ShardFactory> {
     mode: Mode,
     shards: Vec<ShardCtx<F>>,
     events: Vec<FaultEvent>,
-    lost_points: u64,
     lost_hull: ExactHull,
     lost_unbounded: bool,
     dropped_non_finite: u64,
     injected_non_finite: u64,
-    replayed_chunks: u64,
     replayed_points: u64,
-    checkpoints_taken: u64,
-    checkpoints_rejected: u64,
-    inst: RecoveryInstruments,
+    tel: Telemetry,
+    decode_ns: Histogram,
     worker_inst: WorkerInstruments,
 }
 
@@ -1316,6 +1309,7 @@ impl<'e, F: ShardFactory> SupervisorCore<'e, F> {
         max_replay: usize,
         mode: Mode,
     ) -> Self {
+        let tel = engine.telemetry();
         SupervisorCore {
             factory,
             engine,
@@ -1327,21 +1321,16 @@ impl<'e, F: ShardFactory> SupervisorCore<'e, F> {
             mode,
             shards: (0..engine.shards()).map(|_| ShardCtx::new()).collect(),
             events: Vec::new(),
-            lost_points: 0,
             lost_hull: ExactHull::new(),
             lost_unbounded: false,
             dropped_non_finite: 0,
             injected_non_finite: 0,
-            replayed_chunks: 0,
             replayed_points: 0,
-            checkpoints_taken: 0,
-            checkpoints_rejected: 0,
-            inst: RecoveryInstruments::register(engine.telemetry()),
+            tel,
+            decode_ns: tel.histogram(names::CHECKPOINT_DECODE_NS, &[]),
             worker_inst: WorkerInstruments {
-                ingest: IngestInstruments::register(engine.telemetry(), engine.builder()),
-                encode_ns: engine
-                    .telemetry()
-                    .histogram(names::CHECKPOINT_ENCODE_NS, &[]),
+                ingest: IngestInstruments::register(tel, engine.builder()),
+                encode_ns: tel.histogram(names::CHECKPOINT_ENCODE_NS, &[]),
             },
         }
     }
@@ -1385,8 +1374,7 @@ impl<'e, F: ShardFactory> SupervisorCore<'e, F> {
                 items.push(F::poison());
             }
             self.injected_non_finite += len as u64;
-            self.inst.injected_non_finite.add(len as u64);
-            self.inst.tel.event(
+            self.tel.event(
                 "recovery",
                 "inject_non_finite",
                 seq,
@@ -1582,8 +1570,6 @@ impl<'e, F: ShardFactory> SupervisorCore<'e, F> {
                 if dropped > 0 && fresh {
                     self.shards[shard].drop_tallied = Some(seq);
                     self.dropped_non_finite += dropped;
-                    self.inst.dropped_non_finite.add(dropped);
-                    self.inst.faults_non_finite.inc();
                     self.shards[shard].faults += 1;
                     self.events.push(FaultEvent {
                         shard,
@@ -1591,7 +1577,7 @@ impl<'e, F: ShardFactory> SupervisorCore<'e, F> {
                         fault: DetectedFault::NonFinite { dropped },
                         action: RecoveryAction::Sanitized { dropped },
                     });
-                    self.inst.tel.event(
+                    self.tel.event(
                         "recovery",
                         "sanitized",
                         seq,
@@ -1616,8 +1602,6 @@ impl<'e, F: ShardFactory> SupervisorCore<'e, F> {
         tick: u64,
         inner: &[u8],
     ) -> Result<(), (u64, Detected)> {
-        self.checkpoints_taken += 1;
-        self.inst.checkpoints_taken.inc();
         let ordinal = {
             let ctx = &mut self.shards[shard];
             ctx.checkpoint_ordinal += 1;
@@ -1630,10 +1614,10 @@ impl<'e, F: ShardFactory> SupervisorCore<'e, F> {
                 *b ^= 0xff;
             }
         }
-        let verdict = if self.inst.decode_ns.enabled() {
+        let verdict = if self.decode_ns.enabled() {
             let t0 = Instant::now();
             let verdict = self.validate_checkpoint(shard, &sealed);
-            self.inst.decode_ns.record(t0.elapsed().as_nanos() as u64);
+            self.decode_ns.record(t0.elapsed().as_nanos() as u64);
             verdict
         } else {
             self.validate_checkpoint(shard, &sealed)
@@ -1651,8 +1635,6 @@ impl<'e, F: ShardFactory> SupervisorCore<'e, F> {
                 Ok(())
             }
             Err(e) => {
-                self.checkpoints_rejected += 1;
-                self.inst.checkpoints_rejected.inc();
                 self.shards[shard].checkpoints_rejected += 1;
                 Err((seq, Detected::BadCheckpoint(e)))
             }
@@ -1693,8 +1675,6 @@ impl<'e, F: ShardFactory> SupervisorCore<'e, F> {
                     // Unreachable in practice (validation restored it
                     // once already); degrade honestly if it happens: the
                     // checkpointed prefix is lost with no geometry.
-                    self.lost_points += cp.tick;
-                    self.inst.lost_points.add(cp.tick);
                     self.lost_unbounded = true;
                     self.shards[shard].lost += cp.tick;
                     self.factory.fresh()
@@ -1785,7 +1765,6 @@ impl<'e, F: ShardFactory> SupervisorCore<'e, F> {
                 }
             }
         }
-        self.inst.fault_counter(&detected).inc();
         let fault = match &detected {
             Detected::Panic(_) => DetectedFault::WorkerPanic,
             Detected::Stall => DetectedFault::Stall,
@@ -1795,8 +1774,6 @@ impl<'e, F: ShardFactory> SupervisorCore<'e, F> {
         // moment a fault needs them: account them as lost, traceless.
         let overflow = std::mem::take(&mut self.shards[shard].overflow_points);
         if overflow > 0 {
-            self.lost_points += overflow;
-            self.inst.lost_points.add(overflow);
             self.shards[shard].lost += overflow;
             self.lost_unbounded = true;
         }
@@ -1825,10 +1802,7 @@ impl<'e, F: ShardFactory> SupervisorCore<'e, F> {
             ctx.replayed += chunks;
             (from_tick, chunks, points)
         };
-        self.replayed_chunks += replay_chunks;
         self.replayed_points += replay_points;
-        self.inst.replayed_chunks.add(replay_chunks);
-        self.inst.replayed_points.add(replay_points);
         let backoff = self.policy.backoff(shard, self.shards[shard].attempts);
         self.events.push(FaultEvent {
             shard,
@@ -1840,7 +1814,7 @@ impl<'e, F: ShardFactory> SupervisorCore<'e, F> {
                 backoff,
             },
         });
-        self.inst.tel.event(
+        self.tel.event(
             "recovery",
             "restarted",
             seq,
@@ -1861,11 +1835,11 @@ impl<'e, F: ShardFactory> SupervisorCore<'e, F> {
             ctx.sent = 0;
             ctx.buffer.drain(..).map(|b| b.items).collect()
         };
-        let before = self.lost_points;
+        let before = self.shards[shard].lost;
         for items in &buffered {
             self.account_lost(shard, items);
         }
-        let lost_now = self.lost_points - before;
+        let lost_now = self.shards[shard].lost - before;
         self.events.push(FaultEvent {
             shard,
             chunk: seq,
@@ -1874,7 +1848,7 @@ impl<'e, F: ShardFactory> SupervisorCore<'e, F> {
                 lost_points: lost_now,
             },
         });
-        self.inst.tel.event(
+        self.tel.event(
             "recovery",
             "quarantined",
             seq,
@@ -1893,8 +1867,6 @@ impl<'e, F: ShardFactory> SupervisorCore<'e, F> {
                 self.lost_hull.insert(p);
             }
         }
-        self.lost_points += finite;
-        self.inst.lost_points.add(finite);
         self.shards[shard].lost += finite;
     }
 
@@ -1997,8 +1969,6 @@ impl<'e, F: ShardFactory> SupervisorCore<'e, F> {
                 Ok(state) => state,
                 Err(_) => {
                     // Unreachable in practice; degrade honestly.
-                    self.lost_points += cp.tick;
-                    self.inst.lost_points.add(cp.tick);
                     self.lost_unbounded = true;
                     self.shards[shard].lost += cp.tick;
                     self.factory.fresh()
@@ -2008,8 +1978,10 @@ impl<'e, F: ShardFactory> SupervisorCore<'e, F> {
         }
     }
 
-    /// Folds the accounting into the public report.
+    /// Folds the accounting into the public report: run totals are sums
+    /// of the per-shard tallies (a checkpoint taken is valid or rejected).
     fn into_report(self, states: &[F::State]) -> RecoveryReport {
+        let total = |tally: fn(&ShardCtx<F>) -> u64| self.shards.iter().map(tally).sum();
         let shards = self
             .shards
             .iter()
@@ -2035,13 +2007,13 @@ impl<'e, F: ShardFactory> SupervisorCore<'e, F> {
         RecoveryReport {
             shards,
             events: self.events,
-            lost_points: self.lost_points,
+            lost_points: total(|c| c.lost),
             dropped_non_finite: self.dropped_non_finite,
             injected_non_finite: self.injected_non_finite,
-            replayed_chunks: self.replayed_chunks,
+            replayed_chunks: total(|c| c.replayed),
             replayed_points: self.replayed_points,
-            checkpoints_taken: self.checkpoints_taken,
-            checkpoints_rejected: self.checkpoints_rejected,
+            checkpoints_taken: total(|c| u64::from(c.checkpoints_valid + c.checkpoints_rejected)),
+            checkpoints_rejected: total(|c| u64::from(c.checkpoints_rejected)),
             lost_unbounded: self.lost_unbounded,
             lost_hull: self.lost_hull,
         }

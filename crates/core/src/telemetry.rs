@@ -4,6 +4,12 @@
 //!
 //! # Design
 //!
+//! Hot-path measurements (ingest, window, checkpoint codec, queries) are
+//! pushed into the registry. The ledgers,
+//! [`PressureReport`](crate::tenant::PressureReport) and
+//! [`RecoveryReport`](crate::recovery::RecoveryReport), are not: their
+//! `export_to(&mut Scrape)` renders them into a scrape at scrape time.
+//!
 //! The whole layer hangs off a [`Telemetry`] handle, which is `Copy` and
 //! two machine words wide: either *disabled* (every operation is a branch
 //! on `None` and nothing else — this is the path the benches compare
@@ -139,6 +145,9 @@ fn bucket_le(i: usize) -> String {
     }
 }
 
+/// A label set as call sites write it: `(key, value)` pairs in any order.
+type Labels<'a> = &'a [(&'static str, &'a str)];
+
 /// Canonical instrument identity: name plus label set, labels sorted by
 /// key so registration order and call-site label order don't matter.
 #[derive(Clone, PartialEq, Eq)]
@@ -148,7 +157,7 @@ struct Key {
 }
 
 impl Key {
-    fn new(name: &'static str, labels: &[(&'static str, &str)]) -> Self {
+    fn new(name: &'static str, labels: Labels) -> Self {
         let mut labels: Vec<(&'static str, String)> =
             labels.iter().map(|(k, v)| (*k, (*v).to_owned())).collect();
         labels.sort_by(|a, b| a.0.cmp(b.0));
@@ -409,7 +418,7 @@ impl Telemetry {
     /// Register (or look up) the counter `name` with `labels`.
     /// Registration locks a mutex — do it once up front, then hand the
     /// `Copy` handle to the hot path.
-    pub fn counter(&self, name: &'static str, labels: &[(&'static str, &str)]) -> Counter {
+    pub fn counter(&self, name: &'static str, labels: Labels) -> Counter {
         match self.inner {
             None => Counter(None),
             Some(inner) => {
@@ -426,7 +435,7 @@ impl Telemetry {
     }
 
     /// Register (or look up) the gauge `name` with `labels`.
-    pub fn gauge(&self, name: &'static str, labels: &[(&'static str, &str)]) -> Gauge {
+    pub fn gauge(&self, name: &'static str, labels: Labels) -> Gauge {
         match self.inner {
             None => Gauge(None),
             Some(inner) => {
@@ -443,7 +452,7 @@ impl Telemetry {
     }
 
     /// Register (or look up) the histogram `name` with `labels`.
-    pub fn histogram(&self, name: &'static str, labels: &[(&'static str, &str)]) -> Histogram {
+    pub fn histogram(&self, name: &'static str, labels: Labels) -> Histogram {
         match self.inner {
             None => Histogram(None),
             Some(inner) => {
@@ -663,6 +672,45 @@ impl Scrape {
             .iter()
             .find(|g| g.name == name && g.labels.is_empty())
             .map(|g| g.value)
+    }
+
+    /// Adds `v` to the counter `name{labels}`: summed into the sample
+    /// already there, or inserted at its sorted position.
+    pub(crate) fn add_counter(&mut self, name: &'static str, labels: Labels, v: u64) {
+        let labels = Key::new(name, labels).labels;
+        let at = self
+            .counters
+            .binary_search_by(|c| (c.name, &c.labels).cmp(&(name, &labels)));
+        match at {
+            Ok(i) => self.counters[i].value += v,
+            Err(i) => self.counters.insert(
+                i,
+                CounterSample {
+                    name,
+                    labels,
+                    value: v,
+                },
+            ),
+        }
+    }
+
+    /// Adds `v` to the gauge `name{labels}` like [`add_counter`](Self::add_counter).
+    pub(crate) fn add_gauge(&mut self, name: &'static str, labels: Labels, v: i64) {
+        let labels = Key::new(name, labels).labels;
+        let at = self
+            .gauges
+            .binary_search_by(|g| (g.name, &g.labels).cmp(&(name, &labels)));
+        match at {
+            Ok(i) => self.gauges[i].value += v,
+            Err(i) => self.gauges.insert(
+                i,
+                GaugeSample {
+                    name,
+                    labels,
+                    value: v,
+                },
+            ),
+        }
     }
 
     /// `true` when nothing has been recorded at all.
@@ -915,13 +963,14 @@ fn json_labels(out: &mut String, labels: &[(&'static str, String)]) {
 /// tests, and dashboards agree on spelling. Label conventions:
 /// `backend` = summary kind label, `outcome` = result class of a
 /// multi-way operation, `kind` = fault/spill subtype.
+/// The `RECOVERY_*` and `TENANT_*` series are written by the reports'
+/// `export_to`, all others are pushed into the registry.
 pub mod names {
     /// Points accepted by a backend's batch path (`backend` label).
     pub const INGEST_POINTS: &str = "streamhull_ingest_points_total";
-    /// Batches (chunks) processed by a backend (`backend` label).
-    pub const INGEST_BATCHES: &str = "streamhull_ingest_batches_total";
-    /// Whole-chunk ingest latency in ns (`backend` label, histogram):
-    /// `_sum` over [`INGEST_POINTS`] is the exact mean ns/point.
+    /// Whole-chunk ingest latency in ns (`backend` label, histogram, one
+    /// sample per chunk, so `_count` is the chunk count): `_sum` over
+    /// [`INGEST_POINTS`] is the exact mean ns/point.
     pub const INGEST_CHUNK_NS: &str = "streamhull_ingest_chunk_ns";
 
     /// Window generation seals (bucket boundaries crossed).
@@ -930,7 +979,8 @@ pub mod names {
     pub const WINDOW_MERGES: &str = "streamhull_window_merges_total";
     /// Buckets expired off the tail of the window.
     pub const WINDOW_EXPIRIES: &str = "streamhull_window_expiries_total";
-    /// Staleness of the oldest retained bucket, in ticks (gauge).
+    /// How far the oldest retained bucket reaches behind `now`, in ticks,
+    /// set on every expiry sweep (gauge).
     pub const WINDOW_STALENESS: &str = "streamhull_window_staleness_ticks";
 
     /// Checkpoint snapshot encode latency in ns (histogram).

@@ -42,6 +42,10 @@
 //! A refused write is never half-taken, and `seen == ingested + shed`
 //! holds globally and per tenant at every call boundary.
 //!
+//! The [`PressureReport`] is the governor's only ledger: a scrape shows
+//! the `streamhull_tenant_*` series once [`PressureReport::export_to`]
+//! renders them from a report, so the two agree by construction.
+//!
 //! This module is a declared **no-panic zone** (enforced by `hull-lint`):
 //! every overload, corruption, and quota outcome is a value, not a crash.
 
@@ -52,8 +56,9 @@ use crate::radial::RadialHull;
 use crate::recovery::SupervisedRun;
 use crate::snapshot::{peek_kind, Snapshot, SnapshotError};
 use crate::summary::{HullSummary, Mergeable};
-use crate::telemetry::{names, Counter, Gauge, Telemetry};
+use crate::telemetry::{names, Scrape, Telemetry};
 use geom::{ConvexPolygon, Point2, Vec2};
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
@@ -254,8 +259,16 @@ pub struct PressureReport {
     pub budget_bytes: usize,
     /// Accounted bytes at the time the report was taken.
     pub bytes_in_use: usize,
-    /// High-water mark of accounted bytes.
+    /// High-water mark of accounted bytes: exact for one engine, and for
+    /// a [`ShardedTenants`] report the sum of the per-shard marks, an upper
+    /// bound on the fleet's peak (shards peak at different moments).
     pub bytes_peak: usize,
+    /// Streams in the hot tier when the report was taken.
+    pub hot_streams: usize,
+    /// Streams spilled cold when the report was taken.
+    pub cold_streams: usize,
+    /// Streams quarantined when the report was taken.
+    pub quarantined_streams: usize,
     /// Streams ever admitted.
     pub streams_admitted: u64,
     /// Stream registrations refused ([`OverloadPolicy::Reject`]).
@@ -297,6 +310,47 @@ pub struct PressureReport {
 }
 
 impl PressureReport {
+    /// Writes this report's `streamhull_tenant_*` series into `scrape`,
+    /// every one even at zero, summed into samples already there (so
+    /// several engines' reports exported into one scrape add up).
+    pub fn export_to(&self, scrape: &mut Scrape) {
+        let counters = [
+            (names::TENANT_POINTS_SEEN, self.points_seen),
+            (names::TENANT_POINTS_INGESTED, self.points_ingested),
+            (names::TENANT_POINTS_SHED, self.points_shed),
+            (names::TENANT_POINTS_REJECTED, self.points_rejected),
+            (names::TENANT_EVICTIONS, self.streams_shed),
+            (names::TENANT_DEGRADATIONS, self.streams_degraded),
+            (names::TENANT_QUARANTINES, self.streams_quarantined),
+            (names::TENANT_EVENTS_DROPPED, self.events_dropped),
+        ];
+        for (name, n) in counters {
+            scrape.add_counter(name, &[], n);
+        }
+        let streams = [
+            ("admitted", self.streams_admitted),
+            ("rejected", self.streams_rejected),
+        ];
+        for (outcome, n) in streams {
+            scrape.add_counter(names::TENANT_STREAMS, &[("outcome", outcome)], n);
+        }
+        for (kind, n) in [("spill", self.spills), ("restore", self.restores)] {
+            scrape.add_counter(names::TENANT_TIER_OPS, &[("kind", kind)], n);
+        }
+        let spill = [("kind", "spill")];
+        scrape.add_counter(names::TENANT_TIER_BYTES, &spill, self.spilled_bytes);
+        let gauges = [
+            (names::TENANT_BYTES_IN_USE, self.bytes_in_use),
+            (names::TENANT_BYTES_PEAK, self.bytes_peak),
+            (names::TENANT_HOT_STREAMS, self.hot_streams),
+            (names::TENANT_COLD_STREAMS, self.cold_streams),
+            (names::TENANT_QUARANTINED_STREAMS, self.quarantined_streams),
+        ];
+        for (name, level) in gauges {
+            scrape.add_gauge(name, &[], level as i64);
+        }
+    }
+
     /// `true` when resource pressure cost anything: points or streams
     /// shed, backends degraded, tenants quarantined, or work rejected.
     pub fn is_degraded(&self) -> bool {
@@ -423,10 +477,12 @@ impl TenantConfig {
         self
     }
 
-    /// Attaches a [`Telemetry`] registry: every [`PressureReport`] tally
-    /// is mirrored into `streamhull_tenant_*` counters/gauges (see
-    /// [`crate::telemetry::names`]) and every pressure event is emitted
-    /// into the trace ring with the engine clock as its tick.
+    /// Attaches a [`Telemetry`] registry: every pressure event is emitted
+    /// into its trace ring with the engine clock as its tick, and a
+    /// [`QueryEngine`](crate::queries::QueryEngine) over the engine
+    /// records its query instruments there. The tallies themselves stay
+    /// in the [`PressureReport`]; a scrape shows them once
+    /// [`PressureReport::export_to`] writes them in.
     pub fn with_telemetry(mut self, telemetry: Telemetry) -> Self {
         self.telemetry = telemetry;
         self
@@ -456,88 +512,6 @@ impl TenantConfig {
     pub fn telemetry(&self) -> Telemetry {
         self.telemetry
     }
-}
-
-/// Registered handles mirroring every [`PressureReport`] tally — one
-/// registration at engine construction, relaxed atomic adds afterwards.
-#[derive(Clone, Copy, Debug)]
-struct TenantInstruments {
-    tel: Telemetry,
-    streams_admitted: Counter,
-    streams_rejected: Counter,
-    points_seen: Counter,
-    points_ingested: Counter,
-    points_shed: Counter,
-    points_rejected: Counter,
-    evictions: Counter,
-    degradations: Counter,
-    quarantines: Counter,
-    spills: Counter,
-    restores: Counter,
-    spilled_bytes: Counter,
-    events_dropped: Counter,
-    bytes_in_use: Gauge,
-    bytes_peak: Gauge,
-    hot_streams: Gauge,
-    cold_streams: Gauge,
-    quarantined_streams: Gauge,
-}
-
-impl TenantInstruments {
-    fn register(tel: Telemetry) -> Self {
-        TenantInstruments {
-            tel,
-            streams_admitted: tel.counter(names::TENANT_STREAMS, &[("outcome", "admitted")]),
-            streams_rejected: tel.counter(names::TENANT_STREAMS, &[("outcome", "rejected")]),
-            points_seen: tel.counter(names::TENANT_POINTS_SEEN, &[]),
-            points_ingested: tel.counter(names::TENANT_POINTS_INGESTED, &[]),
-            points_shed: tel.counter(names::TENANT_POINTS_SHED, &[]),
-            points_rejected: tel.counter(names::TENANT_POINTS_REJECTED, &[]),
-            evictions: tel.counter(names::TENANT_EVICTIONS, &[]),
-            degradations: tel.counter(names::TENANT_DEGRADATIONS, &[]),
-            quarantines: tel.counter(names::TENANT_QUARANTINES, &[]),
-            spills: tel.counter(names::TENANT_TIER_OPS, &[("kind", "spill")]),
-            restores: tel.counter(names::TENANT_TIER_OPS, &[("kind", "restore")]),
-            spilled_bytes: tel.counter(names::TENANT_TIER_BYTES, &[("kind", "spill")]),
-            events_dropped: tel.counter(names::TENANT_EVENTS_DROPPED, &[]),
-            bytes_in_use: tel.gauge(names::TENANT_BYTES_IN_USE, &[]),
-            bytes_peak: tel.gauge(names::TENANT_BYTES_PEAK, &[]),
-            hot_streams: tel.gauge(names::TENANT_HOT_STREAMS, &[]),
-            cold_streams: tel.gauge(names::TENANT_COLD_STREAMS, &[]),
-            quarantined_streams: tel.gauge(names::TENANT_QUARANTINED_STREAMS, &[]),
-        }
-    }
-}
-
-/// Report values already published to the telemetry registry.
-///
-/// Counters are monotone but the Reject-policy rollback paths
-/// (`unwrite` / `forget_admission`) *decrement* report tallies mid-call,
-/// so the engine cannot mirror the ledger site-by-site. Instead it
-/// publishes **deltas against this shadow** at the end of every public
-/// mutating call — a point where each report field is at or above its
-/// last published value again — which keeps every scrape exactly equal
-/// to the [`PressureReport`] a caller would take at the same moment.
-#[derive(Clone, Copy, Debug, Default)]
-struct PublishedTallies {
-    streams_admitted: u64,
-    streams_rejected: u64,
-    streams_shed: u64,
-    streams_degraded: u64,
-    streams_quarantined: u64,
-    points_seen: u64,
-    points_ingested: u64,
-    points_shed: u64,
-    points_rejected: u64,
-    spills: u64,
-    restores: u64,
-    spilled_bytes: u64,
-    events_dropped: u64,
-    bytes_in_use: i64,
-    bytes_peak: i64,
-    hot: i64,
-    cold: i64,
-    quarantined: i64,
 }
 
 enum Residency {
@@ -615,8 +589,6 @@ pub struct TenantEngine {
     cold: usize,
     quarantined: usize,
     report: PressureReport,
-    inst: TenantInstruments,
-    published: PublishedTallies,
 }
 
 impl TenantEngine {
@@ -641,8 +613,6 @@ impl TenantEngine {
             cold: 0,
             quarantined: 0,
             report,
-            inst: TenantInstruments::register(config.telemetry),
-            published: PublishedTallies::default(),
         }
     }
 
@@ -728,11 +698,14 @@ impl TenantEngine {
         })
     }
 
-    /// The report so far, with the live byte gauges filled in.
+    /// The report so far, with live byte and residency levels filled in.
     pub fn pressure_report(&self) -> PressureReport {
         let mut r = self.report.clone();
         r.bytes_in_use = self.bytes_in_use;
         r.budget_bytes = self.config.budget_bytes;
+        r.hot_streams = self.hot;
+        r.cold_streams = self.cold;
+        r.quarantined_streams = self.quarantined;
         r
     }
 
@@ -755,14 +728,21 @@ impl TenantEngine {
     /// stream's points instead of failing the batch. Advances the idle
     /// clock by one.
     pub fn ingest_bulk(&mut self, traffic: &[(StreamId, Point2)]) -> Result<(), AdmissionError> {
+        let finite_count = |pts: &[Point2]| pts.iter().filter(|p| p.is_finite()).count() as u64;
         let cap = self.config.queue_points;
         let mut start = 0;
         if cap != 0 && traffic.len() > cap {
             match self.config.policy {
                 OverloadPolicy::Reject => {
-                    // The whole batch is refused atomically.
-                    self.report.points_rejected += traffic.len() as u64;
-                    self.sync_telemetry();
+                    // The whole batch is refused atomically, booked like
+                    // any refusal: finite points, one event per stream.
+                    for (id, pts) in group_by_stream(traffic) {
+                        let n = finite_count(&pts);
+                        if n > 0 {
+                            self.report.points_rejected += n;
+                            self.push_event(id, PressureAction::Rejected { points: n });
+                        }
+                    }
                     return Err(AdmissionError::QueueFull {
                         offered: traffic.len(),
                         capacity: cap,
@@ -772,14 +752,8 @@ impl TenantEngine {
                     // Shed the oldest points of the batch; tally them on
                     // their tenants (admitting cheaply where possible).
                     start = traffic.len() - cap;
-                    let mut shed_by: HashMap<StreamId, u64> = HashMap::new();
-                    for &(id, p) in &traffic[..start] {
-                        if p.is_finite() {
-                            *shed_by.entry(id).or_insert(0) += 1;
-                        }
-                    }
-                    for (id, n) in shed_by {
-                        self.shed_points(id, n);
+                    for (id, pts) in group_by_stream(&traffic[..start]) {
+                        self.shed_points(id, finite_count(&pts));
                     }
                 }
                 // Degrading relieves memory, not arrival rate: take the
@@ -787,33 +761,16 @@ impl TenantEngine {
                 OverloadPolicy::DegradeToCoarser => {}
             }
         }
-        // Group per stream, preserving first-appearance order.
-        let mut order: Vec<StreamId> = Vec::new();
-        let mut groups: HashMap<StreamId, Vec<Point2>> = HashMap::new();
-        for &(id, p) in &traffic[start..] {
-            match groups.entry(id) {
-                std::collections::hash_map::Entry::Occupied(mut e) => e.get_mut().push(p),
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    order.push(id);
-                    e.insert(vec![p]);
-                }
-            }
-        }
-        for id in order {
-            let pts = groups.remove(&id).unwrap_or_default();
+        for (id, pts) in group_by_stream(&traffic[start..]) {
             match self.write(id, Feed::Points(&pts)) {
                 Ok(()) => {}
                 Err(e) if self.config.policy == OverloadPolicy::Reject => return Err(e),
-                Err(_) => {
-                    // Shedding/degrading engines never fail a bulk batch:
-                    // the failing stream's points are shed and tallied.
-                    let n = pts.iter().filter(|p| p.is_finite()).count() as u64;
-                    self.shed_points(id, n);
-                }
+                // Shedding/degrading engines never fail a bulk batch: the
+                // failing stream's points are shed and tallied.
+                Err(_) => self.shed_points(id, finite_count(&pts)),
             }
         }
         self.clock += 1;
-        self.sync_telemetry();
         Ok(())
     }
 
@@ -839,18 +796,15 @@ impl TenantEngine {
         for idx in victims {
             self.spill_slot(idx);
         }
-        self.sync_telemetry();
     }
 
     /// Spills one stream to its snapshot envelope now (idempotent; `false`
     /// if unknown or not hot).
     pub fn spill(&mut self, id: StreamId) -> bool {
-        let spilled = match self.index.get(&id) {
+        match self.index.get(&id) {
             Some(&idx) => self.spill_slot_inner(idx, true),
             None => false,
-        };
-        self.sync_telemetry();
-        spilled
+        }
     }
 
     /// The spilled envelope of a cold stream (`None` when hot, unknown, or
@@ -903,7 +857,6 @@ impl TenantEngine {
                 self.bytes_in_use -= bytes.len() - len;
                 t.bytes = len;
                 bytes.truncate(len);
-                self.sync_telemetry();
                 true
             }
             _ => false,
@@ -914,9 +867,7 @@ impl TenantEngine {
     /// cold (bit-exact) and touching its idle clock.
     pub fn summary(&mut self, id: StreamId) -> Result<&dyn HullSummary, AdmissionError> {
         let idx = self.lookup(id)?;
-        let hot = self.make_hot(idx);
-        self.sync_telemetry();
-        hot?;
+        self.make_hot(idx)?;
         self.touch(idx);
         match self.slots.get(idx).and_then(|s| s.as_ref()) {
             Some(Tenant {
@@ -939,24 +890,11 @@ impl TenantEngine {
     /// replacement of the summary *object* (cold→hot restore, write
     /// rollback, degradation, re-admission after eviction) advances the
     /// epoch — so a restarted generation counter can never alias a stale
-    /// token. The hot path is a plain index lookup (no restore, no
-    /// telemetry flush); a cold stream is restored first, which itself
-    /// bumps the epoch.
+    /// token. A cold stream is restored first, which itself bumps the
+    /// epoch.
     pub fn query_token(&mut self, id: StreamId) -> Result<(u64, u64), AdmissionError> {
         let idx = self.lookup(id)?;
-        if let Some(Some(Tenant {
-            residency: Residency::Hot(s),
-            epoch,
-            ..
-        })) = self.slots.get(idx)
-        {
-            let token = (*epoch, s.hull_generation());
-            self.touch(idx);
-            return Ok(token);
-        }
-        let hot = self.make_hot(idx);
-        self.sync_telemetry();
-        hot?;
+        self.make_hot(idx)?;
         self.touch(idx);
         match self.slots.get(idx).and_then(|s| s.as_ref()) {
             Some(Tenant {
@@ -974,9 +912,7 @@ impl TenantEngine {
     /// never invents one).
     pub fn error_bound(&mut self, id: StreamId) -> Result<Option<f64>, AdmissionError> {
         let idx = self.lookup(id)?;
-        let hot = self.make_hot(idx);
-        self.sync_telemetry();
-        hot?;
+        self.make_hot(idx)?;
         match self.slots.get(idx).and_then(|s| s.as_ref()) {
             Some(t) => {
                 if t.bound_withdrawn {
@@ -1011,12 +947,6 @@ impl TenantEngine {
     /// Drops a stream entirely (any tier — including quarantined, which is
     /// how an operator clears a poisoned tenant). Returns its final stats.
     pub fn remove(&mut self, id: StreamId) -> Option<TenantStats> {
-        let stats = self.remove_inner(id);
-        self.sync_telemetry();
-        stats
-    }
-
-    fn remove_inner(&mut self, id: StreamId) -> Option<TenantStats> {
         let stats = self.stats(id)?;
         let idx = self.index.remove(&id)?;
         if let Some(slot) = self.slots.get_mut(idx) {
@@ -1068,76 +998,11 @@ impl TenantEngine {
         e
     }
 
-    /// Publishes the report tallies to the telemetry registry as deltas
-    /// against [`PublishedTallies`] (see its docs for why deltas, not
-    /// per-site bumps). Called at the end of every public mutating call;
-    /// `saturating_sub` keeps an out-of-order call harmless (it publishes
-    /// nothing rather than underflowing).
-    fn sync_telemetry(&mut self) {
-        if !self.inst.tel.is_enabled() {
-            return;
-        }
-        let inst = self.inst;
-        let r = &self.report;
-        let p = &mut self.published;
-        inst.streams_admitted
-            .add(r.streams_admitted.saturating_sub(p.streams_admitted));
-        inst.streams_rejected
-            .add(r.streams_rejected.saturating_sub(p.streams_rejected));
-        inst.evictions
-            .add(r.streams_shed.saturating_sub(p.streams_shed));
-        inst.degradations
-            .add(r.streams_degraded.saturating_sub(p.streams_degraded));
-        inst.quarantines
-            .add(r.streams_quarantined.saturating_sub(p.streams_quarantined));
-        inst.points_seen
-            .add(r.points_seen.saturating_sub(p.points_seen));
-        inst.points_ingested
-            .add(r.points_ingested.saturating_sub(p.points_ingested));
-        inst.points_shed
-            .add(r.points_shed.saturating_sub(p.points_shed));
-        inst.points_rejected
-            .add(r.points_rejected.saturating_sub(p.points_rejected));
-        inst.spills.add(r.spills.saturating_sub(p.spills));
-        inst.restores.add(r.restores.saturating_sub(p.restores));
-        inst.spilled_bytes
-            .add(r.spilled_bytes.saturating_sub(p.spilled_bytes));
-        inst.events_dropped
-            .add(r.events_dropped.saturating_sub(p.events_dropped));
-        p.streams_admitted = r.streams_admitted;
-        p.streams_rejected = r.streams_rejected;
-        p.streams_shed = r.streams_shed;
-        p.streams_degraded = r.streams_degraded;
-        p.streams_quarantined = r.streams_quarantined;
-        p.points_seen = r.points_seen;
-        p.points_ingested = r.points_ingested;
-        p.points_shed = r.points_shed;
-        p.points_rejected = r.points_rejected;
-        p.spills = r.spills;
-        p.restores = r.restores;
-        p.spilled_bytes = r.spilled_bytes;
-        p.events_dropped = r.events_dropped;
-        // Gauges publish as deltas too, so a fleet of engines sharing one
-        // registry (`ShardedTenants`) sums to the fleet total.
-        let bytes = self.bytes_in_use as i64;
-        let peak = self.report.bytes_peak as i64;
-        let (hot, cold, quarantined) = (self.hot as i64, self.cold as i64, self.quarantined as i64);
-        inst.bytes_in_use.add(bytes - p.bytes_in_use);
-        inst.bytes_peak.add(peak - p.bytes_peak);
-        inst.hot_streams.add(hot - p.hot);
-        inst.cold_streams.add(cold - p.cold);
-        inst.quarantined_streams.add(quarantined - p.quarantined);
-        p.bytes_in_use = bytes;
-        p.bytes_peak = peak;
-        p.hot = hot;
-        p.cold = cold;
-        p.quarantined = quarantined;
-    }
-
     fn push_event(&mut self, stream: StreamId, action: PressureAction) {
         // Every event reaches the trace ring (which bounds itself by
         // keeping the newest) even when the report ledger below is full.
-        if self.inst.tel.is_enabled() {
+        let tel = self.config.telemetry;
+        if tel.is_enabled() {
             let (name, extra) = match &action {
                 PressureAction::Spilled { bytes } => ("spill", ("bytes", *bytes as i64)),
                 PressureAction::Restored { bytes } => ("restore", ("bytes", *bytes as i64)),
@@ -1149,7 +1014,7 @@ impl TenantEngine {
                 PressureAction::Quarantined { .. } => ("quarantine", ("points", 0)),
                 PressureAction::Rejected { points } => ("reject", ("points", *points as i64)),
             };
-            self.inst.tel.event(
+            tel.event(
                 "tenant",
                 name,
                 self.clock,
@@ -1398,16 +1263,8 @@ impl TenantEngine {
     }
 
     /// The single write path behind `insert`/`insert_batch`/`ingest_bulk`
-    /// and `absorb`: runs the real write, then publishes the (now settled)
-    /// ledger to telemetry — after any Reject-policy rollback, so counters
-    /// never see a state the report would later retract.
+    /// and `absorb`.
     fn write(&mut self, id: StreamId, feed: Feed<'_>) -> Result<(), AdmissionError> {
-        let result = self.write_inner(id, feed);
-        self.sync_telemetry();
-        result
-    }
-
-    fn write_inner(&mut self, id: StreamId, feed: Feed<'_>) -> Result<(), AdmissionError> {
         // Non-finite points are silently dropped up front — the same
         // contract every summary honours — so the engine ledger counts
         // finite points only and `seen == ingested + shed` stays exact.
@@ -1640,10 +1497,7 @@ impl TenantEngine {
         if self.config.policy != OverloadPolicy::Reject {
             return false;
         }
-        // `remove_inner`, not the syncing wrapper: the ledger still holds
-        // the tentative write this rollback is about to retract, and a
-        // publish here would freeze that overcount into the counters.
-        if self.remove_inner(id).is_none() {
+        if self.remove(id).is_none() {
             return false;
         }
         self.report.streams_admitted = self.report.streams_admitted.saturating_sub(1);
@@ -1710,7 +1564,7 @@ impl TenantEngine {
         let seen = t.seen;
         self.push_event(id, PressureAction::Evicted { seen });
         self.report.streams_shed += 1;
-        self.remove_inner(id);
+        self.remove(id);
     }
 
     /// Swaps a tenant's backend for the degrade fallback via an in-memory
@@ -1832,6 +1686,23 @@ impl TenantEngine {
     }
 }
 
+/// Groups `(stream, point)` traffic per stream in first-appearance order,
+/// so admission, eviction, shedding and the event log follow the batch.
+fn group_by_stream(traffic: &[(StreamId, Point2)]) -> Vec<(StreamId, Vec<Point2>)> {
+    let mut slot: HashMap<StreamId, usize> = HashMap::new();
+    let mut groups: Vec<(StreamId, Vec<Point2>)> = Vec::new();
+    for &(id, p) in traffic {
+        match slot.entry(id) {
+            Entry::Occupied(e) => groups[*e.get()].1.push(p),
+            Entry::Vacant(e) => {
+                e.insert(groups.len());
+                groups.push((id, vec![p]));
+            }
+        }
+    }
+    groups
+}
+
 /// SplitMix64 — the workspace's standard seed mixer, here routing stream
 /// ids to engine shards.
 fn splitmix64(mut z: u64) -> u64 {
@@ -1940,7 +1811,9 @@ impl ShardedTenants {
     }
 
     /// Fleet-wide report: shard tallies summed, event logs concatenated in
-    /// shard order (bounded by the sum of the shard caps).
+    /// shard order (bounded by the sum of the shard caps). `bytes_peak` is
+    /// the sum of the per-shard high-water marks: an upper bound on the
+    /// fleet's simultaneous peak, since shards peak at different moments.
     pub fn pressure_report(&self) -> PressureReport {
         let mut total = PressureReport::default();
         for s in &self.shards {
@@ -1948,6 +1821,9 @@ impl ShardedTenants {
             total.budget_bytes += r.budget_bytes;
             total.bytes_in_use += r.bytes_in_use;
             total.bytes_peak += r.bytes_peak;
+            total.hot_streams += r.hot_streams;
+            total.cold_streams += r.cold_streams;
+            total.quarantined_streams += r.quarantined_streams;
             total.streams_admitted += r.streams_admitted;
             total.streams_rejected += r.streams_rejected;
             total.streams_shed += r.streams_shed;
@@ -2380,8 +2256,8 @@ mod tests {
     }
 
     /// Every `PressureReport` tally must be readable, exactly, from a
-    /// telemetry scrape taken at the same moment — including after the
-    /// Reject-policy rollback paths and a quarantine.
+    /// scrape it was exported into — including after a quarantine — and
+    /// the trace ring still carries the pressure narrative.
     #[test]
     fn scrape_mirrors_pressure_report_exactly() {
         let tel = Telemetry::new();
@@ -2406,7 +2282,8 @@ mod tests {
         assert!(e.summary(cold).is_err());
 
         let report = e.pressure_report();
-        let scrape = tel.scrape();
+        let mut scrape = tel.scrape();
+        report.export_to(&mut scrape);
         let c = |name: &str| scrape.counter_total(name);
         let g = |name: &str| scrape.gauge_value(name).unwrap_or(0);
         assert_eq!(
@@ -2448,7 +2325,8 @@ mod tests {
         assert!(scrape.events.iter().any(|ev| ev.target == "tenant"));
     }
 
-    /// A fleet of engines sharing one registry sums to the fleet ledger.
+    /// Exporting every shard's report into one scrape sums to the fleet
+    /// ledger.
     #[test]
     fn sharded_tenants_share_one_registry() {
         let tel = Telemetry::new();
@@ -2466,7 +2344,10 @@ mod tests {
         fleet.ingest_bulk(&traffic).unwrap();
         fleet.tick();
         let report = fleet.pressure_report();
-        let scrape = tel.scrape();
+        let mut scrape = tel.scrape();
+        for engine in fleet.engines() {
+            engine.pressure_report().export_to(&mut scrape);
+        }
         assert_eq!(
             scrape.counter_total(names::TENANT_POINTS_INGESTED),
             report.points_ingested

@@ -179,10 +179,14 @@
 //!
 //! [`Telemetry`] is a zero-dependency metrics registry — striped relaxed
 //! counters, gauges, log-scale histograms, and a deterministic trace ring
-//! — threaded through every engine above. Attach one handle and scrape a
-//! consistent snapshot mid-run, as Prometheus text or JSON lines; a
-//! detached handle ([`Telemetry::disabled`]) makes every instrument a
-//! single-branch no-op, so uninstrumented hot paths pay nothing:
+//! — threaded through every engine above for hot-path measurements.
+//! Attach one handle and scrape a consistent snapshot mid-run, as
+//! Prometheus text or JSON lines; a detached handle
+//! ([`Telemetry::disabled`]) makes every instrument a single-branch no-op,
+//! so uninstrumented hot paths pay nothing. The ledgers —
+//! [`PressureReport`] and [`RecoveryReport`] — are not copied into the
+//! registry: `export_to` renders a report into the scrape, so the two
+//! agree by construction:
 //!
 //! ```
 //! use streamhull::prelude::*;
@@ -192,7 +196,8 @@
 //!     .with_telemetry(tel);
 //! let mut engine = TenantEngine::new(config);
 //! engine.insert(StreamId(1), Point2::new(1.0, 2.0)).unwrap();
-//! let scrape = tel.scrape(); // exactly equals engine.pressure_report()
+//! let mut scrape = tel.scrape();
+//! engine.pressure_report().export_to(&mut scrape);
 //! assert_eq!(
 //!     scrape.counter_total("streamhull_tenant_points_ingested_total"),
 //!     engine.pressure_report().points_ingested,

@@ -1,15 +1,17 @@
 //! Telemetry conformance and ledger-equality tests: the Prometheus text
 //! exposition obeys escaping and histogram rules, the JSON-lines export
 //! is one valid object per line, striped-counter merging is exact and
-//! deterministic under scoped-thread contention, and a scrape always
-//! agrees field-for-field with the engines' own ledgers
-//! ([`PressureReport`], [`RecoveryReport`]) — including over randomized
-//! seeded tenant-pressure runs.
+//! deterministic under scoped-thread contention, exporting the ledgers
+//! ([`PressureReport`], [`RecoveryReport`]) into a scrape keeps it
+//! conformant and sums rather than repeats, and a scrape they were
+//! exported into agrees with them field-for-field — including over
+//! randomized seeded tenant-pressure runs.
 
 use proptest::prelude::*;
 use streamgen::TenantTraffic;
 use streamhull::prelude::*;
 use streamhull::telemetry::names;
+use streamhull::DetectedFault;
 
 // ---------------------------------------------------------------------
 // A minimal JSON validator (no dependencies): accepts exactly one
@@ -142,10 +144,63 @@ impl<'a> Json<'a> {
 // Exporter conformance
 // ---------------------------------------------------------------------
 
-/// Prometheus text rules: one `# TYPE` line per family, sample names
-/// legal, label values escaped (backslash, quote, newline), histogram
-/// `_bucket` series cumulative with a closing `+Inf`, `_count` equal to
-/// the last cumulative bucket.
+/// The rules every scrape obeys: counter and gauge samples sorted by
+/// name then label set with no repeats; in the Prometheus text one
+/// `# TYPE` line per family, directly ahead of that family's samples,
+/// legal sample names and no blank line (a raw newline leaked from a
+/// label); and every JSON line one valid object.
+fn assert_exposition_conforms(scrape: &Scrape) {
+    let counters: Vec<_> = scrape
+        .counters
+        .iter()
+        .map(|c| (c.name, &c.labels))
+        .collect();
+    let gauges: Vec<_> = scrape.gauges.iter().map(|g| (g.name, &g.labels)).collect();
+    for keys in [counters, gauges] {
+        assert!(
+            keys.windows(2).all(|w| w[0] < w[1]),
+            "samples not sorted and unique: {keys:?}"
+        );
+    }
+    let text = scrape.to_prometheus_text();
+    let mut seen_types = std::collections::HashSet::new();
+    let mut family = String::new();
+    for line in text.lines() {
+        assert!(
+            !line.is_empty(),
+            "blank line in exposition (raw newline leaked from a label)"
+        );
+        if let Some(rest) = line.strip_prefix("# TYPE ") {
+            let fam = rest.split(' ').next().unwrap();
+            assert!(
+                seen_types.insert(fam.to_string()),
+                "duplicate TYPE for {fam}"
+            );
+            family = fam.to_string();
+            continue;
+        }
+        let name = line.split(['{', ' ']).next().unwrap();
+        assert!(
+            name.chars()
+                .all(|c| c.is_ascii_alphanumeric() || c == '_' || c == ':'),
+            "illegal metric name {name:?}"
+        );
+        assert!(!name.starts_with(|c: char| c.is_ascii_digit()));
+        assert!(
+            name.starts_with(&family),
+            "sample {name} outside its family {family}"
+        );
+    }
+    for line in scrape.to_json_lines().lines() {
+        Json::validate_object_line(line)
+            .unwrap_or_else(|e| panic!("invalid JSON line ({e}): {line}"));
+    }
+}
+
+/// Prometheus text rules: the [`assert_exposition_conforms`] rules, label
+/// values escaped (backslash, quote, newline), histogram `_bucket` series
+/// cumulative with a closing `+Inf`, `_count` equal to the last
+/// cumulative bucket.
 #[test]
 fn prometheus_text_conforms() {
     let tel = Telemetry::new();
@@ -157,40 +212,15 @@ fn prometheus_text_conforms() {
     for v in [0u64, 1, 1, 7, 100, 1_000_000, u64::MAX] {
         h.record(v);
     }
-    let text = tel.scrape().to_prometheus_text();
+    let scrape = tel.scrape();
+    assert_exposition_conforms(&scrape);
+    let text = scrape.to_prometheus_text();
 
     // Escaping: the nasty value must round-trip with all three escapes.
     assert!(
         text.contains(r#"backend="we\"ird\\label\nvalue""#),
         "label escaping broken:\n{text}"
     );
-    // No raw newline may survive inside a sample line.
-    for line in text.lines() {
-        assert!(
-            !line.is_empty(),
-            "blank line in exposition (raw newline leaked from a label)"
-        );
-    }
-
-    // One TYPE line per family, and every sample name is legal.
-    let mut seen_types = std::collections::HashSet::new();
-    for line in text.lines() {
-        if let Some(rest) = line.strip_prefix("# TYPE ") {
-            let fam = rest.split(' ').next().unwrap();
-            assert!(
-                seen_types.insert(fam.to_string()),
-                "duplicate TYPE for {fam}"
-            );
-            continue;
-        }
-        let name = line.split(['{', ' ']).next().unwrap();
-        assert!(
-            name.chars()
-                .all(|c| c.is_ascii_alphanumeric() || c == '_' || c == ':'),
-            "illegal metric name {name:?}"
-        );
-        assert!(!name.starts_with(|c: char| c.is_ascii_digit()));
-    }
 
     // Histogram: cumulative buckets, increasing le, +Inf last, _count
     // equals the final cumulative value, _sum present.
@@ -367,10 +397,24 @@ fn assert_scrape_matches_report(scrape: &Scrape, report: &PressureReport) {
         scrape.gauge_value(names::TENANT_BYTES_PEAK),
         Some(report.bytes_peak as i64)
     );
+    let residency = [
+        (names::TENANT_HOT_STREAMS, report.hot_streams),
+        (names::TENANT_COLD_STREAMS, report.cold_streams),
+        (
+            names::TENANT_QUARANTINED_STREAMS,
+            report.quarantined_streams,
+        ),
+    ];
+    for (name, want) in residency {
+        assert_eq!(scrape.gauge_value(name), Some(want as i64), "{name}");
+    }
 }
 
-/// A seeded supervised chaos run: the recovery counters in the scrape
-/// equal the [`RecoveryReport`] tallies exactly.
+/// A seeded supervised chaos run with every fault kind — crash, stall,
+/// corrupt checkpoint, non-finite burst: a scrape the run's
+/// [`RecoveryReport`] was exported into equals the report's tallies, and
+/// each `faults_total{kind}` equals the count of that [`DetectedFault`]
+/// variant in the report's fault log.
 #[test]
 fn recovery_scrape_equals_report() {
     let pts: Vec<Point2> = (0..20_000)
@@ -383,12 +427,20 @@ fn recovery_scrape_equals_report() {
     let engine = ShardedIngest::new(SummaryBuilder::new(SummaryKind::Adaptive).with_r(16), 4)
         .with_chunk(256)
         .with_telemetry(tel);
+    // Chunk c routes to shard c % 4.
+    let plan = FaultPlan::new()
+        .crash(1, 5)
+        .stall(3, 11, std::time::Duration::from_millis(1_500))
+        .corrupt_checkpoint(2, 1, 17)
+        .non_finite_burst(0, 8, 5);
     let run = SupervisedIngest::new(engine)
         .with_checkpoint_interval(1_024)
-        .with_fault_plan(FaultPlan::new().crash(1, 5).crash(3, 11))
+        .with_stall_timeout(std::time::Duration::from_millis(150))
+        .with_fault_plan(plan)
         .run_stream(pts.iter().copied());
     assert!(!run.is_degraded());
-    let scrape = tel.scrape();
+    let mut scrape = tel.scrape();
+    run.report.export_to(&mut scrape);
     assert_eq!(
         scrape.counter_with(names::RECOVERY_CHECKPOINTS, &[("outcome", "taken")]),
         Some(run.report.checkpoints_taken)
@@ -417,11 +469,130 @@ fn recovery_scrape_equals_report() {
         scrape.counter_total(names::RECOVERY_INJECTED_NON_FINITE),
         run.report.injected_non_finite
     );
+    let count = |pick: fn(&DetectedFault) -> bool| {
+        run.report.events.iter().filter(|e| pick(&e.fault)).count() as u64
+    };
+    let kinds: [(&str, u64); 4] = [
+        ("panic", count(|f| matches!(f, DetectedFault::WorkerPanic))),
+        ("stall", count(|f| matches!(f, DetectedFault::Stall))),
+        (
+            "corrupt_checkpoint",
+            count(|f| matches!(f, DetectedFault::CorruptCheckpoint(_))),
+        ),
+        (
+            "non_finite",
+            count(|f| matches!(f, DetectedFault::NonFinite { .. })),
+        ),
+    ];
+    for (kind, want) in kinds {
+        assert!(want >= 1, "the plan must have fired a {kind} fault");
+        assert_eq!(
+            scrape.counter_with(names::RECOVERY_FAULTS, &[("kind", kind)]),
+            Some(want),
+            "faults_total{{kind={kind}}} disagrees with the fault log"
+        );
+    }
     assert_eq!(
-        scrape.counter_with(names::RECOVERY_FAULTS, &[("kind", "panic")]),
-        Some(2),
-        "both seeded crashes must be counted"
+        scrape.counter_total(names::RECOVERY_FAULTS),
+        run.report.events.len() as u64
     );
+}
+
+/// Exporting the ledgers into a scrape that already holds push samples:
+/// the registry itself holds no ledger series, every ledger series is
+/// written even at zero, the exposition stays conformant, and a second
+/// export of the same reports doubles every ledger counter and gauge
+/// (samples sum, they never repeat) while the push samples stay put.
+#[test]
+fn exported_ledgers_conform_and_sum() {
+    let tel = Telemetry::new();
+    let builder = SummaryBuilder::new(SummaryKind::Adaptive).with_r(16);
+    let pts: Vec<Point2> = (0..4_000)
+        .map(|i| {
+            let t = i as f64 * 0.01;
+            Point2::new(t.cos() * 3.0, t.sin())
+        })
+        .collect();
+    let ledger = |name: &str| {
+        name.starts_with("streamhull_tenant_") || name.starts_with("streamhull_recovery_")
+    };
+
+    // Fresh engine, fault-free run: every series is there, at zero.
+    let mut engine = TenantEngine::new(
+        TenantConfig::new(builder)
+            .with_budget_bytes(8 * 1024)
+            .with_idle_ticks(1)
+            .with_telemetry(tel),
+    );
+    let supervised = |plan: FaultPlan| {
+        SupervisedIngest::new(
+            ShardedIngest::new(builder, 2)
+                .with_chunk(128)
+                .with_telemetry(tel),
+        )
+        .with_checkpoint_interval(512)
+        .with_fault_plan(plan)
+        .run_stream(pts.iter().copied())
+    };
+    let clean = supervised(FaultPlan::new());
+    let mut fresh = Scrape::default();
+    engine.pressure_report().export_to(&mut fresh);
+    clean.report.export_to(&mut fresh);
+    assert_eq!(
+        fresh.counter_with(names::TENANT_STREAMS, &[("outcome", "rejected")]),
+        Some(0)
+    );
+    assert_eq!(
+        fresh.gauge_value(names::TENANT_QUARANTINED_STREAMS),
+        Some(0)
+    );
+    for kind in ["panic", "stall", "corrupt_checkpoint", "non_finite"] {
+        assert_eq!(
+            fresh.counter_with(names::RECOVERY_FAULTS, &[("kind", kind)]),
+            Some(0),
+            "faults_total{{kind={kind}}} missing"
+        );
+    }
+    assert_exposition_conforms(&fresh);
+
+    // A busy engine and a faulted run over a registry full of push samples.
+    for (i, chunk) in pts.chunks(50).enumerate() {
+        let _ = engine.insert_batch(StreamId(i as u64 % 40), chunk);
+        engine.tick();
+    }
+    let faulted = supervised(FaultPlan::new().crash(1, 3).non_finite_burst(0, 6, 4));
+    let report = engine.pressure_report();
+    assert!(report.spills > 0 && report.points_rejected > 0);
+    assert!(!faulted.report.events.is_empty());
+    let pushed = tel.scrape();
+    assert!(
+        pushed.counters.iter().all(|c| !ledger(c.name))
+            && pushed.gauges.iter().all(|g| !ledger(g.name)),
+        "the registry must hold no copy of a ledger"
+    );
+    assert!(pushed.counter_total(names::INGEST_POINTS) > 0);
+
+    let mut once = pushed.clone();
+    report.export_to(&mut once);
+    faulted.report.export_to(&mut once);
+    assert_exposition_conforms(&once);
+    assert_scrape_matches_report(&once, &report);
+
+    let mut twice = once.clone();
+    report.export_to(&mut twice);
+    faulted.report.export_to(&mut twice);
+    assert_exposition_conforms(&twice);
+    assert_eq!(twice.counters.len(), once.counters.len());
+    assert_eq!(twice.gauges.len(), once.gauges.len());
+    for (a, b) in once.counters.iter().zip(&twice.counters) {
+        let want = if ledger(a.name) { 2 * a.value } else { a.value };
+        assert_eq!((b.name, &b.labels, b.value), (a.name, &a.labels, want));
+    }
+    for (a, b) in once.gauges.iter().zip(&twice.gauges) {
+        let want = if ledger(a.name) { 2 * a.value } else { a.value };
+        assert_eq!((b.name, &b.labels, b.value), (a.name, &a.labels, want));
+    }
+    assert_eq!(twice.histograms, once.histograms);
 }
 
 /// One randomized tenant-pressure scenario (single proptest parameter:
@@ -492,6 +663,9 @@ proptest! {
             let _ = engine.summary(id);
             engine.remove(id);
         }
-        assert_scrape_matches_report(&tel.scrape(), &engine.pressure_report());
+        let report = engine.pressure_report();
+        let mut scrape = tel.scrape();
+        report.export_to(&mut scrape);
+        assert_scrape_matches_report(&scrape, &report);
     }
 }

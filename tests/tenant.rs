@@ -293,3 +293,87 @@ fn refused_absorb_leaves_the_engine_untouched() {
         twin.summary(StreamId(1)).unwrap();
     }
 }
+
+/// An overflowing bulk batch plays out the same way every time: the shed
+/// prefix is admitted, evicted and logged in first-appearance order, so
+/// two engines fed the same batch log identical `(stream, action)`
+/// sequences. A batch the queue bound refuses books its finite points
+/// only and logs each stream's share as `Rejected`, like every other
+/// refusal.
+#[test]
+fn overflowing_bulk_batches_are_deterministic_and_book_finite_points() {
+    // 12 pairs over a 4-point queue: the shed 8-pair prefix holds 8
+    // streams, more than the 3 the registry admits at once.
+    let prefix = [7u64, 2, 9, 4, 0, 5, 8, 1];
+    let traffic: Vec<(StreamId, Point2)> = prefix
+        .iter()
+        .chain(&[3, 6, 7, 2])
+        .enumerate()
+        .map(|(i, &id)| (StreamId(id), Point2::new(i as f64, (i * i) as f64)))
+        .collect();
+    let log = || {
+        let config = TenantConfig::new(SummaryBuilder::new(SummaryKind::Exact))
+            .with_queue_points(4)
+            .with_max_streams(3)
+            .with_policy(OverloadPolicy::ShedOldest);
+        let mut engine = TenantEngine::new(config);
+        engine.ingest_bulk(&traffic).unwrap();
+        let report = engine.pressure_report();
+        assert_eq!(report.points_shed, 8);
+        assert_eq!(
+            report.points_seen,
+            report.points_ingested + report.points_shed
+        );
+        report
+            .events
+            .iter()
+            .map(|ev| (ev.stream, format!("{:?}", ev.action)))
+            .collect::<Vec<_>>()
+    };
+    let first = log();
+    assert_eq!(first, log(), "one batch, two different event logs");
+    let shed_order: Vec<u64> = first
+        .iter()
+        .filter(|(_, action)| action.starts_with("ShedPoints"))
+        .map(|(id, _)| id.0)
+        .collect();
+    assert_eq!(
+        shed_order, prefix,
+        "shed prefix not in first-appearance order"
+    );
+
+    // A refused 6-pair batch holding 2 NaN points books 4, per stream.
+    let config = TenantConfig::new(SummaryBuilder::new(SummaryKind::Exact)).with_queue_points(4);
+    let mut engine = TenantEngine::new(config);
+    let nan = Point2::new(f64::NAN, 0.0);
+    let batch = [
+        (StreamId(1), Point2::new(0.0, 0.0)),
+        (StreamId(2), nan),
+        (StreamId(1), nan),
+        (StreamId(3), Point2::new(1.0, 1.0)),
+        (StreamId(1), Point2::new(2.0, 0.0)),
+        (StreamId(2), Point2::new(0.0, 3.0)),
+    ];
+    assert!(matches!(
+        engine.ingest_bulk(&batch),
+        Err(AdmissionError::QueueFull {
+            offered: 6,
+            capacity: 4
+        })
+    ));
+    assert!(engine.is_empty());
+    let report = engine.pressure_report();
+    assert_eq!(report.points_rejected, 4, "only finite points are booked");
+    let rejected: Vec<(StreamId, u64)> = report
+        .events
+        .iter()
+        .map(|ev| match ev.action {
+            PressureAction::Rejected { points } => (ev.stream, points),
+            ref other => panic!("unexpected event {other:?}"),
+        })
+        .collect();
+    assert_eq!(
+        rejected,
+        [(StreamId(1), 2), (StreamId(2), 1), (StreamId(3), 1)]
+    );
+}
