@@ -32,8 +32,10 @@
 //! `THROUGHPUT_REGRESSION_TOLERANCE` env var (e.g. `0.5` = fail below
 //! 50% of baseline remaining… i.e. a >50% regression). Parallel rows with
 //! `threads > 1` only warn: CI machines disagree about core counts, so a
-//! multi-thread slowdown is signal, not a gate. Rows present in only one
-//! document are reported and skipped.
+//! multi-thread slowdown is signal, not a gate. A baseline row with
+//! `threads == 1` that the run lacks fails the gate, so a run cannot pass
+//! by dropping gated rows; a missing `threads > 1` row, or a run row with
+//! no baseline, is reported and skipped.
 //!
 //! Exit code 0 = pass (warnings allowed), 1 = schema or gate failure.
 
@@ -259,7 +261,7 @@ fn check_schema(doc: &Json) -> Result<(), String> {
             "checkpoint_interval",
             "supervised_ns",
             "points_per_sec",
-            "overhead_vs_stream",
+            "overhead_vs_run",
             "checkpoints",
         ],
         "recovery",
@@ -269,7 +271,7 @@ fn check_schema(doc: &Json) -> Result<(), String> {
         if get_num(row, "checkpoint_interval")? < 1.0 || get_num(row, "shards")? < 1.0 {
             return Err(format!("degenerate recovery row: {row:?}"));
         }
-        if get_num(row, "supervised_ns")? <= 0.0 || get_num(row, "overhead_vs_stream")? <= 0.0 {
+        if get_num(row, "supervised_ns")? <= 0.0 || get_num(row, "overhead_vs_run")? <= 0.0 {
             return Err(format!("non-positive recovery timing: {row:?}"));
         }
         if get_num(row, "checkpoints")? < 0.0 {
@@ -489,7 +491,8 @@ fn index_rows(rows: &[Json], rate_key: &str) -> Result<Vec<(RowKey, f64)>, Strin
 }
 
 /// The regression gate: compares the run's throughput per
-/// `(workload, backend, threads)` against the recorded baseline.
+/// `(workload, backend, threads)` against the recorded baseline, and
+/// fails on a gated (`threads == 1`) baseline row the run lacks.
 fn check_regressions(run: &Json, baseline: &Json, tolerance: f64) -> Result<(), String> {
     let mut failures = Vec::new();
     let mut warnings = Vec::new();
@@ -504,6 +507,20 @@ fn check_regressions(run: &Json, baseline: &Json, tolerance: f64) -> Result<(), 
         let base_rows = baseline.get(section).and_then(Json::as_arr).unwrap_or(&[]);
         let run_idx = index_rows(run_rows, rate_key)?;
         let base_idx = index_rows(base_rows, rate_key)?;
+        for (key, _) in &base_idx {
+            if run_idx.iter().any(|(k, _)| k == key) {
+                continue;
+            }
+            // CI runs a subset of the recorded thread counts, so only a
+            // missing serial row means the run skipped gated work.
+            if key.2 > 1 {
+                println!("note: {section} baseline row {key:?} absent from the run; skipped");
+            } else {
+                failures.push(format!(
+                    "{section} {key:?}: baseline row missing from the run"
+                ));
+            }
+        }
         for (key, new_rate) in &run_idx {
             let Some((_, base_rate)) = base_idx.iter().find(|(k, _)| k == key) else {
                 println!("note: {section} row {key:?} has no baseline; skipped");
@@ -631,7 +648,7 @@ mod tests {
               "recovery": [
                 {{"backend": "exact", "r": 16, "n": 1000, "shards": 2,
                   "checkpoint_interval": 512, "supervised_ns": 12,
-                  "points_per_sec": 1, "overhead_vs_stream": 1.2,
+                  "points_per_sec": 1, "overhead_vs_run": 1.2,
                   "checkpoints": 3}}
               ],
               "tenant_scan": [
@@ -708,6 +725,41 @@ mod tests {
         assert!(err.contains("regression gate failed"), "{err}");
         // Tighter tolerance via the env override path (exercised directly).
         assert!(check_regressions(&sample_doc(1400.0, 100.0), &baseline, 0.10).is_err());
+    }
+
+    /// Removes the `section` rows matching `pred` from `doc`.
+    fn drop_rows(doc: &mut Json, section: &str, pred: impl Fn(&Json) -> bool) {
+        if let Json::Obj(map) = doc {
+            if let Some(Json::Arr(rows)) = map.get_mut(section) {
+                rows.retain(|row| !pred(row));
+            }
+        }
+    }
+
+    #[test]
+    fn gate_fails_when_the_run_drops_a_serial_row() {
+        let baseline = sample_doc(2000.0, 100.0);
+        let mut run = sample_doc(2000.0, 100.0);
+        drop_rows(&mut run, "results", |row| {
+            get_str(row, "backend") == Ok("exact")
+        });
+        let err = check_regressions(&run, &baseline, 0.40).unwrap_err();
+        assert!(err.contains("baseline row missing from the run"), "{err}");
+        let mut run = sample_doc(2000.0, 100.0);
+        drop_rows(&mut run, "parallel", |row| {
+            get_str(row, "workload") == Ok("clustered")
+        });
+        assert!(check_regressions(&run, &baseline, 0.40).is_err());
+    }
+
+    #[test]
+    fn gate_passes_when_the_run_drops_a_multithread_row() {
+        let baseline = sample_doc(2000.0, 100.0);
+        let mut run = sample_doc(2000.0, 100.0);
+        drop_rows(&mut run, "parallel", |row| {
+            get_num(row, "threads").is_ok_and(|t| t > 1.0)
+        });
+        check_regressions(&run, &baseline, 0.40).unwrap();
     }
 
     #[test]

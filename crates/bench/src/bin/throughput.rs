@@ -143,7 +143,7 @@ struct RecRow {
     shards: usize,
     checkpoint_interval: u64,
     supervised_ns: f64,
-    stream_ns: f64,
+    run_ns: f64,
     checkpoints: u64,
 }
 
@@ -151,21 +151,21 @@ impl RecRow {
     fn pps(&self) -> f64 {
         1e9 / self.supervised_ns
     }
-    /// Supervised cost relative to the plain `run_stream` on the same
-    /// input (1.0 = free; the checkpoint interval is the lever).
-    fn overhead_vs_stream(&self) -> f64 {
-        self.supervised_ns / self.stream_ns
+    /// Supervised cost relative to the zero-copy sharded `run` on the
+    /// same input (1.0 = free; the checkpoint interval is the lever).
+    fn overhead_vs_run(&self) -> f64 {
+        self.supervised_ns / self.run_ns
     }
 }
 
 /// Best-of-`reps` supervised ingestion timing for one backend and
-/// checkpoint interval, against a precomputed plain-stream baseline.
+/// checkpoint interval, against a precomputed sharded-`run` baseline.
 fn time_recovery(
     builder: &SummaryBuilder,
     pts: &[Point2],
     chunk: usize,
     interval: u64,
-    stream_ns: f64,
+    run_ns: f64,
     reps: usize,
 ) -> RecRow {
     let engine = ShardedIngest::new(*builder, RECOVERY_SHARDS).with_chunk(chunk);
@@ -193,7 +193,7 @@ fn time_recovery(
         shards: RECOVERY_SHARDS,
         checkpoint_interval: interval,
         supervised_ns: best,
-        stream_ns,
+        run_ns,
         checkpoints,
     }
 }
@@ -755,9 +755,9 @@ fn time_sharded_ns_per_point(
     reps: usize,
 ) -> f64 {
     let engine = ShardedIngest::new(*builder, shards).with_chunk(chunk);
-    // One partition for every entry point: the zero-copy slice run and the
-    // streaming run must agree bit for bit (checked once, outside the
-    // timed loop).
+    // One partition for every entry point: the zero-copy slice run and a
+    // fault-free supervised streaming run must agree bit for bit (checked
+    // once, outside the timed loop).
     let vertex_bits = |run: &ShardRun| -> Vec<(u64, u64)> {
         let hull = run.summary.hull_ref();
         hull.vertices()
@@ -765,10 +765,12 @@ fn time_sharded_ns_per_point(
             .map(|p| (p.x.to_bits(), p.y.to_bits()))
             .collect()
     };
+    let supervised = SupervisedIngest::new(engine).run_stream(pts.iter().copied());
+    assert!(!supervised.is_degraded(), "fault-free bench run degraded");
     assert_eq!(
         vertex_bits(&engine.run(pts)),
-        vertex_bits(&engine.run_stream(pts.iter().copied())),
-        "{}/{shards}: run and run_stream diverged",
+        vertex_bits(&supervised.run),
+        "{}/{shards}: run and the supervised stream diverged",
         builder.kind()
     );
     let mut best = f64::INFINITY;
@@ -921,7 +923,7 @@ fn render_json(
             out,
             "    {{\"backend\": \"{}\", \"r\": {}, \"n\": {}, \"shards\": {}, \
              \"checkpoint_interval\": {}, \"supervised_ns\": {:.2}, \
-             \"points_per_sec\": {:.0}, \"overhead_vs_stream\": {:.3}, \
+             \"points_per_sec\": {:.0}, \"overhead_vs_run\": {:.3}, \
              \"checkpoints\": {}}}{comma}",
             json_escape_free(row.backend),
             row.r,
@@ -930,7 +932,7 @@ fn render_json(
             row.checkpoint_interval,
             row.supervised_ns,
             row.pps(),
-            row.overhead_vs_stream(),
+            row.overhead_vs_run(),
             row.checkpoints,
         );
     }
@@ -1075,29 +1077,24 @@ fn run(n: usize, chunk: usize, reps: usize, r: u32, threads: &[usize], window: u
         .iter()
         .map(|&kind| time_snapshot(&SummaryBuilder::new(kind).with_r(r), snap_pts, chunk, reps))
         .collect();
-    // Recovery dimension: supervised ingestion overhead vs the plain
-    // sharded stream on the same interior workload, across checkpoint
+    // Recovery dimension: supervised ingestion overhead vs the zero-copy
+    // sharded run on the same interior workload, across checkpoint
     // intervals (the operator's main tuning lever).
     let mut rec_rows = Vec::new();
     for &kind in &SummaryKind::ALL {
         let builder = SummaryBuilder::new(kind).with_r(r);
         let engine = ShardedIngest::new(builder, RECOVERY_SHARDS).with_chunk(chunk);
-        let mut stream_best = f64::INFINITY;
+        let mut run_best = f64::INFINITY;
         for _ in 0..reps.max(1) {
-            let run = engine.run_stream(snap_pts.iter().copied());
+            let run = engine.run(snap_pts);
             let ns = run.elapsed.as_nanos() as f64 / snap_pts.len().max(1) as f64;
-            if ns < stream_best {
-                stream_best = ns;
+            if ns < run_best {
+                run_best = ns;
             }
         }
         for &interval in &RECOVERY_INTERVALS {
             rec_rows.push(time_recovery(
-                &builder,
-                snap_pts,
-                chunk,
-                interval,
-                stream_best,
-                reps,
+                &builder, snap_pts, chunk, interval, run_best, reps,
             ));
         }
     }
@@ -1258,7 +1255,7 @@ fn main() {
 
     println!(
         "\nsupervised recovery (interior workload, {RECOVERY_SHARDS} shards; \
-         overhead is vs the plain sharded stream)"
+         overhead is vs the zero-copy sharded run)"
     );
     println!(
         "{:<14} {:>10} {:>14} {:>14} {:>9} {:>12}",
@@ -1271,7 +1268,7 @@ fn main() {
             row.checkpoint_interval,
             row.supervised_ns,
             row.pps(),
-            row.overhead_vs_stream(),
+            row.overhead_vs_run(),
             row.checkpoints,
         );
     }
@@ -1483,7 +1480,7 @@ mod tests {
             "\"encode_ns\"",
             "\"decode_ns\"",
             "\"checkpoint_interval\"",
-            "\"overhead_vs_stream\"",
+            "\"overhead_vs_run\"",
             "\"checkpoints\"",
             "\"tenant_scan\"",
             "\"bulk_ns\"",

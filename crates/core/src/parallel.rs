@@ -13,10 +13,11 @@
 //! input stream, summary configuration (including its seed), shard count,
 //! and chunk size, the result is therefore **bit-identical** across runs
 //! and across entry points, however the OS schedules the worker threads:
-//! [`run`](ShardedIngest::run) on a slice, [`run_stream`](ShardedIngest::run_stream)
-//! on an iterator, a fault-free
-//! [`SupervisedIngest::run_stream`](crate::recovery::SupervisedIngest::run_stream),
-//! and [`merge_snapshots`](ShardedIngest::merge_snapshots) over per-shard
+//! [`run`](ShardedIngest::run) on a slice, a fault-free
+//! [`SupervisedIngest::run_stream`](crate::recovery::SupervisedIngest::run_stream)
+//! on an iterator (the one streaming path: every iterator reaches the
+//! shards through the supervisor), and
+//! [`merge_snapshots`](ShardedIngest::merge_snapshots) over per-shard
 //! files built from the same partition all agree, because
 //!
 //! * shard assignment is a pure function of the chunk index — never of
@@ -42,7 +43,6 @@ use crate::builder::SummaryBuilder;
 use crate::snapshot::SnapshotError;
 use crate::summary::{Mergeable, NonFiniteInput};
 use crate::telemetry::{names, Counter, Histogram, Telemetry};
-use crate::window::{WindowConfig, WindowPolicy, WindowedRun};
 use geom::Point2;
 use std::time::{Duration, Instant};
 
@@ -133,7 +133,9 @@ impl IngestInstruments {
 }
 
 /// Sharded parallel ingestion engine over any
-/// [`SummaryKind`](crate::builder::SummaryKind).
+/// [`SummaryKind`](crate::builder::SummaryKind). It ingests slices; an
+/// iterator reaches its shards through
+/// [`SupervisedIngest`](crate::recovery::SupervisedIngest).
 ///
 /// ```
 /// use adaptive_hull::parallel::ShardedIngest;
@@ -218,9 +220,10 @@ impl ShardedIngest {
     /// Ingests a materialised stream without copying it: shard `i` runs on
     /// its own scoped thread over the borrowed chunks `i, i + N, i + 2N, …`
     /// of the slice (the shared partition, chunk `c` → shard `c % N`), and
-    /// the workers are merged in shard order. Bit-identical to
-    /// [`run_stream`](ShardedIngest::run_stream) over the same points,
-    /// without its per-chunk copy and channel hop.
+    /// the workers are merged in shard order. Bit-identical to a fault-free
+    /// [`SupervisedIngest::run_stream`](crate::recovery::SupervisedIngest::run_stream)
+    /// over the same points, without its per-chunk copy, channel hop and
+    /// checkpoints.
     pub fn run(&self, points: &[Point2]) -> ShardRun {
         let start = Instant::now();
         let inst = IngestInstruments::register(self.telemetry, self.builder);
@@ -278,67 +281,6 @@ impl ShardedIngest {
             .map(|bytes| SummaryBuilder::restore(bytes.as_ref()))
             .collect::<Result<Vec<_>, _>>()?;
         Ok(self.reduce(workers, start))
-    }
-
-    /// Ingests an unmaterialised stream: points are gathered into chunks
-    /// of the configured size as they arrive and chunk `c` is dispatched
-    /// to shard `c % N` over a bounded channel (backpressure: a slow shard
-    /// stalls the reader instead of buffering the stream).
-    ///
-    /// The partition is [`run`](ShardedIngest::run)'s, so the two entry
-    /// points give bit-identical results on the same points.
-    ///
-    /// A worker panic is re-raised on the caller (pinned by a
-    /// characterization test); for fault tolerance wrap the engine in
-    /// [`SupervisedIngest`](crate::recovery::SupervisedIngest), which
-    /// shares this dispatch loop but recovers via checkpoint replay.
-    pub fn run_stream<I>(&self, points: I) -> ShardRun
-    where
-        I: IntoIterator<Item = Point2>,
-    {
-        crate::recovery::run_stream_propagating(self, crate::recovery::FaultPlan::new(), points)
-    }
-
-    /// Windowed variant of [`run_stream`](ShardedIngest::run_stream):
-    /// each shard keeps a [`WindowedSummary`](crate::window::WindowedSummary)
-    /// over its round-robin share of the stream, with every point stamped
-    /// by a **global** auto-tick (1 per stream point) so all shards share
-    /// one clock.
-    ///
-    /// Both window policies work: a count-based `LastN(n)` window is
-    /// carried on the tick clock (each point has a distinct tick, so
-    /// "ticks newer than `now - n`" is exactly the last `n` stream
-    /// points), which is what keeps the policy meaningful when the stream
-    /// is split across shards. The determinism contract carries over:
-    /// chunk → shard assignment is the shared round-robin partition,
-    /// workers are sequential, and [`WindowedRun::query_window`] merges
-    /// live buckets in shard order.
-    pub fn run_stream_windowed<I>(&self, points: I, config: WindowConfig) -> WindowedRun
-    where
-        I: IntoIterator<Item = Point2>,
-    {
-        let shard_config = crate::window::shard_window_config(config);
-        self.run_stream_windowed_at(
-            points.into_iter().enumerate().map(|(i, p)| (p, i as f64)),
-            shard_config,
-        )
-    }
-
-    /// Windowed sharded ingestion of an externally timestamped stream
-    /// (timestamps non-decreasing in stream order). Requires a
-    /// [`LastDur`](crate::window::WindowPolicy::LastDur) policy: a
-    /// count-based window cannot be evaluated from one shard's share of
-    /// the stream — use [`run_stream_windowed`](ShardedIngest::run_stream_windowed),
-    /// whose global tick clock carries `LastN` exactly.
-    pub fn run_stream_windowed_at<I>(&self, points: I, config: WindowConfig) -> WindowedRun
-    where
-        I: IntoIterator<Item = (Point2, f64)>,
-    {
-        assert!(
-            matches!(config.policy, WindowPolicy::LastDur(_)),
-            "sharded count windows need the global tick clock: use run_stream_windowed"
-        );
-        crate::recovery::run_stream_windowed_at_propagating(self, points, config)
     }
 
     /// Deterministic reduce: snapshot per-shard stats, then merge the
@@ -418,35 +360,6 @@ mod tests {
             );
             assert_eq!(a.summary.sample_size(), b.summary.sample_size(), "{kind}");
             assert_eq!(a.summary.error_bound(), b.summary.error_bound(), "{kind}");
-            let sa = engine.run_stream(pts.iter().copied());
-            let sb = engine.run_stream(pts.iter().copied());
-            assert_eq!(
-                sa.summary.hull_ref().vertices(),
-                sb.summary.hull_ref().vertices(),
-                "{kind}: stream entry point must be deterministic too"
-            );
-        }
-    }
-
-    #[test]
-    fn stream_and_slice_entry_points_agree() {
-        // Both entry points deal chunk `c` to shard `c % N` in the same
-        // chunk-sized batches, and insert_batch is contractually
-        // identical to the loop, so the results coincide bit for bit.
-        let pts = spiral(700);
-        for shards in [1, 3] {
-            let engine =
-                ShardedIngest::new(SummaryBuilder::new(SummaryKind::Adaptive).with_r(8), shards)
-                    .with_chunk(100);
-            let a = engine.run(&pts);
-            let b = engine.run_stream(pts.iter().copied());
-            assert_eq!(
-                a.summary.encode_snapshot(),
-                b.summary.encode_snapshot(),
-                "{shards} shards"
-            );
-            let seen = |r: &ShardRun| r.shards.iter().map(|s| s.points_seen).collect::<Vec<_>>();
-            assert_eq!(seen(&a), seen(&b), "{shards} shards");
         }
     }
 
@@ -459,79 +372,6 @@ mod tests {
         let one = engine.run(&[Point2::new(1.0, 2.0)]);
         assert_eq!(one.summary.points_seen(), 1);
         assert_eq!(one.summary.hull_ref().len(), 1);
-        let s = engine.run_stream(std::iter::empty());
-        assert_eq!(s.summary.points_seen(), 0);
-    }
-
-    #[test]
-    fn windowed_sharded_run_is_deterministic_and_covers_window() {
-        let pts = spiral(3000);
-        for &kind in &[
-            SummaryKind::Exact,
-            SummaryKind::Adaptive,
-            SummaryKind::Radial,
-        ] {
-            let engine = ShardedIngest::new(SummaryBuilder::new(kind).with_r(16), 3).with_chunk(64);
-            let config = WindowConfig::last_n(500).with_granularity(32);
-            let a = engine.run_stream_windowed(pts.iter().copied(), config);
-            let b = engine.run_stream_windowed(pts.iter().copied(), config);
-            assert_eq!(a.points_seen(), 3000, "{kind}");
-            let (ans_a, ans_b) = (a.query_window(), b.query_window());
-            assert_eq!(
-                ans_a.summary.hull_ref().vertices(),
-                ans_b.summary.hull_ref().vertices(),
-                "{kind}: windowed shard merge must not depend on scheduling"
-            );
-            assert_eq!(ans_a.merged_points, ans_b.merged_points, "{kind}");
-            // Every in-window point lives in some live bucket, so the
-            // merge covers at least the window (window_points() is a
-            // conservative lower bound and may undershoot here: each
-            // shard can contribute one straddling bucket's slack).
-            assert!(ans_a.merged_points >= 500, "{kind}");
-            // Exact backend: the union-window hull contains every point of
-            // the true global window suffix.
-            if kind == SummaryKind::Exact {
-                for &p in &pts[pts.len() - 500..] {
-                    assert!(ans_a.hull().contains_linear(p), "{kind}: lost {p:?}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn windowed_sharded_empty_and_timestamped_runs() {
-        let engine = ShardedIngest::new(SummaryBuilder::new(SummaryKind::Uniform).with_r(8), 4);
-        let empty = engine.run_stream_windowed(std::iter::empty(), WindowConfig::last_n(10));
-        assert_eq!(empty.points_seen(), 0);
-        assert!(empty.query_window().is_empty());
-        assert_eq!(empty.now(), None);
-
-        // Timestamped entry point: two phases far apart in time; the old
-        // phase must be invisible in the union window.
-        let pts = spiral(1000);
-        let stamped = pts.iter().enumerate().map(|(i, &p)| {
-            if i < 500 {
-                (p, i as f64)
-            } else {
-                (p, 1e6 + i as f64)
-            }
-        });
-        let run = engine.run_stream_windowed_at(stamped, WindowConfig::last_dur(2000.0));
-        let ans = run.query_window();
-        assert!(ans.merged_points >= 500, "whole recent phase covered");
-        assert!(
-            ans.merged_points < 1000,
-            "ancient phase must have expired (merged {})",
-            ans.merged_points
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "global tick clock")]
-    fn windowed_timestamped_rejects_count_policy() {
-        let engine = ShardedIngest::new(SummaryBuilder::new(SummaryKind::Exact), 2);
-        let _ =
-            engine.run_stream_windowed_at([(Point2::new(0.0, 0.0), 0.0)], WindowConfig::last_n(5));
     }
 
     #[test]

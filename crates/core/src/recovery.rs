@@ -1,9 +1,10 @@
 //! Fault-tolerant supervised ingestion: checkpoint-replay recovery over
 //! the sharded engine.
 //!
-//! [`SupervisedIngest`] wraps [`ShardedIngest`]'s streaming entry points
-//! with a supervisor that keeps a run alive through shard faults instead
-//! of letting one bad worker abort the whole ingestion:
+//! [`SupervisedIngest`] is the one path by which an iterator reaches
+//! [`ShardedIngest`]'s shards (a slice takes the zero-copy
+//! [`ShardedIngest::run`]). Its supervisor keeps a run alive through shard
+//! faults instead of letting one bad worker abort the whole ingestion:
 //!
 //! * **Checkpointing** — every shard serialises its summary through the
 //!   snapshot codec each [`checkpoint interval`](SupervisedIngest::with_checkpoint_interval)
@@ -42,13 +43,27 @@
 //!
 //! # Determinism contract
 //!
-//! The supervised entry points inherit the [`ShardedIngest`] contract:
+//! The supervised entry points share [`ShardedIngest::run`]'s partition:
 //! chunk `c` goes to shard `c % N`, workers are sequential, and the
 //! reduce merges in shard order. Fault handling never changes the data a
 //! surviving shard sees — replay re-dispatches the exact buffered chunks
 //! — so a recovered run equals the fault-free run bit-for-bit, and a
 //! degraded run differs only by the quarantined shard's missing suffix,
 //! which the report accounts for point-by-point.
+//!
+//! # Panic contract
+//!
+//! A worker fault in a streaming run is recovered or quarantined and
+//! reported; it is never re-raised on the caller. A caller's contract
+//! violation still panics on the caller's thread:
+//! [`run_stream_windowed_at`](SupervisedIngest::run_stream_windowed_at)
+//! rejects a count window, and checks every item as it pulls it — before
+//! dispatch — by the rule
+//! [`WindowedSummary::insert_batch_timestamped`] applies: a non-finite
+//! point is dropped (and counted) without its timestamp being checked,
+//! and every other timestamp must be finite and at least the previous
+//! kept one. [`with_stall_timeout`](SupervisedIngest::with_stall_timeout)
+//! rejects a zero deadline when it is configured.
 
 use crate::builder::SummaryBuilder;
 use crate::exact::ExactHull;
@@ -56,14 +71,16 @@ use crate::parallel::{IngestInstruments, ShardRun, ShardedIngest};
 use crate::snapshot::{open_checkpoint, seal_checkpoint, Snapshot, SnapshotError};
 use crate::summary::{HullSummary, Mergeable};
 use crate::telemetry::{names, Histogram, Scrape, Telemetry};
-use crate::window::{WindowConfig, WindowedRun, WindowedSummary};
+use crate::window::{
+    check_timestamp, shard_window_config, WindowConfig, WindowPolicy, WindowedRun, WindowedSummary,
+};
 use geom::{ConvexPolygon, Point2};
 use std::collections::VecDeque;
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
-/// Commands in flight to one worker (same backpressure depth as the
-/// unsupervised engine).
+/// Commands in flight to one worker: a slow shard stalls the reader
+/// instead of buffering the stream.
 const CMD_QUEUE_DEPTH: usize = 2;
 
 /// Default checkpoint interval in ingested points per shard.
@@ -631,7 +648,7 @@ impl RecoveryReport {
 #[must_use = "dropping a supervised run discards both the summary and the recovery accounting"]
 pub struct SupervisedRun {
     /// The merged result. On a fully recovered run this is bit-identical
-    /// to the fault-free [`ShardedIngest::run_stream`] result.
+    /// to [`ShardedIngest::run`] over the same points.
     pub run: ShardRun,
     /// What happened along the way.
     pub report: RecoveryReport,
@@ -660,11 +677,12 @@ impl SupervisedRun {
     }
 }
 
-/// The result of [`SupervisedIngest::run_stream_windowed`]: the merged
-/// [`WindowedRun`] plus the supervisor's [`RecoveryReport`]. Windowed
-/// recovery replays pre-stamped `(point, tick)` pairs, so the shared
-/// global tick clock — and therefore `LastN` window semantics — survives
-/// a restart exactly.
+/// The result of [`SupervisedIngest::run_stream_windowed`] and
+/// [`run_stream_windowed_at`](SupervisedIngest::run_stream_windowed_at):
+/// the merged [`WindowedRun`] plus the supervisor's [`RecoveryReport`].
+/// Windowed recovery replays pre-stamped `(point, tick)` pairs, so the
+/// shared global tick clock — and therefore `LastN` window semantics —
+/// survives a restart exactly.
 #[derive(Debug)]
 #[must_use = "dropping a supervised windowed run discards both the window state and the recovery accounting"]
 pub struct SupervisedWindowedRun {
@@ -686,8 +704,9 @@ impl SupervisedWindowedRun {
 // Public supervisor configuration
 // ---------------------------------------------------------------------
 
-/// Fault-tolerant wrapper around [`ShardedIngest`]'s streaming entry
-/// points: checkpoint, detect, recover, degrade — never panic.
+/// The streaming entry point of [`ShardedIngest`]: every iterator reaches
+/// the shards through this supervisor, which checkpoints, detects,
+/// recovers and degrades — a worker fault never panics the caller.
 ///
 /// ```
 /// use adaptive_hull::recovery::{FaultPlan, RetryPolicy, SupervisedIngest};
@@ -709,7 +728,7 @@ impl SupervisedWindowedRun {
 /// let run = supervised.run_stream(pts.iter().copied());
 /// assert!(!run.is_degraded());
 /// // Bit-identical to the fault-free run despite the injected crash:
-/// let clean = engine.run_stream(pts.iter().copied());
+/// let clean = engine.run(&pts);
 /// assert_eq!(
 ///     run.run.summary.hull_ref().vertices(),
 ///     clean.summary.hull_ref().vertices()
@@ -763,9 +782,13 @@ impl SupervisedIngest {
 
     /// Enables stall detection: a shard that accepts no work and
     /// produces no event for `deadline` is treated as faulted. Off by
-    /// default (a slow shard then simply backpressures the reader, as in
-    /// the unsupervised engine).
+    /// default (a slow shard then simply backpressures the reader).
+    ///
+    /// The deadline must be non-zero, and it must exceed the slowest
+    /// chunk's ingest time: a healthy shard that needs longer is declared
+    /// stalled, restarted, and eventually quarantined.
     pub fn with_stall_timeout(mut self, deadline: Duration) -> Self {
+        assert!(!deadline.is_zero(), "stall deadline must be non-zero");
         self.stall_timeout = Some(deadline);
         self
     }
@@ -781,27 +804,8 @@ impl SupervisedIngest {
         self
     }
 
-    /// The wrapped engine.
-    #[must_use]
-    pub fn engine(&self) -> ShardedIngest {
-        self.engine
-    }
-
-    /// The active retry policy.
-    #[must_use]
-    pub fn policy(&self) -> RetryPolicy {
-        self.policy
-    }
-
-    /// The configured checkpoint interval in points.
-    #[must_use]
-    pub fn checkpoint_interval(&self) -> u64 {
-        self.checkpoint_interval
-    }
-
-    /// The effective replay-buffer bound in chunks.
-    #[must_use]
-    pub fn replay_bound(&self) -> usize {
+    /// The effective replay-buffer bound in chunks (never 0).
+    fn replay_bound(&self) -> usize {
         if self.max_replay_chunks > 0 {
             return self.max_replay_chunks;
         }
@@ -810,10 +814,12 @@ impl SupervisedIngest {
         (per_interval.saturating_mul(4).saturating_add(4)).min(usize::MAX as u64) as usize
     }
 
-    /// Supervised counterpart of [`ShardedIngest::run_stream`]: same
-    /// chunking, same round-robin dispatch, same shard-order reduce —
-    /// plus checkpointing, fault detection, checkpoint-replay recovery,
-    /// and degraded completion under the configured [`RetryPolicy`].
+    /// Ingests an unmaterialised stream: points are gathered into chunks
+    /// of the engine's size as they arrive and chunk `c` is dispatched to
+    /// shard `c % N` over a bounded channel, with checkpointing, fault
+    /// detection, checkpoint-replay recovery, and degraded completion
+    /// under the configured [`RetryPolicy`]. A fault-free run is
+    /// bit-identical to [`ShardedIngest::run`] over the same points.
     pub fn run_stream<I>(&self, points: I) -> SupervisedRun
     where
         I: IntoIterator<Item = Point2>,
@@ -821,118 +827,75 @@ impl SupervisedIngest {
         let factory = PlainFactory {
             builder: self.engine.builder(),
         };
-        let core = SupervisorCore::new(
-            factory,
-            &self.engine,
-            self.policy,
-            self.plan.clone(),
-            Some(self.checkpoint_interval),
-            self.stall_timeout,
-            self.replay_bound(),
-            Mode::Degrade,
-        );
-        let (states, report, start) = core.run(points);
+        let (states, report, start) = SupervisorCore::new(factory, self).run(points);
         SupervisedRun {
             run: self.engine.reduce(states, start),
             report,
         }
     }
 
-    /// Supervised counterpart of
-    /// [`ShardedIngest::run_stream_windowed`]: every point is stamped
-    /// with its global tick **before** dispatch, and the replay buffer
-    /// stores the stamped pairs — so recovery preserves the shared tick
-    /// clock and `LastN` windows stay exact across restarts.
+    /// Windowed ingestion: each shard keeps a [`WindowedSummary`] over
+    /// its round-robin share of the stream, with every point stamped by
+    /// a **global** auto-tick (its stream index) before dispatch, so all
+    /// shards share one clock and the replay buffer stores the stamped
+    /// pairs.
+    ///
+    /// Both window policies work: a count-based `LastN(n)` window is
+    /// carried on the tick clock (each point has a distinct tick, so
+    /// "ticks newer than `now - n`" is exactly the last `n` stream
+    /// points), which keeps the policy meaningful when the stream is split
+    /// across shards — and exact across restarts. The determinism contract
+    /// carries over: [`WindowedRun::query_window`] merges live buckets in
+    /// shard order.
     pub fn run_stream_windowed<I>(&self, points: I, config: WindowConfig) -> SupervisedWindowedRun
     where
         I: IntoIterator<Item = Point2>,
     {
-        let shard_config = crate::window::shard_window_config(config);
+        let stamped = points.into_iter().enumerate().map(|(i, p)| (p, i as f64));
+        self.run_stream_windowed_at(stamped, shard_window_config(config))
+    }
+
+    /// Windowed ingestion of an externally timestamped stream. Requires a
+    /// [`LastDur`](WindowPolicy::LastDur) policy: a count-based window
+    /// cannot be evaluated from one shard's share of the stream — use
+    /// [`run_stream_windowed`](SupervisedIngest::run_stream_windowed),
+    /// whose global tick clock carries `LastN` exactly.
+    ///
+    /// Each item is checked on the caller's thread as it is pulled, before
+    /// dispatch: a non-finite point is passed on (the shard drops and
+    /// counts it) without its timestamp being checked, and every other
+    /// timestamp must be finite and at least the previous kept one. A
+    /// violation panics here, with the window module's message.
+    pub fn run_stream_windowed_at<I>(
+        &self,
+        points: I,
+        config: WindowConfig,
+    ) -> SupervisedWindowedRun
+    where
+        I: IntoIterator<Item = (Point2, f64)>,
+    {
+        assert!(
+            matches!(config.policy, WindowPolicy::LastDur(_)),
+            "sharded count windows need the global tick clock: use run_stream_windowed"
+        );
         let factory = WindowFactory {
             builder: self.engine.builder(),
-            config: shard_config,
+            config,
             telemetry: self.engine.telemetry(),
         };
-        let core = SupervisorCore::new(
-            factory,
-            &self.engine,
-            self.policy,
-            self.plan.clone(),
-            Some(self.checkpoint_interval),
-            self.stall_timeout,
-            self.replay_bound(),
-            Mode::Degrade,
-        );
-        let pairs = points.into_iter().enumerate().map(|(i, p)| (p, i as f64));
-        let (states, report, start) = core.run(pairs);
+        let mut clock = None;
+        let checked = points.into_iter().inspect(move |&(p, t)| {
+            if p.is_finite() {
+                check_timestamp(clock, t);
+                clock = Some(t);
+            }
+        });
+        let (states, report, start) = SupervisorCore::new(factory, self).run(checked);
         SupervisedWindowedRun {
             run: WindowedRun::new(self.engine.builder(), states, start.elapsed()),
             report,
         }
     }
-}
-
-// ---------------------------------------------------------------------
-// Internal: crate entry points for the unsupervised streaming paths
-// ---------------------------------------------------------------------
-
-/// Runs `engine.run_stream` semantics through the supervisor machinery
-/// in abort mode: no checkpoints, no replay buffer, and any worker fault
-/// propagates (a worker panic is re-raised on the caller). This is what
-/// [`ShardedIngest::run_stream`] routes through, so the supervised and
-/// unsupervised paths share one dispatch loop.
-pub(crate) fn run_stream_propagating<I>(
-    engine: &ShardedIngest,
-    plan: FaultPlan,
-    points: I,
-) -> ShardRun
-where
-    I: IntoIterator<Item = Point2>,
-{
-    let factory = PlainFactory {
-        builder: engine.builder(),
-    };
-    let core = SupervisorCore::new(
-        factory,
-        engine,
-        RetryPolicy::none(),
-        plan,
-        None,
-        None,
-        0,
-        Mode::Abort,
-    );
-    let (states, _report, start) = core.run(points);
-    engine.reduce(states, start)
-}
-
-/// Windowed abort-mode twin of [`run_stream_propagating`], backing
-/// [`ShardedIngest::run_stream_windowed_at`].
-pub(crate) fn run_stream_windowed_at_propagating<I>(
-    engine: &ShardedIngest,
-    points: I,
-    config: WindowConfig,
-) -> WindowedRun
-where
-    I: IntoIterator<Item = (Point2, f64)>,
-{
-    let factory = WindowFactory {
-        builder: engine.builder(),
-        config,
-        telemetry: engine.telemetry(),
-    };
-    let core = SupervisorCore::new(
-        factory,
-        engine,
-        RetryPolicy::none(),
-        FaultPlan::new(),
-        None,
-        None,
-        0,
-        Mode::Abort,
-    );
-    let (states, _report, start) = core.run(points);
-    WindowedRun::new(engine.builder(), states, start.elapsed())
 }
 
 // ---------------------------------------------------------------------
@@ -1175,21 +1138,10 @@ fn worker_loop<F: ShardFactory>(
 // Internal: the supervisor core
 // ---------------------------------------------------------------------
 
-/// What a fault does to the run.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Mode {
-    /// Unsupervised semantics: no checkpoints, no replay buffer, a
-    /// worker fault propagates (panics are re-raised on the caller).
-    Abort,
-    /// Supervised semantics: restart-from-checkpoint with replay, then
-    /// quarantine + degraded completion when retries exhaust.
-    Degrade,
-}
-
 /// A fault as detected, before it is classified for the public report.
 enum Detected {
-    /// Worker thread dead; payload present when the join surfaced one.
-    Panic(Option<Box<dyn std::any::Any + Send>>),
+    /// Worker thread dead.
+    Panic,
     Stall,
     BadCheckpoint(SnapshotError),
 }
@@ -1281,10 +1233,9 @@ struct SupervisorCore<'e, F: ShardFactory> {
     engine: &'e ShardedIngest,
     policy: RetryPolicy,
     plan: FaultPlan,
-    interval: Option<u64>,
+    interval: u64,
     stall: Option<Duration>,
     max_replay: usize,
-    mode: Mode,
     shards: Vec<ShardCtx<F>>,
     events: Vec<FaultEvent>,
     lost_hull: ExactHull,
@@ -1298,27 +1249,17 @@ struct SupervisorCore<'e, F: ShardFactory> {
 }
 
 impl<'e, F: ShardFactory> SupervisorCore<'e, F> {
-    #[allow(clippy::too_many_arguments)] // internal constructor mirroring the config struct
-    fn new(
-        factory: F,
-        engine: &'e ShardedIngest,
-        policy: RetryPolicy,
-        plan: FaultPlan,
-        interval: Option<u64>,
-        stall: Option<Duration>,
-        max_replay: usize,
-        mode: Mode,
-    ) -> Self {
+    fn new(factory: F, config: &'e SupervisedIngest) -> Self {
+        let engine = &config.engine;
         let tel = engine.telemetry();
         SupervisorCore {
             factory,
             engine,
-            policy,
-            plan,
-            interval,
-            stall,
-            max_replay,
-            mode,
+            policy: config.policy,
+            plan: config.plan.clone(),
+            interval: config.checkpoint_interval,
+            stall: config.stall_timeout,
+            max_replay: config.replay_bound(),
             shards: (0..engine.shards()).map(|_| ShardCtx::new()).collect(),
             events: Vec::new(),
             lost_hull: ExactHull::new(),
@@ -1365,8 +1306,7 @@ impl<'e, F: ShardFactory> SupervisorCore<'e, F> {
     }
 
     /// Routes one chunk: splice scripted poison, account quarantined
-    /// shards, then dispatch (directly in abort mode, via the replay
-    /// buffer in degrade mode).
+    /// shards, then dispatch via the replay buffer.
     fn submit(&mut self, seq: u64, mut items: Vec<F::Item>) {
         let shard = (seq % self.engine.shards() as u64) as usize;
         if let Some(len) = self.plan.take_burst(shard, seq) {
@@ -1385,34 +1325,14 @@ impl<'e, F: ShardFactory> SupervisorCore<'e, F> {
             self.account_lost(shard, &items);
             return;
         }
-        match self.mode {
-            Mode::Abort => {
-                if let Err((fseq, d)) = self.drain_ready_events(shard) {
-                    self.handle_fault(shard, fseq, d);
-                }
-                self.ensure_live(shard);
-                let inject = self.plan.take_worker_fault(shard, seq);
-                let cmd = Cmd {
-                    seq,
-                    items,
-                    checkpoint: false,
-                    inject,
-                };
-                if let Err(d) = self.send_cmd(shard, cmd) {
-                    self.handle_fault(shard, seq, d);
-                }
-            }
-            Mode::Degrade => {
-                let checkpoint = self.tick_checkpoint(shard, items.len());
-                self.shards[shard].buffer.push_back(Buffered {
-                    seq,
-                    items,
-                    checkpoint,
-                });
-                self.pump(shard);
-                self.enforce_replay_bound(shard);
-            }
-        }
+        let checkpoint = self.tick_checkpoint(shard, items.len());
+        self.shards[shard].buffer.push_back(Buffered {
+            seq,
+            items,
+            checkpoint,
+        });
+        self.pump(shard);
+        self.enforce_replay_bound(shard);
     }
 
     /// Advances the checkpoint clock for `len` more items; `true` when
@@ -1420,12 +1340,9 @@ impl<'e, F: ShardFactory> SupervisorCore<'e, F> {
     /// once at buffering time (and stored), so replays re-take the same
     /// checkpoints at the same boundaries.
     fn tick_checkpoint(&mut self, shard: usize, len: usize) -> bool {
-        let Some(interval) = self.interval else {
-            return false;
-        };
         let ctx = &mut self.shards[shard];
         ctx.since_checkpoint += len as u64;
-        if ctx.since_checkpoint >= interval {
+        if ctx.since_checkpoint >= self.interval {
             ctx.since_checkpoint = 0;
             true
         } else {
@@ -1472,9 +1389,6 @@ impl<'e, F: ShardFactory> SupervisorCore<'e, F> {
     /// unacknowledged chunks are never evicted — dropping one would lose
     /// data even on a fault-free run).
     fn enforce_replay_bound(&mut self, shard: usize) {
-        if self.max_replay == 0 {
-            return;
-        }
         loop {
             let ctx = &mut self.shards[shard];
             if ctx.buffer.len() <= self.max_replay {
@@ -1543,12 +1457,12 @@ impl<'e, F: ShardFactory> SupervisorCore<'e, F> {
         }
     }
 
-    /// Reaps a dead worker epoch, capturing its panic payload.
+    /// Reaps a dead worker epoch.
     fn take_dead(&mut self, shard: usize) -> Detected {
-        match self.shards[shard].link.take() {
-            Some(link) => Detected::Panic(link.handle.join().err()),
-            None => Detected::Panic(None),
+        if let Some(link) = self.shards[shard].link.take() {
+            let _ = link.handle.join();
         }
+        Detected::Panic
     }
 
     /// Applies one worker event to the accounting. A rejected checkpoint
@@ -1690,26 +1604,24 @@ impl<'e, F: ShardFactory> SupervisorCore<'e, F> {
     /// queue). Events arriving while blocked are queued for processing.
     fn send_cmd(&mut self, shard: usize, cmd: Cmd<F::Item>) -> Result<(), Detected> {
         let Some(link) = self.shards[shard].link.take() else {
-            return Err(Detected::Panic(None));
+            return Err(Detected::Panic);
         };
         let Some(tx) = link.tx.clone() else {
             // The finish phase closed this epoch's channel; a live send
             // afterwards means the epoch must be replaced.
             drop(link);
-            return Err(Detected::Panic(None));
+            return Err(Detected::Panic);
         };
         let mut gathered: Vec<Event<F::State>> = Vec::new();
         let verdict: Result<(), Detected> = match self.stall {
-            None => tx.send(cmd).map_err(|_| Detected::Panic(None)),
+            None => tx.send(cmd).map_err(|_| Detected::Panic),
             Some(deadline) => {
                 let begun = Instant::now();
                 let mut pending_cmd = cmd;
                 loop {
                     match tx.try_send(pending_cmd) {
                         Ok(()) => break Ok(()),
-                        Err(mpsc::TrySendError::Disconnected(_)) => {
-                            break Err(Detected::Panic(None))
-                        }
+                        Err(mpsc::TrySendError::Disconnected(_)) => break Err(Detected::Panic),
                         Err(mpsc::TrySendError::Full(c)) => {
                             pending_cmd = c;
                             let elapsed = begun.elapsed();
@@ -1721,7 +1633,7 @@ impl<'e, F: ShardFactory> SupervisorCore<'e, F> {
                                 Ok(ev) => gathered.push(ev),
                                 Err(mpsc::RecvTimeoutError::Timeout) => {}
                                 Err(mpsc::RecvTimeoutError::Disconnected) => {
-                                    break Err(Detected::Panic(None))
+                                    break Err(Detected::Panic)
                                 }
                             }
                         }
@@ -1735,7 +1647,10 @@ impl<'e, F: ShardFactory> SupervisorCore<'e, F> {
                 self.shards[shard].link = Some(link);
                 Ok(())
             }
-            Err(Detected::Panic(_)) => Err(Detected::Panic(link.handle.join().err())),
+            Err(Detected::Panic) => {
+                let _ = link.handle.join();
+                Err(Detected::Panic)
+            }
             Err(d) => {
                 drop(link); // abandon the stalled epoch, never join it
                 Err(d)
@@ -1743,8 +1658,8 @@ impl<'e, F: ShardFactory> SupervisorCore<'e, F> {
         }
     }
 
-    /// Central fault response: abandon the epoch, then abort, restart,
-    /// or quarantine according to mode and policy.
+    /// Central fault response: abandon the epoch, then restart or
+    /// quarantine according to the policy.
     fn handle_fault(&mut self, shard: usize, seq: u64, detected: Detected) {
         {
             let ctx = &mut self.shards[shard];
@@ -1754,21 +1669,10 @@ impl<'e, F: ShardFactory> SupervisorCore<'e, F> {
             ctx.acked = None;
             ctx.faults += 1;
         }
-        if self.mode == Mode::Abort {
-            match detected {
-                Detected::Panic(Some(payload)) => std::panic::resume_unwind(payload),
-                Detected::Panic(None) => {
-                    panic!("shard worker panicked") // lint:allow(no-panic): re-raising a worker panic on the coordinator is the unsupervised contract (see the characterization test)
-                }
-                Detected::Stall | Detected::BadCheckpoint(_) => {
-                    panic!("shard worker fault in unsupervised mode") // lint:allow(no-panic): unreachable — unsupervised runs configure no stall deadline and take no checkpoints
-                }
-            }
-        }
-        let fault = match &detected {
-            Detected::Panic(_) => DetectedFault::WorkerPanic,
+        let fault = match detected {
+            Detected::Panic => DetectedFault::WorkerPanic,
             Detected::Stall => DetectedFault::Stall,
-            Detected::BadCheckpoint(e) => DetectedFault::CorruptCheckpoint(e.clone()),
+            Detected::BadCheckpoint(e) => DetectedFault::CorruptCheckpoint(e),
         };
         // Points evicted past the replay bound are unrecoverable the
         // moment a fault needs them: account them as lost, traceless.
@@ -2088,21 +1992,11 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "injected fault: worker crash")]
-    fn unsupervised_stream_propagates_worker_panics() {
-        // Characterization: without a supervisor, a worker panic aborts
-        // the whole run (re-raised on the caller). The supervised path
-        // turns exactly this fault into checkpoint-replay recovery.
-        let engine = ShardedIngest::new(SummaryBuilder::new(SummaryKind::Exact), 2).with_chunk(64);
-        let _ = run_stream_propagating(&engine, FaultPlan::new().crash(1, 1), spiral(1000));
-    }
-
-    #[test]
     fn supervised_crash_recovers_bit_identical() {
         let pts = spiral(4000);
         let engine = ShardedIngest::new(SummaryBuilder::new(SummaryKind::Adaptive).with_r(16), 3)
             .with_chunk(128);
-        let clean = engine.run_stream(pts.iter().copied());
+        let clean = engine.run(&pts);
         let supervised = SupervisedIngest::new(engine)
             .with_checkpoint_interval(512)
             .with_fault_plan(FaultPlan::new().crash(1, 10));
@@ -2139,5 +2033,168 @@ mod tests {
             "every stream point is either seen by a shard state or accounted lost"
         );
         assert!(run.report.lost_points > 0);
+    }
+
+    #[test]
+    fn stream_and_slice_entry_points_agree() {
+        // Both entry points deal chunk `c` to shard `c % N` in the same
+        // chunk-sized batches, and insert_batch is contractually
+        // identical to the loop, so the results coincide bit for bit.
+        let pts = spiral(700);
+        for shards in [1, 3] {
+            let engine =
+                ShardedIngest::new(SummaryBuilder::new(SummaryKind::Adaptive).with_r(8), shards)
+                    .with_chunk(100);
+            let a = engine.run(&pts);
+            let b = SupervisedIngest::new(engine).run_stream(pts.iter().copied());
+            assert!(!b.is_degraded(), "{shards} shards");
+            assert_eq!(
+                a.summary.encode_snapshot(),
+                b.run.summary.encode_snapshot(),
+                "{shards} shards"
+            );
+            let seen = |r: &ShardRun| r.shards.iter().map(|s| s.points_seen).collect::<Vec<_>>();
+            assert_eq!(seen(&a), seen(&b.run), "{shards} shards");
+        }
+        let empty = SupervisedIngest::new(ShardedIngest::new(
+            SummaryBuilder::new(SummaryKind::Uniform).with_r(8),
+            4,
+        ))
+        .run_stream(std::iter::empty());
+        assert_eq!(empty.run.summary.points_seen(), 0);
+        assert_eq!(empty.run.shards.len(), 4);
+    }
+
+    #[test]
+    fn windowed_sharded_run_is_deterministic_and_covers_window() {
+        let pts = spiral(3000);
+        for &kind in &[
+            SummaryKind::Exact,
+            SummaryKind::Adaptive,
+            SummaryKind::Radial,
+        ] {
+            let engine = ShardedIngest::new(SummaryBuilder::new(kind).with_r(16), 3).with_chunk(64);
+            let supervised = SupervisedIngest::new(engine);
+            let config = WindowConfig::last_n(500).with_granularity(32);
+            let a = supervised.run_stream_windowed(pts.iter().copied(), config);
+            let b = supervised.run_stream_windowed(pts.iter().copied(), config);
+            assert_eq!(a.run.points_seen(), 3000, "{kind}");
+            let (ans_a, ans_b) = (a.run.query_window(), b.run.query_window());
+            assert_eq!(
+                ans_a.summary.hull_ref().vertices(),
+                ans_b.summary.hull_ref().vertices(),
+                "{kind}: windowed shard merge must not depend on scheduling"
+            );
+            assert_eq!(ans_a.merged_points, ans_b.merged_points, "{kind}");
+            // Every in-window point lives in some live bucket, so the
+            // merge covers at least the window (window_points() is a
+            // conservative lower bound and may undershoot here: each
+            // shard can contribute one straddling bucket's slack).
+            assert!(ans_a.merged_points >= 500, "{kind}");
+            // Exact backend: the union-window hull contains every point of
+            // the true global window suffix.
+            if kind == SummaryKind::Exact {
+                for &p in &pts[pts.len() - 500..] {
+                    assert!(ans_a.hull().contains_linear(p), "{kind}: lost {p:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn windowed_sharded_empty_and_timestamped_runs() {
+        let supervised = SupervisedIngest::new(ShardedIngest::new(
+            SummaryBuilder::new(SummaryKind::Uniform).with_r(8),
+            4,
+        ));
+        let empty = supervised
+            .run_stream_windowed(std::iter::empty(), WindowConfig::last_n(10))
+            .run;
+        assert_eq!(empty.points_seen(), 0);
+        assert!(empty.query_window().is_empty());
+        assert_eq!(empty.now(), None);
+
+        // Timestamped entry point: two phases far apart in time; the old
+        // phase must be invisible in the union window.
+        let pts = spiral(1000);
+        let stamped = pts.iter().enumerate().map(|(i, &p)| {
+            if i < 500 {
+                (p, i as f64)
+            } else {
+                (p, 1e6 + i as f64)
+            }
+        });
+        let run = supervised.run_stream_windowed_at(stamped, WindowConfig::last_dur(2000.0));
+        let ans = run.run.query_window();
+        assert!(ans.merged_points >= 500, "whole recent phase covered");
+        assert!(
+            ans.merged_points < 1000,
+            "ancient phase must have expired (merged {})",
+            ans.merged_points
+        );
+    }
+
+    /// A two-shard engine with one-point chunks, so consecutive items land
+    /// on different shards: a bad timestamp would reach a worker that never
+    /// saw its predecessor unless the caller checks it.
+    fn two_shard_windows() -> SupervisedIngest {
+        SupervisedIngest::new(
+            ShardedIngest::new(SummaryBuilder::new(SummaryKind::Exact), 2).with_chunk(1),
+        )
+    }
+
+    #[test]
+    #[should_panic(expected = "global tick clock")]
+    fn windowed_timestamped_rejects_count_policy() {
+        let _ = two_shard_windows()
+            .run_stream_windowed_at([(Point2::new(0.0, 0.0), 0.0)], WindowConfig::last_n(5));
+    }
+
+    #[test]
+    #[should_panic(expected = "timestamps must be non-decreasing (got 1 after 2)")]
+    fn windowed_timestamped_rejects_a_decreasing_timestamp_on_the_caller() {
+        let items = [
+            (Point2::new(0.0, 0.0), 0.0),
+            (Point2::new(1.0, 0.0), 2.0),
+            (Point2::new(2.0, 0.0), 1.0),
+        ];
+        let _ = two_shard_windows().run_stream_windowed_at(items, WindowConfig::last_dur(10.0));
+    }
+
+    #[test]
+    #[should_panic(expected = "timestamps must be finite")]
+    fn windowed_timestamped_rejects_a_nan_timestamp_on_the_caller() {
+        let items = [
+            (Point2::new(0.0, 0.0), 0.0),
+            (Point2::new(1.0, 0.0), f64::NAN),
+        ];
+        let _ = two_shard_windows().run_stream_windowed_at(items, WindowConfig::last_dur(10.0));
+    }
+
+    #[test]
+    fn windowed_timestamped_drops_non_finite_points_whatever_their_stamp() {
+        // A non-finite point is dropped without its timestamp being
+        // checked, exactly as `insert_batch_timestamped` drops it.
+        let nan = Point2::new(f64::NAN, 0.0);
+        let items = [
+            (Point2::new(0.0, 0.0), 0.0),
+            (nan, -5.0),
+            (Point2::new(1.0, 0.0), 1.0),
+            (nan, f64::NAN),
+            (Point2::new(2.0, 1.0), 2.0),
+        ];
+        let run = two_shard_windows().run_stream_windowed_at(items, WindowConfig::last_dur(10.0));
+        assert!(!run.is_degraded());
+        assert_eq!(run.report.dropped_non_finite, 2);
+        assert_eq!(run.report.total_retries(), 0);
+        assert_eq!(run.run.points_seen(), 3);
+        assert_eq!(run.run.now(), Some(2.0));
+    }
+
+    #[test]
+    #[should_panic(expected = "stall deadline must be non-zero")]
+    fn zero_stall_deadline_is_rejected() {
+        let engine = ShardedIngest::new(SummaryBuilder::new(SummaryKind::Exact), 2);
+        let _ = SupervisedIngest::new(engine).with_stall_timeout(Duration::ZERO);
     }
 }

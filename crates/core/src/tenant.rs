@@ -843,26 +843,6 @@ impl TenantEngine {
         }
     }
 
-    /// Truncates a cold stream's envelope to `len` bytes (chaos hook for
-    /// the torn-write case). `false` if not cold or already shorter.
-    pub fn truncate_spill(&mut self, id: StreamId, len: usize) -> bool {
-        let Some(&idx) = self.index.get(&id) else {
-            return false;
-        };
-        let Some(Some(t)) = self.slots.get_mut(idx) else {
-            return false;
-        };
-        match &mut t.residency {
-            Residency::Cold(bytes) if bytes.len() > len => {
-                self.bytes_in_use -= bytes.len() - len;
-                t.bytes = len;
-                bytes.truncate(len);
-                true
-            }
-            _ => false,
-        }
-    }
-
     /// Borrows a stream's summary, restoring it from its envelope first if
     /// cold (bit-exact) and touching its idle clock.
     pub fn summary(&mut self, id: StreamId) -> Result<&dyn HullSummary, AdmissionError> {

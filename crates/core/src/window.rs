@@ -36,7 +36,7 @@
 //!   buckets.
 //!
 //! Windowed summaries compose with sharded ingestion: see
-//! [`ShardedIngest::run_stream_windowed`](crate::parallel::ShardedIngest::run_stream_windowed),
+//! [`SupervisedIngest::run_stream_windowed`](crate::recovery::SupervisedIngest::run_stream_windowed),
 //! which keeps one windowed summary per shard and merges their live
 //! buckets **in shard order** at query time (PR 3's determinism contract).
 
@@ -151,10 +151,10 @@ impl WindowConfig {
 /// The per-shard window configuration of a sharded run on the global
 /// tick clock: a count window over distinct integer ticks is the
 /// half-open tick interval `(now - n, now]`, carried as a duration
-/// window with `-0.5` to exclude the boundary tick. Shared by
-/// [`ShardedIngest::run_stream_windowed`](crate::parallel::ShardedIngest::run_stream_windowed)
-/// and the supervised engine in [`crate::recovery`] so a recovered shard
-/// windows exactly like an uninterrupted one.
+/// window with `-0.5` to exclude the boundary tick. Applied by
+/// [`SupervisedIngest::run_stream_windowed`](crate::recovery::SupervisedIngest::run_stream_windowed)
+/// before its points are stamped, so a recovered shard windows exactly
+/// like an uninterrupted one.
 pub(crate) fn shard_window_config(config: WindowConfig) -> WindowConfig {
     match config.policy {
         WindowPolicy::LastN(n) => WindowConfig {
@@ -162,6 +162,19 @@ pub(crate) fn shard_window_config(config: WindowConfig) -> WindowConfig {
             ..config
         },
         WindowPolicy::LastDur(_) => config,
+    }
+}
+
+/// Panics unless a point stamped `t` may follow a clock at `clock`
+/// (`None` before the first point): `t` must be finite and not earlier.
+/// The rule every timestamped entry point applies, with one message.
+pub(crate) fn check_timestamp(clock: Option<f64>, t: f64) {
+    assert!(t.is_finite(), "timestamps must be finite");
+    if let Some(clock) = clock {
+        assert!(
+            t >= clock,
+            "timestamps must be non-decreasing (got {t} after {clock})"
+        );
     }
 }
 
@@ -505,15 +518,10 @@ impl WindowedSummary {
     /// batch boundaries never show (seals fire at the same counts, with
     /// the same clock, as the per-point loop; see the window proptests).
     fn feed_with(&mut self, pts: &[Point2], time_of: &dyn Fn(usize) -> f64) {
-        let t_first = time_of(0);
+        check_timestamp(self.now(), time_of(0));
         assert!(
-            t_first.is_finite() && time_of(pts.len() - 1).is_finite(),
+            time_of(pts.len() - 1).is_finite(),
             "timestamps must be finite"
-        );
-        assert!(
-            self.total_seen == 0 || t_first >= self.clock,
-            "timestamps must be non-decreasing (got {t_first} after {})",
-            self.clock
         );
         let g = self.config.granularity as u64;
         let mut rest = pts;
@@ -923,7 +931,7 @@ impl HullSummary for WindowedSummary {
 }
 
 /// The result of a sharded windowed ingestion run
-/// ([`ShardedIngest::run_stream_windowed`](crate::parallel::ShardedIngest::run_stream_windowed)):
+/// ([`SupervisedIngest::run_stream_windowed`](crate::recovery::SupervisedIngest::run_stream_windowed)):
 /// one [`WindowedSummary`] per shard, each covering the shard's round-robin
 /// share of the stream on the **shared global clock**.
 ///

@@ -48,8 +48,7 @@ impl Config {
                 "crates/core/src/parallel.rs".into(),
                 // The whole point of the supervisor is surviving faults:
                 // it must degrade with a RecoveryReport, never panic
-                // (injected-crash and abort-mode re-raise sites carry
-                // explicit allows).
+                // (the injected-crash site carries an explicit allow).
                 "crates/core/src/recovery.rs".into(),
                 // The tenant governor's contract is "quota pressure and
                 // corruption are values, never crashes": every admission,

@@ -137,7 +137,7 @@ impl<S: Iterator<Item = Point2>> Iterator for Translate<S> {
 
 /// Attaches timestamps to a point stream, turning `Point2` items into
 /// `(Point2, f64)` pairs for the windowed ingestion paths
-/// (`WindowedSummary::insert_at` / `ShardedIngest::run_stream_windowed_at`).
+/// (`WindowedSummary::insert_at` / `SupervisedIngest::run_stream_windowed_at`).
 ///
 /// Two arrival patterns:
 ///

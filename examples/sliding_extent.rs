@@ -60,9 +60,10 @@ fn main() {
     // The same stream through the sharded windowed engine: one windowed
     // summary per shard on a shared clock, live buckets merged in shard
     // order — bit-identical across runs.
-    let engine = ShardedIngest::new(builder, 4).with_chunk(4096);
+    let engine = SupervisedIngest::new(ShardedIngest::new(builder, 4).with_chunk(4096));
     let run = engine.run_stream_windowed_at(stream.iter().copied(), WindowConfig::last_dur(60.0));
-    let ans = run.query_window();
+    assert!(!run.is_degraded());
+    let ans = run.run.query_window();
     println!(
         "sharded (4 shards): window x-extent {:.1}, {} points merged across {} buckets",
         locate::directional_extent(ans.hull(), x),

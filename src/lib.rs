@@ -57,9 +57,9 @@
 //! union stream is at most the sum of the shards' errors plus the
 //! collector's own `O(D/r²)` bound — verified by the shard-merge property
 //! tests. [`ShardedIngest`] runs that pattern on worker threads with one
-//! partition (chunk `c` to shard `c % N`), so a slice run, a stream run, a
-//! fault-free supervised run and a reduce of per-shard snapshot files all
-//! give the same bits.
+//! partition (chunk `c` to shard `c % N`), so a slice run, a fault-free
+//! [`SupervisedIngest`] run over an iterator (the one streaming path) and
+//! a reduce of per-shard snapshot files all give the same bits.
 //!
 //! ```
 //! use streamhull::prelude::*;
@@ -100,18 +100,19 @@
 //! ```
 //!
 //! Windows compose with sharding:
-//! [`ShardedIngest::run_stream_windowed`] keeps one windowed summary per
-//! shard on a shared clock and merges live buckets in deterministic shard
-//! order at query time.
+//! [`SupervisedIngest::run_stream_windowed`] keeps one windowed summary
+//! per shard on a shared clock and merges live buckets in deterministic
+//! shard order at query time.
 //!
 //! ## Fault-tolerant ingestion
 //!
-//! [`SupervisedIngest`] wraps the sharded engine with per-shard
-//! checkpointing (via the snapshot codec), fault detection (worker
-//! panics, stalls, corrupt checkpoints, non-finite floods), and
-//! checkpoint-replay recovery under a deterministic [`RetryPolicy`] —
-//! when retries exhaust, the run completes *degraded* with an exact
-//! [`RecoveryReport`] of what was lost instead of panicking. Faults are
+//! [`SupervisedIngest`] is how a stream reaches the sharded engine's
+//! workers: per-shard checkpointing (via the snapshot codec), fault
+//! detection (worker panics, stalls, corrupt checkpoints, non-finite
+//! floods), and checkpoint-replay recovery under a deterministic
+//! [`RetryPolicy`] — when retries exhaust, the run completes *degraded*
+//! with an exact [`RecoveryReport`] of what was lost instead of
+//! panicking; a worker fault is never re-raised on the caller. Faults are
 //! injected deterministically through a [`FaultPlan`] so the whole chaos
 //! matrix replays in CI:
 //!
@@ -259,8 +260,9 @@
 //!   / ellipse / changing-distribution experiments, plus adversarial ones);
 //! * [`adaptive_hull`] — the summaries: exact, uniform, radial, frozen,
 //!   cluster, and the static/streaming/fixed-budget adaptive samplers,
-//!   with the [`SummaryBuilder`] registry, sharded and supervised
-//!   ingestion, the tenant engine and its serving layer ([`queries`];
+//!   with the [`SummaryBuilder`] registry, sharded ingestion (slices
+//!   through [`ShardedIngest`], iterators through [`SupervisedIngest`]),
+//!   the tenant engine and its serving layer ([`queries`];
 //!   the §6 queries themselves are [`geom`] kernels on a summary's
 //!   [`hull_ref`](HullSummary::hull_ref)), and error metrics
 //!   ([`metrics`]).

@@ -363,8 +363,10 @@ fn windowed_chain_snapshots_rebuild_the_sharded_run() {
         SummaryKind::Uniform,
     ] {
         let builder = SummaryBuilder::new(kind).with_r(16);
-        let engine = ShardedIngest::new(builder, 3).with_chunk(128);
-        let live = engine.run_stream_windowed(pts.iter().copied(), WindowConfig::last_n(500));
+        let engine = SupervisedIngest::new(ShardedIngest::new(builder, 3).with_chunk(128));
+        let live = engine
+            .run_stream_windowed(pts.iter().copied(), WindowConfig::last_n(500))
+            .run;
         // Snapshot each shard's windowed chain, restore, and rebuild.
         let restored: Vec<WindowedSummary> = live
             .shards()
@@ -392,7 +394,9 @@ fn shard_runs_report_elapsed_wall_time() {
     let engine = ShardedIngest::new(SummaryBuilder::new(SummaryKind::Adaptive).with_r(16), 2);
     let run = engine.run(&pts);
     assert!(run.elapsed > std::time::Duration::ZERO);
-    let windowed = engine.run_stream_windowed(pts.iter().copied(), WindowConfig::last_n(500));
+    let windowed = SupervisedIngest::new(engine)
+        .run_stream_windowed(pts.iter().copied(), WindowConfig::last_n(500))
+        .run;
     assert!(windowed.elapsed() > std::time::Duration::ZERO);
 }
 

@@ -49,7 +49,7 @@ fn crash_recovery_is_bit_identical_for_every_kind() {
     let pts = spiral(4000);
     for &kind in &SummaryKind::ALL {
         let engine = ShardedIngest::new(SummaryBuilder::new(kind).with_r(16), 3).with_chunk(128);
-        let clean = engine.run_stream(pts.iter().copied());
+        let clean = engine.run(&pts);
         let run = SupervisedIngest::new(engine)
             .with_checkpoint_interval(512)
             .with_fault_plan(FaultPlan::new().crash(1, 10))
@@ -74,7 +74,7 @@ fn stall_recovery_detects_and_replays() {
     let pts = spiral(3000);
     let engine =
         ShardedIngest::new(SummaryBuilder::new(SummaryKind::Adaptive).with_r(16), 2).with_chunk(64);
-    let clean = engine.run_stream(pts.iter().copied());
+    let clean = engine.run(&pts);
     let run = SupervisedIngest::new(engine)
         .with_checkpoint_interval(256)
         .with_stall_timeout(Duration::from_millis(150))
@@ -99,7 +99,7 @@ fn stall_recovery_detects_and_replays() {
 fn corrupt_checkpoint_is_rejected_and_recovered() {
     let pts = spiral(4000);
     let engine = ShardedIngest::new(SummaryBuilder::new(SummaryKind::Exact), 2).with_chunk(100);
-    let clean = engine.run_stream(pts.iter().copied());
+    let clean = engine.run(&pts);
     let run = SupervisedIngest::new(engine)
         .with_checkpoint_interval(300)
         .with_fault_plan(FaultPlan::new().corrupt_checkpoint(1, 2, 17))
@@ -126,7 +126,7 @@ fn non_finite_burst_is_sanitized_and_counted() {
     let pts = spiral(3000);
     let engine =
         ShardedIngest::new(SummaryBuilder::new(SummaryKind::Cluster).with_r(16), 2).with_chunk(64);
-    let clean = engine.run_stream(pts.iter().copied());
+    let clean = engine.run(&pts);
     let run = SupervisedIngest::new(engine)
         .with_checkpoint_interval(512)
         .with_fault_plan(FaultPlan::new().non_finite_burst(1, 3, 5))
@@ -174,7 +174,9 @@ fn windowed_crash_recovery_keeps_last_n_exact() {
     let pts = spiral(5000);
     let config = WindowConfig::last_n(600).with_granularity(50);
     let engine = ShardedIngest::new(SummaryBuilder::new(SummaryKind::Exact), 3).with_chunk(128);
-    let clean = engine.run_stream_windowed(pts.iter().copied(), config);
+    let clean = SupervisedIngest::new(engine).run_stream_windowed(pts.iter().copied(), config);
+    assert!(!clean.is_degraded());
+    let clean = clean.run;
     let run = SupervisedIngest::new(engine)
         .with_checkpoint_interval(700)
         .with_fault_plan(FaultPlan::new().crash(2, 8))
@@ -199,7 +201,7 @@ fn exhausted_retries_degrade_with_widened_bound() {
     // chunk 30 → shard 0): its loss must visibly widen the bound.
     pts[3050] = Point2::new(1000.0, 0.0);
     let engine = ShardedIngest::new(SummaryBuilder::new(SummaryKind::Exact), 2).with_chunk(100);
-    let clean = engine.run_stream(pts.iter().copied());
+    let clean = engine.run(&pts);
     // Three scripted crashes at the same chunk: the first fires on
     // dispatch, the remaining ones re-fire on each replay.
     let plan = FaultPlan::new().crash(0, 30).crash(0, 30).crash(0, 30);
@@ -312,7 +314,7 @@ proptest! {
         for &kind in &[SummaryKind::Exact, SummaryKind::Adaptive] {
             let engine = ShardedIngest::new(SummaryBuilder::new(kind).with_r(8), shards)
                 .with_chunk(chunk);
-            let clean = engine.run_stream(pts.iter().copied());
+            let clean = engine.run(&pts);
             let run = SupervisedIngest::new(engine)
                 .with_checkpoint_interval(interval)
                 .with_fault_plan(FaultPlan::new().crash(crash_shard, at_chunk))

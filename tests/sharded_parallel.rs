@@ -1,8 +1,10 @@
 //! Property tests for the sharded parallel ingestion engine
 //! (`core::parallel::ShardedIngest`) and the `Mergeable` reduce it is
 //! built on: exact seen-count accounting, shard-count determinism, the
-//! composed error guarantee, and geometric soundness for every runtime
-//! kind — plus a merge associativity smoke test.
+//! one partition shared by the slice run and the supervised streaming
+//! path (plain and windowed), the composed error guarantee, and geometric
+//! soundness for every runtime kind — plus a merge associativity smoke
+//! test.
 
 use proptest::prelude::*;
 use streamhull::prelude::*;
@@ -31,6 +33,52 @@ fn shard_stats(run: &ShardRun) -> Vec<(u64, usize, Option<u64>)> {
             )
         })
         .collect()
+}
+
+/// The windowed partition, built by hand: one `WindowedSummary` per shard,
+/// fed the chunks `c ≡ shard (mod N)` through `insert_batch_timestamped`
+/// with every point stamped by its global stream index, then combined with
+/// `WindowedRun::from_shards`. `shard_config` is the per-shard window on
+/// that tick clock.
+fn windowed_reference(
+    builder: SummaryBuilder,
+    pts: &[Point2],
+    shards: usize,
+    chunk: usize,
+    shard_config: WindowConfig,
+) -> WindowedRun {
+    let stamped: Vec<(Point2, f64)> = pts
+        .iter()
+        .enumerate()
+        .map(|(i, &p)| (p, i as f64))
+        .collect();
+    let mut windows: Vec<WindowedSummary> = (0..shards)
+        .map(|_| builder.windowed(shard_config))
+        .collect();
+    for (c, piece) in stamped.chunks(chunk).enumerate() {
+        windows[c % shards].insert_batch_timestamped(piece);
+    }
+    WindowedRun::from_shards(builder, windows)
+}
+
+/// Per-shard chain bytes plus every field of the window answer that the
+/// partition decides, bit-exact.
+type WindowPrint = (Vec<Vec<u8>>, Vec<(u64, u64)>, u64, u64, usize, Option<u64>);
+
+fn window_print(run: &WindowedRun) -> WindowPrint {
+    let ans = run.query_window();
+    (
+        run.shards().iter().map(WindowedSummary::encode).collect(),
+        ans.hull()
+            .vertices()
+            .iter()
+            .map(|p| (p.x.to_bits(), p.y.to_bits()))
+            .collect(),
+        ans.merged_points,
+        ans.stale_points,
+        ans.buckets,
+        ans.bucket_bound_sum.map(f64::to_bits),
+    )
 }
 
 proptest! {
@@ -71,9 +119,9 @@ proptest! {
         // The determinism contract: for a fixed input, configuration, and
         // shard count, the merged summary is identical across runs — shard
         // assignment and merge order never depend on thread scheduling.
-        // Covers both entry points (slices and streams), and pins the one
-        // partition they share with the supervisor (chunk c → shard c % N):
-        // all three agree bit for bit.
+        // Pins the one partition (chunk c → shard c % N) that the slice run
+        // shares with the one streaming path, the supervisor: a fault-free
+        // supervised run agrees with `run` bit for bit.
         for &kind in &SummaryKind::ALL {
             let engine = ShardedIngest::new(SummaryBuilder::new(kind).with_r(8), shards)
                 .with_chunk(chunk);
@@ -86,32 +134,55 @@ proptest! {
             );
             prop_assert_eq!(a.summary.sample_size(), b.summary.sample_size(), "{}", kind);
             prop_assert_eq!(a.summary.error_bound(), b.summary.error_bound(), "{}", kind);
-            let sa = engine.run_stream(pts.iter().copied());
-            let sb = engine.run_stream(pts.iter().copied());
-            prop_assert_eq!(
-                sa.summary.hull_ref().vertices(),
-                sb.summary.hull_ref().vertices(),
-                "{}: stream entry varies across runs", kind
-            );
             let sup = SupervisedIngest::new(engine).run_stream(pts.iter().copied());
             prop_assert!(!sup.is_degraded(), "{}: fault-free run degraded", kind);
-            let bytes = a.summary.encode_snapshot();
-            let bound = a.summary.error_bound().map(f64::to_bits);
-            let stats = shard_stats(&a);
-            for (entry, other) in [("run_stream", &sa), ("supervised", &sup.run)] {
-                prop_assert_eq!(
-                    &other.summary.encode_snapshot(), &bytes,
-                    "{}: {} snapshot differs from run", kind, entry
-                );
-                prop_assert_eq!(
-                    other.summary.error_bound().map(f64::to_bits), bound,
-                    "{}: {} error bound differs from run", kind, entry
-                );
-                prop_assert_eq!(
-                    &shard_stats(other), &stats,
-                    "{}: {} shard stats differ from run", kind, entry
-                );
-            }
+            prop_assert_eq!(
+                sup.run.summary.encode_snapshot(), a.summary.encode_snapshot(),
+                "{}: supervised snapshot differs from run", kind
+            );
+            prop_assert_eq!(
+                sup.run.summary.error_bound().map(f64::to_bits),
+                a.summary.error_bound().map(f64::to_bits),
+                "{}: supervised error bound differs from run", kind
+            );
+            prop_assert_eq!(
+                shard_stats(&sup.run), shard_stats(&a),
+                "{}: supervised shard stats differ from run", kind
+            );
+        }
+    }
+
+    #[test]
+    fn windowed_partition_matches_per_shard_reference(
+        pts in stream_strategy(300),
+        shards in 1usize..5,
+        chunk in prop_oneof![Just(1usize), 1usize..48],
+        window in 1u64..200,
+        count_window in 0usize..2,
+        granularity in 1usize..24,
+    ) {
+        // A fault-free supervised windowed run is the hand-built partition:
+        // same per-shard chains, same window answer. A count window LastN(n)
+        // rides the global tick clock as LastDur(n − 0.5).
+        let (config, shard_config) = if count_window == 1 {
+            (WindowConfig::last_n(window), WindowConfig::last_dur(window as f64 - 0.5))
+        } else {
+            (WindowConfig::last_dur(window as f64), WindowConfig::last_dur(window as f64))
+        };
+        let (config, shard_config) = (
+            config.with_granularity(granularity),
+            shard_config.with_granularity(granularity),
+        );
+        for &kind in &[SummaryKind::Exact, SummaryKind::Adaptive, SummaryKind::Cluster] {
+            let builder = SummaryBuilder::new(kind).with_r(8);
+            let engine = ShardedIngest::new(builder, shards).with_chunk(chunk);
+            let run = SupervisedIngest::new(engine).run_stream_windowed(pts.iter().copied(), config);
+            prop_assert!(!run.is_degraded(), "{}: fault-free run degraded", kind);
+            let reference = windowed_reference(builder, &pts, shards, chunk, shard_config);
+            prop_assert_eq!(
+                window_print(&run.run), window_print(&reference),
+                "{}: supervised windowed run differs from the per-shard reference", kind
+            );
         }
     }
 

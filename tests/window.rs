@@ -239,11 +239,12 @@ proptest! {
         // union answer must cover exactly the last n stream points (plus
         // bounded staleness), independent of shard count, and be
         // deterministic.
-        let engine = ShardedIngest::new(SummaryBuilder::new(SummaryKind::Exact), shards)
-            .with_chunk(chunk);
+        let engine = SupervisedIngest::new(
+            ShardedIngest::new(SummaryBuilder::new(SummaryKind::Exact), shards).with_chunk(chunk),
+        );
         let config = WindowConfig::last_n(n).with_granularity(16);
-        let a = engine.run_stream_windowed(pts.iter().copied(), config);
-        let b = engine.run_stream_windowed(pts.iter().copied(), config);
+        let a = engine.run_stream_windowed(pts.iter().copied(), config).run;
+        let b = engine.run_stream_windowed(pts.iter().copied(), config).run;
         prop_assert_eq!(a.points_seen(), pts.len() as u64);
         let (ans_a, ans_b) = (a.query_window(), b.query_window());
         prop_assert_eq!(
