@@ -152,9 +152,9 @@ impl WindowConfig {
 /// tick clock: a count window over distinct integer ticks is the
 /// half-open tick interval `(now - n, now]`, carried as a duration
 /// window with `-0.5` to exclude the boundary tick. Applied by
-/// [`SupervisedIngest::run_stream_windowed`](crate::recovery::SupervisedIngest::run_stream_windowed)
-/// before its points are stamped, so a recovered shard windows exactly
-/// like an uninterrupted one.
+/// [`SupervisedIngest::run_stream_windowed`](crate::recovery::SupervisedIngest::run_stream_windowed),
+/// which stamps each point with its stream index, so every shard (and a
+/// recovered one) windows on the same clock.
 pub(crate) fn shard_window_config(config: WindowConfig) -> WindowConfig {
     match config.policy {
         WindowPolicy::LastN(n) => WindowConfig {
