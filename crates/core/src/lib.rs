@@ -38,10 +38,11 @@
 //!   and per-tenant quarantine, backfill from a [`SupervisedRun`] through
 //!   the same write path, and a [`PressureReport`] ledger;
 //! * [`telemetry`] — zero-dependency observability ([`Telemetry`]):
-//!   striped counters, gauges, log-scale histograms and a deterministic
-//!   trace ring threaded through the engines above, with Prometheus-text
-//!   and JSON-lines exporters and a [`telemetry::Scrape`] snapshot API
-//!   into which the ledgers ([`PressureReport`], [`RecoveryReport`]) are
+//!   striped counters, gauges and log-scale histograms threaded through
+//!   the engines above, with Prometheus-text and JSON-lines exporters and
+//!   a [`telemetry::Scrape`] snapshot API into which the ledgers
+//!   ([`PressureReport`], [`RecoveryReport`]), the query cache's
+//!   [`QueryCacheStats`] and the kernels' certificate tallies are
 //!   exported;
 //! * [`queries`] — the §6 queries, which are [`geom`] kernels
 //!   (`calipers`, `locate`, `distance`, `clip`) applied to a summary's
@@ -108,10 +109,10 @@ pub use recovery::{
 };
 pub use snapshot::{CheckpointEnvelope, Snapshot, SnapshotError};
 pub use summary::{GenCache, HullCache, HullSummary, HullSummaryExt, Mergeable, NonFiniteInput};
-pub use telemetry::{Counter, Gauge, Histogram, Scrape, Span, Telemetry, TraceEvent};
+pub use telemetry::{Counter, Gauge, Histogram, Scrape, Telemetry};
 pub use tenant::{
-    AdmissionError, OverloadPolicy, PressureAction, PressureEvent, PressureReport, ShardedTenants,
-    StreamId, TenantConfig, TenantEngine, TenantStats, Tier,
+    AdmissionError, OverloadPolicy, PressureAction, PressureEvent, PressureReport, StreamId,
+    TenantConfig, TenantEngine, TenantStats, Tier,
 };
 pub use uniform::{NaiveUniformHull, UniformHull};
 pub use window::{WindowAnswer, WindowConfig, WindowPolicy, WindowedSummary};

@@ -87,7 +87,7 @@ use geom::{calipers, distance, locate, ConvexPolygon, Point2, Vec2};
 
 use crate::batch::incircle;
 use crate::fxhash::FxBuild;
-use crate::telemetry::{names, Counter, Histogram, Telemetry};
+use crate::telemetry::{names, Counter, Histogram, Scrape, Telemetry};
 use crate::tenant::{AdmissionError, StreamId, TenantEngine};
 
 /// Number of quantized direction buckets per full turn (see [`QDir`]).
@@ -215,7 +215,9 @@ impl core::fmt::Display for QueryError {
 
 impl std::error::Error for QueryError {}
 
-/// Cache hit/miss accounting for a [`QueryEngine`].
+/// Cache hit/miss accounting for a [`QueryEngine`]: the one record of
+/// its cache outcomes, which [`export_to`](Self::export_to) writes into a
+/// scrape.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 #[must_use]
 pub struct QueryCacheStats {
@@ -225,6 +227,15 @@ pub struct QueryCacheStats {
     pub misses: u64,
     /// Entries currently resident.
     pub entries: usize,
+}
+
+impl QueryCacheStats {
+    /// Writes the `streamhull_query_cache_*` series into `scrape`, summed
+    /// into samples already there.
+    pub fn export_to(&self, scrape: &mut Scrape) {
+        scrape.add_counter(names::QUERY_CACHE_HITS, &[], self.hits);
+        scrape.add_counter(names::QUERY_CACHE_MISSES, &[], self.misses);
+    }
 }
 
 /// One ranked stream in a [`TopKAnswer`].
@@ -335,8 +346,6 @@ struct Slot {
 
 struct Instruments {
     answers: [Counter; 5],
-    cache_hits: Counter,
-    cache_misses: Counter,
     latency_ns: Histogram,
     topk_scanned: Counter,
     topk_pruned: Counter,
@@ -356,8 +365,6 @@ impl Instruments {
                 answer(KIND_LABELS[3]),
                 answer(KIND_LABELS[4]),
             ],
-            cache_hits: tel.counter(names::QUERY_CACHE_HITS, &[]),
-            cache_misses: tel.counter(names::QUERY_CACHE_MISSES, &[]),
             latency_ns: tel.histogram(names::QUERY_LATENCY_NS, &[]),
             topk_scanned: tel.counter(names::QUERY_TOPK_SCANNED, &[]),
             topk_pruned: tel.counter(names::QUERY_TOPK_PRUNED, &[]),
@@ -381,8 +388,9 @@ pub struct QueryEngine {
 }
 
 impl QueryEngine {
-    /// Wraps `tenants`, inheriting its [`Telemetry`] handle for the query
-    /// counters, cache hit/miss counters, and latency histogram.
+    /// Wraps `tenants`, inheriting its [`Telemetry`] handle for the
+    /// answer, top-k and join counters and the latency histogram. Cache
+    /// hits and misses are kept in [`cache_stats`](Self::cache_stats).
     pub fn new(tenants: TenantEngine) -> QueryEngine {
         let tel = Instruments::bind(&tenants.config().telemetry());
         QueryEngine {
@@ -440,32 +448,31 @@ impl QueryEngine {
         compute: impl FnOnce(&ConvexPolygon, Option<f64>) -> CachedValue,
     ) -> Result<CachedValue, QueryError> {
         let timer = self.tel.latency_ns.enabled().then(Instant::now);
-        self.tel.answers[kind.label_index()].inc();
         // The hit path reads only the stream's validation token (an index
         // lookup): the error bound (O(r) for some backends) and the hull
         // are a miss's cost.
         let token = self.tenants.query_token(id)?;
         let key = (id, kind);
-        if let Some(slot) = self.cache.get(&key) {
-            if slot.token == token {
-                let value = slot.value;
+        let value = match self.cache.get(&key) {
+            Some(slot) if slot.token == token => {
                 self.hits += 1;
-                self.tel.cache_hits.inc();
-                if let Some(t) = timer {
-                    self.tel.latency_ns.record(t.elapsed().as_nanos() as u64);
-                }
-                return Ok(value);
+                slot.value
             }
-        }
-        // `error_bound` composes the backend's own live bound with any
-        // bound carried over from an overload degradation — the honest
-        // number for the interval.
-        let eps = self.tenants.error_bound(id)?;
-        let summary = self.tenants.summary(id)?;
-        let value = compute(summary.hull_ref(), eps);
-        self.misses += 1;
-        self.tel.cache_misses.inc();
-        self.cache.insert(key, Slot { token, value });
+            _ => {
+                // `error_bound` composes the backend's own live bound with
+                // any bound carried over from an overload degradation —
+                // the honest number for the interval.
+                let eps = self.tenants.error_bound(id)?;
+                let summary = self.tenants.summary(id)?;
+                let value = compute(summary.hull_ref(), eps);
+                self.misses += 1;
+                self.cache.insert(key, Slot { token, value });
+                value
+            }
+        };
+        // Counted only once served: a refused query adds nothing, and the
+        // answers sum to hits + misses.
+        self.tel.answers[kind.label_index()].inc();
         if let Some(t) = timer {
             self.tel.latency_ns.record(t.elapsed().as_nanos() as u64);
         }
@@ -1045,7 +1052,9 @@ mod tests {
         q.width(id).unwrap();
         q.width(id).unwrap();
         q.diameter(id).unwrap();
-        let scrape = tel.scrape();
+        let mut scrape = tel.scrape();
+        assert_eq!(scrape.counter_total(names::QUERY_CACHE_HITS), 0);
+        q.cache_stats().export_to(&mut scrape);
         assert_eq!(scrape.counter_total(names::QUERY_CACHE_MISSES), 2);
         assert_eq!(scrape.counter_total(names::QUERY_CACHE_HITS), 1);
         assert_eq!(

@@ -36,8 +36,9 @@
 //! seed-driven with **no wall-clock randomness**, so every chaos scenario
 //! replays exactly in CI.
 //!
-//! The [`RecoveryReport`] is the supervisor's only ledger: its run totals
-//! sum the per-shard [`ShardHealth`] tallies, and a scrape shows the
+//! The [`RecoveryReport`] is the supervisor's only ledger, and its fault
+//! log the only event trail: its run totals sum the per-shard
+//! [`ShardHealth`] tallies, and a scrape shows the
 //! `streamhull_recovery_*` series of the runs whose reports
 //! [`RecoveryReport::export_to`] wrote into it.
 //!
@@ -1243,7 +1244,6 @@ struct SupervisorCore<'e, F: ShardFactory> {
     dropped_non_finite: u64,
     injected_non_finite: u64,
     replayed_points: u64,
-    tel: Telemetry,
     decode_ns: Histogram,
     worker_inst: WorkerInstruments,
 }
@@ -1267,7 +1267,6 @@ impl<'e, F: ShardFactory> SupervisorCore<'e, F> {
             dropped_non_finite: 0,
             injected_non_finite: 0,
             replayed_points: 0,
-            tel,
             decode_ns: tel.histogram(names::CHECKPOINT_DECODE_NS, &[]),
             worker_inst: WorkerInstruments {
                 ingest: IngestInstruments::register(tel, engine.builder()),
@@ -1314,12 +1313,6 @@ impl<'e, F: ShardFactory> SupervisorCore<'e, F> {
                 items.push(F::poison());
             }
             self.injected_non_finite += len as u64;
-            self.tel.event(
-                "recovery",
-                "inject_non_finite",
-                seq,
-                &[("shard", shard as i64), ("count", len as i64)],
-            );
         }
         if self.shards[shard].quarantined {
             self.account_lost(shard, &items);
@@ -1491,12 +1484,6 @@ impl<'e, F: ShardFactory> SupervisorCore<'e, F> {
                         fault: DetectedFault::NonFinite { dropped },
                         action: RecoveryAction::Sanitized { dropped },
                     });
-                    self.tel.event(
-                        "recovery",
-                        "sanitized",
-                        seq,
-                        &[("shard", shard as i64), ("dropped", dropped as i64)],
-                    );
                 }
                 match snapshot {
                     Some(inner) => self.accept_checkpoint(shard, seq, points_seen, &inner),
@@ -1718,16 +1705,6 @@ impl<'e, F: ShardFactory> SupervisorCore<'e, F> {
                 backoff,
             },
         });
-        self.tel.event(
-            "recovery",
-            "restarted",
-            seq,
-            &[
-                ("shard", shard as i64),
-                ("from_tick", from_tick as i64),
-                ("replayed_chunks", replay_chunks as i64),
-            ],
-        );
     }
 
     /// Retries exhausted: the shard keeps only its last valid checkpoint
@@ -1752,12 +1729,6 @@ impl<'e, F: ShardFactory> SupervisorCore<'e, F> {
                 lost_points: lost_now,
             },
         });
-        self.tel.event(
-            "recovery",
-            "quarantined",
-            seq,
-            &[("shard", shard as i64), ("lost_points", lost_now as i64)],
-        );
     }
 
     /// Counts (and, where possible, geometrically records) finite points

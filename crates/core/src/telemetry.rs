@@ -1,14 +1,26 @@
-//! Zero-dependency observability: counters, gauges, log-scale histograms,
-//! and structured trace events, with Prometheus-text and JSON-lines
-//! exporters.
+//! Zero-dependency observability: counters, gauges and log-scale
+//! histograms, with Prometheus-text and JSON-lines exporters.
 //!
 //! # Design
 //!
-//! Hot-path measurements (ingest, window, checkpoint codec, queries) are
-//! pushed into the registry. The ledgers,
-//! [`PressureReport`](crate::tenant::PressureReport) and
-//! [`RecoveryReport`](crate::recovery::RecoveryReport), are not: their
-//! `export_to(&mut Scrape)` renders them into a scrape at scrape time.
+//! Hot-path measurements (ingest, window, checkpoint codec, query
+//! answers, latency and scans) are pushed into the registry, and a scrape
+//! reads only that registry. Every other fact has one record elsewhere,
+//! which renders itself into a scrape with `export_to(&mut Scrape)`:
+//!
+//! * the ledgers, [`PressureReport`](crate::tenant::PressureReport) and
+//!   [`RecoveryReport`](crate::recovery::RecoveryReport);
+//! * the query cache's hits and misses,
+//!   [`QueryCacheStats`](crate::queries::serving::QueryCacheStats);
+//! * the process-wide interior-certificate tallies,
+//!   [`hot::HotKernelStats`] (from [`hot::snapshot`]).
+//!
+//! Each report's event log is its one event trail, and both trails keep
+//! the *oldest* events. The tenant trail keeps the first
+//! [`with_event_capacity`](crate::tenant::TenantConfig::with_event_capacity)
+//! events and counts the rest in `events_dropped`; its exact tallies are
+//! unaffected by the bound. The recovery trail keeps every fault, because
+//! `streamhull_recovery_faults_total{kind}` is counted from it.
 //!
 //! The whole layer hangs off a [`Telemetry`] handle, which is `Copy` and
 //! two machine words wide: either *disabled* (every operation is a branch
@@ -17,9 +29,9 @@
 //! Leaking is deliberate: the engines that carry the handle
 //! (`ShardedIngest`, `TenantConfig`, …) are `Copy` and flow across scoped
 //! threads, so the registry must be `'static`; a registry is a few KiB of
-//! instrument cells and one ring buffer, created once per process (or per
-//! test — tests get isolated registries precisely *because* each
-//! [`Telemetry::new`] is its own arena).
+//! instrument cells, created once per process (or per test — tests get
+//! isolated registries precisely *because* each [`Telemetry::new`] is its
+//! own arena).
 //!
 //! Hot-path cost model:
 //! * counters are striped over [`STRIPES`] cache-line-aligned atomics
@@ -30,17 +42,8 @@
 //! * instrument *registration* takes a mutex and should happen once, up
 //!   front; handles ([`Counter`], [`Gauge`], [`Histogram`]) are `Copy`
 //!   and free to pass into worker closures.
-//!
-//! Tracing is deterministic-friendly: events carry a registry-assigned
-//! sequence number and a **caller-supplied tick** (a chunk index, an
-//! engine clock — never wall-clock), so seeded runs produce identical
-//! trails. The ring keeps the newest [`Telemetry::trace_capacity`] events
-//! and counts what it evicted in `events_dropped` (note the tenant event
-//! ledger makes the opposite choice — it keeps the *oldest* — so the two
-//! trails bracket a run from both ends).
 
 use std::cell::Cell;
-use std::collections::VecDeque;
 use std::fmt;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicI64, AtomicU64, AtomicUsize, Ordering};
@@ -55,9 +58,6 @@ pub const STRIPES: usize = 8;
 /// absorbs everything at or above `2^(HIST_BUCKETS-2)` (≈ 1.07 s when the
 /// unit is nanoseconds).
 pub const HIST_BUCKETS: usize = 32;
-
-/// Default trace-ring capacity for [`Telemetry::new`].
-pub const DEFAULT_TRACE_CAPACITY: usize = 1024;
 
 static NEXT_STRIPE: AtomicUsize = AtomicUsize::new(0);
 
@@ -165,66 +165,10 @@ impl Key {
     }
 }
 
-struct Trace {
-    ring: Mutex<VecDeque<TraceEvent>>,
-    capacity: usize,
-    seq: AtomicU64,
-    dropped: AtomicU64,
-}
-
 struct Inner {
     counters: Mutex<Vec<(Key, &'static CounterCell)>>,
     gauges: Mutex<Vec<(Key, &'static GaugeCell)>>,
     hists: Mutex<Vec<(Key, &'static HistCell)>>,
-    trace: Trace,
-}
-
-/// A structured trace event: registry-assigned sequence number, a
-/// caller-supplied deterministic tick, and small integer fields.
-///
-/// `tick` is whatever monotone counter the emitting subsystem already
-/// owns (supervisor chunk sequence, tenant engine clock) — never
-/// wall-clock, so seeded runs trace identically.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct TraceEvent {
-    /// Position in the registry's total event order (starts at 0).
-    pub seq: u64,
-    /// Caller-supplied deterministic tick.
-    pub tick: u64,
-    /// Emitting subsystem (e.g. `"recovery"`, `"tenant"`).
-    pub target: &'static str,
-    /// Event name (e.g. `"fault"`, `"spill"`).
-    pub name: &'static str,
-    /// Small structured payload.
-    pub fields: Vec<(&'static str, i64)>,
-}
-
-/// An in-flight span: holds the start tick, emits one event on
-/// [`Span::end`] carrying `start_tick` and `duration_ticks` fields.
-#[derive(Debug)]
-pub struct Span {
-    tel: Telemetry,
-    target: &'static str,
-    name: &'static str,
-    start_tick: u64,
-}
-
-impl Span {
-    /// Close the span at `tick`, emitting its event.
-    pub fn end(self, tick: u64) {
-        self.tel.event(
-            self.target,
-            self.name,
-            tick,
-            &[
-                ("start_tick", self.start_tick as i64),
-                (
-                    "duration_ticks",
-                    tick.saturating_sub(self.start_tick) as i64,
-                ),
-            ],
-        );
-    }
 }
 
 /// Monotonic counter handle (`Copy`; no-op when its registry is
@@ -349,11 +293,9 @@ impl fmt::Debug for Histogram {
 /// let tel = Telemetry::new();
 /// let pts = tel.counter("streamhull_ingest_points_total", &[("backend", "exact")]);
 /// pts.add(128);
-/// tel.event("demo", "chunk", 0, &[("points", 128)]);
 ///
 /// let scrape = tel.scrape();
 /// assert_eq!(scrape.counter_total("streamhull_ingest_points_total"), 128);
-/// assert_eq!(scrape.events.len(), 1);
 /// ```
 #[derive(Clone, Copy, Default)]
 pub struct Telemetry {
@@ -375,27 +317,14 @@ impl fmt::Debug for Telemetry {
 }
 
 impl Telemetry {
-    /// A live registry with the default trace capacity. The registry is
-    /// leaked (process lifetime) so the handle stays `Copy` across the
-    /// `Copy` engines; create one per process, or one per test for
-    /// isolation.
+    /// A live registry. The registry is leaked (process lifetime) so the
+    /// handle stays `Copy` across the `Copy` engines; create one per
+    /// process, or one per test for isolation.
     pub fn new() -> Self {
-        Self::with_trace_capacity(DEFAULT_TRACE_CAPACITY)
-    }
-
-    /// A live registry whose trace ring keeps the newest `capacity`
-    /// events (older ones are evicted and counted as dropped).
-    pub fn with_trace_capacity(capacity: usize) -> Self {
         let inner: &'static Inner = Box::leak(Box::new(Inner {
             counters: Mutex::new(Vec::new()),
             gauges: Mutex::new(Vec::new()),
             hists: Mutex::new(Vec::new()),
-            trace: Trace {
-                ring: Mutex::new(VecDeque::new()),
-                capacity,
-                seq: AtomicU64::new(0),
-                dropped: AtomicU64::new(0),
-            },
         }));
         Telemetry { inner: Some(inner) }
     }
@@ -408,11 +337,6 @@ impl Telemetry {
     /// `true` when this handle records anything.
     pub fn is_enabled(&self) -> bool {
         self.inner.is_some()
-    }
-
-    /// The trace ring's capacity (0 when disabled).
-    pub fn trace_capacity(&self) -> usize {
-        self.inner.map_or(0, |i| i.trace.capacity)
     }
 
     /// Register (or look up) the counter `name` with `labels`.
@@ -468,59 +392,12 @@ impl Telemetry {
         }
     }
 
-    /// Emit a trace event at the caller-supplied deterministic `tick`.
-    /// Returns the event's sequence number (0 when disabled).
-    pub fn event(
-        &self,
-        target: &'static str,
-        name: &'static str,
-        tick: u64,
-        fields: &[(&'static str, i64)],
-    ) -> u64 {
-        let Some(inner) = self.inner else { return 0 };
-        let seq = inner.trace.seq.fetch_add(1, Ordering::Relaxed);
-        let ev = TraceEvent {
-            seq,
-            tick,
-            target,
-            name,
-            fields: fields.to_vec(),
-        };
-        let mut ring = inner.trace.ring.lock().unwrap_or_else(|e| e.into_inner());
-        if inner.trace.capacity == 0 {
-            inner.trace.dropped.fetch_add(1, Ordering::Relaxed);
-            return seq;
-        }
-        if ring.len() == inner.trace.capacity {
-            ring.pop_front();
-            inner.trace.dropped.fetch_add(1, Ordering::Relaxed);
-        }
-        ring.push_back(ev);
-        seq
-    }
-
-    /// Open a span starting at `start_tick`; close it with [`Span::end`].
-    pub fn span(&self, target: &'static str, name: &'static str, start_tick: u64) -> Span {
-        Span {
-            tel: *self,
-            target,
-            name,
-            start_tick,
-        }
-    }
-
-    /// Snapshot every instrument and the trace ring into a [`Scrape`]
-    /// with a deterministic (sorted) sample order. Cheap enough to call
-    /// mid-run; counters are summed across stripes at this point.
+    /// Snapshot every instrument of this registry into a [`Scrape`] with
+    /// a deterministic (sorted) sample order. Reads nothing outside the
+    /// registry. Cheap enough to call mid-run; counters are summed across
+    /// stripes at this point.
     pub fn scrape(&self) -> Scrape {
-        let mut scrape = Scrape {
-            counters: Vec::new(),
-            gauges: Vec::new(),
-            histograms: Vec::new(),
-            events: Vec::new(),
-            events_dropped: 0,
-            hot: hot::snapshot(),
-        };
+        let mut scrape = Scrape::default();
         let Some(inner) = self.inner else {
             return scrape;
         };
@@ -573,11 +450,6 @@ impl Telemetry {
         scrape
             .histograms
             .sort_by(|a, b| sort_key(a.name, &a.labels).cmp(&sort_key(b.name, &b.labels)));
-        {
-            let ring = inner.trace.ring.lock().unwrap_or_else(|e| e.into_inner());
-            scrape.events.extend(ring.iter().cloned());
-        }
-        scrape.events_dropped = inner.trace.dropped.load(Ordering::Relaxed);
         scrape
     }
 }
@@ -619,9 +491,8 @@ pub struct HistogramSample {
     pub sum: u64,
 }
 
-/// A point-in-time snapshot of a registry: every instrument (sorted by
-/// name then labels), the trace ring's surviving events in sequence
-/// order, and the process-wide hot-kernel tallies.
+/// A point-in-time snapshot of a registry: every instrument, sorted by
+/// name then labels, plus whatever records were exported into it.
 #[derive(Clone, Debug, Default, PartialEq)]
 #[must_use]
 pub struct Scrape {
@@ -631,12 +502,6 @@ pub struct Scrape {
     pub gauges: Vec<GaugeSample>,
     /// Histogram samples, sorted.
     pub histograms: Vec<HistogramSample>,
-    /// Surviving trace events, oldest first.
-    pub events: Vec<TraceEvent>,
-    /// Events evicted from the ring before this scrape.
-    pub events_dropped: u64,
-    /// Process-wide kernel counters (see [`hot`]).
-    pub hot: hot::HotKernelStats,
 }
 
 impl Scrape {
@@ -715,18 +580,12 @@ impl Scrape {
 
     /// `true` when nothing has been recorded at all.
     pub fn is_empty(&self) -> bool {
-        self.counters.is_empty()
-            && self.gauges.is_empty()
-            && self.histograms.is_empty()
-            && self.events.is_empty()
+        self.counters.is_empty() && self.gauges.is_empty() && self.histograms.is_empty()
     }
 
     /// Render in the Prometheus text exposition format: `# TYPE` lines,
-    /// escaped label values, cumulative `_bucket{le=…}` series plus
-    /// `_sum`/`_count` for histograms, and two synthetic series for the
-    /// trace ring (`streamhull_trace_events_total`,
-    /// `streamhull_trace_events_dropped_total`) and the hot-kernel
-    /// tallies.
+    /// escaped label values, and cumulative `_bucket{le=…}` series plus
+    /// `_sum`/`_count` for histograms.
     pub fn to_prometheus_text(&self) -> String {
         let mut out = String::new();
         let mut last = "";
@@ -790,33 +649,12 @@ impl Scrape {
                 h.count
             );
         }
-        let _ = writeln!(out, "# TYPE streamhull_trace_events_total counter");
-        let _ = writeln!(
-            out,
-            "streamhull_trace_events_total {}",
-            self.events.len() as u64 + self.events_dropped
-        );
-        let _ = writeln!(out, "# TYPE streamhull_trace_events_dropped_total counter");
-        let _ = writeln!(
-            out,
-            "streamhull_trace_events_dropped_total {}",
-            self.events_dropped
-        );
-        let _ = writeln!(out, "# TYPE streamhull_cert_hits_total counter");
-        let _ = writeln!(out, "streamhull_cert_hits_total {}", self.hot.cert_hits);
-        let _ = writeln!(out, "# TYPE streamhull_cert_refreshes_total counter");
-        let _ = writeln!(
-            out,
-            "streamhull_cert_refreshes_total {}",
-            self.hot.cert_refreshes
-        );
         out
     }
 
     /// Render as JSON lines: one self-contained JSON object per line
-    /// (`kind` discriminates `counter` / `gauge` / `histogram` /
-    /// `event` / `trace_meta` / `hot`), suitable for appending to a log
-    /// stream.
+    /// (`kind` discriminates `counter` / `gauge` / `histogram`), suitable
+    /// for appending to a log stream.
     pub fn to_json_lines(&self) -> String {
         let mut out = String::new();
         for c in &self.counters {
@@ -857,34 +695,6 @@ impl Scrape {
             }
             let _ = writeln!(out, "]}}");
         }
-        for e in &self.events {
-            let _ = write!(
-                out,
-                "{{\"kind\":\"event\",\"seq\":{},\"tick\":{},\"target\":\"{}\",\"name\":\"{}\",\"fields\":{{",
-                e.seq,
-                e.tick,
-                json_escape(e.target),
-                json_escape(e.name)
-            );
-            for (i, (k, v)) in e.fields.iter().enumerate() {
-                if i > 0 {
-                    let _ = write!(out, ",");
-                }
-                let _ = write!(out, "\"{}\":{}", json_escape(k), v);
-            }
-            let _ = writeln!(out, "}}}}");
-        }
-        let _ = writeln!(
-            out,
-            "{{\"kind\":\"trace_meta\",\"events\":{},\"events_dropped\":{}}}",
-            self.events.len(),
-            self.events_dropped
-        );
-        let _ = writeln!(
-            out,
-            "{{\"kind\":\"hot\",\"cert_hits\":{},\"cert_refreshes\":{}}}",
-            self.hot.cert_hits, self.hot.cert_refreshes
-        );
         out
     }
 }
@@ -964,7 +774,11 @@ fn json_labels(out: &mut String, labels: &[(&'static str, String)]) {
 /// `backend` = summary kind label, `outcome` = result class of a
 /// multi-way operation, `kind` = fault/spill subtype.
 /// The `RECOVERY_*` and `TENANT_*` series are written by the reports'
-/// `export_to`, all others are pushed into the registry.
+/// `export_to`, the `QUERY_CACHE_*` series by
+/// [`QueryCacheStats::export_to`](crate::queries::serving::QueryCacheStats::export_to)
+/// and the `CERT_*` series by
+/// [`HotKernelStats::export_to`](crate::telemetry::hot::HotKernelStats::export_to);
+/// all others are pushed into the registry.
 pub mod names {
     /// Points accepted by a backend's batch path (`backend` label).
     pub const INGEST_POINTS: &str = "streamhull_ingest_points_total";
@@ -1053,6 +867,11 @@ pub mod names {
     /// Separation-join pair outcomes (`outcome` label: `bbox_reject` /
     /// `incircle_accept` / `exact`).
     pub const QUERY_JOIN_PAIRS: &str = "streamhull_query_join_pairs_total";
+
+    /// Points answered by a cached interior certificate, process-wide.
+    pub const CERT_HITS: &str = "streamhull_cert_hits_total";
+    /// Interior-certificate rebuilds after a miss, process-wide.
+    pub const CERT_REFRESHES: &str = "streamhull_cert_refreshes_total";
 }
 
 /// Process-wide hot-kernel tallies.
@@ -1061,8 +880,12 @@ pub mod names {
 /// that have no `Telemetry` handle (and must not pay a lookup); instead
 /// each batch flushes its hit/refresh counts here — two relaxed adds per
 /// *batch*, not per point. Cumulative for the process lifetime, so tests
-/// assert on deltas, not absolutes.
+/// assert on deltas, not absolutes. A registry scrape never reads them; a
+/// caller writes a [`snapshot`](crate::telemetry::hot::snapshot) into a
+/// scrape with
+/// [`HotKernelStats::export_to`](crate::telemetry::hot::HotKernelStats::export_to).
 pub mod hot {
+    use super::{names, Scrape};
     use std::sync::atomic::{AtomicU64, Ordering};
 
     static CERT_HITS: AtomicU64 = AtomicU64::new(0);
@@ -1088,6 +911,13 @@ pub mod hot {
             } else {
                 self.cert_hits as f64 / total as f64
             }
+        }
+
+        /// Writes the `streamhull_cert_*` series into `scrape`, summed
+        /// into samples already there.
+        pub fn export_to(&self, scrape: &mut Scrape) {
+            scrape.add_counter(names::CERT_HITS, &[], self.cert_hits);
+            scrape.add_counter(names::CERT_REFRESHES, &[], self.cert_refreshes);
         }
     }
 
@@ -1123,12 +953,7 @@ mod tests {
         c.add(5);
         tel.gauge("g", &[]).set(7);
         tel.histogram("h", &[]).record(3);
-        tel.event("t", "e", 0, &[]);
-        let s = tel.scrape();
-        assert!(s.counters.is_empty());
-        assert!(s.gauges.is_empty());
-        assert!(s.histograms.is_empty());
-        assert!(s.events.is_empty());
+        assert!(tel.scrape().is_empty());
     }
 
     #[test]
@@ -1166,34 +991,6 @@ mod tests {
     }
 
     #[test]
-    fn trace_ring_keeps_newest_and_counts_drops() {
-        let tel = Telemetry::with_trace_capacity(3);
-        for tick in 0..5u64 {
-            tel.event("t", "e", tick, &[("i", tick as i64)]);
-        }
-        let s = tel.scrape();
-        assert_eq!(s.events.len(), 3);
-        assert_eq!(s.events_dropped, 2);
-        // Newest survive; seq stays a total order.
-        assert_eq!(s.events[0].seq, 2);
-        assert_eq!(s.events[2].seq, 4);
-        assert_eq!(s.events[2].tick, 4);
-    }
-
-    #[test]
-    fn span_emits_duration_fields() {
-        let tel = Telemetry::new();
-        let span = tel.span("t", "work", 10);
-        span.end(14);
-        let s = tel.scrape();
-        assert_eq!(s.events.len(), 1);
-        assert_eq!(
-            s.events[0].fields,
-            vec![("start_tick", 10), ("duration_ticks", 4)]
-        );
-    }
-
-    #[test]
     fn prometheus_text_escapes_and_orders() {
         let tel = Telemetry::new();
         tel.counter("m_total", &[("path", "a\\b\"c\nd")]).inc();
@@ -1212,7 +1009,6 @@ mod tests {
     fn json_lines_one_object_per_line() {
         let tel = Telemetry::new();
         tel.counter("m_total", &[("k", "v\"q")]).inc();
-        tel.event("t", "e", 1, &[("f", -2)]);
         let out = tel.scrape().to_json_lines();
         for line in out.lines() {
             assert!(
@@ -1221,7 +1017,22 @@ mod tests {
             );
         }
         assert!(out.contains("\"k\":\"v\\\"q\""));
-        assert!(out.contains("\"fields\":{\"f\":-2}"));
+    }
+
+    #[test]
+    fn hot_stats_export_sums_into_a_scrape() {
+        let stats = hot::HotKernelStats {
+            cert_hits: 5,
+            cert_refreshes: 2,
+        };
+        let mut s = Scrape::default();
+        stats.export_to(&mut s);
+        stats.export_to(&mut s);
+        assert_eq!(s.counter_total(names::CERT_HITS), 10);
+        assert_eq!(s.counter_total(names::CERT_REFRESHES), 4);
+        assert!(s.to_prometheus_text().contains(
+            "# TYPE streamhull_cert_hits_total counter\nstreamhull_cert_hits_total 10\n"
+        ));
     }
 
     #[test]

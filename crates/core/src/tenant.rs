@@ -29,8 +29,8 @@
 //!   that configuration (and re-interns it on restore), so a million
 //!   radial tenants carry one sector table, not a million.
 //! * **Bulk interleaved ingest** — `(stream, point)` traffic is grouped
-//!   per call and, via [`ShardedTenants`], routed across engine shards by
-//!   stream-id hash on scoped threads.
+//!   per stream in first-appearance order, so one batch is one
+//!   deterministic sequence of writes.
 //! * **Backfill** — [`TenantEngine::absorb`] merges a finished
 //!   [`SupervisedRun`] (an archive replayed through
 //!   [`SupervisedIngest`](crate::recovery::SupervisedIngest), which
@@ -42,9 +42,10 @@
 //! A refused write is never half-taken, and `seen == ingested + shed`
 //! holds globally and per tenant at every call boundary.
 //!
-//! The [`PressureReport`] is the governor's only ledger: a scrape shows
-//! the `streamhull_tenant_*` series once [`PressureReport::export_to`]
-//! renders them from a report, so the two agree by construction.
+//! The [`PressureReport`] is the governor's only ledger, and its event
+//! log the only event trail: a scrape shows the `streamhull_tenant_*`
+//! series once [`PressureReport::export_to`] renders them from a report,
+//! so the two agree by construction.
 //!
 //! This module is a declared **no-panic zone** (enforced by `hull-lint`):
 //! every overload, corruption, and quota outcome is a value, not a crash.
@@ -259,9 +260,7 @@ pub struct PressureReport {
     pub budget_bytes: usize,
     /// Accounted bytes at the time the report was taken.
     pub bytes_in_use: usize,
-    /// High-water mark of accounted bytes: exact for one engine, and for
-    /// a [`ShardedTenants`] report the sum of the per-shard marks, an upper
-    /// bound on the fleet's peak (shards peak at different moments).
+    /// High-water mark of accounted bytes.
     pub bytes_peak: usize,
     /// Streams in the hot tier when the report was taken.
     pub hot_streams: usize,
@@ -294,18 +293,11 @@ pub struct PressureReport {
     pub restores: u64,
     /// Total envelope bytes written by spills.
     pub spilled_bytes: u64,
-    /// Bounded event log, oldest first. The bound is
-    /// [`TenantConfig::with_event_capacity`] (default 256) and the log
-    /// keeps the **first** `event_capacity` events — the onset of a
-    /// pressure incident — counting overflow in `events_dropped` instead
-    /// of storing it. (The telemetry trace ring makes the opposite
-    /// choice and keeps the *newest* events; attach a registry via
-    /// [`TenantConfig::with_telemetry`] to capture both ends.)
+    /// The governor's event trail, oldest first, bounded by
+    /// [`TenantConfig::with_event_capacity`] (default 256); the
+    /// [`telemetry`](crate::telemetry) module docs state what it keeps.
     pub events: Vec<PressureEvent>,
-    /// Events that no longer fit the log. Nothing is lost silently: the
-    /// exact counters above are unaffected by the bound, and when a
-    /// telemetry registry is attached every event — kept or dropped —
-    /// is still emitted into the trace ring.
+    /// Events the bounded trail did not keep.
     pub events_dropped: u64,
 }
 
@@ -477,11 +469,10 @@ impl TenantConfig {
         self
     }
 
-    /// Attaches a [`Telemetry`] registry: every pressure event is emitted
-    /// into its trace ring with the engine clock as its tick, and a
+    /// Attaches a [`Telemetry`] registry, in which a
     /// [`QueryEngine`](crate::queries::QueryEngine) over the engine
-    /// records its query instruments there. The tallies themselves stay
-    /// in the [`PressureReport`]; a scrape shows them once
+    /// records its query instruments. The governor's tallies and events
+    /// stay in the [`PressureReport`]; a scrape shows them once
     /// [`PressureReport::export_to`] writes them in.
     pub fn with_telemetry(mut self, telemetry: Telemetry) -> Self {
         self.telemetry = telemetry;
@@ -979,28 +970,6 @@ impl TenantEngine {
     }
 
     fn push_event(&mut self, stream: StreamId, action: PressureAction) {
-        // Every event reaches the trace ring (which bounds itself by
-        // keeping the newest) even when the report ledger below is full.
-        let tel = self.config.telemetry;
-        if tel.is_enabled() {
-            let (name, extra) = match &action {
-                PressureAction::Spilled { bytes } => ("spill", ("bytes", *bytes as i64)),
-                PressureAction::Restored { bytes } => ("restore", ("bytes", *bytes as i64)),
-                PressureAction::ShedPoints { points } => {
-                    ("shed_points", ("points", *points as i64))
-                }
-                PressureAction::Evicted { seen } => ("evict", ("seen", *seen as i64)),
-                PressureAction::Degraded { .. } => ("degrade", ("points", 0)),
-                PressureAction::Quarantined { .. } => ("quarantine", ("points", 0)),
-                PressureAction::Rejected { points } => ("reject", ("points", *points as i64)),
-            };
-            tel.event(
-                "tenant",
-                name,
-                self.clock,
-                &[("stream", stream.0 as i64), extra],
-            );
-        }
         if self.report.events.len() < self.config.event_capacity {
             let tick = self.clock;
             self.report.events.push(PressureEvent {
@@ -1683,146 +1652,6 @@ fn group_by_stream(traffic: &[(StreamId, Point2)]) -> Vec<(StreamId, Vec<Point2>
     groups
 }
 
-/// SplitMix64 — the workspace's standard seed mixer, here routing stream
-/// ids to engine shards.
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
-/// `N` independent [`TenantEngine`]s with traffic routed by stream-id
-/// hash: tenants are disjoint across shards, so bulk ingest fans out onto
-/// scoped threads with no cross-shard coordination (the same worker
-/// discipline as [`ShardedIngest`](crate::parallel::ShardedIngest)) and
-/// every per-shard guarantee — budget, quarantine isolation, exact
-/// accounting — holds for the fleet.
-#[derive(Debug)]
-pub struct ShardedTenants {
-    shards: Vec<TenantEngine>,
-}
-
-impl ShardedTenants {
-    /// `shards` engines (at least 1), each governed by `config`. Note the
-    /// budget is **per shard**: a fleet budget `B` over `n` shards is
-    /// `config.with_budget_bytes(B / n)`.
-    pub fn new(config: TenantConfig, shards: usize) -> Self {
-        let shards = shards.max(1);
-        ShardedTenants {
-            shards: (0..shards).map(|_| TenantEngine::new(config)).collect(),
-        }
-    }
-
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Which shard owns `id`.
-    pub fn shard_of(&self, id: StreamId) -> usize {
-        (splitmix64(id.0) % self.shards.len() as u64) as usize
-    }
-
-    /// Borrows the engine owning `id`.
-    pub fn engine(&self, id: StreamId) -> &TenantEngine {
-        &self.shards[self.shard_of(id)]
-    }
-
-    /// Mutably borrows the engine owning `id`.
-    pub fn engine_mut(&mut self, id: StreamId) -> &mut TenantEngine {
-        let s = self.shard_of(id);
-        &mut self.shards[s]
-    }
-
-    /// All shards, in shard order.
-    pub fn engines(&self) -> &[TenantEngine] {
-        &self.shards
-    }
-
-    /// Total registered streams.
-    pub fn len(&self) -> usize {
-        self.shards.iter().map(TenantEngine::len).sum()
-    }
-
-    /// `true` when no shard holds a stream.
-    pub fn is_empty(&self) -> bool {
-        self.shards.iter().all(TenantEngine::is_empty)
-    }
-
-    /// Total accounted bytes.
-    pub fn bytes_in_use(&self) -> usize {
-        self.shards.iter().map(TenantEngine::bytes_in_use).sum()
-    }
-
-    /// Routes interleaved traffic to its owning shards and ingests each
-    /// shard's slice on its own scoped thread (deterministic: shards own
-    /// disjoint tenants and each slice preserves arrival order). Returns
-    /// the first shard error in shard order, if any — under shedding /
-    /// degrading policies, shards never error.
-    pub fn ingest_bulk(&mut self, traffic: &[(StreamId, Point2)]) -> Result<(), AdmissionError> {
-        let n = self.shards.len();
-        let mut routed: Vec<Vec<(StreamId, Point2)>> = vec![Vec::new(); n];
-        for &(id, p) in traffic {
-            routed[(splitmix64(id.0) % n as u64) as usize].push((id, p));
-        }
-        let mut results: Vec<Result<(), AdmissionError>> = Vec::with_capacity(n);
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = self
-                .shards
-                .iter_mut()
-                .zip(routed.iter())
-                .map(|(engine, slice)| scope.spawn(move || engine.ingest_bulk(slice)))
-                .collect();
-            for h in handles {
-                results.push(h.join().unwrap_or(Err(AdmissionError::UnknownStream {
-                    stream: StreamId(u64::MAX),
-                })));
-            }
-        });
-        results.into_iter().collect()
-    }
-
-    /// Advances every shard's idle clock (see [`TenantEngine::tick`]).
-    pub fn tick(&mut self) {
-        for s in &mut self.shards {
-            s.tick();
-        }
-    }
-
-    /// Fleet-wide report: shard tallies summed, event logs concatenated in
-    /// shard order (bounded by the sum of the shard caps). `bytes_peak` is
-    /// the sum of the per-shard high-water marks: an upper bound on the
-    /// fleet's simultaneous peak, since shards peak at different moments.
-    pub fn pressure_report(&self) -> PressureReport {
-        let mut total = PressureReport::default();
-        for s in &self.shards {
-            let r = s.pressure_report();
-            total.budget_bytes += r.budget_bytes;
-            total.bytes_in_use += r.bytes_in_use;
-            total.bytes_peak += r.bytes_peak;
-            total.hot_streams += r.hot_streams;
-            total.cold_streams += r.cold_streams;
-            total.quarantined_streams += r.quarantined_streams;
-            total.streams_admitted += r.streams_admitted;
-            total.streams_rejected += r.streams_rejected;
-            total.streams_shed += r.streams_shed;
-            total.streams_degraded += r.streams_degraded;
-            total.streams_quarantined += r.streams_quarantined;
-            total.points_seen += r.points_seen;
-            total.points_ingested += r.points_ingested;
-            total.points_shed += r.points_shed;
-            total.points_rejected += r.points_rejected;
-            total.spills += r.spills;
-            total.restores += r.restores;
-            total.spilled_bytes += r.spilled_bytes;
-            total.events_dropped += r.events_dropped;
-            total.events.extend(r.events);
-        }
-        total
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -2149,28 +1978,6 @@ mod tests {
     }
 
     #[test]
-    fn sharded_tenants_route_and_report() {
-        let config = TenantConfig::new(SummaryBuilder::new(SummaryKind::Uniform).with_r(8));
-        let mut fleet = ShardedTenants::new(config, 4);
-        let traffic: Vec<(StreamId, Point2)> = (0..1000)
-            .map(|i| {
-                let t = i as f64 * 0.05;
-                (StreamId(i % 37), Point2::new(t.cos(), t.sin()))
-            })
-            .collect();
-        fleet.ingest_bulk(&traffic).unwrap();
-        assert_eq!(fleet.len(), 37);
-        let r = fleet.pressure_report();
-        assert_eq!(r.points_seen, 1000);
-        assert_eq!(r.points_seen, r.points_ingested + r.points_shed);
-        // Routing is stable: the owning engine serves the stream.
-        let id = StreamId(11);
-        assert!(fleet.engine(id).contains(id));
-        let hull = fleet.engine_mut(id).hull(id).unwrap();
-        assert!(hull.len() >= 3);
-    }
-
-    #[test]
     fn absorb_composes_with_sharded_recovery() {
         use crate::parallel::ShardedIngest;
         use crate::recovery::{FaultPlan, RetryPolicy, SupervisedIngest};
@@ -2236,8 +2043,7 @@ mod tests {
     }
 
     /// Every `PressureReport` tally must be readable, exactly, from a
-    /// scrape it was exported into — including after a quarantine — and
-    /// the trace ring still carries the pressure narrative.
+    /// scrape it was exported into — including after a quarantine.
     #[test]
     fn scrape_mirrors_pressure_report_exactly() {
         let tel = Telemetry::new();
@@ -2300,45 +2106,5 @@ mod tests {
             e.quarantined_count() as i64
         );
         assert_eq!(report.streams_quarantined, 1);
-        // The trace ring carried the pressure narrative (ticks = engine
-        // clock, deterministic) even though the ledger overflowed.
-        assert!(scrape.events.iter().any(|ev| ev.target == "tenant"));
-    }
-
-    /// Exporting every shard's report into one scrape sums to the fleet
-    /// ledger.
-    #[test]
-    fn sharded_tenants_share_one_registry() {
-        let tel = Telemetry::new();
-        let config = TenantConfig::new(SummaryBuilder::new(SummaryKind::Radial).with_r(8))
-            .with_telemetry(tel);
-        let mut fleet = ShardedTenants::new(config, 4);
-        let traffic: Vec<(StreamId, Point2)> = (0..400u64)
-            .map(|i| {
-                (
-                    StreamId(i % 23),
-                    Point2::new((i % 17) as f64, (i % 13) as f64),
-                )
-            })
-            .collect();
-        fleet.ingest_bulk(&traffic).unwrap();
-        fleet.tick();
-        let report = fleet.pressure_report();
-        let mut scrape = tel.scrape();
-        for engine in fleet.engines() {
-            engine.pressure_report().export_to(&mut scrape);
-        }
-        assert_eq!(
-            scrape.counter_total(names::TENANT_POINTS_INGESTED),
-            report.points_ingested
-        );
-        assert_eq!(
-            scrape.counter_with(names::TENANT_STREAMS, &[("outcome", "admitted")]),
-            Some(report.streams_admitted)
-        );
-        assert_eq!(
-            scrape.gauge_value(names::TENANT_BYTES_IN_USE),
-            Some(report.bytes_in_use as i64)
-        );
     }
 }

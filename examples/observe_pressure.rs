@@ -2,7 +2,9 @@
 //! whole stack — sharded ingestion, sliding windows, supervised
 //! recovery, and a tenant-pressure storm — scrape it *mid-run*, and
 //! render the engines' own ledgers ([`PressureReport`],
-//! [`RecoveryReport`]) into each scrape with their `export_to`.
+//! [`RecoveryReport`]) into each scrape with their `export_to`. The
+//! closing scrape also carries the process-wide interior-certificate
+//! tallies, exported from `hot::snapshot()`.
 //!
 //! Run: `cargo run --release --example observe_pressure`
 //!
@@ -10,12 +12,13 @@
 //! non-empty and schema-valid (Prometheus text lines parse, JSON lines
 //! are one object per line) and show the pressure ledger field for
 //! field. The closing scrape carries both ledgers — the storm's and the
-//! supervised run's — the way one process exports one `/metrics`
-//! endpoint. `--dump` additionally prints the full Prometheus exposition.
+//! supervised run's — and the certificate tallies, the way one process
+//! exports one `/metrics` endpoint. `--dump` additionally prints the full
+//! Prometheus exposition.
 
 use streamgen::TenantTraffic;
 use streamhull::prelude::*;
-use streamhull::telemetry::names;
+use streamhull::telemetry::{hot, names};
 
 const SEED: u64 = 20040614;
 
@@ -267,14 +270,13 @@ fn pressure_storm(tel: Telemetry, recovery: &RecoveryReport, dump: bool) {
         live_scrapes += 1;
         if i % 4 == 0 {
             println!(
-                "    t={:>2}  bytes {:>7}/{budget}  hot {:>5} cold {:>5}  degraded {:>4}  trace events {:>4} (+{} dropped)",
+                "    t={:>2}  bytes {:>7}/{budget}  hot {:>5} cold {:>5}  degraded {:>4}  events dropped {:>4}",
                 i,
                 scrape.gauge_value(names::TENANT_BYTES_IN_USE).unwrap_or(0),
                 scrape.gauge_value(names::TENANT_HOT_STREAMS).unwrap_or(0),
                 scrape.gauge_value(names::TENANT_COLD_STREAMS).unwrap_or(0),
                 scrape.counter_total(names::TENANT_DEGRADATIONS),
-                scrape.events.len(),
-                scrape.events_dropped,
+                scrape.counter_total(names::TENANT_EVENTS_DROPPED),
             );
         }
     }
@@ -292,9 +294,11 @@ fn pressure_storm(tel: Telemetry, recovery: &RecoveryReport, dump: bool) {
     assert!(engine.summary(victim).is_err());
 
     let report = engine.pressure_report();
+    let cert = hot::snapshot();
     let mut scrape = tel.scrape();
     report.export_to(&mut scrape);
     recovery.export_to(&mut scrape);
+    cert.export_to(&mut scrape);
     assert_scrape_matches_report(&scrape, &report);
     assert_eq!(scrape.counter_total(names::TENANT_QUARANTINES), 1);
     assert_eq!(
@@ -302,9 +306,13 @@ fn pressure_storm(tel: Telemetry, recovery: &RecoveryReport, dump: bool) {
         Some(recovery.checkpoints_taken),
         "the closing scrape must carry the supervised run's ledger too"
     );
-    assert!(
-        report.events_dropped > 0 && !scrape.events.is_empty(),
-        "the bounded ledger overflowed but the trace ring must still narrate"
+    assert_eq!(
+        (
+            scrape.counter_total(names::CERT_HITS),
+            scrape.counter_total(names::CERT_REFRESHES)
+        ),
+        (cert.cert_hits, cert.cert_refreshes),
+        "the closing scrape must carry the exported certificate tallies"
     );
     let prom = scrape.to_prometheus_text();
     let samples = assert_prometheus_schema(&prom);
@@ -319,7 +327,7 @@ fn pressure_storm(tel: Telemetry, recovery: &RecoveryReport, dump: bool) {
     );
     println!(
         "    exporters: {samples} Prometheus samples, {json_lines} JSON lines, cert hit rate {:.2}",
-        scrape.hot.hit_rate()
+        cert.hit_rate()
     );
     if dump {
         println!("\n--- Prometheus exposition ---\n{prom}");

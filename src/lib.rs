@@ -179,14 +179,14 @@
 //! ## Observability
 //!
 //! [`Telemetry`] is a zero-dependency metrics registry — striped relaxed
-//! counters, gauges, log-scale histograms, and a deterministic trace ring
-//! — threaded through every engine above for hot-path measurements.
-//! Attach one handle and scrape a consistent snapshot mid-run, as
-//! Prometheus text or JSON lines; a detached handle
-//! ([`Telemetry::disabled`]) makes every instrument a single-branch no-op,
-//! so uninstrumented hot paths pay nothing. The ledgers —
-//! [`PressureReport`] and [`RecoveryReport`] — are not copied into the
-//! registry: `export_to` renders a report into the scrape, so the two
+//! counters, gauges and log-scale histograms — threaded through every
+//! engine above for hot-path measurements. Attach one handle and scrape a
+//! consistent snapshot of that registry mid-run, as Prometheus text or
+//! JSON lines; a detached handle ([`Telemetry::disabled`]) makes every
+//! instrument a single-branch no-op, so uninstrumented hot paths pay
+//! nothing. The ledgers — [`PressureReport`] and [`RecoveryReport`] — and
+//! the query cache's [`QueryCacheStats`] are not copied into the
+//! registry: `export_to` renders each record into the scrape, so the two
 //! agree by construction:
 //!
 //! ```
@@ -283,12 +283,12 @@ pub use adaptive_hull::{
     JoinCertificate, JoinPair, Mergeable, NaiveUniformHull, NonFiniteInput, OverloadPolicy,
     PairAnswer, PressureAction, PressureEvent, PressureReport, QDir, QueryCacheStats, QueryEngine,
     QueryError, RadialHull, RecoveryAction, RecoveryReport, RetryPolicy, ShardHealth, ShardRun,
-    ShardStats, ShardStatus, ShardedIngest, ShardedTenants, Snapshot, SnapshotError, StreamId,
-    SummaryBuilder, SummaryKind, SupervisedIngest, SupervisedRun, SupervisedWindowedRun, Telemetry,
-    TenantConfig, TenantEngine, TenantStats, Tier, TopKAnswer, TopKEntry, UniformHull,
-    WindowAnswer, WindowConfig, WindowPolicy, WindowedSummary,
+    ShardStats, ShardStatus, ShardedIngest, Snapshot, SnapshotError, StreamId, SummaryBuilder,
+    SummaryKind, SupervisedIngest, SupervisedRun, SupervisedWindowedRun, Telemetry, TenantConfig,
+    TenantEngine, TenantStats, Tier, TopKAnswer, TopKEntry, UniformHull, WindowAnswer,
+    WindowConfig, WindowPolicy, WindowedSummary,
 };
-pub use adaptive_hull::{Counter, Gauge, Histogram, Scrape, Span, TraceEvent};
+pub use adaptive_hull::{Counter, Gauge, Histogram, Scrape};
 pub use geom::{ConvexPolygon, Point2, Vec2};
 
 /// Everything most applications need.
@@ -299,10 +299,10 @@ pub mod prelude {
         HullSummary, HullSummaryExt, JoinAnswer, JoinCertificate, JoinPair, Mergeable,
         NaiveUniformHull, NonFiniteInput, OverloadPolicy, PairAnswer, Point2, PressureAction,
         PressureEvent, PressureReport, QDir, QueryCacheStats, QueryEngine, QueryError, RadialHull,
-        RecoveryReport, RetryPolicy, Scrape, ShardRun, ShardStats, ShardedIngest, ShardedTenants,
-        Snapshot, SnapshotError, StreamId, SummaryBuilder, SummaryKind, SupervisedIngest,
-        SupervisedRun, SupervisedWindowedRun, Telemetry, TenantConfig, TenantEngine, TenantStats,
-        Tier, TopKAnswer, TopKEntry, UniformHull, Vec2, WindowAnswer, WindowConfig, WindowPolicy,
+        RecoveryReport, RetryPolicy, Scrape, ShardRun, ShardStats, ShardedIngest, Snapshot,
+        SnapshotError, StreamId, SummaryBuilder, SummaryKind, SupervisedIngest, SupervisedRun,
+        SupervisedWindowedRun, Telemetry, TenantConfig, TenantEngine, TenantStats, Tier,
+        TopKAnswer, TopKEntry, UniformHull, Vec2, WindowAnswer, WindowConfig, WindowPolicy,
         WindowedRun, WindowedSummary,
     };
 }

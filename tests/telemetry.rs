@@ -1,14 +1,15 @@
 //! Telemetry conformance and ledger-equality tests: the Prometheus text
 //! exposition obeys escaping and histogram rules, the JSON-lines export
-//! is one valid object per line, striped-counter merging is exact and
-//! deterministic under scoped-thread contention, exporting the ledgers
+//! is one valid object per line, a scrape reads only its own registry,
+//! striped-counter merging is exact and deterministic under scoped-thread
+//! contention, exporting the ledgers
 //! ([`PressureReport`], [`RecoveryReport`]) into a scrape keeps it
 //! conformant and sums rather than repeats, and a scrape they were
 //! exported into agrees with them field-for-field — including over
 //! randomized seeded tenant-pressure runs.
 
 use proptest::prelude::*;
-use streamgen::TenantTraffic;
+use streamgen::{Disk, TenantTraffic};
 use streamhull::prelude::*;
 use streamhull::telemetry::names;
 use streamhull::DetectedFault;
@@ -263,7 +264,8 @@ fn prometheus_text_conforms() {
 }
 
 /// JSON-lines: every line of the export parses as one complete JSON
-/// object — even with hostile label values and event fields.
+/// object — even with hostile label values — and each sample kind is
+/// exported once per sample.
 #[test]
 fn json_lines_conform() {
     let tel = Telemetry::new();
@@ -274,7 +276,6 @@ fn json_lines_conform() {
     .inc();
     tel.gauge("streamhull_test_level", &[]).add(-12);
     tel.histogram("streamhull_test_ns", &[]).record(42);
-    tel.event("test", "hostile", 3, &[("delta", -9), ("zero", 0)]);
     let out = tel.scrape().to_json_lines();
     let mut lines = 0;
     for line in out.lines() {
@@ -282,7 +283,76 @@ fn json_lines_conform() {
             .unwrap_or_else(|e| panic!("invalid JSON line ({e}): {line}"));
         lines += 1;
     }
-    assert!(lines >= 4, "expected all four kinds exported, got {lines}");
+    for kind in ["counter", "gauge", "histogram"] {
+        assert!(
+            out.contains(&format!("{{\"kind\":\"{kind}\",")),
+            "no {kind} line exported"
+        );
+    }
+    assert_eq!(lines, 3, "one line per sample");
+}
+
+/// A scrape reads only its own registry: summaries fed outside it —
+/// whose batch kernels bump the process-wide certificate tallies — leave
+/// a second scrape equal to the first.
+#[test]
+fn a_scrape_reads_only_its_registry() {
+    let tel = Telemetry::new();
+    tel.counter(names::INGEST_POINTS, &[("backend", "exact")])
+        .add(3);
+    let before = tel.scrape();
+    let pts: Vec<Point2> = Disk::new(16, 20_000, 1.0).collect();
+    for kind in [
+        SummaryKind::Adaptive,
+        SummaryKind::Uniform,
+        SummaryKind::Exact,
+    ] {
+        let mut summary = SummaryBuilder::new(kind).with_r(32).build();
+        summary.insert_batch(&pts);
+        assert!(summary.hull_ref().len() >= 3, "{kind:?}");
+    }
+    assert_eq!(tel.scrape(), before, "a scrape must read only its registry");
+}
+
+/// `streamhull_query_answers_total` counts answers served: queries on an
+/// unknown stream add nothing, and summed over kinds the answers equal
+/// the cache hits plus misses that `cache_stats()` exports.
+#[test]
+fn query_answers_count_only_served_answers() {
+    let tel = Telemetry::new();
+    let config = TenantConfig::new(SummaryBuilder::new(SummaryKind::Adaptive).with_r(16))
+        .with_telemetry(tel);
+    let mut q = QueryEngine::new(TenantEngine::new(config));
+    for (i, p) in Disk::new(17, 600, 1.0).enumerate() {
+        q.tenants_mut().insert(StreamId(i as u64 % 3), p).unwrap();
+    }
+    let unknown = StreamId(99);
+    assert!(q.width(unknown).is_err());
+    assert!(q.diameter(unknown).is_err());
+    assert!(q.extent(unknown, Vec2::new(1.0, 0.0)).is_err());
+    assert_eq!(
+        tel.scrape().counter_total(names::QUERY_ANSWERS),
+        0,
+        "a refused query is not an answer served"
+    );
+    for id in (0..3).map(StreamId) {
+        q.width(id).unwrap();
+        q.width(id).unwrap();
+        q.diameter(id).unwrap();
+        q.extent(id, Vec2::new(0.0, 1.0)).unwrap();
+    }
+    q.top_k_extent(Vec2::new(1.0, 0.0), 2).unwrap();
+    q.separation_join(0.5).unwrap();
+    assert!(q.width(unknown).is_err());
+    let stats = q.cache_stats();
+    assert!(stats.hits >= 3 && stats.misses >= 9);
+    let mut scrape = tel.scrape();
+    stats.export_to(&mut scrape);
+    assert_eq!(
+        scrape.counter_total(names::QUERY_ANSWERS),
+        scrape.counter_total(names::QUERY_CACHE_HITS)
+            + scrape.counter_total(names::QUERY_CACHE_MISSES)
+    );
 }
 
 // ---------------------------------------------------------------------

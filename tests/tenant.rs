@@ -190,31 +190,6 @@ proptest! {
     }
 }
 
-/// Deterministic end-to-end drill of the interleaved bulk path: skewed
-/// multi-tenant traffic through [`ShardedTenants`] matches a serial
-/// [`TenantEngine`] fed the same pairs, tenant by tenant.
-#[test]
-fn sharded_bulk_ingest_matches_serial_engine() {
-    let traffic: Vec<(StreamId, Point2)> = streamhull::streamgen::TenantTraffic::new(11, 50, 4_000)
-        .map(|(t, p)| (StreamId(t), p))
-        .collect();
-    let config = TenantConfig::new(SummaryBuilder::new(SummaryKind::Adaptive).with_r(16));
-    let mut serial = TenantEngine::new(config);
-    serial.ingest_bulk(&traffic).unwrap();
-    let mut sharded = ShardedTenants::new(config, 4);
-    sharded.ingest_bulk(&traffic).unwrap();
-    assert_eq!(sharded.len(), serial.len());
-    let ids: Vec<StreamId> = serial.ids().collect();
-    for id in ids {
-        let want = fingerprint(serial.summary(id).unwrap());
-        let got = fingerprint(sharded.engine_mut(id).summary(id).unwrap());
-        assert_eq!(
-            got, want,
-            "tenant {id} diverged between sharded and serial ingest"
-        );
-    }
-}
-
 /// Under [`OverloadPolicy::Reject`] a refused backfill is never
 /// half-taken: the ledger and the registry are exactly as before the call,
 /// the run's points are counted as rejected, and the budget holds.
