@@ -469,6 +469,10 @@ impl Mergeable for FixedBudgetAdaptiveHull {
     fn encode_snapshot(&self) -> Vec<u8> {
         crate::snapshot::Snapshot::encode(self)
     }
+
+    fn clone_box(&self) -> Box<dyn Mergeable + Send + Sync> {
+        Box::new(self.clone())
+    }
 }
 
 #[cfg(test)]

@@ -290,6 +290,16 @@ pub trait Mergeable: HullSummary {
     /// one process.
     fn encode_snapshot(&self) -> Vec<u8>;
 
+    /// A deep copy behind a fresh box: the same snapshot bytes, hull,
+    /// bound, generation and `approx_bytes`, and no mutable state shared
+    /// with `self` (only immutable direction tables), so the two evolve
+    /// independently and fed the same points stay equal. Summaries merge
+    /// deterministically, so a copy of a collector that absorbed some
+    /// buckets can stand in for re-merging them:
+    /// [`query_window`](crate::window::WindowedSummary::query_window)
+    /// resumes from such checkpoints.
+    fn clone_box(&self) -> Box<dyn Mergeable + Send + Sync>;
+
     /// Absorbs `other` into `self`. Works across summary kinds: any
     /// mergeable summary can ingest any other's sample.
     fn merge_from(&mut self, other: &dyn Mergeable) {
@@ -309,6 +319,9 @@ impl<S: Mergeable + ?Sized> Mergeable for Box<S> {
     }
     fn encode_snapshot(&self) -> Vec<u8> {
         (**self).encode_snapshot()
+    }
+    fn clone_box(&self) -> Box<dyn Mergeable + Send + Sync> {
+        (**self).clone_box()
     }
     fn merge_from(&mut self, other: &dyn Mergeable) {
         (**self).merge_from(other)

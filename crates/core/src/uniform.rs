@@ -274,6 +274,10 @@ impl Mergeable for NaiveUniformHull {
     fn encode_snapshot(&self) -> Vec<u8> {
         crate::snapshot::Snapshot::encode(self)
     }
+
+    fn clone_box(&self) -> Box<dyn Mergeable + Send + Sync> {
+        Box::new(self.clone())
+    }
 }
 
 /// Largest height over a set of uncertainty triangles (0 when empty).
@@ -826,6 +830,10 @@ impl Mergeable for UniformHull {
 
     fn encode_snapshot(&self) -> Vec<u8> {
         crate::snapshot::Snapshot::encode(self)
+    }
+
+    fn clone_box(&self) -> Box<dyn Mergeable + Send + Sync> {
+        Box::new(self.clone())
     }
 }
 

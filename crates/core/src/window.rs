@@ -25,7 +25,7 @@
 //!   [`SummaryBuilder`] — so every backend, exact through cluster, windows
 //!   through one code path;
 //! * [`query_window`](WindowedSummary::query_window) merges the live
-//!   buckets (oldest → newest) into a fresh collector of the same kind and
+//!   buckets (oldest → newest) into a collector of the same kind and
 //!   reports the hull together with a **composed error bound** (the sum of
 //!   the buckets' live bounds and accumulated merge debts plus the
 //!   collector's own bound — the same composition the sharded engine's
@@ -33,18 +33,34 @@
 //!   bound: at most `stale_points` points older than the window (reaching
 //!   back at most `stale_duration` before it) may have been included.
 //!   Raising `k` or lowering `g` tightens staleness at the price of more
-//!   buckets.
+//!   buckets;
+//! * a query **resumes from a collector checkpoint**: the chain keeps a
+//!   copy of the collector at the end of each sealed level run (the
+//!   buckets of one size class) a query absorbed. A seal or a carry only
+//!   changes the bucket right after such an end, so the next query
+//!   re-merges just the buckets from the oldest one sealed or carried
+//!   since on, plus the open head; between nearby queries those are the
+//!   newest, cheapest buckets. The first query, and the first after the
+//!   oldest bucket expires or changes, merges every bucket
+//!   (`O(buckets · r)` inserts). The answer is bit-identical to a
+//!   cold merge: summaries merge deterministically, and each checkpoint
+//!   is keyed by the sequence numbers of the buckets it absorbed, which
+//!   change whenever a bucket's summary does. Checkpoints are derived
+//!   state like the cached hull: snapshots omit them (a restored chain
+//!   starts cold) and `approx_bytes` does not count them.
 //!
 //! Windowed summaries compose with sharded ingestion: see
 //! [`SupervisedIngest::run_stream_windowed`](crate::recovery::SupervisedIngest::run_stream_windowed),
 //! which keeps one windowed summary per shard and merges their live
-//! buckets **in shard order** at query time (PR 3's determinism contract).
+//! buckets **in shard order** into a fresh collector at query time (the
+//! sharded engine's determinism contract).
 
 use crate::builder::SummaryBuilder;
 use crate::summary::{GenCache, HullCache, HullSummary, Mergeable};
 use crate::telemetry::{names, Counter, Gauge, Telemetry};
 use geom::{ConvexPolygon, Point2};
 use std::collections::VecDeque;
+use std::sync::{Mutex, PoisonError};
 
 /// The chain's registered instruments (all `Copy` no-ops until a
 /// [`Telemetry`] handle is attached via
@@ -183,6 +199,11 @@ pub(crate) fn check_timestamp(clock: Option<f64>, t: f64) {
 #[derive(Debug)]
 struct Bucket {
     summary: Box<dyn Mergeable + Send + Sync>,
+    /// Names the summary's contents for query checkpoints: fresh from the
+    /// chain's counter when the head is created and when a carry grows
+    /// the bucket. A sealed bucket's summary changes only at a carry, so
+    /// an unchanged number means an unchanged summary.
+    seq: u64,
     count: u64,
     t_first: f64,
     t_last: f64,
@@ -206,6 +227,18 @@ impl Bucket {
     }
 }
 
+/// One live sealed bucket a [`WindowedSummary::query_window`] absorbed,
+/// saved so the next query can skip re-merging an unchanged prefix.
+#[derive(Debug)]
+struct Absorbed {
+    /// The bucket's sequence number when the query merged it.
+    seq: u64,
+    /// A copy of the collector right after this bucket, kept when the
+    /// bucket ended a level run: a carry at level `l` then leaves every
+    /// checkpoint up to the end of level `l + 1` intact.
+    checkpoint: Option<Box<dyn Mergeable + Send + Sync>>,
+}
+
 /// Aggregate report of one window query: the merged collector summary plus
 /// the bookkeeping needed to interpret it honestly.
 ///
@@ -218,9 +251,11 @@ impl Bucket {
 #[derive(Debug)]
 #[must_use = "a window answer carries the merged summary and its error/staleness bounds"]
 pub struct WindowAnswer {
-    /// The collector: a fresh summary of the configured kind that absorbed
-    /// every live bucket, oldest to newest (and in shard order for sharded
-    /// windows).
+    /// The collector: a summary of the configured kind that absorbed every
+    /// live bucket, oldest to newest (and in shard order for sharded
+    /// windows). A standalone query builds it from a copy of a saved
+    /// checkpoint when one is still valid; it is the answer's own copy
+    /// either way, bit-identical to a fresh collector fed every bucket.
     pub summary: Box<dyn Mergeable + Send + Sync>,
     /// Stream points covered by the merged buckets (in-window points plus
     /// at most [`stale_points`](WindowAnswer::stale_points) stale ones).
@@ -359,8 +394,14 @@ pub struct WindowedSummary {
     clock: f64,
     /// Total stream points ever consumed (also the auto-tick source).
     total_seen: u64,
+    /// The next bucket sequence number (never reused within a chain).
+    next_seq: u64,
     cache: HullCache,
     bound_cache: GenCache<Option<f64>>,
+    /// The live sealed buckets the last query absorbed, oldest first,
+    /// with its checkpoints: derived state like `cache`, so neither
+    /// snapshots nor `approx_bytes` include them.
+    absorbed: Mutex<Vec<Absorbed>>,
     /// Reusable buffer for stripping timestamps off `(Point2, f64)`
     /// batches ([`insert_batch_timestamped`](WindowedSummary::insert_batch_timestamped)).
     scratch: Vec<Point2>,
@@ -387,8 +428,10 @@ impl WindowedSummary {
             head_open: false,
             clock: f64::NEG_INFINITY,
             total_seen: 0,
+            next_seq: 0,
             cache: HullCache::new(),
             bound_cache: GenCache::new(),
+            absorbed: Mutex::default(),
             scratch: Vec::new(),
             instruments: WindowInstruments::noop(),
         }
@@ -512,6 +555,12 @@ impl WindowedSummary {
         }
     }
 
+    /// A bucket sequence number no bucket of this chain has held.
+    fn fresh_seq(&mut self) -> u64 {
+        self.next_seq += 1;
+        self.next_seq - 1
+    }
+
     /// Core ingestion: feed `pts`, point `i` stamped `time_of(i)`
     /// (non-decreasing), splitting across head-bucket seals. The chain
     /// produced is a pure function of the point/timestamp sequence —
@@ -528,8 +577,10 @@ impl WindowedSummary {
         let mut idx = 0usize; // points of `pts` already consumed
         while !rest.is_empty() {
             if !self.head_open {
+                let seq = self.fresh_seq();
                 self.buckets.push_back(Bucket {
                     summary: self.builder.build_mergeable(),
+                    seq,
                     count: 0,
                     t_first: time_of(idx),
                     t_last: time_of(idx),
@@ -594,9 +645,11 @@ impl WindowedSummary {
             // inherits its bound debt.
             let absorbed = self.buckets.remove(first + 1).expect("run has >= 2");
             self.instruments.merges.inc();
+            let seq = self.fresh_seq();
             let survivor = &mut self.buckets[first];
             let absorbed_bound = absorbed.composed_bound();
             survivor.summary.merge_from(absorbed.summary.as_ref());
+            survivor.seq = seq;
             survivor.count += absorbed.count;
             survivor.t_last = absorbed.t_last;
             survivor.level += 1;
@@ -649,14 +702,14 @@ impl WindowedSummary {
         }
     }
 
-    /// Merges this chain's live buckets (w.r.t. the window anchored at
-    /// `now`) into `collector`, oldest to newest, accumulating the answer
-    /// bookkeeping. Shared by the standalone and sharded query paths.
-    fn merge_window_into(&self, now: f64, collector: &mut dyn Mergeable, stats: &mut MergeStats) {
-        if self.total_seen == 0 {
-            return;
-        }
-        match self.config.policy {
+    /// The index of this chain's first bucket live in the window anchored
+    /// at `now`, after adding every live bucket's points, bound and
+    /// staleness to `stats`, oldest to newest. The live buckets are the
+    /// chain from that index on: spans are chronological, so buckets
+    /// expired w.r.t. a newer (global) clock lead. Shared by the
+    /// standalone and sharded query paths, which then merge those buckets.
+    fn live_from(&self, now: f64, stats: &mut MergeStats) -> usize {
+        let first = match self.config.policy {
             WindowPolicy::LastN(n) => {
                 // Expiry keeps the chain minimal, so every bucket is live;
                 // only the front one can straddle the count boundary.
@@ -671,39 +724,77 @@ impl WindowedSummary {
                             stats.stale_duration.max(front.t_last - front.t_first);
                     }
                 }
-                for b in &self.buckets {
-                    collector.merge_from(b.summary.as_ref());
-                    stats.add_bucket(b);
-                }
+                0
             }
             WindowPolicy::LastDur(d) => {
                 let start = now - d;
-                for b in &self.buckets {
-                    if b.t_last < start {
-                        continue; // expired w.r.t. a newer (global) clock
-                    }
-                    if b.t_first < start {
-                        // Straddling: everything but the point at `t_last`
-                        // may be stale, reaching back to `t_first`.
-                        stats.stale_points += b.count.saturating_sub(1);
-                        stats.stale_duration = stats.stale_duration.max(start - b.t_first);
-                    }
-                    collector.merge_from(b.summary.as_ref());
-                    stats.add_bucket(b);
+                let first = self.buckets.partition_point(|b| b.t_last < start);
+                if let Some(b) = self.buckets.get(first).filter(|b| b.t_first < start) {
+                    // Straddling: everything but the point at `t_last` may
+                    // be stale, reaching back to `t_first`.
+                    stats.stale_points += b.count.saturating_sub(1);
+                    stats.stale_duration = stats.stale_duration.max(start - b.t_first);
                 }
+                first
             }
+        };
+        for b in self.buckets.range(first..) {
+            stats.add_bucket(b);
         }
+        first
     }
 
-    /// Answers the window query: merges the live buckets into a fresh
-    /// collector of the configured kind and reports the hull with its
-    /// composed error bound and staleness bound. `O(buckets · r)` — cheap
-    /// next to ingestion; for repeated between-insert queries prefer
-    /// [`hull_ref`](HullSummary::hull_ref), which caches per generation.
+    /// Answers the window query: merges the live buckets, oldest to
+    /// newest, into a collector of the configured kind and reports the
+    /// hull with its composed error bound and staleness bound.
+    ///
+    /// The collector starts from a copy of the deepest saved checkpoint
+    /// whose buckets are all unchanged. Checkpoints sit at the ends of
+    /// level runs (the sealed buckets of one size class), and a seal or a
+    /// carry only changes the bucket right after such an end, so a query
+    /// re-merges just the buckets from the oldest one sealed or carried
+    /// since the previous query on, plus the open head. It then saves a
+    /// checkpoint after each sealed level run it merged. The first query,
+    /// and the first after the oldest bucket expires or changes, merges
+    /// every bucket (`O(buckets · r)`). Either way the answer is
+    /// bit-identical to merging every live bucket into a fresh collector.
+    /// For repeated between-insert queries
+    /// [`hull_ref`](HullSummary::hull_ref) is cheaper still: it caches
+    /// per generation.
     pub fn query_window(&self) -> WindowAnswer {
-        let mut collector = self.builder.build_mergeable();
         let mut stats = MergeStats::new();
-        self.merge_window_into(self.clock, collector.as_mut(), &mut stats);
+        let first = self.live_from(self.clock, &mut stats);
+        let sealed = self.buckets.len() - usize::from(self.head_open);
+        // Work on the list outside the lock: a panic mid-merge then leaves
+        // an empty list behind, and the next query starts cold.
+        let mut absorbed =
+            std::mem::take(&mut *self.absorbed.lock().unwrap_or_else(PoisonError::into_inner));
+        let intact = absorbed
+            .iter()
+            .zip(self.buckets.range(first..))
+            .take_while(|(a, b)| a.seq == b.seq)
+            .count();
+        let resume = absorbed[..intact]
+            .iter()
+            .rposition(|a| a.checkpoint.is_some())
+            .map_or(0, |i| i + 1);
+        absorbed.truncate(resume);
+        let mut collector = match absorbed.last().and_then(|a| a.checkpoint.as_ref()) {
+            Some(checkpoint) => checkpoint.clone_box(),
+            None => self.builder.build_mergeable(),
+        };
+        for i in first + resume..self.buckets.len() {
+            let b = &self.buckets[i];
+            collector.merge_from(b.summary.as_ref());
+            if i < sealed {
+                let ends_run = i + 1 == sealed || self.buckets[i + 1].level != b.level;
+                absorbed.push(Absorbed {
+                    seq: b.seq,
+                    checkpoint: ends_run.then(|| collector.clone_box()),
+                });
+            }
+        }
+        *self.absorbed.lock().unwrap_or_else(PoisonError::into_inner) = absorbed;
         stats.into_answer(collector)
     }
 
@@ -839,6 +930,7 @@ impl WindowedSummary {
                 .ok_or(SnapshotError::Malformed("bucket counts exceed the stream"))?;
             buckets.push_back(Bucket {
                 summary,
+                seq: i as u64,
                 count,
                 t_first,
                 t_last,
@@ -863,8 +955,10 @@ impl WindowedSummary {
             head_open,
             clock,
             total_seen,
+            next_seq: bucket_count as u64,
             cache: HullCache::new(),
             bound_cache: GenCache::new(),
+            absorbed: Mutex::default(),
             scratch: Vec::new(),
             instruments: WindowInstruments::noop(),
         })
@@ -1017,7 +1111,10 @@ impl WindowedRun {
         let mut collector = self.builder.build_mergeable();
         let mut stats = MergeStats::new();
         for shard in &self.shards {
-            shard.merge_window_into(now, collector.as_mut(), &mut stats);
+            let first = shard.live_from(now, &mut stats);
+            for b in shard.buckets.range(first..) {
+                collector.merge_from(b.summary.as_ref());
+            }
         }
         stats.into_answer(collector)
     }

@@ -9,6 +9,8 @@
 //! * `hull_ref` is backed by a real cache: repeated queries return the
 //!   *same* polygon allocation and the generation counter is stable;
 //! * `error_bound`, when reported, is sound against the measured error;
+//! * [`Mergeable::clone_box`] is a deep copy that stays equal to the
+//!   original under the same further points;
 //! * sharded ingestion on real threads + [`Mergeable::merge_from`] agrees
 //!   with single-stream ingestion up to the merge error contract.
 
@@ -228,6 +230,55 @@ fn sharded_threads_then_merge_matches_single_stream() {
                 );
             }
         }
+    }
+}
+
+/// Everything `clone_box` promises to copy, as comparable bits: snapshot
+/// bytes, hull vertices, bound, generation and `approx_bytes`.
+type Observed = (Vec<u8>, Vec<(u64, u64)>, Option<u64>, u64, usize);
+
+fn observed(s: &dyn Mergeable) -> Observed {
+    let vertices = s
+        .hull_ref()
+        .vertices()
+        .iter()
+        .map(|v| (v.x.to_bits(), v.y.to_bits()))
+        .collect();
+    (
+        s.encode_snapshot(),
+        vertices,
+        s.error_bound().map(f64::to_bits),
+        s.hull_generation(),
+        s.approx_bytes(),
+    )
+}
+
+#[test]
+fn clone_box_is_a_deep_copy() {
+    // A clone answers like the original, and feeding both the same points
+    // keeps them equal: the state is copied, not shared (a shared part
+    // would see every point twice, or the original's points in the copy).
+    let pts = workload(3000);
+    let (before, after) = pts.split_at(2000);
+    for &kind in &SummaryKind::ALL {
+        let mut original = SummaryBuilder::new(kind).with_r(R).build_mergeable();
+        original.insert_batch(before);
+        let mut copy = original.clone_box();
+        assert_eq!(
+            observed(copy.as_ref()),
+            observed(original.as_ref()),
+            "{kind}"
+        );
+        for piece in after.chunks(250) {
+            original.insert_batch(piece);
+            copy.insert_batch(piece);
+            assert_eq!(
+                observed(copy.as_ref()),
+                observed(original.as_ref()),
+                "{kind}: diverged after the same points"
+            );
+        }
+        assert_eq!(original.points_seen(), 3000, "{kind}: state shared");
     }
 }
 

@@ -12,11 +12,80 @@
 //!   covered span;
 //! * batch boundaries are invisible, even when a batch straddles bucket
 //!   seals and expiry (the "expiry races the batch boundary" case);
+//! * a query that resumes from the chain's collector checkpoints answers
+//!   bit-identically to a snapshot-restored twin, which holds none;
 //! * the sharded windowed engine agrees with the standalone semantics
 //!   and is deterministic.
 
 use proptest::prelude::*;
 use streamhull::prelude::*;
+
+fn vertex_bits(hull: &ConvexPolygon) -> Vec<(u64, u64)> {
+    hull.vertices()
+        .iter()
+        .map(|v| (v.x.to_bits(), v.y.to_bits()))
+        .collect()
+}
+
+fn bound_bits(bound: Option<f64>) -> Option<u64> {
+    bound.map(f64::to_bits)
+}
+
+/// Queries `live` (warm: it resumes from the checkpoints its earlier
+/// queries left) and a twin decoded from its snapshot (cold: a restored
+/// chain has no checkpoints), and requires bit-identical answers.
+fn warm_matches_cold(live: &WindowedSummary, label: &str) -> Result<(), TestCaseError> {
+    let twin = WindowedSummary::decode(&Snapshot::encode(live)).expect("snapshot decodes");
+    let (warm, cold) = (live.query_window(), twin.query_window());
+    prop_assert_eq!(
+        warm.summary.encode_snapshot(),
+        cold.summary.encode_snapshot(),
+        "{}: collector bytes",
+        label
+    );
+    prop_assert_eq!(
+        vertex_bits(warm.hull()),
+        vertex_bits(cold.hull()),
+        "{}: hull",
+        label
+    );
+    prop_assert_eq!(
+        bound_bits(warm.error_bound()),
+        bound_bits(cold.error_bound()),
+        "{}: bound",
+        label
+    );
+    prop_assert_eq!(warm.merged_points, cold.merged_points, "{}", label);
+    prop_assert_eq!(warm.stale_points, cold.stale_points, "{}", label);
+    prop_assert_eq!(
+        warm.stale_duration.to_bits(),
+        cold.stale_duration.to_bits(),
+        "{}",
+        label
+    );
+    prop_assert_eq!(warm.buckets, cold.buckets, "{}", label);
+    prop_assert_eq!(
+        bound_bits(warm.bucket_bound_sum),
+        bound_bits(cold.bucket_bound_sum),
+        "{}",
+        label
+    );
+    // The windows' own accessors query again: the live one resumes from
+    // the checkpoints the query above just saved.
+    prop_assert_eq!(
+        vertex_bits(live.hull_ref()),
+        vertex_bits(twin.hull_ref()),
+        "{}: hull_ref",
+        label
+    );
+    prop_assert_eq!(
+        bound_bits(live.error_bound()),
+        bound_bits(twin.error_bound()),
+        "{}: error_bound",
+        label
+    );
+    Ok(())
+}
 
 fn pt_strategy() -> impl Strategy<Value = Point2> {
     prop_oneof![
@@ -142,6 +211,50 @@ proptest! {
             prop_assert_eq!(a.stale_points, b.stale_points, "{}", kind);
             prop_assert_eq!(a.buckets, b.buckets, "{}", kind);
             prop_assert_eq!(a.error_bound(), b.error_bound(), "{}", kind);
+        }
+    }
+
+    #[test]
+    fn warm_queries_match_a_cold_restored_twin(
+        pts in stream_strategy(240),
+        (g, k) in chain_strategy(),
+        (n, dur) in (1u64..120, 1.0f64..40.0),
+        (chunk, gaps, steps) in (
+            1usize..40,
+            // Chunks between queries: short gaps query between consecutive
+            // chunks; long ones let the oldest buckets expire and high
+            // levels carry before the next query.
+            prop::collection::vec(prop_oneof![1usize..3, 6usize..40], 1..40),
+            // LastDur clock steps per chunk; 0 makes consecutive bursts
+            // share one timestamp.
+            prop::collection::vec(prop_oneof![Just(0.0), 0.25f64..4.0], 1..40),
+        ),
+    ) {
+        let chunks: Vec<&[Point2]> = pts.chunks(chunk).collect();
+        for &kind in &SummaryKind::ALL {
+            let builder = SummaryBuilder::new(kind).with_r(8);
+            for config in [WindowConfig::last_n(n), WindowConfig::last_dur(dur)] {
+                let config = config.with_granularity(g).with_buckets_per_level(k);
+                let mut w = builder.windowed(config);
+                let mut gap = gaps.iter().cycle();
+                let mut due = *gap.next().unwrap();
+                let mut t = 0.0;
+                for (c, &piece) in chunks.iter().enumerate() {
+                    match config.policy {
+                        WindowPolicy::LastN(_) => w.insert_batch(piece),
+                        WindowPolicy::LastDur(_) => {
+                            // One burst: the whole chunk shares a timestamp.
+                            t += steps[c % steps.len()];
+                            w.insert_batch_at(piece, t);
+                        }
+                    }
+                    due -= 1;
+                    if due == 0 || c + 1 == chunks.len() {
+                        warm_matches_cold(&w, &format!("{kind} {:?} after chunk {c}", config.policy))?;
+                        due = *gap.next().unwrap();
+                    }
+                }
+            }
         }
     }
 
