@@ -5,11 +5,14 @@
 //! metric collection, and plain-text table/CSV formatting. The binaries
 //! (`table1`, `lower_bound`, `error_scaling`, `figures`) are thin wrappers
 //! over this module, and the Criterion benches reuse the same workloads.
+//! [`schema`] is the one schema of the `throughput` bench document, which
+//! the `throughput` bin renders and the `check_schema` bin validates.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod json;
+pub mod schema;
 
 use adaptive_hull::metrics::{self, ProbeStats, TriangleStats};
 use adaptive_hull::{

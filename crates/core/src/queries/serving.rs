@@ -972,37 +972,43 @@ mod tests {
 
     #[test]
     fn top_k_matches_unpruned_scan() {
-        let mut q = engine(SummaryKind::Adaptive);
-        // 40 rings of growing radius along the x axis.
-        for i in 0..40u64 {
-            let r = 0.5 + i as f64 * 0.1;
-            q.tenants_mut()
-                .insert_batch(StreamId(i), &ring(i as f64 * 10.0, 0.0, r, 48))
-                .unwrap();
+        for kind in SummaryKind::ALL {
+            let mut q = engine(kind);
+            // 40 rings of growing radius along the x axis.
+            for i in 0..40u64 {
+                let r = 0.5 + i as f64 * 0.1;
+                q.tenants_mut()
+                    .insert_batch(StreamId(i), &ring(i as f64 * 10.0, 0.0, r, 48))
+                    .unwrap();
+            }
+            let dir = Vec2::new(0.3, 1.0);
+            let top = q.top_k_extent(dir, 5).unwrap();
+            assert_eq!(top.entries.len(), 5, "{kind}");
+            assert_eq!(top.scanned, 40, "{kind}: the bbox pass visits every stream");
+            assert!(top.pruned <= top.scanned, "{kind}: {top:?}");
+            // Reference: rank by exact per-stream extent.
+            let qd = QDir::quantize(dir).unwrap();
+            let mut all: Vec<(StreamId, f64)> = (0..40u64)
+                .map(|i| {
+                    let id = StreamId(i);
+                    (id, q.extent_q(id, qd).unwrap().value)
+                })
+                .collect();
+            all.sort_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
+            for (entry, expect) in top.entries.iter().zip(&all) {
+                assert_eq!(entry.id, expect.0, "{kind}");
+                assert_eq!(entry.estimate.value.to_bits(), expect.1.to_bits(), "{kind}");
+            }
+            // Largest radii win: streams 39, 38, ...
+            assert_eq!(top.entries[0].id, StreamId(39), "{kind}");
+            // The scan must have pruned something on this workload once warm.
+            let again = q.top_k_extent(dir, 5).unwrap();
+            assert_eq!(again.entries, top.entries, "{kind}");
+            assert!(
+                0 < again.pruned && again.pruned <= again.scanned,
+                "{kind}: bbox pruning engaged: {again:?}"
+            );
         }
-        let dir = Vec2::new(0.3, 1.0);
-        let top = q.top_k_extent(dir, 5).unwrap();
-        assert_eq!(top.entries.len(), 5);
-        assert_eq!(top.scanned, 40);
-        // Reference: rank by exact per-stream extent.
-        let qd = QDir::quantize(dir).unwrap();
-        let mut all: Vec<(StreamId, f64)> = (0..40u64)
-            .map(|i| {
-                let id = StreamId(i);
-                (id, q.extent_q(id, qd).unwrap().value)
-            })
-            .collect();
-        all.sort_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-        for (entry, expect) in top.entries.iter().zip(&all) {
-            assert_eq!(entry.id, expect.0);
-            assert_eq!(entry.estimate.value.to_bits(), expect.1.to_bits());
-        }
-        // Largest radii win: streams 39, 38, ...
-        assert_eq!(top.entries[0].id, StreamId(39));
-        // The scan must have pruned something on this workload once warm.
-        let again = q.top_k_extent(dir, 5).unwrap();
-        assert_eq!(again.entries, top.entries);
-        assert!(again.pruned > 0, "bbox pruning engaged: {again:?}");
     }
 
     #[test]
