@@ -10,11 +10,11 @@
 //! [`AdaptiveHull`](crate::adaptive::stream::AdaptiveHull) — which also
 //! makes it a useful cross-check of the tree-based implementation.
 
+use crate::adaptive::stream::PreparedArc;
 use crate::adaptive::weight::{slant, uncertainty, weight};
 use crate::batch::{incircle, CertCache, BATCH_LEAF};
 use crate::summary::{GenCache, HullCache, HullSummary, Mergeable};
 use crate::uniform::{BeatenArc, UniformEffect, UniformHull};
-use core::f64::consts::TAU;
 use geom::dyadic::{DirGrid, DirRange};
 use geom::{ConvexPolygon, Point2, UncertaintyTriangle, Vec2};
 
@@ -241,17 +241,10 @@ impl FixedBudgetAdaptiveHull {
     }
 
     fn update_leaves(&mut self, q: Point2, arc: &BeatenArc) {
-        const PAD: f64 = 1e-9;
-        let b_span = (arc.end - arc.start).rem_euclid(TAU);
+        let arc = PreparedArc::new(arc);
         let grid = self.grid;
         for leaf in &mut self.leaves {
-            let a_start = grid.angle(leaf.range.lo);
-            let a_span = leaf.range.width(&grid);
-            let contains =
-                |s: f64, span: f64, x: f64| ((x - s).rem_euclid(TAU)) <= span + 2.0 * PAD;
-            let overlaps = contains(a_start - PAD, a_span, arc.start)
-                || contains(arc.start - PAD, b_span, a_start);
-            if !overlaps {
+            if !arc.overlaps(&grid, &leaf.range) {
                 continue;
             }
             let ul = grid.unit(leaf.range.lo);
@@ -311,6 +304,18 @@ impl FixedBudgetAdaptiveHull {
             if lo >= grid.resolution() || hi >= grid.resolution() || leaf_depth > grid.depth() {
                 return Err(SnapshotError::Malformed("leaf range outside the grid"));
             }
+            let range = DirRange {
+                lo: Dir(lo),
+                hi: Dir(hi),
+                depth: leaf_depth,
+            };
+            if range.span(&grid) != grid.sector_steps() >> leaf_depth {
+                // Every live leaf is dyadic, and the arc test reads its
+                // width from its depth.
+                return Err(SnapshotError::Malformed(
+                    "leaf span disagrees with its depth",
+                ));
+            }
             let a = reader.point()?;
             let b = reader.point()?;
             if !(a.is_finite() && b.is_finite()) {
@@ -318,15 +323,7 @@ impl FixedBudgetAdaptiveHull {
                 // assert on every live path (see the tree decoder).
                 return Err(SnapshotError::Malformed("non-finite leaf endpoint"));
             }
-            leaves.push(Leaf {
-                range: DirRange {
-                    lo: Dir(lo),
-                    hi: Dir(hi),
-                    depth: leaf_depth,
-                },
-                a,
-                b,
-            });
+            leaves.push(Leaf { range, a, b });
         }
         Ok(FixedBudgetAdaptiveHull {
             grid,
@@ -478,6 +475,7 @@ impl Mergeable for FixedBudgetAdaptiveHull {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use core::f64::consts::TAU;
 
     fn ellipse_pts(seed: u64, n: usize, aspect: f64, rot: f64) -> Vec<Point2> {
         let mut s = seed;

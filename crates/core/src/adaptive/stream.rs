@@ -133,8 +133,9 @@ impl AdaptiveHullConfig {
 ///
 /// A node stores no unit vectors of its range boundaries: tree walks carry
 /// them down from the sector roots (which read the uniform substrate's
-/// table) through each internal node's cached bisector, so no visit pays
-/// for trigonometry.
+/// table) through each internal node's cached bisector, so a visit reads
+/// no unit at all. A new bisector's unit comes from [`DirGrid::unit`]: a
+/// shared-table read up to 4,096 grid directions, one `sin_cos` above.
 #[derive(Clone, Copy, Debug)]
 struct Node {
     range: DirRange,
@@ -160,6 +161,63 @@ enum NodeKind {
         right: NodeId,
         mid: Vec2,
     },
+}
+
+/// Padding of the overlap test between a direction range and a beaten
+/// arc: the arc is floating point, so near-misses count as overlaps.
+const ARC_PAD: f64 = 1e-9;
+
+/// A beaten arc prepared once per outside point for the padded overlap
+/// test that both adaptive backends run on every tree node or leaf they
+/// visit.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct PreparedArc {
+    /// Arc start angle, in `[0, 2π]` (`2π` through `rem_euclid` rounding).
+    start: f64,
+    /// Ccw span `(end − start) mod 2π`, at most `π`.
+    span: f64,
+}
+
+impl PreparedArc {
+    pub(crate) fn new(arc: &BeatenArc) -> Self {
+        PreparedArc {
+            start: arc.start,
+            span: (arc.end - arc.start).rem_euclid(TAU),
+        }
+    }
+
+    /// Does `range` intersect the arc padded by [`ARC_PAD`]?
+    #[inline]
+    pub(crate) fn overlaps(&self, grid: &DirGrid, range: &DirRange) -> bool {
+        let r_start = grid.angle(range.lo);
+        ccw_offset(r_start - ARC_PAD, self.start) <= dyadic_width(grid, range) + 2.0 * ARC_PAD
+            || ccw_offset(self.start - ARC_PAD, r_start) <= self.span + 2.0 * ARC_PAD
+    }
+}
+
+/// Angular width of a dyadic range, read from its depth: it spans
+/// `sector_steps >> depth` grid steps. Bit-equal to [`DirRange::width`]
+/// without its modulo.
+#[inline]
+fn dyadic_width(grid: &DirGrid, range: &DirRange) -> f64 {
+    TAU * (grid.sector_steps() >> range.depth) as f64 / grid.resolution() as f64
+}
+
+/// `(x − s) mod 2π` with one conditional wrap in place of
+/// `rem_euclid(TAU)`. The overlap test keeps `x − s` in
+/// `(−2π, 2π + ARC_PAD]`, where `fmod` returns `x − s` or its exact
+/// difference with `2π` (Sterbenz), and a negative remainder takes the
+/// same `+ 2π` as `rem_euclid`: the result is bit-identical.
+#[inline]
+fn ccw_offset(s: f64, x: f64) -> f64 {
+    let d = x - s;
+    if d < 0.0 {
+        d + TAU
+    } else if d >= TAU {
+        d - TAU
+    } else {
+        d
+    }
 }
 
 /// The streaming adaptive-sampling convex hull summary (Theorem 5.4).
@@ -353,8 +411,9 @@ impl AdaptiveHull {
         if weight(s, node.range.depth, self.grid.r(), p) <= 1.0 {
             return;
         }
-        // The tree's only trigonometry: a new bisector's unit, cached in
-        // the node for every later visit.
+        // The tree's only unit lookup: a new bisector's, cached in the node
+        // for every later visit (a table read unless the grid has more
+        // than 4,096 directions).
         let um = self.grid.unit(node.range.mid(&self.grid));
         let t = if a.dot(um) >= b.dot(um) { a } else { b };
         let (lr, rr) = node.range.bisect(&self.grid);
@@ -379,23 +438,12 @@ impl AdaptiveHull {
         self.try_refine(right, um, ur);
     }
 
-    /// Does the node's angular range intersect the (padded) beaten arc?
-    fn range_overlaps_arc(&self, range: &DirRange, arc: &BeatenArc) -> bool {
-        const PAD: f64 = 1e-9;
-        let a_start = self.grid.angle(range.lo);
-        let a_span = range.width(&self.grid);
-        let b_start = arc.start;
-        let b_span = (arc.end - arc.start).rem_euclid(TAU);
-        let contains = |s: f64, span: f64, x: f64| ((x - s).rem_euclid(TAU)) <= span + 2.0 * PAD;
-        contains(a_start - PAD, a_span, b_start) || contains(b_start - PAD, b_span, a_start)
-    }
-
     /// Recursive update of a tree with a new point `q`; `ul` and `ur` are
     /// the unit vectors of `id`'s range boundaries. Returns `true` iff
     /// anything under `id` changed.
-    fn update_node(&mut self, id: NodeId, q: Point2, arc: &BeatenArc, ul: Vec2, ur: Vec2) -> bool {
+    fn update_node(&mut self, id: NodeId, q: Point2, arc: PreparedArc, ul: Vec2, ur: Vec2) -> bool {
         let node = *self.node(id);
-        if !self.range_overlaps_arc(&node.range, arc) {
+        if !arc.overlaps(&self.grid, &node.range) {
             return false;
         }
         match node.kind {
@@ -464,12 +512,11 @@ impl AdaptiveHull {
 
     /// Circular range of sector indices whose trees the arc may touch
     /// (padded one sector each side for floating-point safety).
-    fn sectors_for_arc(&self, arc: &BeatenArc) -> (u32, u32) {
+    fn sectors_for_arc(&self, arc: &PreparedArc) -> (u32, u32) {
         let r = self.grid.r();
         let theta0 = TAU / r as f64;
         let s_start = (arc.start / theta0).floor() as i64;
-        let span = (arc.end - arc.start).rem_euclid(TAU);
-        let sectors_spanned = (span / theta0).ceil() as i64 + 1;
+        let sectors_spanned = (arc.span / theta0).ceil() as i64 + 1;
         let first = (s_start - 1).rem_euclid(r as i64) as u32;
         let count = (sectors_spanned + 2).min(r as i64) as u32;
         (first, count)
@@ -826,13 +873,14 @@ impl AdaptiveHull {
             }
             UniformEffect::Interior => false, // sample unchanged: keep the cache
             UniformEffect::Outside { arc, .. } => {
+                let arc = PreparedArc::new(&arc);
                 let (first, count) = self.sectors_for_arc(&arc);
                 let r = self.grid.r();
                 for i in 0..count {
                     let s = (first + i) % r;
                     let root = self.roots[s as usize];
                     let (ul, ur) = self.sector_units(s);
-                    self.update_node(root, q, &arc, ul, ur);
+                    self.update_node(root, q, arc, ul, ur);
                 }
                 self.drain_queue();
                 true
@@ -1276,6 +1324,110 @@ mod tests {
                 d <= max_h + slack,
                 "point {q:?} lies {d} outside, max uncertainty {max_h} + slack {slack}"
             );
+        }
+    }
+
+    /// Every dyadic range of `grid`: each sector and its bisections down to
+    /// the depth cap.
+    fn all_ranges(grid: &DirGrid) -> Vec<DirRange> {
+        let mut out = Vec::new();
+        let mut stack: Vec<DirRange> = (0..grid.r()).map(|j| DirRange::sector(grid, j)).collect();
+        while let Some(range) = stack.pop() {
+            if range.bisectable(grid) {
+                let (left, right) = range.bisect(grid);
+                stack.extend([left, right]);
+            }
+            out.push(range);
+        }
+        out
+    }
+
+    /// Pushes `x` and its two `f64` neighbours that lie in `[0, 2π]`.
+    fn push_with_neighbours(out: &mut Vec<f64>, x: f64) {
+        out.extend(
+            [x.next_down(), x, x.next_up()]
+                .into_iter()
+                .filter(|y| (0.0..=TAU).contains(y)),
+        );
+    }
+
+    /// The prepared arc test against the `rem_euclid` closure both
+    /// backends ran before it, on every node range of r ∈ {8, 32, 128} at
+    /// depths 0, 3 and the default. Every width, and every wrapped offset
+    /// at the listed starts, is checked bit for bit against the
+    /// reference's, which makes those decisions equal for any span. The
+    /// decisions themselves, which also pin where `overlaps` pads each
+    /// half, are compared over the full product of ranges, starts and
+    /// spans, plus the starts where each decision flips, on every grid but
+    /// the largest (32,640 ranges), where the product would take seconds.
+    #[test]
+    fn prepared_arc_decides_like_the_rem_euclid_reference() {
+        const PAD: f64 = 1e-9;
+        let contains = |s: f64, span: f64, x: f64| ((x - s).rem_euclid(TAU)) <= span + 2.0 * PAD;
+        let reference = |grid: &DirGrid, range: &DirRange, start: f64, span: f64| {
+            let a_start = grid.angle(range.lo);
+            let a_span = range.width(grid);
+            contains(a_start - PAD, a_span, start) || contains(start - PAD, span, a_start)
+        };
+        let pi = core::f64::consts::PI;
+        for (r, depths) in [(8u32, &[0, 3][..]), (32, &[0, 3, 5]), (128, &[0, 3, 7])] {
+            for &depth in depths {
+                let grid = DirGrid::new(r, depth);
+                let ranges = all_ranges(&grid);
+                assert_eq!(ranges.len() as u64, u64::from(r) * ((2 << depth) - 1));
+                // Arc starts: the ends of `[0, 2π]` and every sector
+                // boundary with its neighbours.
+                let mut starts = vec![0.0, f64::from_bits(1), TAU.next_down(), TAU];
+                for j in 0..r {
+                    push_with_neighbours(&mut starts, grid.angle(grid.uniform_dir(j)));
+                }
+                // Spans: zero, one ulp, every node width with its
+                // neighbours, and up to the widest beaten arc, `π`.
+                let mut spans = vec![0.0, f64::from_bits(1), pi.next_down(), pi];
+                for range in ranges.iter().filter(|range| range.lo.0 == 0) {
+                    push_with_neighbours(&mut spans, range.width(&grid));
+                }
+                for range in &ranges {
+                    let (got, want) = (dyadic_width(&grid, range), range.width(&grid));
+                    assert_eq!(got.to_bits(), want.to_bits(), "{range:?}: width");
+                }
+                // The deepest ranges start at every direction any range
+                // starts at.
+                for range in ranges.iter().filter(|range| range.depth == depth) {
+                    let a = grid.angle(range.lo);
+                    for &start in &starts {
+                        for (s, x) in [(a - PAD, start), (start - PAD, a)] {
+                            assert_eq!(
+                                ccw_offset(s, x).to_bits(),
+                                (x - s).rem_euclid(TAU).to_bits(),
+                                "r = {r}, depth = {depth}, {range:?}, start {start:e}: ({x:e} - {s:e}) mod 2π"
+                            );
+                        }
+                    }
+                }
+                if ranges.len() > 2048 {
+                    continue;
+                }
+                for range in &ranges {
+                    // Plus the starts where this range's decision flips:
+                    // its padded ends, and one span below its padded start.
+                    let (a, w) = (grid.angle(range.lo), range.width(&grid));
+                    let mut ends = Vec::new();
+                    push_with_neighbours(&mut ends, (a - PAD).rem_euclid(TAU));
+                    push_with_neighbours(&mut ends, (a + w + PAD).rem_euclid(TAU));
+                    for &span in &spans {
+                        let mut edges = ends.clone();
+                        push_with_neighbours(&mut edges, (a - span - PAD).rem_euclid(TAU));
+                        for &start in starts.iter().chain(&edges) {
+                            assert_eq!(
+                                PreparedArc { start, span }.overlaps(&grid, range),
+                                reference(&grid, range, start, span),
+                                "r = {r}, depth = {depth}, {range:?}, start {start:e}, span {span:e}"
+                            );
+                        }
+                    }
+                }
+            }
         }
     }
 }

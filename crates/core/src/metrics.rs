@@ -13,8 +13,7 @@
 
 use crate::summary::HullSummary;
 use crate::uniform::{NaiveUniformHull, UniformHull};
-use core::f64::consts::TAU;
-use geom::{ConvexPolygon, Point2, UncertaintyTriangle, Vec2};
+use geom::{ConvexPolygon, Point2, UncertaintyTriangle};
 
 /// Statistics gathered by streaming points through a summary while probing
 /// each point against the hull *before* inserting it.
@@ -124,11 +123,9 @@ pub fn triangle_stats(triangles: &[UncertaintyTriangle]) -> TriangleStats {
 /// `θ(pq)` convention).
 pub fn uniform_uncertainty_triangles(hull: &UniformHull) -> Vec<UncertaintyTriangle> {
     let runs = hull.runs();
-    let r = hull.r();
     if runs.len() < 2 {
         return Vec::new();
     }
-    let unit = |j: u32| -> Vec2 { Vec2::from_angle(TAU * (j % r) as f64 / r as f64) };
     let mut out = Vec::with_capacity(runs.len());
     for i in 0..runs.len() {
         let cur = runs[i];
@@ -139,8 +136,8 @@ pub fn uniform_uncertainty_triangles(hull: &UniformHull) -> Vec<UncertaintyTrian
         out.push(UncertaintyTriangle::new(
             cur.point,
             next.point,
-            unit(cur.hi),
-            unit(next.lo),
+            hull.unit(cur.hi),
+            hull.unit(next.lo),
         ));
     }
     out
@@ -217,6 +214,7 @@ mod tests {
     use super::*;
     use crate::adaptive::stream::AdaptiveHull;
     use crate::exact::ExactHull;
+    use core::f64::consts::TAU;
 
     fn circle(n: usize, r: f64) -> Vec<Point2> {
         (0..n)

@@ -83,6 +83,7 @@
 use std::collections::HashMap;
 use std::time::Instant;
 
+use geom::dyadic::fan_unit;
 use geom::{calipers, distance, locate, ConvexPolygon, Point2, Vec2};
 
 use crate::batch::incircle;
@@ -117,7 +118,7 @@ impl QDir {
     /// The canonical unit vector of this bucket. Queries are computed
     /// along this exact vector.
     pub fn unit(self) -> Vec2 {
-        Vec2::from_angle(f64::from(self.0) * core::f64::consts::TAU / f64::from(DIR_BUCKETS))
+        fan_unit(u64::from(self.0), u64::from(DIR_BUCKETS))
     }
 
     /// The bucket index, in `0..DIR_BUCKETS`.

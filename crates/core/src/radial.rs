@@ -8,6 +8,7 @@
 
 use crate::summary::{HullCache, HullSummary, Mergeable};
 use core::f64::consts::TAU;
+use geom::dyadic::fan_unit;
 use geom::{ConvexPolygon, Point2, Vec2};
 use std::sync::Arc;
 
@@ -49,7 +50,7 @@ impl RadialHull {
     pub fn sector_bounds(r: u32) -> Arc<[(Vec2, bool)]> {
         (0..r)
             .map(|j| {
-                let d = Vec2::from_angle(TAU * j as f64 / r as f64);
+                let d = fan_unit(u64::from(j), u64::from(r));
                 (d, lower_half(d.x, d.y))
             })
             .collect()

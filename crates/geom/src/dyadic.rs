@@ -10,10 +10,13 @@
 //! [`DirGrid`] owns the parameters; [`Dir`] is an index on that circle; and
 //! [`DirRange`] is a closed angular interval with exact midpoint bisection.
 //! Unit vectors are derived on demand (and are the *only* place floating
-//! point enters), always through [`fan_unit`].
+//! point enters), always through [`fan_unit`]: a read of one shared
+//! 4,096-direction table for every power-of-two fan that fits it, one
+//! `sin_cos` otherwise.
 
 use crate::point::Vec2;
 use core::f64::consts::TAU;
+use std::sync::OnceLock;
 
 /// Largest number of uniform directions any summary accepts (`2^20`).
 pub const MAX_R: u32 = 1 << 20;
@@ -25,6 +28,21 @@ fn fan_angle(index: u64, count: u64) -> f64 {
     TAU * (index as f64) / (count as f64)
 }
 
+/// Size of the shared direction table behind [`fan_unit`] (`2^12`
+/// directions, 64 KiB).
+const TABLE_DIRS: u64 = 1 << 12;
+
+/// `Vec2::from_angle(fan_angle(i, TABLE_DIRS))` for every `i`, built once
+/// per process on first use.
+fn unit_table() -> &'static [Vec2] {
+    static TABLE: OnceLock<Box<[Vec2]>> = OnceLock::new();
+    TABLE.get_or_init(|| {
+        (0..TABLE_DIRS)
+            .map(|i| Vec2::from_angle(fan_angle(i, TABLE_DIRS)))
+            .collect()
+    })
+}
+
 /// Unit vector of direction `index` in a fan of `count` evenly spaced
 /// directions: the one formula behind every direction unit vector in the
 /// workspace. [`DirGrid::unit`] evaluates it on the refined circle and the
@@ -32,9 +50,19 @@ fn fan_angle(index: u64, count: u64) -> f64 {
 /// `count` by the same power of two is exact, so a table for `r`
 /// directions is bit-equal to the grid's units at the uniform directions
 /// of every depth.
+///
+/// The same exactness serves the formula from one shared table: when
+/// `count` is a power of two no larger than 4,096 and `index < count`, the
+/// unit is entry `index · (4096 / count)` of a table built once with this
+/// formula at `count = 4096`, and no `sin_cos` is paid. Every other
+/// `(index, count)` evaluates the formula directly.
 #[inline]
 pub fn fan_unit(index: u64, count: u64) -> Vec2 {
-    Vec2::from_angle(fan_angle(index, count))
+    if count.is_power_of_two() && count <= TABLE_DIRS && index < count {
+        unit_table()[(index * (TABLE_DIRS / count)) as usize]
+    } else {
+        Vec2::from_angle(fan_angle(index, count))
+    }
 }
 
 /// A direction index on a circle subdivided into `resolution` equal parts.
@@ -128,7 +156,8 @@ impl DirGrid {
         fan_angle(d.0, self.resolution)
     }
 
-    /// Unit vector of direction `d` (one `sin_cos`; hot paths cache it).
+    /// Unit vector of direction `d` ([`fan_unit`]: a table read while the
+    /// resolution is at most 4,096, one `sin_cos` above it).
     #[inline]
     pub fn unit(&self, d: Dir) -> Vec2 {
         debug_assert!(d.0 < self.resolution);

@@ -1,8 +1,15 @@
 //! The identities the sort- and trigonometry-free ingestion paths rest on,
 //! pinned bit for bit:
 //!
+//! * `fan_unit` equals its formula `Vec2::from_angle(2π·index/count)`:
+//!   exhaustively on the shared 4,096-direction table (every power-of-two
+//!   `count <= 4096`, every `index < count`), and on sampled pairs that
+//!   must bypass the table. This is the test that pins the formula;
 //! * the uniform summaries' direction tables equal the dyadic grid's unit
-//!   vectors at the uniform directions, at every depth;
+//!   vectors at the uniform directions, at every depth. Where both fans
+//!   fit the table this compares two table reads; it pins the scaling
+//!   identity the table rests on, and table against formula only where
+//!   the grid's resolution exceeds 4,096;
 //! * the linear extrema-hull pass (`assign_hull_of_ccw_cycle`) equals
 //!   `ConvexPolygon::hull_of` on run-owner sequences — real ones taken from
 //!   `UniformHull`, and synthetic ones with repeats, collinear owners,
@@ -11,7 +18,8 @@
 //! The refinement tree's cached bisector units are checked by
 //! `AdaptiveHull::check_invariants`, which the summary proptests call.
 
-use geom::dyadic::DirGrid;
+use core::f64::consts::TAU;
+use geom::dyadic::{fan_unit, DirGrid};
 use geom::hull::monotone_chain_with;
 use proptest::prelude::*;
 use streamhull::prelude::*;
@@ -132,6 +140,49 @@ fn pt_strategy() -> impl Strategy<Value = Point2> {
     ]
 }
 
+fn unit_bits(v: Vec2) -> (u64, u64) {
+    (v.x.to_bits(), v.y.to_bits())
+}
+
+/// `fan_unit(index, count)` against its formula, bit for bit.
+fn assert_fan_unit_is_the_formula(index: u64, count: u64) {
+    let want = Vec2::from_angle(TAU * index as f64 / count as f64);
+    assert_eq!(
+        unit_bits(fan_unit(index, count)),
+        unit_bits(want),
+        "fan_unit({index}, {count})"
+    );
+}
+
+#[test]
+fn fan_unit_table_reads_equal_the_formula() {
+    // Every pair the shared table serves.
+    let mut pairs = 0;
+    for log_count in 0..=12 {
+        let count = 1u64 << log_count;
+        for index in 0..count {
+            assert_fan_unit_is_the_formula(index, count);
+            pairs += 1;
+        }
+    }
+    assert_eq!(pairs, 8191);
+    // Pairs the table must not serve: counts above the cap, counts that
+    // are not powers of two, and indices at or past the count.
+    for count in [1u64 << 13, 1 << 20] {
+        for index in [0, 1, 2, 3, 4095, 4096, count / 3, count / 2 + 1, count - 1] {
+            assert_fan_unit_is_the_formula(index, count);
+        }
+    }
+    for count in [5u64, 12, 100] {
+        for index in 0..=count {
+            assert_fan_unit_is_the_formula(index, count);
+        }
+    }
+    for (index, count) in [(1, 1), (8, 8), (9, 8), (33, 32), (4096, 4096), (5000, 4096)] {
+        assert_fan_unit_is_the_formula(index, count);
+    }
+}
+
 #[test]
 fn uniform_direction_tables_equal_the_grid_units() {
     for log_r in 3..=12u32 {
@@ -144,8 +195,8 @@ fn uniform_direction_tables_equal_the_grid_units() {
                 let want = grid.unit(grid.uniform_dir(j));
                 for (who, got) in [("uniform", uniform.unit(j)), ("naive", naive.unit(j))] {
                     assert_eq!(
-                        (got.x.to_bits(), got.y.to_bits()),
-                        (want.x.to_bits(), want.y.to_bits()),
+                        unit_bits(got),
+                        unit_bits(want),
                         "{who}: r = {r}, depth = {depth}, j = {j}"
                     );
                 }

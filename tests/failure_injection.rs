@@ -613,4 +613,24 @@ fn forged_checksum_valid_payloads_are_rejected() {
             }
         }
     }
+
+    // A fixed-budget leaf whose depth disagrees with its span: the leaf
+    // overlap test reads a leaf's width from its depth. After one point
+    // the leaves are the 8 sectors at depth 0; the last leaf (lo u64,
+    // hi u64, depth u32, two points) ends the payload.
+    let mut fixed = FixedBudgetAdaptiveHull::new(8);
+    fixed.insert(origin);
+    let mut bytes = fixed.encode_snapshot();
+    let at = bytes.len() - 8 - 52 + 16;
+    assert_eq!(
+        bytes[at..at + 4],
+        0u32.to_le_bytes(),
+        "last leaf depth offset"
+    );
+    bytes[at..at + 4].copy_from_slice(&1u32.to_le_bytes());
+    reseal(&mut bytes);
+    match SummaryBuilder::restore(&bytes) {
+        Err(SnapshotError::Malformed(_)) => {}
+        other => panic!("forged leaf depth must be Malformed, got {other:?}"),
+    }
 }
