@@ -40,7 +40,6 @@ pub struct FixedBudgetAdaptiveHull {
     extra_budget: usize,
     cache: HullCache,
     distinct: GenCache<usize>,
-    bound: GenCache<f64>,
 }
 
 impl FixedBudgetAdaptiveHull {
@@ -60,7 +59,6 @@ impl FixedBudgetAdaptiveHull {
             extra_budget: extra,
             cache: HullCache::new(),
             distinct: GenCache::new(),
-            bound: GenCache::new(),
         }
     }
 
@@ -332,7 +330,6 @@ impl FixedBudgetAdaptiveHull {
             extra_budget,
             cache: HullCache::new(),
             distinct: GenCache::new(),
-            bound: GenCache::new(),
         })
     }
 
@@ -445,12 +442,7 @@ impl HullSummary for FixedBudgetAdaptiveHull {
         // The budgeted variant may unrefine below the weight threshold, so
         // only the uniform substrate's Lemma 3.2 guarantee is always live:
         // the tallest uncertainty triangle over the r uniform directions.
-        Some(self.bound.get_or_compute(self.cache.generation(), || {
-            crate::metrics::uniform_uncertainty_triangles(&self.uniform)
-                .iter()
-                .map(|t| t.height())
-                .fold(0.0f64, f64::max)
-        }))
+        self.uniform.error_bound()
     }
 }
 

@@ -297,11 +297,6 @@ impl AdaptiveHull {
         &self.uniform
     }
 
-    /// Queue length (diagnostics; includes stale lazy entries).
-    pub fn queue_len(&self) -> usize {
-        self.queue.len()
-    }
-
     // ------------------------------------------------------------------
     // Tree plumbing
     // ------------------------------------------------------------------
@@ -986,9 +981,12 @@ impl HullSummary for AdaptiveHull {
 
     fn error_bound(&self) -> Option<f64> {
         // Corollary 5.2 / Theorem 5.4: d∞ = 16πP/r² with P the live
-        // perimeter of the uniformly sampled hull.
+        // perimeter of the uniformly sampled hull. The uniform substrate
+        // sees every point and its extrema are sample points, so its
+        // Lemma 3.2 certificate bounds this hull too; report the smaller.
         let r = self.grid.r() as f64;
-        Some(16.0 * core::f64::consts::PI * self.uniform.perimeter() / (r * r))
+        let paper = 16.0 * core::f64::consts::PI * self.uniform.perimeter() / (r * r);
+        self.uniform.error_bound().map(|cert| cert.min(paper))
     }
 }
 

@@ -89,12 +89,6 @@ impl SummaryKind {
             SummaryKind::Cluster => "cluster",
         }
     }
-
-    /// Whether the kind honours the paper's small-space budgets (`exact`
-    /// stores every hull vertex and is the one exception).
-    pub fn is_small_space(self) -> bool {
-        self != SummaryKind::Exact
-    }
 }
 
 impl fmt::Display for SummaryKind {

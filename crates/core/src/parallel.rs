@@ -32,16 +32,17 @@
 //!
 //! # Error guarantee
 //!
-//! Merging re-inserts each worker's stored sample (actual stream points),
-//! so the merged hull's error against the union stream is at most the sum
-//! of the workers' live [`error_bound`](crate::summary::HullSummary::error_bound)s
-//! plus the collector's own bound — the [`ShardRun`] report carries the
-//! per-shard bounds so callers (and the property tests) can evaluate the
-//! composed guarantee.
+//! Merging re-inserts each worker's stored sample (actual stream points).
+//! The workers are parallel parts, so by [`Mergeable`]'s composition rule
+//! the merged hull's error against the union stream is at most the
+//! largest worker's live
+//! [`error_bound`](crate::summary::HullSummary::error_bound) plus the
+//! collector's own bound: [`ShardRun::error_bound`]. The report also
+//! carries the per-shard bounds it composes.
 
 use crate::builder::SummaryBuilder;
 use crate::snapshot::SnapshotError;
-use crate::summary::{Mergeable, NonFiniteInput};
+use crate::summary::{chain_bound, parallel_bound, Mergeable, NonFiniteInput};
 use crate::telemetry::{names, Counter, Histogram, Telemetry};
 use geom::Point2;
 use std::time::{Duration, Instant};
@@ -80,16 +81,14 @@ pub struct ShardRun {
 }
 
 impl ShardRun {
-    /// Sum of the per-shard error bounds, when **every** shard reports
-    /// one. Adding the collector's own
-    /// [`error_bound`](crate::summary::HullSummary::error_bound) gives the
-    /// guarantee of the merged hull against the union stream.
+    /// The composed error guarantee of the merged hull against the union
+    /// stream: the largest per-shard bound plus the collector's own
+    /// [`error_bound`](crate::summary::HullSummary::error_bound). `None`
+    /// when any shard or the collector reports no bound.
     #[must_use]
-    pub fn shard_bound_sum(&self) -> Option<f64> {
-        self.shards
-            .iter()
-            .map(|s| s.error_bound)
-            .try_fold(0.0, |acc, b| b.map(|b| acc + b))
+    pub fn error_bound(&self) -> Option<f64> {
+        let shards = parallel_bound(self.shards.iter().map(|s| s.error_bound));
+        chain_bound([shards, self.summary.error_bound()])
     }
 }
 
@@ -398,16 +397,20 @@ mod tests {
     }
 
     #[test]
-    fn shard_bound_sum_composes() {
+    fn error_bound_composes_shards_then_collector() {
         let pts = spiral(400);
         let engine = ShardedIngest::new(SummaryBuilder::new(SummaryKind::Adaptive).with_r(16), 3);
         let run = engine.run(&pts);
-        let sum = run
-            .shard_bound_sum()
-            .expect("adaptive shards report bounds");
-        assert!(sum.is_finite() && sum >= 0.0);
-        // Frozen reports no bound, so the sum is None.
+        let bound = run.error_bound().expect("adaptive shards report bounds");
+        let largest = run
+            .shards
+            .iter()
+            .map(|s| s.error_bound.unwrap())
+            .fold(0.0, f64::max);
+        let own = run.summary.error_bound().unwrap();
+        assert_eq!(bound.to_bits(), (largest + own).to_bits());
+        // Frozen reports no bound, so neither does the run.
         let frozen = ShardedIngest::new(SummaryBuilder::new(SummaryKind::Frozen).with_r(16), 3);
-        assert!(frozen.run(&pts).shard_bound_sum().is_none());
+        assert!(frozen.run(&pts).error_bound().is_none());
     }
 }

@@ -8,8 +8,7 @@
 //! bursts. [`QueryEngine`] closes that gap:
 //!
 //! * **Per-stream analytics** — [`width`](QueryEngine::width),
-//!   [`diameter`](QueryEngine::diameter),
-//!   [`farthest_pair`](QueryEngine::farthest_pair) and
+//!   [`diameter`](QueryEngine::diameter) (with its farthest pair) and
 //!   [`extent`](QueryEngine::extent) run rotating calipers directly on the
 //!   summary's cached [`hull_ref`](crate::HullSummary::hull_ref), and every
 //!   answer is an [`Estimate`] carrying an **error interval** derived from
@@ -495,8 +494,10 @@ impl QueryEngine {
         }
     }
 
-    /// Diameter of the summarised stream with its error interval, or
-    /// `None` when the stream has no points. Cached; `O(r)` cold.
+    /// Diameter of the summarised stream with its error interval and the
+    /// two sample points realising it (the rotating calipers antipodal
+    /// pair), or `None` when the stream has no points. Cached; `O(r)`
+    /// cold.
     pub fn diameter(&mut self, id: StreamId) -> Result<Option<PairAnswer>, QueryError> {
         match self.serve(id, KindKey::Diameter, |hull, eps| {
             CachedValue::Diameter(calipers::diameter(hull).map(|(a, b, d)| PairAnswer {
@@ -510,13 +511,6 @@ impl QueryEngine {
                 stream: id,
             })),
         }
-    }
-
-    /// The two sample points realising the stream's diameter (the rotating
-    /// calipers antipodal pair). Alias of [`diameter`](QueryEngine::diameter)
-    /// — both share one cache slot.
-    pub fn farthest_pair(&mut self, id: StreamId) -> Result<Option<PairAnswer>, QueryError> {
-        self.diameter(id)
     }
 
     /// Directional extent of the stream along `dir`, with its error
@@ -912,26 +906,6 @@ mod tests {
         let qd = QDir::quantize(Vec2::new(1.0, 0.0)).unwrap();
         let true_e = locate::directional_extent(&truth, qd.unit());
         assert!(e.contains(true_e), "x-extent {true_e} in {e:?}");
-    }
-
-    #[test]
-    fn farthest_pair_is_the_diameter_pair() {
-        let mut q = engine(SummaryKind::Exact);
-        let id = StreamId(9);
-        q.tenants_mut()
-            .insert_batch(
-                id,
-                &[
-                    Point2::new(0.0, 0.0),
-                    Point2::new(3.0, 4.0),
-                    Point2::new(1.0, 0.0),
-                ],
-            )
-            .unwrap();
-        let d = q.diameter(id).unwrap().unwrap();
-        let f = q.farthest_pair(id).unwrap().unwrap();
-        assert_eq!(d, f);
-        assert!((d.estimate.value - 5.0).abs() < 1e-12);
     }
 
     #[test]

@@ -32,9 +32,9 @@
 //!   silently-wrong hull.
 //!
 //! Faults are injected deterministically through a [`FaultPlan`]
-//! (script- or seed-driven), and the [`RetryPolicy`] backoff schedule is
-//! seed-driven with **no wall-clock randomness**, so every chaos scenario
-//! replays exactly in CI.
+//! (script- or seed-driven) with **no wall-clock randomness**, and a
+//! restart happens as soon as its fault is detected, so every chaos
+//! scenario replays exactly in CI.
 //!
 //! The [`RecoveryReport`] is the supervisor's only ledger, and its fault
 //! log the only event trail: its run totals sum the per-shard
@@ -70,7 +70,7 @@ use crate::builder::SummaryBuilder;
 use crate::exact::ExactHull;
 use crate::parallel::{IngestInstruments, ShardRun, ShardedIngest};
 use crate::snapshot::{open_checkpoint, seal_checkpoint, Snapshot, SnapshotError};
-use crate::summary::{HullSummary, Mergeable};
+use crate::summary::{parallel_bound, HullSummary, Mergeable};
 use crate::telemetry::{names, Histogram, Scrape, Telemetry};
 use crate::window::{
     check_timestamp, shard_window_config, WindowConfig, WindowPolicy, WindowedRun, WindowedSummary,
@@ -87,8 +87,9 @@ const CMD_QUEUE_DEPTH: usize = 2;
 /// Default checkpoint interval in ingested points per shard.
 pub const DEFAULT_CHECKPOINT_INTERVAL: u64 = 8192;
 
-/// SplitMix64: the workspace-standard seed mixer (no wall-clock
-/// randomness anywhere in the recovery path).
+/// SplitMix64: the workspace-standard seed mixer behind
+/// [`FaultPlan::seeded`] (no wall-clock randomness anywhere in the
+/// recovery path).
 fn splitmix64(x: u64) -> u64 {
     let mut z = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
@@ -100,35 +101,24 @@ fn splitmix64(x: u64) -> u64 {
 // Retry policy
 // ---------------------------------------------------------------------
 
-/// Deterministic retry schedule for faulted shards: a maximum attempt
-/// count plus a seed-driven exponential backoff. Backoff is measured in
-/// abstract **ticks** recorded in the [`FaultEvent`] log — the supervisor
-/// never sleeps on it, so tests replay exactly.
+/// Deterministic retry schedule for faulted shards: a maximum restart
+/// count per shard. A restart happens as soon as its fault is detected.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct RetryPolicy {
     max_attempts: u32,
-    seed: u64,
-    base_backoff: u64,
 }
 
 impl Default for RetryPolicy {
     fn default() -> Self {
-        RetryPolicy {
-            max_attempts: 3,
-            seed: 0x4853_3034, // "HS04"
-            base_backoff: 8,
-        }
+        RetryPolicy::new(3)
     }
 }
 
 impl RetryPolicy {
     /// A policy allowing `max_attempts` restarts per shard before
-    /// quarantine, with the default seed and base backoff.
+    /// quarantine.
     pub fn new(max_attempts: u32) -> Self {
-        RetryPolicy {
-            max_attempts,
-            ..RetryPolicy::default()
-        }
+        RetryPolicy { max_attempts }
     }
 
     /// A policy that never restarts: the first fault quarantines the
@@ -137,37 +127,10 @@ impl RetryPolicy {
         RetryPolicy::new(0)
     }
 
-    /// Replaces the jitter seed.
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
-    /// Replaces the base backoff (ticks before jitter; attempt `k` waits
-    /// `base << (k - 1)` plus deterministic jitter).
-    pub fn with_base_backoff(mut self, base: u64) -> Self {
-        self.base_backoff = base;
-        self
-    }
-
     /// Maximum restarts per shard before quarantine.
     #[must_use]
     pub fn max_attempts(&self) -> u32 {
         self.max_attempts
-    }
-
-    /// The backoff for restart `attempt` (1-based) of `shard`, in
-    /// abstract ticks: exponential in the attempt with seed-driven jitter
-    /// that depends only on `(seed, shard, attempt)`.
-    #[must_use]
-    pub fn backoff(&self, shard: usize, attempt: u32) -> u64 {
-        let exp = self
-            .base_backoff
-            .checked_shl(attempt.saturating_sub(1))
-            .unwrap_or(u64::MAX);
-        let jitter =
-            splitmix64(self.seed ^ (shard as u64) ^ u64::from(attempt)) % self.base_backoff.max(1);
-        exp.saturating_add(jitter)
     }
 }
 
@@ -455,8 +418,6 @@ pub enum RecoveryAction {
         from_tick: u64,
         /// Chunks re-dispatched from the replay buffer.
         replayed_chunks: u64,
-        /// Deterministic backoff ticks recorded for this attempt.
-        backoff: u64,
     },
     /// Non-finite points were dropped and the run continued (no restart;
     /// sanitising is the contractual behaviour of the infallible paths).
@@ -663,18 +624,19 @@ impl SupervisedRun {
     }
 
     /// The composed error guarantee of the merged hull against the
-    /// **full** input stream: per-shard bound sum + collector bound,
-    /// widened by [`RecoveryReport::lost_excess`] when points were lost.
-    /// `None` when any component cannot report a bound (including lost
-    /// points with no geometric trace).
+    /// **full** input stream: the merged run's
+    /// [`ShardRun::error_bound`] and, when points were lost,
+    /// [`RecoveryReport::lost_excess`]. The excess is measured against the
+    /// merged hull itself, so it is one more parallel part: the guarantee
+    /// is the larger of the two. `None` when any component cannot report a
+    /// bound (including lost points with no geometric trace).
     #[must_use]
     pub fn error_bound(&self) -> Option<f64> {
-        let composed = self.run.shard_bound_sum()? + self.run.summary.error_bound()?;
+        let merged = self.run.error_bound();
         if self.report.lost_points == 0 {
-            return Some(composed);
+            return merged;
         }
-        let excess = self.report.lost_excess(self.run.summary.hull_ref())?;
-        Some(composed + excess)
+        parallel_bound([merged, self.report.lost_excess(self.run.summary.hull_ref())])
     }
 }
 
@@ -1694,7 +1656,6 @@ impl<'e, F: ShardFactory> SupervisorCore<'e, F> {
             (from_tick, chunks, points)
         };
         self.replayed_points += replay_points;
-        let backoff = self.policy.backoff(shard, self.shards[shard].attempts);
         self.events.push(FaultEvent {
             shard,
             chunk: seq,
@@ -1702,7 +1663,6 @@ impl<'e, F: ShardFactory> SupervisorCore<'e, F> {
             action: RecoveryAction::Restarted {
                 from_tick,
                 replayed_chunks: replay_chunks,
-                backoff,
             },
         });
     }
@@ -1908,23 +1868,6 @@ mod tests {
                 Point2::new(rad * t.cos(), rad * t.sin())
             })
             .collect()
-    }
-
-    #[test]
-    fn backoff_is_deterministic_and_exponential() {
-        let policy = RetryPolicy::new(5).with_seed(42).with_base_backoff(8);
-        let a: Vec<u64> = (1..=5).map(|k| policy.backoff(3, k)).collect();
-        let b: Vec<u64> = (1..=5).map(|k| policy.backoff(3, k)).collect();
-        assert_eq!(a, b, "same (seed, shard, attempt) must repeat exactly");
-        // The exponential part dominates: attempt k+1 at least doubles
-        // the floor while jitter stays below one base unit.
-        for (k, w) in a.iter().enumerate() {
-            let floor = 8_u64 << k;
-            assert!(*w >= floor && *w < floor + 8, "attempt {}: {w}", k + 1);
-        }
-        // Different shards jitter differently (with overwhelming
-        // probability for this seed).
-        assert_ne!((1..=5).map(|k| policy.backoff(0, k)).collect::<Vec<_>>(), a);
     }
 
     #[test]

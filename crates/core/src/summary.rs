@@ -180,9 +180,11 @@ pub trait HullSummary: Debug {
     /// of everything seen to [`hull_ref`](HullSummary::hull_ref), computed
     /// from the summary's current state.
     ///
-    /// * adaptive: `16πP/r²` (Corollary 5.2, `P` the live perimeter);
+    /// * adaptive: the smaller of `16πP/r²` (Corollary 5.2, `P` the live
+    ///   perimeter) and its uniform substrate's certificate below — the
+    ///   substrate sees every point and its extrema are sample points;
     /// * uniform / fixed-budget: the largest current uncertainty-triangle
-    ///   height (`O(D/r)`, Lemma 3.2);
+    ///   height (`O(D/r)`, Lemma 3.2; fixed-budget reads its substrate's);
     /// * radial: `R·sin(2π/r)` with `R` the farthest stored point;
     /// * exact: `0`; frozen / cluster: `None` (no guarantee — that is the
     ///   frozen scheme's entire cautionary point).
@@ -269,10 +271,28 @@ impl<S: HullSummary + ?Sized> HullSummary for Box<S> {
 ///
 /// Merging re-inserts the other summary's stored sample points — each an
 /// actual stream point — and carries over the seen-count of the points the
-/// other summary consumed but did not store. The merged hull's error
-/// against the union stream is at most the sum of the parts' errors plus
-/// the collector's own bound (each part's true hull is within its error of
-/// its sample, and the samples are then summarised once more).
+/// other summary consumed but did not store.
+///
+/// # Composing error bounds
+///
+/// One rule composes the bounds of summaries built from one another, and
+/// every composition site in this crate applies it through this module's
+/// two helpers, `parallel_bound` and `chain_bound`:
+///
+/// * **parallel parts compose by max.** Each part summarised side by side
+///   (a shard, a window bucket, a backfilled run) keeps its points within
+///   its own bound of the hull of its sample, and the collector ingests
+///   every part's sample. Distance to a convex set is a convex function,
+///   so every point of the union's hull lies within the *largest* part
+///   bound of the hull of all the samples. A bound measured directly
+///   against the merged hull (the points a degraded run lost) is one more
+///   such part;
+/// * **a chain of stages adds.** A collector that re-summarises samples,
+///   or a degrade round trip, moves the hull once more by its own bound,
+///   so the merged hull's error is the parts' max plus the collector's
+///   own bound;
+/// * **a part without a bound makes the whole `None`**: a guarantee is
+///   widened, never invented.
 pub trait Mergeable: HullSummary {
     /// The stored sample points (every one an actual input point).
     fn sample_points(&self) -> Vec<Point2>;
@@ -308,6 +328,24 @@ pub trait Mergeable: HullSummary {
         self.insert_batch(&pts);
         self.absorb_seen(carried);
     }
+}
+
+/// The error bound of parts summarised side by side (see
+/// [`Mergeable`]'s composition rule): the largest part bound, `Some(0.0)`
+/// for no parts, and `None` if any part has none.
+pub(crate) fn parallel_bound(parts: impl IntoIterator<Item = Option<f64>>) -> Option<f64> {
+    parts
+        .into_iter()
+        .try_fold(0.0, |acc: f64, b| b.map(|b| acc.max(b)))
+}
+
+/// The error bound of stages applied one after another (see
+/// [`Mergeable`]'s composition rule): the sum of the stage bounds, and
+/// `None` if any stage has none.
+pub(crate) fn chain_bound(stages: impl IntoIterator<Item = Option<f64>>) -> Option<f64> {
+    stages
+        .into_iter()
+        .try_fold(0.0, |acc, b| b.map(|b| acc + b))
 }
 
 impl<S: Mergeable + ?Sized> Mergeable for Box<S> {
@@ -438,6 +476,19 @@ impl<T: Copy> Clone for GenCache<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn bounds_compose_by_max_in_parallel_and_add_along_a_chain() {
+        assert_eq!(parallel_bound([Some(1.0), Some(3.0), Some(2.0)]), Some(3.0));
+        assert_eq!(chain_bound([Some(1.0), Some(3.0), Some(2.0)]), Some(6.0));
+        assert_eq!(parallel_bound([]), Some(0.0));
+        assert_eq!(chain_bound([]), Some(0.0));
+        assert_eq!(parallel_bound([Some(1.0), None, Some(2.0)]), None);
+        assert_eq!(chain_bound([Some(1.0), None]), None);
+        // A collector over parts: the parts' max, then its own stage.
+        let parts = parallel_bound([Some(0.5), Some(0.25)]);
+        assert_eq!(chain_bound([parts, Some(0.125)]), Some(0.625));
+    }
 
     #[test]
     fn gen_cache_recomputes_only_on_generation_change() {

@@ -39,6 +39,11 @@
 //!   the gate, the caps, the budget and the `Reject`-policy rollback
 //!   apply to it exactly as to [`TenantEngine::insert_batch`].
 //!
+//! A tenant's [`error_bound`](TenantEngine::error_bound) follows
+//! [`Mergeable`]'s one composition rule: its backfilled runs and its state
+//! before a degrade are parallel parts carried as the largest of their
+//! bounds, and the live summary adds its own bound on top.
+//!
 //! A refused write is never half-taken, and `seen == ingested + shed`
 //! holds globally and per tenant at every call boundary.
 //!
@@ -56,7 +61,7 @@ use crate::fxhash::FxBuild;
 use crate::radial::RadialHull;
 use crate::recovery::SupervisedRun;
 use crate::snapshot::{peek_kind, Snapshot, SnapshotError};
-use crate::summary::{HullSummary, Mergeable};
+use crate::summary::{chain_bound, parallel_bound, HullSummary, Mergeable};
 use crate::telemetry::{names, Scrape, Telemetry};
 use geom::{ConvexPolygon, Point2, Vec2};
 use std::collections::hash_map::Entry;
@@ -382,7 +387,6 @@ pub struct TenantStats {
 #[derive(Clone, Copy, Debug)]
 pub struct TenantConfig {
     builder: SummaryBuilder,
-    degraded: SummaryBuilder,
     budget_bytes: usize,
     tenant_cap_bytes: usize,
     max_streams: usize,
@@ -396,15 +400,13 @@ pub struct TenantConfig {
 impl TenantConfig {
     /// Governed engine over summaries built by `builder`, with everything
     /// unbounded and [`OverloadPolicy::Reject`] — budget-free by default,
-    /// governed once you set caps. The degrade fallback defaults to a
-    /// radial histogram at a quarter of the builder's `r` (min 4): the
-    /// cheapest backend in this crate that still carries a live `O(D/r)`
-    /// error bound.
+    /// governed once you set caps. [`OverloadPolicy::DegradeToCoarser`]
+    /// falls back to a radial histogram at a quarter of the builder's `r`
+    /// (min 4): the cheapest backend in this crate that still carries a
+    /// live `O(D/r)` error bound.
     pub fn new(builder: SummaryBuilder) -> Self {
-        let fallback_r = (builder.r() / 4).max(4);
         TenantConfig {
             builder,
-            degraded: SummaryBuilder::new(SummaryKind::Radial).with_r(fallback_r),
             budget_bytes: 0,
             tenant_cap_bytes: 0,
             max_streams: 0,
@@ -447,12 +449,6 @@ impl TenantConfig {
         self
     }
 
-    /// The fallback backend [`OverloadPolicy::DegradeToCoarser`] swaps in.
-    pub fn with_degraded(mut self, builder: SummaryBuilder) -> Self {
-        self.degraded = builder;
-        self
-    }
-
     /// Bounded ingest queue: the most points one
     /// [`TenantEngine::ingest_bulk`] batch may carry (0 = unbounded).
     /// Overflow rejects or sheds oldest-first per the policy
@@ -482,11 +478,6 @@ impl TenantConfig {
     /// The builder for new tenants.
     pub fn builder(&self) -> &SummaryBuilder {
         &self.builder
-    }
-
-    /// The degrade fallback builder.
-    pub fn degraded_builder(&self) -> &SummaryBuilder {
-        &self.degraded
     }
 
     /// The global budget (0 = unbounded).
@@ -539,11 +530,12 @@ struct Tenant {
     ingested: u64,
     shed: u64,
     degraded: bool,
-    /// Error-bound widening carried across degradations and backfills
-    /// (sums the donors' bounds at hand-off time).
-    carried_bound: f64,
-    /// A donor had no bound, so the composed bound is honestly `None`.
-    bound_withdrawn: bool,
+    /// How far the tenant's points may lie from the hull of the points its
+    /// live summary ingested: the largest of the backfilled runs' bounds
+    /// and, after a degrade, the donor's composed bound (parallel parts).
+    /// `None` once a donor had no bound, so the composed bound is honestly
+    /// withdrawn.
+    carried_bound: Option<f64>,
 }
 
 /// What one write feeds a tenant: a batch of points, or a finished
@@ -877,8 +869,8 @@ impl TenantEngine {
         }
     }
 
-    /// The tenant-facing error bound: the live summary bound plus
-    /// everything carried from degradations and backfills — `None` when
+    /// The tenant-facing error bound: the bound carried from degradations
+    /// and backfills, then the live summary's own bound — `None` when
     /// either side offers no guarantee (degrading *widens* the bound, it
     /// never invents one).
     pub fn error_bound(&mut self, id: StreamId) -> Result<Option<f64>, AdmissionError> {
@@ -886,14 +878,11 @@ impl TenantEngine {
         self.make_hot(idx)?;
         match self.slots.get(idx).and_then(|s| s.as_ref()) {
             Some(t) => {
-                if t.bound_withdrawn {
-                    return Ok(None);
-                }
                 let own = match &t.residency {
                     Residency::Hot(s) => s.error_bound(),
                     _ => None,
                 };
-                Ok(own.map(|b| b + t.carried_bound))
+                Ok(chain_bound([t.carried_bound, own]))
             }
             None => Err(AdmissionError::UnknownStream { stream: id }),
         }
@@ -901,9 +890,10 @@ impl TenantEngine {
 
     /// Backfills `id` (registering it if new) from a finished supervised
     /// run: the run's merged summary is merged into the tenant, the
-    /// tenant's carried bound widens by the run's composed
-    /// [`error_bound`](SupervisedRun::error_bound) (or is withdrawn when
-    /// the run has none), and the points the run lost are tallied as shed.
+    /// tenant's carried bound becomes the larger of itself and the run's
+    /// composed [`error_bound`](SupervisedRun::error_bound) (or is
+    /// withdrawn when the run has none), and the points the run lost are
+    /// tallied as shed.
     ///
     /// This is the engine's single write path, the one behind
     /// [`insert_batch`](Self::insert_batch): the run's points are gated,
@@ -1019,8 +1009,7 @@ impl TenantEngine {
             ingested: 0,
             shed: 0,
             degraded: false,
-            carried_bound: 0.0,
-            bound_withdrawn: false,
+            carried_bound: Some(0.0),
         };
         let idx = match self.free.pop() {
             Some(i) => {
@@ -1358,19 +1347,17 @@ impl TenantEngine {
         }
     }
 
-    /// Books a kept backfill: the carried bound widens by the run's
-    /// composed bound (or is withdrawn when it has none), and the points
-    /// the run lost are tallied as shed. Overload relief may have evicted
-    /// the tenant by now; the report still counts the lost points.
+    /// Books a kept backfill: the run is one more parallel part, so the
+    /// carried bound becomes the larger of itself and the run's composed
+    /// bound (or is withdrawn when the run has none), and the points the
+    /// run lost are tallied as shed. Overload relief may have evicted the
+    /// tenant by now; the report still counts the lost points.
     fn settle_run(&mut self, id: StreamId, run: &SupervisedRun) {
         let bound = run.error_bound();
         let lost = run.report.lost_points;
         if let Some(&idx) = self.index.get(&id) {
             if let Some(Some(t)) = self.slots.get_mut(idx) {
-                match bound {
-                    Some(b) => t.carried_bound += b,
-                    None => t.bound_withdrawn = true,
-                }
+                t.carried_bound = parallel_bound([t.carried_bound, bound]);
                 t.seen += lost;
                 t.shed += lost;
             }
@@ -1516,9 +1503,11 @@ impl TenantEngine {
         self.remove(id);
     }
 
-    /// Swaps a tenant's backend for the degrade fallback via an in-memory
-    /// merge (sample round-trip), widening — or withdrawing — the carried
-    /// bound by the donor's composed bound at hand-off. `true` if the
+    /// Swaps a tenant's backend for the degrade fallback (a radial
+    /// histogram at a quarter of the configured `r`, min 4) via an
+    /// in-memory merge (sample round-trip). The round trip is one more
+    /// stage, so the carried bound becomes the donor's composed bound at
+    /// hand-off — or is withdrawn when the donor has none. `true` if the
     /// tenant was degraded by this call.
     fn degrade_slot(&mut self, idx: usize) -> bool {
         let already = match self.slots.get(idx).and_then(|s| s.as_ref()) {
@@ -1528,8 +1517,9 @@ impl TenantEngine {
         if already || self.make_hot(idx).is_err() {
             return false;
         }
-        let fallback = self.config.degraded;
-        let mut coarse = self.build_summary(&fallback);
+        let fallback_r = (self.config.builder.r() / 4).max(4);
+        let mut coarse =
+            self.build_summary(&SummaryBuilder::new(SummaryKind::Radial).with_r(fallback_r));
         let epoch = self.fresh_epoch();
         let Some(Some(t)) = self.slots.get_mut(idx) else {
             return false;
@@ -1538,11 +1528,7 @@ impl TenantEngine {
             return false;
         };
         let from = old.name();
-        let donor_bound = match (old.error_bound(), t.bound_withdrawn) {
-            (_, true) => None,
-            (Some(b), false) => Some(b + t.carried_bound),
-            (None, false) => None,
-        };
+        let donor_bound = chain_bound([t.carried_bound, old.error_bound()]);
         coarse.merge_from(&**old);
         let to = coarse.name();
         let before = t.bytes;
@@ -1551,13 +1537,7 @@ impl TenantEngine {
         t.epoch = epoch;
         t.bytes = after;
         t.degraded = true;
-        match donor_bound {
-            Some(b) => t.carried_bound = b,
-            None => {
-                t.carried_bound = 0.0;
-                t.bound_withdrawn = true;
-            }
-        }
+        t.carried_bound = donor_bound;
         let id = t.id;
         self.bytes_in_use = self.bytes_in_use + after - before;
         self.report.streams_degraded += 1;
@@ -1850,8 +1830,12 @@ mod tests {
         assert_eq!(summary_name, "radial", "fallback backend took over");
         // An adaptive donor has a bound, so the composed bound survives —
         // wider than a fresh radial bound alone would claim.
-        let composed = e.error_bound(id).unwrap();
-        assert!(composed.is_some());
+        let composed = e.error_bound(id).unwrap().expect("donor had a bound");
+        let own = e.summary(id).unwrap().error_bound().unwrap();
+        assert!(
+            composed > own,
+            "carried donor bound lost: {composed} vs {own}"
+        );
     }
 
     #[test]
@@ -2003,6 +1987,29 @@ mod tests {
             .unwrap()
             .2;
         assert!((d1 - 8.0).abs() < 0.1);
+    }
+
+    #[test]
+    fn absorbed_runs_carry_the_larger_run_bound() {
+        use crate::parallel::ShardedIngest;
+        use crate::recovery::SupervisedIngest;
+        let mut e = engine(SummaryKind::Adaptive);
+        let ingest = SupervisedIngest::new(ShardedIngest::new(e.config().builder, 2));
+        let small = ingest.run_stream(ring(2000, 0.0, 0.0, 1.0));
+        let large = ingest.run_stream(ring(2000, 0.5, 0.0, 8.0));
+        let (a, b) = (small.error_bound().unwrap(), large.error_bound().unwrap());
+        assert!(0.0 < a && a < b, "{a} vs {b}");
+        e.absorb(StreamId(3), &large).unwrap();
+        e.absorb(StreamId(3), &small).unwrap();
+        // Two runs are parallel parts: the larger bound, not the sum.
+        let idx = e.lookup(StreamId(3)).unwrap();
+        let carried = e.slots[idx].as_ref().unwrap().carried_bound;
+        assert_eq!(carried, Some(b));
+        let own = e.summary(StreamId(3)).unwrap().error_bound();
+        assert_eq!(
+            e.error_bound(StreamId(3)).unwrap(),
+            chain_bound([Some(b), own])
+        );
     }
 
     #[test]

@@ -26,10 +26,11 @@
 //!   through one code path;
 //! * [`query_window`](WindowedSummary::query_window) merges the live
 //!   buckets (oldest → newest) into a collector of the same kind and
-//!   reports the hull together with a **composed error bound** (the sum of
-//!   the buckets' live bounds and accumulated merge debts plus the
-//!   collector's own bound — the same composition the sharded engine's
-//!   [`ShardRun`](crate::parallel::ShardRun) uses) and the staleness
+//!   reports the hull together with a **composed error bound** (the
+//!   largest of the buckets' composed bounds — live bound plus merge
+//!   debt — plus the collector's own bound: [`Mergeable`]'s one
+//!   composition rule, which the sharded engine's
+//!   [`ShardRun`](crate::parallel::ShardRun) applies too) and the staleness
 //!   bound: at most `stale_points` points older than the window (reaching
 //!   back at most `stale_duration` before it) may have been included.
 //!   Raising `k` or lowering `g` tightens staleness at the price of more
@@ -56,7 +57,7 @@
 //! sharded engine's determinism contract).
 
 use crate::builder::SummaryBuilder;
-use crate::summary::{GenCache, HullCache, HullSummary, Mergeable};
+use crate::summary::{chain_bound, parallel_bound, GenCache, HullCache, HullSummary, Mergeable};
 use crate::telemetry::{names, Counter, Gauge, Telemetry};
 use geom::{ConvexPolygon, Point2};
 use std::collections::VecDeque;
@@ -211,19 +212,20 @@ struct Bucket {
     /// covers `g · 2^l` points (the open head is level 0 and partial).
     level: u32,
     /// Error-bound debt inherited from buckets merged away into this one:
-    /// the sum of their composed bounds at merge time. `None` once any
+    /// how far the bucket's points may lie from the hull of the points its
+    /// summary ingested. A carry keeps the larger of the survivor's debt
+    /// and the absorbed bucket's composed bound (parallel parts), so a
+    /// level-`l` bucket owes at most `l` own bounds. `None` once any
     /// absorbed part had no live bound (frozen / cluster backends).
+    /// Snapshots of older chains hold a sum here: looser, still sound.
     debt: Option<f64>,
 }
 
 impl Bucket {
-    /// The bucket's composed bound: inherited debt plus its summary's
-    /// live bound. `None` if either is unavailable.
+    /// The bucket's composed bound: inherited debt, then its summary's
+    /// live bound (a chain). `None` if either is unavailable.
     fn composed_bound(&self) -> Option<f64> {
-        match (self.debt, self.summary.error_bound()) {
-            (Some(d), Some(b)) => Some(d + b),
-            _ => None,
-        }
+        chain_bound([self.debt, self.summary.error_bound()])
     }
 }
 
@@ -269,12 +271,13 @@ pub struct WindowAnswer {
     pub stale_duration: f64,
     /// Live buckets merged into the collector.
     pub buckets: usize,
-    /// Sum of the merged buckets' composed error bounds (their live bounds
-    /// plus accumulated merge debt); `None` when any bucket's backend
-    /// reports no bound. Add the collector's own live bound — which
-    /// [`error_bound`](WindowAnswer::error_bound) does — for the guarantee
-    /// of the reported hull against the true hull of the covered points.
-    pub bucket_bound_sum: Option<f64>,
+    /// The largest of the merged buckets' composed error bounds (live
+    /// bound plus accumulated merge debt); `None` when any bucket's
+    /// backend reports no bound. Add the collector's own live bound —
+    /// which [`error_bound`](WindowAnswer::error_bound) does — for the
+    /// guarantee of the reported hull against the true hull of the
+    /// covered points.
+    pub bucket_bound_max: Option<f64>,
 }
 
 impl WindowAnswer {
@@ -285,15 +288,12 @@ impl WindowAnswer {
     }
 
     /// The composed error guarantee of [`hull`](WindowAnswer::hull)
-    /// against the true convex hull of the covered points: the sum of the
-    /// live buckets' composed bounds plus the collector's own live bound.
+    /// against the true convex hull of the covered points: the largest
+    /// live bucket's composed bound plus the collector's own live bound.
     /// `None` when the backend reports no bound (frozen, cluster).
     #[must_use]
     pub fn error_bound(&self) -> Option<f64> {
-        match (self.bucket_bound_sum, self.summary.error_bound()) {
-            (Some(parts), Some(own)) => Some(parts + own),
-            _ => None,
-        }
+        chain_bound([self.bucket_bound_max, self.summary.error_bound()])
     }
 
     /// Lower bound on how many *in-window* points the answer covers.
@@ -318,13 +318,13 @@ struct MergeStats {
     stale_points: u64,
     stale_duration: f64,
     buckets: usize,
-    bound_sum: Option<f64>,
+    bound_max: Option<f64>,
 }
 
 impl MergeStats {
     fn new() -> Self {
         MergeStats {
-            bound_sum: Some(0.0),
+            bound_max: Some(0.0),
             ..Default::default()
         }
     }
@@ -332,10 +332,7 @@ impl MergeStats {
     fn add_bucket(&mut self, b: &Bucket) {
         self.merged_points += b.count;
         self.buckets += 1;
-        self.bound_sum = match (self.bound_sum, b.composed_bound()) {
-            (Some(acc), Some(bb)) => Some(acc + bb),
-            _ => None,
-        };
+        self.bound_max = parallel_bound([self.bound_max, b.composed_bound()]);
     }
 
     /// Packages the accumulated bookkeeping with the collector that
@@ -348,7 +345,7 @@ impl MergeStats {
             stale_points: self.stale_points,
             stale_duration: self.stale_duration,
             buckets: self.buckets,
-            bucket_bound_sum: self.bound_sum,
+            bucket_bound_max: self.bound_max,
         }
     }
 }
@@ -653,10 +650,7 @@ impl WindowedSummary {
             survivor.count += absorbed.count;
             survivor.t_last = absorbed.t_last;
             survivor.level += 1;
-            survivor.debt = match (survivor.debt, absorbed_bound) {
-                (Some(d), Some(b)) => Some(d + b),
-                _ => None,
-            };
+            survivor.debt = parallel_bound([survivor.debt, absorbed_bound]);
             level += 1;
         }
     }
@@ -1299,6 +1293,48 @@ mod tests {
             let expects_bound = !matches!(kind, SummaryKind::Frozen | SummaryKind::Cluster);
             assert_eq!(ans.error_bound().is_some(), expects_bound, "{kind}");
         }
+    }
+
+    #[test]
+    fn carry_debt_grows_linearly_in_the_level() {
+        // A periodic stream whose period is the granularity gives every
+        // bucket, fresh or merged, the same extrema and so the same own
+        // bound `b`. Merged buckets are parallel parts, so a level-l
+        // bucket owes `l · b` (each carry adds the absorbed bucket's own
+        // bound to a debt it shares with the survivor); summing them would
+        // owe `(2^l - 1) · b`, and dropping the absorbed bound would owe 0.
+        let g = 64;
+        let period: Vec<Point2> = (0..g)
+            .map(|i| {
+                let t = i as f64 * core::f64::consts::TAU / g as f64 + 0.1;
+                Point2::new(8.0 * t.cos(), t.sin())
+            })
+            .collect();
+        let mut w = SummaryBuilder::new(SummaryKind::Uniform)
+            .with_r(8)
+            .windowed(
+                WindowConfig::last_n(1 << 20)
+                    .with_granularity(g)
+                    .with_buckets_per_level(1),
+            );
+        for _ in 0..64 {
+            w.insert_batch(&period);
+        }
+        let b = w.buckets[0].summary.error_bound().unwrap();
+        assert!(b > 0.0);
+        let mut deepest = 0;
+        for bucket in &w.buckets {
+            assert_eq!(bucket.summary.error_bound(), Some(b), "same extrema");
+            let debt = bucket.debt.unwrap();
+            let level = f64::from(bucket.level);
+            assert!(
+                (debt - level * b).abs() <= 1e-12 * level * b,
+                "level {}: debt {debt}, not {level} own bounds of {b}",
+                bucket.level
+            );
+            deepest = deepest.max(bucket.level);
+        }
+        assert!(deepest >= 5, "the chain must carry deep: level {deepest}");
     }
 
     #[test]

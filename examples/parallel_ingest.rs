@@ -51,10 +51,10 @@ fn main() {
         n as f64 / sharded_secs / 1e6
     );
     println!(
-        "  merged: {} stored points, error bound {:.2e} (shard bounds sum {:.2e})",
+        "  merged: {} stored points, error bound {:.2e} (composed with the shards: {:.2e})",
         run.summary.sample_size(),
         run.summary.error_bound().unwrap_or(f64::NAN),
-        run.shard_bound_sum().unwrap_or(f64::NAN),
+        run.error_bound().unwrap_or(f64::NAN),
     );
     for (i, s) in run.shards.iter().enumerate() {
         println!(

@@ -46,7 +46,7 @@ fn main() {
     let warm = q.width(id).expect("station 27 is admitted");
     assert_eq!(cold, warm, "a cache hit is bit-identical");
     let pair = q
-        .farthest_pair(id)
+        .diameter(id)
         .expect("station 27 is admitted")
         .expect("station 27 has points");
     println!("station 27:");

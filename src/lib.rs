@@ -53,10 +53,12 @@
 //!
 //! Every summary is [`Mergeable`]: shard a stream across workers or
 //! gateways, summarise each shard independently (summaries are `Send +
-//! Sync`), then merge at a collector. The merged hull's error against the
-//! union stream is at most the sum of the shards' errors plus the
-//! collector's own `O(D/r²)` bound — verified by the shard-merge property
-//! tests. [`ShardedIngest`] runs that pattern on worker threads with one
+//! Sync`), then merge at a collector. The shards are parallel parts, so
+//! the merged hull's error against the union stream is at most the
+//! largest shard's error plus the collector's own `O(D/r²)` bound
+//! ([`ShardRun::error_bound`](adaptive_hull::parallel::ShardRun::error_bound))
+//! — verified by the shard-merge property tests and the bound-honesty
+//! suite. [`ShardedIngest`] runs that pattern on worker threads with one
 //! partition (chunk `c` to shard `c % N`), so a slice run, a fault-free
 //! [`SupervisedIngest`] run over an iterator (the one streaming path) and
 //! a reduce of per-shard snapshot files all give the same bits.
@@ -230,13 +232,12 @@
 //!         .unwrap();
 //! }
 //!
-//! // Per-stream analytics with error bars:
+//! // Per-stream analytics with error bars (the diameter answer also
+//! // carries its farthest pair, `d.a` and `d.b`):
 //! let d = q.diameter(StreamId(0)).unwrap().unwrap();
 //! assert!(d.estimate.lo <= d.estimate.value && d.estimate.value <= d.estimate.hi);
 //! let w = q.width(StreamId(0)).unwrap();
 //! assert!(w.value <= d.estimate.value, "width never exceeds diameter");
-//! let pair = q.farthest_pair(StreamId(0)).unwrap().unwrap();
-//! assert_eq!(pair.estimate.value, d.estimate.value);
 //!
 //! // The generation-keyed cache: a repeated query is a hit, and the
 //! // answer is bit-identical to the fresh computation.

@@ -383,7 +383,7 @@ fn windowed_chain_snapshots_rebuild_the_sharded_run() {
         assert_eq!(a.merged_points, b.merged_points, "{kind}");
         assert_eq!(a.stale_points, b.stale_points, "{kind}");
         assert_eq!(a.buckets, b.buckets, "{kind}");
-        assert_eq!(a.bucket_bound_sum, b.bucket_bound_sum, "{kind}");
+        assert_eq!(a.bucket_bound_max, b.bucket_bound_max, "{kind}");
     }
 }
 

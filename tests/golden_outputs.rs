@@ -4,7 +4,18 @@
 //!
 //! The constants below were recorded once and are never re-recorded by a
 //! performance change: a rewrite of an ingestion path is correct only if
-//! every observable output stays bit-identical. Each row hashes (FNV-1a)
+//! every observable output stays bit-identical. One change of meaning
+//! re-recorded columns: when error bounds moved to one composition rule
+//! (parallel parts by max, chained stages by sum) and the adaptive bound
+//! to the smaller of `16πP/r²` and its uniform substrate's certificate,
+//! the bound column changed on every `adaptive`, `adaptive/bucket` and
+//! `adaptive/r8` row, every `adaptive/r128` row but `few5` and `few13`
+//! (where `16πP/r²` stays the smaller), and the window rows of
+//! `uniform-naive`, `uniform`, `radial` and `adaptive-2r`; and the
+//! snapshot hash of those 8 window rows changed, because a window
+//! snapshot encodes each bucket's merge debt. Every hull, generation and
+//! `approx_bytes` column, and every other row, stayed as recorded. Each
+//! row hashes (FNV-1a)
 //! the sealed `encode_snapshot()` envelope and the raw IEEE-754 bits of the
 //! hull vertices, and records the raw bits of `error_bound()` (`u64::MAX`
 //! for `None`), `hull_generation()` and `approx_bytes()`.
@@ -191,7 +202,7 @@ const GOLDEN: &[(&str, &str, u64, u64, u64, u64, u64)] = &[
     ("uniform-naive", "few40", 0x4e63ff0324aebbd0, 0x9aa305c2540cb524, 0x40240f1895ac6a5c, 8, 288),
     ("uniform-naive", "snapped", 0x5b422b8cfe42d54e, 0xbd62cc9a5f4d4581, 0x3fe2654a1c273c44, 9, 480),
     ("uniform-naive", "zeros", 0x1619d88027e1a581, 0x6865e9c19dd51025, 0x3fba03f0e9e3526d, 7, 288),
-    ("uniform-naive", "window", 0x45eb384390454204, 0x98d67ef7442b7205, 0x40238d03c557db52, 55, 3744),
+    ("uniform-naive", "window", 0x453f176a752e978e, 0x98d67ef7442b7205, 0x40104d8388e760ac, 55, 3744),
     ("uniform", "drift", 0x182c38855912ca16, 0x0058d6c04fc466c2, 0x40242ae331c91a0c, 1096, 672),
     ("uniform", "annulus", 0x338d31b35d3fdf11, 0x46d794bc2ddbeddd, 0x3f8ebd154a50798f, 170, 1632),
     ("uniform", "few2", 0xa54eccc55a974c0b, 0x6d9dc19d80f0f931, 0x40237d367153112e, 2, 192),
@@ -201,7 +212,7 @@ const GOLDEN: &[(&str, &str, u64, u64, u64, u64, u64)] = &[
     ("uniform", "few40", 0x742e0cd17de94c20, 0x9aa305c2540cb524, 0x40240f1895ac6a5c, 40, 288),
     ("uniform", "snapped", 0xe82c6378040512d8, 0xbd62cc9a5f4d4581, 0x3fe2654a1c273c44, 32, 480),
     ("uniform", "zeros", 0x67e8a6be5fb67f48, 0x6865e9c19dd51025, 0x3fba03f0e9e3526d, 7, 288),
-    ("uniform", "window", 0xbe3f8b2c00aaf949, 0x98d67ef7442b7205, 0x40238d03c557db52, 55, 3744),
+    ("uniform", "window", 0xf2cd016118d42dcd, 0x98d67ef7442b7205, 0x40104d8388e760ac, 55, 3744),
     ("radial", "drift", 0x6c51c53a2337c957, 0x7c9032c651f0431e, 0x4049a592d5d617f0, 27, 1888),
     ("radial", "annulus", 0xc60997824d240cc5, 0x08a2cfc56d374507, 0x3fd857047274070b, 19, 1888),
     ("radial", "few2", 0xd86f0ed768a0fe01, 0x6d9dc19d80f0f931, 0x4049b93ff62a36db, 2, 1888),
@@ -211,7 +222,7 @@ const GOLDEN: &[(&str, &str, u64, u64, u64, u64, u64)] = &[
     ("radial", "few40", 0x5a67592ca9269de4, 0x7ee08698cc22ade5, 0x4049ae44e3487fe9, 4, 1888),
     ("radial", "snapped", 0x59a7bd64d754c5f5, 0xbd62cc9a5f4d4581, 0x4007d2ca1794f3dd, 7, 1888),
     ("radial", "zeros", 0x2dbbb2cef539147b, 0x6865e9c19dd51025, 0x3fe2ba8a2d4f3c88, 3, 1888),
-    ("radial", "window", 0x0a8d161359c20918, 0xe004a7252d2eadc7, 0x404cf5e342238368, 8, 7440),
+    ("radial", "window", 0x3da40f034c6c2666, 0xe004a7252d2eadc7, 0x4036373532cf269a, 8, 7440),
     ("frozen", "drift", 0xd3baff0f786a4ec1, 0x0058d6c04fc466c2, 0xffffffffffffffff, 35, 1408),
     ("frozen", "annulus", 0x28dc3acc17119492, 0x46d794bc2ddbeddd, 0xffffffffffffffff, 24, 1408),
     ("frozen", "few2", 0x6274271c04751ba0, 0x6d9dc19d80f0f931, 0xffffffffffffffff, 2, 1408),
@@ -222,16 +233,16 @@ const GOLDEN: &[(&str, &str, u64, u64, u64, u64, u64)] = &[
     ("frozen", "snapped", 0x1c3b28a6070be087, 0xbd62cc9a5f4d4581, 0xffffffffffffffff, 9, 1408),
     ("frozen", "zeros", 0x8b6a46711e877906, 0x6865e9c19dd51025, 0xffffffffffffffff, 7, 1408),
     ("frozen", "window", 0x6f39e9288edb8e02, 0x98d67ef7442b7205, 0xffffffffffffffff, 55, 3744),
-    ("adaptive", "drift", 0x7560059b8776ba60, 0x63e5d08483189ad5, 0x403a451b5df29867, 37, 15904),
-    ("adaptive", "annulus", 0x847427ea1a2ac610, 0x985845f14b6c6965, 0x3fd3b090417f3e66, 31, 18192),
-    ("adaptive", "few2", 0x0558a2b5da2a1f7f, 0x6d9dc19d80f0f931, 0x4039e3c12f3b0303, 2, 4576),
-    ("adaptive", "few3", 0x4b37d09d5084ac17, 0x948dc9f3818eba10, 0x4039e7dabba9192d, 3, 4896),
-    ("adaptive", "few5", 0xc381ee7d5837357e, 0x80c1e7f2d86da1d2, 0x4039f8e39adb6612, 5, 5520),
-    ("adaptive", "few13", 0x7ddf2356be6c888f, 0x95304b19c378d4e1, 0x4039ce55ad153a58, 13, 7200),
-    ("adaptive", "few40", 0x105969b5b4c10786, 0xed6dba4da722ff83, 0x4039dc3aaf81c47a, 8, 9136),
-    ("adaptive", "snapped", 0xbb35296258f23f02, 0xbd62cc9a5f4d4581, 0x40055adc45e31942, 9, 12128),
-    ("adaptive", "zeros", 0x46ddf63e8ed9990f, 0x6865e9c19dd51025, 0x3fdc196908691da7, 7, 7584),
-    ("adaptive", "window", 0xca9fb0ef662d7784, 0x80ad994716582638, 0x404564fd3842fbff, 57, 4080),
+    ("adaptive", "drift", 0x7560059b8776ba60, 0x63e5d08483189ad5, 0x40242ae331c91a0c, 37, 15904),
+    ("adaptive", "annulus", 0x847427ea1a2ac610, 0x985845f14b6c6965, 0x3f8ebd154a50798f, 31, 18192),
+    ("adaptive", "few2", 0x0558a2b5da2a1f7f, 0x6d9dc19d80f0f931, 0x40237d367153112e, 2, 4576),
+    ("adaptive", "few3", 0x4b37d09d5084ac17, 0x948dc9f3818eba10, 0x402292f939c853a2, 3, 4896),
+    ("adaptive", "few5", 0xc381ee7d5837357e, 0x80c1e7f2d86da1d2, 0x40257235fce55213, 5, 5520),
+    ("adaptive", "few13", 0x7ddf2356be6c888f, 0x95304b19c378d4e1, 0x402084d56300b9ec, 13, 7200),
+    ("adaptive", "few40", 0x105969b5b4c10786, 0xed6dba4da722ff83, 0x40240f1895ac6a5c, 8, 9136),
+    ("adaptive", "snapped", 0xbb35296258f23f02, 0xbd62cc9a5f4d4581, 0x3fe2654a1c273c44, 9, 12128),
+    ("adaptive", "zeros", 0x46ddf63e8ed9990f, 0x6865e9c19dd51025, 0x3fba03f0e9e3526d, 7, 7584),
+    ("adaptive", "window", 0x7de88032f13ed5ff, 0x80ad994716582638, 0x40104d8388e760ac, 57, 4080),
     ("adaptive-2r", "drift", 0x2fc4ff85743fbb9f, 0x63e5d08483189ad5, 0x40242ae331c91a0c, 37, 4320),
     ("adaptive-2r", "annulus", 0x77f992626cedd0b9, 0x6828f88a8fb4f1ef, 0x3f8ebd154a50798f, 31, 5280),
     ("adaptive-2r", "few2", 0x259b7a1d934cd135, 0x6d9dc19d80f0f931, 0x40237d367153112e, 2, 2608),
@@ -241,7 +252,7 @@ const GOLDEN: &[(&str, &str, u64, u64, u64, u64, u64)] = &[
     ("adaptive-2r", "few40", 0xf7f66874a0e45601, 0xed6dba4da722ff83, 0x40240f1895ac6a5c, 8, 3936),
     ("adaptive-2r", "snapped", 0x5f0d67d9542ab099, 0xbd62cc9a5f4d4581, 0x3fe2654a1c273c44, 9, 4128),
     ("adaptive-2r", "zeros", 0x2280888af1f7d729, 0x6865e9c19dd51025, 0x3fba03f0e9e3526d, 7, 3936),
-    ("adaptive-2r", "window", 0x9a6e91f45cee54da, 0x80ad994716582638, 0x40238d03c557db52, 59, 4176),
+    ("adaptive-2r", "window", 0x1e8acb60700f86a9, 0x80ad994716582638, 0x40104d8388e760ac, 59, 4176),
     ("cluster", "drift", 0xa0647fdbc87ab583, 0x63e5d08483189ad5, 0xffffffffffffffff, 35, 43440),
     ("cluster", "annulus", 0x7d116088e62cb7b1, 0xd19322ba10d0166d, 0xffffffffffffffff, 35, 52656),
     ("cluster", "few2", 0xfcd63b3189ecc419, 0x6d9dc19d80f0f931, 0xffffffffffffffff, 2, 6016),
@@ -252,36 +263,36 @@ const GOLDEN: &[(&str, &str, u64, u64, u64, u64, u64)] = &[
     ("cluster", "snapped", 0x009eb3ecb36be2c3, 0xbd62cc9a5f4d4581, 0xffffffffffffffff, 7, 41456),
     ("cluster", "zeros", 0xd8108f88fa73a46c, 0x6865e9c19dd51025, 0xffffffffffffffff, 3, 16096),
     ("cluster", "window", 0x62e6bdf75d740160, 0xbe434e65eced525c, 0xffffffffffffffff, 8, 9456),
-    ("adaptive/bucket", "drift", 0xd85155a98857d6c1, 0x63e5d08483189ad5, 0x403a451b5df29867, 37, 12368),
-    ("adaptive/bucket", "annulus", 0x79b26900eb401486, 0x8da35e4d96984343, 0x3fd3b090417f3e66, 31, 11824),
-    ("adaptive/bucket", "few2", 0xe0ff60cfd1ae8c2d, 0x6d9dc19d80f0f931, 0x4039e3c12f3b0303, 2, 4576),
-    ("adaptive/bucket", "few3", 0xfd11595abdf83574, 0x948dc9f3818eba10, 0x4039e7dabba9192d, 3, 4896),
-    ("adaptive/bucket", "few5", 0x20a4cf7107141939, 0x80c1e7f2d86da1d2, 0x4039f8e39adb6612, 5, 5280),
-    ("adaptive/bucket", "few13", 0xe2b0f52cebe1ba3c, 0x4547532adba2fd14, 0x4039ce55ad153a58, 13, 5536),
-    ("adaptive/bucket", "few40", 0xc0685064889cedbc, 0xed6dba4da722ff83, 0x4039dc3aaf81c47a, 8, 7264),
-    ("adaptive/bucket", "snapped", 0x35096db722a8c0f7, 0xbd62cc9a5f4d4581, 0x40055adc45e31942, 9, 11152),
-    ("adaptive/bucket", "zeros", 0xa857f1186449041e, 0x6865e9c19dd51025, 0x3fdc196908691da7, 7, 6304),
-    ("adaptive/bucket", "window", 0xd4284a132ba92213, 0xf80626ba5342a376, 0x404564fd3842fbff, 55, 3936),
-    ("adaptive/r8", "drift", 0x86078af8cef6f35b, 0x43ea7a7ca4e282fb, 0x407a403bf2d2f79a, 37, 27840),
-    ("adaptive/r8", "annulus", 0xe3bd2ba7e1a890f8, 0x8ead1f37a1435497, 0x401338cb9cf9c28c, 52, 7264),
-    ("adaptive/r8", "few2", 0x54cc4fd6f02f9368, 0x6d9dc19d80f0f931, 0x4079e3c12f3b0303, 2, 1952),
-    ("adaptive/r8", "few3", 0x85b3ddfa77aba1f5, 0x948dc9f3818eba10, 0x4079e7dabba9192d, 3, 2144),
-    ("adaptive/r8", "few5", 0x7ce5dd2b20654457, 0xbea9c9f94889121a, 0x4079f8e39adb6612, 5, 2528),
-    ("adaptive/r8", "few13", 0x8005f9872e8b59d2, 0xa327b7af3b6dacf5, 0x4079ce55ad153a58, 13, 3744),
-    ("adaptive/r8", "few40", 0x8ed8d74c0b13c5db, 0x8b81120807cf859a, 0x4079d8b3f76f46b9, 8, 6944),
-    ("adaptive/r8", "snapped", 0xe17cc6682bc0e79f, 0x6e9e0bb5d569f755, 0x4045332852be879c, 11, 3152),
-    ("adaptive/r8", "zeros", 0x6f56ef74bf10bda8, 0x6865e9c19dd51025, 0x401c196908691da7, 7, 2624),
-    ("adaptive/r8", "window", 0x5afb32d7853d0c6b, 0x2fc18011d4f18177, 0x40854195cf258444, 48, 3024),
-    ("adaptive/r128", "drift", 0x8d1bc8790029ddfa, 0x23faf1fc7a1583cc, 0x3ffa45d94caf2add, 36, 39104),
-    ("adaptive/r128", "annulus", 0x8f308673d54cc412, 0x099d1f8486b24ea7, 0x3f93b759a0983baa, 29, 69472),
-    ("adaptive/r128", "few2", 0x2066c999aaa80a96, 0x6d9dc19d80f0f931, 0x3ff9e3c12f3b0303, 2, 12960),
-    ("adaptive/r128", "few3", 0x159f62a49d5aafcc, 0x9ce3b36a24862c38, 0x3ff9e7dabba9192d, 3, 13840),
+    ("adaptive/bucket", "drift", 0xd85155a98857d6c1, 0x63e5d08483189ad5, 0x40242ae331c91a0c, 37, 12368),
+    ("adaptive/bucket", "annulus", 0x79b26900eb401486, 0x8da35e4d96984343, 0x3f8ebd154a50798f, 31, 11824),
+    ("adaptive/bucket", "few2", 0xe0ff60cfd1ae8c2d, 0x6d9dc19d80f0f931, 0x40237d367153112e, 2, 4576),
+    ("adaptive/bucket", "few3", 0xfd11595abdf83574, 0x948dc9f3818eba10, 0x402292f939c853a2, 3, 4896),
+    ("adaptive/bucket", "few5", 0x20a4cf7107141939, 0x80c1e7f2d86da1d2, 0x40257235fce55213, 5, 5280),
+    ("adaptive/bucket", "few13", 0xe2b0f52cebe1ba3c, 0x4547532adba2fd14, 0x402084d56300b9ec, 13, 5536),
+    ("adaptive/bucket", "few40", 0xc0685064889cedbc, 0xed6dba4da722ff83, 0x40240f1895ac6a5c, 8, 7264),
+    ("adaptive/bucket", "snapped", 0x35096db722a8c0f7, 0xbd62cc9a5f4d4581, 0x3fe2654a1c273c44, 9, 11152),
+    ("adaptive/bucket", "zeros", 0xa857f1186449041e, 0x6865e9c19dd51025, 0x3fba03f0e9e3526d, 7, 6304),
+    ("adaptive/bucket", "window", 0xe27f8ab8306801be, 0xf80626ba5342a376, 0x40104d8388e760ac, 55, 3936),
+    ("adaptive/r8", "drift", 0x86078af8cef6f35b, 0x43ea7a7ca4e282fb, 0x40472fc2781283eb, 37, 27840),
+    ("adaptive/r8", "annulus", 0xe3bd2ba7e1a890f8, 0x8ead1f37a1435497, 0x3fc5f46bcdac596f, 52, 7264),
+    ("adaptive/r8", "few2", 0x54cc4fd6f02f9368, 0x6d9dc19d80f0f931, 0x40474c6802799654, 2, 1952),
+    ("adaptive/r8", "few3", 0x85b3ddfa77aba1f5, 0x948dc9f3818eba10, 0x404720a5639715cf, 3, 2144),
+    ("adaptive/r8", "few5", 0x7ce5dd2b20654457, 0xbea9c9f94889121a, 0x4047c862bea0c2b8, 5, 2528),
+    ("adaptive/r8", "few13", 0x8005f9872e8b59d2, 0xa327b7af3b6dacf5, 0x4046aa6883e85f65, 13, 3744),
+    ("adaptive/r8", "few40", 0x8ed8d74c0b13c5db, 0x8b81120807cf859a, 0x40476285242c280e, 8, 6944),
+    ("adaptive/r8", "snapped", 0xe17cc6682bc0e79f, 0x6e9e0bb5d569f755, 0x40043d136248490e, 11, 3152),
+    ("adaptive/r8", "zeros", 0x6f56ef74bf10bda8, 0x6865e9c19dd51025, 0x3fdc9f25c5bfeddd, 7, 2624),
+    ("adaptive/r8", "window", 0x225728227d50c189, 0x2fc18011d4f18177, 0x4038265965e7b6fa, 48, 3024),
+    ("adaptive/r128", "drift", 0x8d1bc8790029ddfa, 0x23faf1fc7a1583cc, 0x3feb4c9e518e0a4d, 36, 39104),
+    ("adaptive/r128", "annulus", 0x8f308673d54cc412, 0x099d1f8486b24ea7, 0x3f5d5e484b1053ac, 29, 69472),
+    ("adaptive/r128", "few2", 0x2066c999aaa80a96, 0x6d9dc19d80f0f931, 0x3f995c05f75b1eed, 2, 12960),
+    ("adaptive/r128", "few3", 0x159f62a49d5aafcc, 0x9ce3b36a24862c38, 0x3fe9efcf7c2d1879, 3, 13840),
     ("adaptive/r128", "few5", 0x4d633ff40b224971, 0x80c1e7f2d86da1d2, 0x3ff9f8e39adb6612, 5, 15888),
     ("adaptive/r128", "few13", 0x5ac997d0c9305662, 0x4f5677848c5f1182, 0x3ff9ceadf236e826, 13, 21120),
-    ("adaptive/r128", "few40", 0x60620e800dc3679b, 0x4f756c5f0f29d947, 0x3ff9dd2454a1f018, 8, 24304),
-    ("adaptive/r128", "snapped", 0x85c87816eeda6055, 0xbd62cc9a5f4d4581, 0x3fc55adc45e31942, 9, 31584),
-    ("adaptive/r128", "zeros", 0x136bd3a0b4c13c9e, 0x6865e9c19dd51025, 0x3f9c196908691da7, 7, 17312),
-    ("adaptive/r128", "window", 0xd2f006eb915672cd, 0xbe434e65eced525c, 0x40056594ecc459e6, 58, 4224),
+    ("adaptive/r128", "few40", 0x60620e800dc3679b, 0x4f756c5f0f29d947, 0x3ff5f023114fc916, 8, 24304),
+    ("adaptive/r128", "snapped", 0x85c87816eeda6055, 0xbd62cc9a5f4d4581, 0x3fc3bf5829a86a03, 9, 31584),
+    ("adaptive/r128", "zeros", 0x136bd3a0b4c13c9e, 0x6865e9c19dd51025, 0x3f9bc4e3b9462fbf, 7, 17312),
+    ("adaptive/r128", "window", 0x9a413b50a3a52b52, 0xbe434e65eced525c, 0x3feb785864fd1216, 58, 4224),
 ];
 
 #[test]

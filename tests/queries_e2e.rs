@@ -187,11 +187,11 @@ mod serving_props {
                 live.tenants_mut().insert_batch(id, chunk).unwrap();
                 fed += chunk.len();
                 let w1 = live.width(id).unwrap();
-                let d1 = live.farthest_pair(id).unwrap();
+                let d1 = live.diameter(id).unwrap();
                 let x1 = live.extent(id, dir).unwrap();
                 let before = live.cache_stats();
                 prop_assert_eq!(live.width(id).unwrap(), w1);
-                prop_assert_eq!(live.farthest_pair(id).unwrap(), d1);
+                prop_assert_eq!(live.diameter(id).unwrap(), d1);
                 prop_assert_eq!(live.extent(id, dir).unwrap(), x1);
                 let after = live.cache_stats();
                 prop_assert_eq!(
@@ -204,7 +204,7 @@ mod serving_props {
                 let mut fresh = engine(kind);
                 fresh.tenants_mut().insert_batch(id, &pts[..fed]).unwrap();
                 prop_assert_eq!(fresh.width(id).unwrap(), w1);
-                prop_assert_eq!(fresh.farthest_pair(id).unwrap(), d1);
+                prop_assert_eq!(fresh.diameter(id).unwrap(), d1);
                 prop_assert_eq!(fresh.extent(id, dir).unwrap(), x1);
             }
         }
@@ -233,7 +233,7 @@ mod serving_props {
                 w.hi,
                 w_truth
             );
-            if let (Some(p), Some(t)) = (q.farthest_pair(id).unwrap(), d_truth) {
+            if let (Some(p), Some(t)) = (q.diameter(id).unwrap(), d_truth) {
                 let tol = 1e-9 * t.abs().max(1.0);
                 prop_assert!(
                     p.estimate.lo - tol <= t && t <= p.estimate.hi + tol,

@@ -59,9 +59,7 @@ fn crash_recovery_is_bit_identical_for_every_kind() {
         assert_runs_equal(&run.run, &clean, &format!("{kind}: crash recovery"));
         assert_eq!(
             run.error_bound(),
-            clean
-                .shard_bound_sum()
-                .and_then(|s| clean.summary.error_bound().map(|c| s + c)),
+            clean.error_bound(),
             "{kind}: composed bound unchanged"
         );
     }

@@ -77,7 +77,7 @@ fn window_print(run: &WindowedRun) -> WindowPrint {
         ans.merged_points,
         ans.stale_points,
         ans.buckets,
-        ans.bucket_bound_sum.map(f64::to_bits),
+        ans.bucket_bound_max.map(f64::to_bits),
     )
 }
 
@@ -193,7 +193,7 @@ proptest! {
     ) {
         // The Mergeable error composition, now through the engine: the
         // merged hull's true error against the union stream is at most the
-        // sum of the shards' live bounds plus the collector's own bound.
+        // largest shard's live bound plus the collector's own bound.
         // Checked for every kind that reports a live bound; a 1-shard
         // engine run gives the degenerate "merged single-shard guarantee"
         // the N-shard bound must compose no worse than.
@@ -203,12 +203,11 @@ proptest! {
         for &kind in &SummaryKind::ALL {
             let builder = SummaryBuilder::new(kind).with_r(16);
             let run = ShardedIngest::new(builder, shards).with_chunk(64).run(&pts);
-            let (Some(shard_sum), Some(own)) = (run.shard_bound_sum(), run.summary.error_bound())
-            else {
+            let Some(bound) = run.error_bound() else {
                 continue; // frozen / cluster publish no live bound
             };
             let err = run.summary.hull_ref().directed_hausdorff_from(&truth);
-            let composed = shard_sum + own + 1e-9;
+            let composed = bound + 1e-9;
             prop_assert!(
                 err <= composed,
                 "{}: sharded error {} > composed bound {}", kind, err, composed
@@ -216,9 +215,7 @@ proptest! {
             // And the same composition holds for the 1-shard degenerate
             // run: worker bound + collector bound.
             let single = ShardedIngest::new(builder, 1).with_chunk(64).run(&pts);
-            let single_bound = single.shard_bound_sum().unwrap()
-                + single.summary.error_bound().unwrap()
-                + 1e-9;
+            let single_bound = single.error_bound().unwrap() + 1e-9;
             let single_err = single.summary.hull_ref().directed_hausdorff_from(&truth);
             prop_assert!(
                 single_err <= single_bound,

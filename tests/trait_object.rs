@@ -172,14 +172,21 @@ fn error_bounds_are_sound_where_reported() {
 }
 
 #[test]
-fn adaptive_bound_is_the_paper_constant() {
-    let pts = workload(3000);
-    let mut concrete = AdaptiveHull::with_r(R);
-    concrete.insert_batch(&pts);
-    let expected =
-        16.0 * std::f64::consts::PI * concrete.uniform().perimeter() / (R as f64 * R as f64);
-    let via_trait: &dyn HullSummary = &concrete;
-    assert!((via_trait.error_bound().unwrap() - expected).abs() <= 1e-12);
+fn adaptive_bound_is_the_smaller_of_paper_constant_and_certificate() {
+    // Corollary 5.2's 16πP/r² or the uniform substrate's Lemma 3.2
+    // certificate, whichever is smaller: the substrate sees every point
+    // and its extrema are sample points.
+    for n in [1, 2, 40, 3000] {
+        let mut concrete = AdaptiveHull::with_r(R);
+        concrete.insert_batch(&workload(n));
+        let paper =
+            16.0 * std::f64::consts::PI * concrete.uniform().perimeter() / (R as f64 * R as f64);
+        let certificate = concrete.uniform().error_bound().unwrap();
+        let via_trait: &dyn HullSummary = &concrete;
+        let bound = via_trait.error_bound().unwrap();
+        assert_eq!(bound.to_bits(), paper.min(certificate).to_bits(), "n = {n}");
+        assert!(bound <= paper, "n = {n}: {bound} above 16πP/r² = {paper}");
+    }
 }
 
 #[test]

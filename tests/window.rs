@@ -65,8 +65,8 @@ fn warm_matches_cold(live: &WindowedSummary, label: &str) -> Result<(), TestCase
     );
     prop_assert_eq!(warm.buckets, cold.buckets, "{}", label);
     prop_assert_eq!(
-        bound_bits(warm.bucket_bound_sum),
-        bound_bits(cold.bucket_bound_sum),
+        bound_bits(warm.bucket_bound_max),
+        bound_bits(cold.bucket_bound_max),
         "{}",
         label
     );
