@@ -29,8 +29,9 @@
 //! * [`recovery`] — fault-tolerant supervised ingestion
 //!   ([`SupervisedIngest`]): per-shard checkpointing through validated
 //!   [`CheckpointEnvelope`]s, deterministic fault injection
-//!   ([`FaultPlan`]), checkpoint-replay recovery under a seeded
-//!   [`RetryPolicy`], and degraded completion with a [`RecoveryReport`];
+//!   ([`FaultPlan`]), checkpoint-replay recovery under a
+//!   [`RetryPolicy`] (a restart cap), and degraded completion with a
+//!   [`RecoveryReport`];
 //! * [`tenant`] — the resource-governed multi-tenant engine
 //!   ([`TenantEngine`]): millions of per-stream summaries under a byte
 //!   budget, with per-tenant quotas, admission control, load shedding
