@@ -106,7 +106,7 @@ pub use queries::serving::{
 pub use radial::RadialHull;
 pub use recovery::{
     DetectedFault, Fault, FaultEvent, FaultPlan, RecoveryAction, RecoveryReport, RetryPolicy,
-    ShardHealth, ShardStatus, SupervisedIngest, SupervisedRun, SupervisedWindowedRun,
+    ShardHealth, ShardStatus, SupervisedIngest, SupervisedRun,
 };
 pub use snapshot::{CheckpointEnvelope, Snapshot, SnapshotError};
 pub use summary::{GenCache, HullCache, HullSummary, HullSummaryExt, Mergeable, NonFiniteInput};

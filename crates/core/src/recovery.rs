@@ -44,7 +44,7 @@
 //!
 //! # Determinism contract
 //!
-//! The supervised entry points share [`ShardedIngest::run`]'s partition:
+//! The supervised entry point shares [`ShardedIngest::run`]'s partition:
 //! chunk `c` goes to shard `c % N`, workers are sequential, and the
 //! reduce merges in shard order. Fault handling never changes the data a
 //! surviving shard sees — replay re-dispatches the exact buffered chunks
@@ -57,24 +57,15 @@
 //! A worker fault in a streaming run is recovered or quarantined and
 //! reported; it is never re-raised on the caller. A caller's contract
 //! violation still panics on the caller's thread:
-//! [`run_stream_windowed_at`](SupervisedIngest::run_stream_windowed_at)
-//! rejects a count window, and checks every item as it pulls it — before
-//! dispatch — by the rule
-//! [`WindowedSummary::insert_batch_timestamped`] applies: a non-finite
-//! point is dropped (and counted) without its timestamp being checked,
-//! and every other timestamp must be finite and at least the previous
-//! kept one. [`with_stall_timeout`](SupervisedIngest::with_stall_timeout)
-//! rejects a zero deadline when it is configured.
+//! [`with_stall_timeout`](SupervisedIngest::with_stall_timeout) rejects a
+//! zero deadline when it is configured.
 
 use crate::builder::SummaryBuilder;
 use crate::exact::ExactHull;
 use crate::parallel::{IngestInstruments, ShardRun, ShardedIngest};
-use crate::snapshot::{open_checkpoint, seal_checkpoint, Snapshot, SnapshotError};
+use crate::snapshot::{open_checkpoint, seal_checkpoint, SnapshotError};
 use crate::summary::{parallel_bound, HullSummary, Mergeable};
-use crate::telemetry::{names, Histogram, Scrape, Telemetry};
-use crate::window::{
-    check_timestamp, shard_window_config, WindowConfig, WindowPolicy, WindowedRun, WindowedSummary,
-};
+use crate::telemetry::{names, Histogram, Scrape};
 use geom::{ConvexPolygon, Point2};
 use std::collections::VecDeque;
 use std::sync::mpsc;
@@ -640,29 +631,6 @@ impl SupervisedRun {
     }
 }
 
-/// The result of [`SupervisedIngest::run_stream_windowed`] and
-/// [`run_stream_windowed_at`](SupervisedIngest::run_stream_windowed_at):
-/// the merged [`WindowedRun`] plus the supervisor's [`RecoveryReport`].
-/// Windowed recovery replays pre-stamped `(point, tick)` pairs, so the
-/// shared global tick clock — and therefore `LastN` window semantics —
-/// survives a restart exactly.
-#[derive(Debug)]
-#[must_use = "dropping a supervised windowed run discards both the window state and the recovery accounting"]
-pub struct SupervisedWindowedRun {
-    /// The merged windowed result.
-    pub run: WindowedRun,
-    /// What happened along the way.
-    pub report: RecoveryReport,
-}
-
-impl SupervisedWindowedRun {
-    /// `true` when points were lost (see [`RecoveryReport::is_degraded`]).
-    #[must_use]
-    pub fn is_degraded(&self) -> bool {
-        self.report.is_degraded()
-    }
-}
-
 // ---------------------------------------------------------------------
 // Public supervisor configuration
 // ---------------------------------------------------------------------
@@ -787,213 +755,36 @@ impl SupervisedIngest {
     where
         I: IntoIterator<Item = Point2>,
     {
-        let factory = PlainFactory {
-            builder: self.engine.builder(),
-        };
-        let (states, report, start) = SupervisorCore::new(factory, self).run(points);
+        let (states, report, start) = SupervisorCore::new(self).run(points);
         SupervisedRun {
             run: self.engine.reduce(states, start),
             report,
         }
-    }
-
-    /// Windowed ingestion: each shard keeps a [`WindowedSummary`] over
-    /// its round-robin share of the stream, with every point stamped by
-    /// a **global** auto-tick (its stream index) before dispatch, so all
-    /// shards share one clock and the replay buffer stores the stamped
-    /// pairs.
-    ///
-    /// Both window policies work: a count-based `LastN(n)` window is
-    /// carried on the tick clock (each point has a distinct tick, so
-    /// "ticks newer than `now - n`" is exactly the last `n` stream
-    /// points), which keeps the policy meaningful when the stream is split
-    /// across shards — and exact across restarts. The determinism contract
-    /// carries over: [`WindowedRun::query_window`] merges live buckets in
-    /// shard order.
-    pub fn run_stream_windowed<I>(&self, points: I, config: WindowConfig) -> SupervisedWindowedRun
-    where
-        I: IntoIterator<Item = Point2>,
-    {
-        let stamped = points.into_iter().enumerate().map(|(i, p)| (p, i as f64));
-        self.run_stream_windowed_at(stamped, shard_window_config(config))
-    }
-
-    /// Windowed ingestion of an externally timestamped stream. Requires a
-    /// [`LastDur`](WindowPolicy::LastDur) policy: a count-based window
-    /// cannot be evaluated from one shard's share of the stream — use
-    /// [`run_stream_windowed`](SupervisedIngest::run_stream_windowed),
-    /// whose global tick clock carries `LastN` exactly.
-    ///
-    /// Each item is checked on the caller's thread as it is pulled, before
-    /// dispatch: a non-finite point is passed on (the shard drops and
-    /// counts it) without its timestamp being checked, and every other
-    /// timestamp must be finite and at least the previous kept one. A
-    /// violation panics here, with the window module's message.
-    pub fn run_stream_windowed_at<I>(
-        &self,
-        points: I,
-        config: WindowConfig,
-    ) -> SupervisedWindowedRun
-    where
-        I: IntoIterator<Item = (Point2, f64)>,
-    {
-        assert!(
-            matches!(config.policy, WindowPolicy::LastDur(_)),
-            "sharded count windows need the global tick clock: use run_stream_windowed"
-        );
-        let factory = WindowFactory {
-            builder: self.engine.builder(),
-            config,
-            telemetry: self.engine.telemetry(),
-        };
-        let mut clock = None;
-        let checked = points.into_iter().inspect(move |&(p, t)| {
-            if p.is_finite() {
-                check_timestamp(clock, t);
-                clock = Some(t);
-            }
-        });
-        let (states, report, start) = SupervisorCore::new(factory, self).run(checked);
-        SupervisedWindowedRun {
-            run: WindowedRun::new(self.engine.builder(), states, start.elapsed()),
-            report,
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// Internal: shard state factories
-// ---------------------------------------------------------------------
-
-/// Abstracts "one shard's summary state" so the supervisor drives plain
-/// and windowed runs through one code path. `ingest` must sanitise: it
-/// detects non-finite items via the validating path, drops exactly those
-/// items, ingests the rest, and reports how many were dropped —
-/// contractually identical to what the infallible insert paths do.
-trait ShardFactory: Clone + Send + 'static {
-    /// One shard's summary state.
-    type State: Send + 'static;
-    /// One stream element as dispatched to workers.
-    type Item: Send + Clone + 'static;
-
-    fn fresh(&self) -> Self::State;
-    fn restore(&self, snapshot: &[u8]) -> Result<Self::State, SnapshotError>;
-    fn ingest(state: &mut Self::State, items: &[Self::Item]) -> u64;
-    fn snapshot(state: &Self::State) -> Vec<u8>;
-    fn points_seen(state: &Self::State) -> u64;
-    fn point(item: &Self::Item) -> Point2;
-    fn poison() -> Self::Item;
-}
-
-/// Factory for plain (whole-stream) shards.
-#[derive(Clone)]
-struct PlainFactory {
-    builder: SummaryBuilder,
-}
-
-impl ShardFactory for PlainFactory {
-    type State = Box<dyn Mergeable + Send + Sync>;
-    type Item = Point2;
-
-    fn fresh(&self) -> Self::State {
-        self.builder.build_mergeable()
-    }
-
-    fn restore(&self, snapshot: &[u8]) -> Result<Self::State, SnapshotError> {
-        SummaryBuilder::restore(snapshot)
-    }
-
-    fn ingest(state: &mut Self::State, items: &[Self::Item]) -> u64 {
-        match state.try_insert_batch(items) {
-            Ok(()) => 0,
-            Err(_) => {
-                let finite: Vec<Point2> = items.iter().copied().filter(|p| p.is_finite()).collect();
-                let dropped = (items.len() - finite.len()) as u64;
-                state.insert_batch(&finite);
-                dropped
-            }
-        }
-    }
-
-    fn snapshot(state: &Self::State) -> Vec<u8> {
-        state.encode_snapshot()
-    }
-
-    fn points_seen(state: &Self::State) -> u64 {
-        state.points_seen()
-    }
-
-    fn point(item: &Self::Item) -> Point2 {
-        *item
-    }
-
-    fn poison() -> Self::Item {
-        Point2::new(f64::NAN, f64::NAN)
-    }
-}
-
-/// Factory for windowed shards over pre-stamped `(point, tick)` pairs.
-#[derive(Clone)]
-struct WindowFactory {
-    builder: SummaryBuilder,
-    config: WindowConfig,
-    telemetry: Telemetry,
-}
-
-impl ShardFactory for WindowFactory {
-    type State = WindowedSummary;
-    type Item = (Point2, f64);
-
-    fn fresh(&self) -> Self::State {
-        self.builder
-            .windowed(self.config)
-            .with_telemetry(self.telemetry)
-    }
-
-    fn restore(&self, snapshot: &[u8]) -> Result<Self::State, SnapshotError> {
-        // Re-attach the engine's handle: instruments are registry state,
-        // not summary state, so they never ride in the snapshot.
-        WindowedSummary::decode(snapshot).map(|w| w.with_telemetry(self.telemetry))
-    }
-
-    fn ingest(state: &mut Self::State, items: &[Self::Item]) -> u64 {
-        if items.iter().all(|(p, _)| p.is_finite()) {
-            state.insert_batch_timestamped(items);
-            0
-        } else {
-            // Same outcome as the infallible path (which skips
-            // non-finite points without consuming ticks), but counted.
-            let finite: Vec<(Point2, f64)> = items
-                .iter()
-                .copied()
-                .filter(|(p, _)| p.is_finite())
-                .collect();
-            let dropped = (items.len() - finite.len()) as u64;
-            state.insert_batch_timestamped(&finite);
-            dropped
-        }
-    }
-
-    fn snapshot(state: &Self::State) -> Vec<u8> {
-        state.encode()
-    }
-
-    fn points_seen(state: &Self::State) -> u64 {
-        state.points_seen()
-    }
-
-    fn point(item: &Self::Item) -> Point2 {
-        item.0
-    }
-
-    fn poison() -> Self::Item {
-        (Point2::new(f64::NAN, f64::NAN), 0.0)
     }
 }
 
 // ---------------------------------------------------------------------
 // Internal: worker protocol
 // ---------------------------------------------------------------------
+
+/// One shard's summary state.
+type ShardState = Box<dyn Mergeable + Send + Sync>;
+
+/// Ingests one chunk into a shard's state, sanitising: the validating
+/// path detects non-finite points, exactly those are dropped, the rest
+/// are ingested, and the drop count is returned — contractually
+/// identical to what the infallible insert paths do.
+fn ingest(state: &mut ShardState, items: &[Point2]) -> u64 {
+    match state.try_insert_batch(items) {
+        Ok(()) => 0,
+        Err(_) => {
+            let finite: Vec<Point2> = items.iter().copied().filter(|p| p.is_finite()).collect();
+            let dropped = (items.len() - finite.len()) as u64;
+            state.insert_batch(&finite);
+            dropped
+        }
+    }
+}
 
 /// A fault to act out on receipt of a command (scripted via
 /// [`FaultPlan`], consumed supervisor-side so replays never re-fire it).
@@ -1003,15 +794,15 @@ enum Inject {
 }
 
 /// One unit of work for a shard worker.
-struct Cmd<T> {
+struct Cmd {
     seq: u64,
-    items: Vec<T>,
+    items: Vec<Point2>,
     checkpoint: bool,
     inject: Option<Inject>,
 }
 
 /// Worker → supervisor feedback.
-enum Event<S> {
+enum Event {
     /// A command was fully ingested.
     Ack {
         seq: u64,
@@ -1021,16 +812,16 @@ enum Event<S> {
         snapshot: Option<Vec<u8>>,
     },
     /// The command channel closed; here is the final state.
-    Final { state: S },
+    Final { state: ShardState },
 }
 
 /// A live worker epoch. Dropping the whole link abandons the worker: its
 /// next send fails and it exits without touching shared state, which is
 /// what makes stalled epochs safely discardable.
-struct Link<F: ShardFactory> {
+struct Link {
     /// `None` once the finish phase closed the channel.
-    tx: Option<mpsc::SyncSender<Cmd<F::Item>>>,
-    rx: mpsc::Receiver<Event<F::State>>,
+    tx: Option<mpsc::SyncSender<Cmd>>,
+    rx: mpsc::Receiver<Event>,
     handle: std::thread::JoinHandle<()>,
 }
 
@@ -1044,10 +835,10 @@ struct WorkerInstruments {
     encode_ns: Histogram,
 }
 
-fn spawn_worker<F: ShardFactory>(state: F::State, inst: WorkerInstruments) -> Link<F> {
-    let (tx, cmd_rx) = mpsc::sync_channel::<Cmd<F::Item>>(CMD_QUEUE_DEPTH);
-    let (event_tx, rx) = mpsc::channel::<Event<F::State>>();
-    let handle = std::thread::spawn(move || worker_loop::<F>(state, cmd_rx, event_tx, inst));
+fn spawn_worker(state: ShardState, inst: WorkerInstruments) -> Link {
+    let (tx, cmd_rx) = mpsc::sync_channel::<Cmd>(CMD_QUEUE_DEPTH);
+    let (event_tx, rx) = mpsc::channel::<Event>();
+    let handle = std::thread::spawn(move || worker_loop(state, cmd_rx, event_tx, inst));
     Link {
         tx: Some(tx),
         rx,
@@ -1055,10 +846,10 @@ fn spawn_worker<F: ShardFactory>(state: F::State, inst: WorkerInstruments) -> Li
     }
 }
 
-fn worker_loop<F: ShardFactory>(
-    mut state: F::State,
-    rx: mpsc::Receiver<Cmd<F::Item>>,
-    tx: mpsc::Sender<Event<F::State>>,
+fn worker_loop(
+    mut state: ShardState,
+    rx: mpsc::Receiver<Cmd>,
+    tx: mpsc::Sender<Event>,
     inst: WorkerInstruments,
 ) {
     while let Ok(cmd) = rx.recv() {
@@ -1073,20 +864,20 @@ fn worker_loop<F: ShardFactory>(
         // performed — a recovered run records more than a fault-free one.
         let dropped = inst
             .ingest
-            .chunk(cmd.items.len(), || F::ingest(&mut state, &cmd.items));
+            .chunk(cmd.items.len(), || ingest(&mut state, &cmd.items));
         let snapshot = cmd.checkpoint.then(|| {
             if inst.encode_ns.enabled() {
                 let t0 = Instant::now();
-                let bytes = F::snapshot(&state);
+                let bytes = state.encode_snapshot();
                 inst.encode_ns.record(t0.elapsed().as_nanos() as u64);
                 bytes
             } else {
-                F::snapshot(&state)
+                state.encode_snapshot()
             }
         });
         let ack = Event::Ack {
             seq: cmd.seq,
-            points_seen: F::points_seen(&state),
+            points_seen: state.points_seen(),
             dropped,
             snapshot,
         };
@@ -1111,9 +902,9 @@ enum Detected {
 
 /// A buffered (and possibly already dispatched) chunk awaiting
 /// checkpoint coverage.
-struct Buffered<T> {
+struct Buffered {
     seq: u64,
-    items: Vec<T>,
+    items: Vec<Point2>,
     checkpoint: bool,
 }
 
@@ -1124,16 +915,16 @@ struct ValidCheckpoint {
 }
 
 /// Per-shard supervisor state.
-struct ShardCtx<F: ShardFactory> {
-    link: Option<Link<F>>,
+struct ShardCtx {
+    link: Option<Link>,
     /// Events received but not yet processed (gathered while blocked in
     /// a send); cleared on fault so stale epochs never leak into the
     /// accounting.
-    pending: VecDeque<Event<F::State>>,
-    finished: Option<F::State>,
+    pending: VecDeque<Event>,
+    finished: Option<ShardState>,
     quarantined: bool,
     attempts: u32,
-    buffer: VecDeque<Buffered<F::Item>>,
+    buffer: VecDeque<Buffered>,
     /// `buffer[..sent]` has been dispatched to the current epoch.
     sent: usize,
     /// Highest chunk seq acknowledged by the current epoch.
@@ -1156,7 +947,7 @@ struct ShardCtx<F: ShardFactory> {
     checkpoints_rejected: u32,
 }
 
-impl<F: ShardFactory> ShardCtx<F> {
+impl ShardCtx {
     fn new() -> Self {
         ShardCtx {
             link: None,
@@ -1183,23 +974,22 @@ impl<F: ShardFactory> ShardCtx<F> {
 
 /// What one attempt to pull an event yielded (split out so borrow scopes
 /// stay local).
-enum Pulled<S> {
-    Ev(Event<S>),
+enum Pulled {
+    Ev(Event),
     Idle,
     Dead,
 }
 
 /// The supervisor: owns the per-shard worker epochs, the replay buffers,
 /// the fault plan, and all accounting.
-struct SupervisorCore<'e, F: ShardFactory> {
-    factory: F,
+struct SupervisorCore<'e> {
     engine: &'e ShardedIngest,
     policy: RetryPolicy,
     plan: FaultPlan,
     interval: u64,
     stall: Option<Duration>,
     max_replay: usize,
-    shards: Vec<ShardCtx<F>>,
+    shards: Vec<ShardCtx>,
     events: Vec<FaultEvent>,
     lost_hull: ExactHull,
     lost_unbounded: bool,
@@ -1210,12 +1000,11 @@ struct SupervisorCore<'e, F: ShardFactory> {
     worker_inst: WorkerInstruments,
 }
 
-impl<'e, F: ShardFactory> SupervisorCore<'e, F> {
-    fn new(factory: F, config: &'e SupervisedIngest) -> Self {
+impl<'e> SupervisorCore<'e> {
+    fn new(config: &'e SupervisedIngest) -> Self {
         let engine = &config.engine;
         let tel = engine.telemetry();
         SupervisorCore {
-            factory,
             engine,
             policy: config.policy,
             plan: config.plan.clone(),
@@ -1238,14 +1027,14 @@ impl<'e, F: ShardFactory> SupervisorCore<'e, F> {
     }
 
     /// Drives the whole run: chunk, dispatch, recover, finish, report.
-    fn run<I>(mut self, items: I) -> (Vec<F::State>, RecoveryReport, Instant)
+    fn run<I>(mut self, items: I) -> (Vec<ShardState>, RecoveryReport, Instant)
     where
-        I: IntoIterator<Item = F::Item>,
+        I: IntoIterator<Item = Point2>,
     {
         let start = Instant::now();
         let chunk_size = self.engine.chunk();
         let shard_count = self.engine.shards();
-        let mut buf: Vec<F::Item> = Vec::with_capacity(chunk_size);
+        let mut buf: Vec<Point2> = Vec::with_capacity(chunk_size);
         let mut seq = 0_u64;
         for item in items {
             buf.push(item);
@@ -1268,11 +1057,11 @@ impl<'e, F: ShardFactory> SupervisorCore<'e, F> {
 
     /// Routes one chunk: splice scripted poison, account quarantined
     /// shards, then dispatch via the replay buffer.
-    fn submit(&mut self, seq: u64, mut items: Vec<F::Item>) {
+    fn submit(&mut self, seq: u64, mut items: Vec<Point2>) {
         let shard = (seq % self.engine.shards() as u64) as usize;
         if let Some(len) = self.plan.take_burst(shard, seq) {
             for _ in 0..len {
-                items.push(F::poison());
+                items.push(Point2::new(f64::NAN, f64::NAN));
             }
             self.injected_non_finite += len as u64;
         }
@@ -1358,7 +1147,7 @@ impl<'e, F: ShardFactory> SupervisorCore<'e, F> {
             }
             if let Some(b) = ctx.buffer.pop_front() {
                 ctx.sent = ctx.sent.saturating_sub(1);
-                let finite = b.items.iter().filter(|i| F::point(i).is_finite()).count();
+                let finite = b.items.iter().filter(|p| p.is_finite()).count();
                 ctx.overflow_points += finite as u64;
             }
         }
@@ -1422,7 +1211,7 @@ impl<'e, F: ShardFactory> SupervisorCore<'e, F> {
 
     /// Applies one worker event to the accounting. A rejected checkpoint
     /// is returned as a fault for the caller to handle.
-    fn process_event(&mut self, shard: usize, ev: Event<F::State>) -> Result<(), (u64, Detected)> {
+    fn process_event(&mut self, shard: usize, ev: Event) -> Result<(), (u64, Detected)> {
         match ev {
             Event::Final { state } => {
                 self.shards[shard].finished = Some(state);
@@ -1512,14 +1301,14 @@ impl<'e, F: ShardFactory> SupervisorCore<'e, F> {
         if env.shard != shard as u64 {
             return Err(SnapshotError::Malformed("checkpoint shard id mismatch"));
         }
-        let _restored = self.factory.restore(env.snapshot)?;
+        let _restored = SummaryBuilder::restore(env.snapshot)?;
         Ok(())
     }
 
     /// Restores a validated checkpoint into a fresh shard state.
-    fn restore_checkpoint(&self, cp: &ValidCheckpoint) -> Result<F::State, SnapshotError> {
+    fn restore_checkpoint(&self, cp: &ValidCheckpoint) -> Result<ShardState, SnapshotError> {
         let env = open_checkpoint(&cp.sealed)?;
-        self.factory.restore(env.snapshot)
+        SummaryBuilder::restore(env.snapshot)
     }
 
     /// Spawns a worker epoch for `shard` if none is live: from the last
@@ -1540,18 +1329,18 @@ impl<'e, F: ShardFactory> SupervisorCore<'e, F> {
                     // checkpointed prefix is lost with no geometry.
                     self.lost_unbounded = true;
                     self.shards[shard].lost += cp.tick;
-                    self.factory.fresh()
+                    self.engine.builder().build_mergeable()
                 }
             },
-            None => self.factory.fresh(),
+            None => self.engine.builder().build_mergeable(),
         };
-        self.shards[shard].link = Some(spawn_worker::<F>(state, self.worker_inst));
+        self.shards[shard].link = Some(spawn_worker(state, self.worker_inst));
     }
 
     /// Sends one command, detecting death (disconnect) and — when a
     /// stall deadline is configured — stalls (bounded retry on a full
     /// queue). Events arriving while blocked are queued for processing.
-    fn send_cmd(&mut self, shard: usize, cmd: Cmd<F::Item>) -> Result<(), Detected> {
+    fn send_cmd(&mut self, shard: usize, cmd: Cmd) -> Result<(), Detected> {
         let Some(link) = self.shards[shard].link.take() else {
             return Err(Detected::Panic);
         };
@@ -1561,7 +1350,7 @@ impl<'e, F: ShardFactory> SupervisorCore<'e, F> {
             drop(link);
             return Err(Detected::Panic);
         };
-        let mut gathered: Vec<Event<F::State>> = Vec::new();
+        let mut gathered: Vec<Event> = Vec::new();
         let verdict: Result<(), Detected> = match self.stall {
             None => tx.send(cmd).map_err(|_| Detected::Panic),
             Some(deadline) => {
@@ -1670,7 +1459,7 @@ impl<'e, F: ShardFactory> SupervisorCore<'e, F> {
     /// Retries exhausted: the shard keeps only its last valid checkpoint
     /// and everything since is accounted as lost.
     fn quarantine(&mut self, shard: usize, seq: u64, fault: DetectedFault) {
-        let buffered: Vec<Vec<F::Item>> = {
+        let buffered: Vec<Vec<Point2>> = {
             let ctx = &mut self.shards[shard];
             ctx.quarantined = true;
             ctx.sent = 0;
@@ -1693,10 +1482,9 @@ impl<'e, F: ShardFactory> SupervisorCore<'e, F> {
 
     /// Counts (and, where possible, geometrically records) finite points
     /// that no shard state will ever ingest.
-    fn account_lost(&mut self, shard: usize, items: &[F::Item]) {
+    fn account_lost(&mut self, shard: usize, items: &[Point2]) {
         let mut finite = 0_u64;
-        for item in items {
-            let p = F::point(item);
+        for &p in items {
             if p.is_finite() {
                 finite += 1;
                 self.lost_hull.insert(p);
@@ -1707,12 +1495,12 @@ impl<'e, F: ShardFactory> SupervisorCore<'e, F> {
 
     /// Waits for the next event during the finish phase (blocking, with
     /// the stall deadline when configured).
-    fn wait_event(&mut self, shard: usize) -> Result<Option<Event<F::State>>, (u64, Detected)> {
+    fn wait_event(&mut self, shard: usize) -> Result<Option<Event>, (u64, Detected)> {
         if let Some(ev) = self.shards[shard].pending.pop_front() {
             return Ok(Some(ev));
         }
-        enum Waited<S> {
-            Ev(Event<S>),
+        enum Waited {
+            Ev(Event),
             NoLink,
             Dead,
             Stalled,
@@ -1766,7 +1554,7 @@ impl<'e, F: ShardFactory> SupervisorCore<'e, F> {
     /// channel, wait for the final state — recovering from faults that
     /// surface on the way out — and return the state that joins the
     /// merge.
-    fn finish_shard(&mut self, shard: usize) -> F::State {
+    fn finish_shard(&mut self, shard: usize) -> ShardState {
         loop {
             self.pump(shard);
             if self.shards[shard].quarantined {
@@ -1798,7 +1586,7 @@ impl<'e, F: ShardFactory> SupervisorCore<'e, F> {
 
     /// The state a quarantined shard contributes to the merge: its last
     /// valid checkpoint (already accounted), or an empty summary.
-    fn quarantined_state(&mut self, shard: usize) -> F::State {
+    fn quarantined_state(&mut self, shard: usize) -> ShardState {
         match self.shards[shard].checkpoint.take() {
             Some(cp) => match self.restore_checkpoint(&cp) {
                 Ok(state) => state,
@@ -1806,17 +1594,17 @@ impl<'e, F: ShardFactory> SupervisorCore<'e, F> {
                     // Unreachable in practice; degrade honestly.
                     self.lost_unbounded = true;
                     self.shards[shard].lost += cp.tick;
-                    self.factory.fresh()
+                    self.engine.builder().build_mergeable()
                 }
             },
-            None => self.factory.fresh(),
+            None => self.engine.builder().build_mergeable(),
         }
     }
 
     /// Folds the accounting into the public report: run totals are sums
     /// of the per-shard tallies (a checkpoint taken is valid or rejected).
-    fn into_report(self, states: &[F::State]) -> RecoveryReport {
-        let total = |tally: fn(&ShardCtx<F>) -> u64| self.shards.iter().map(tally).sum();
+    fn into_report(self, states: &[ShardState]) -> RecoveryReport {
+        let total = |tally: fn(&ShardCtx) -> u64| self.shards.iter().map(tally).sum();
         let shards = self
             .shards
             .iter()
@@ -1830,7 +1618,7 @@ impl<'e, F: ShardFactory> SupervisorCore<'e, F> {
                 } else {
                     ShardStatus::Healthy
                 },
-                points_seen: states.get(i).map_or(0, |s| F::points_seen(s)),
+                points_seen: states.get(i).map_or(0, |s| s.points_seen()),
                 lost_points: ctx.lost,
                 faults: ctx.faults,
                 retries: ctx.attempts,
@@ -1977,132 +1765,6 @@ mod tests {
         .run_stream(std::iter::empty());
         assert_eq!(empty.run.summary.points_seen(), 0);
         assert_eq!(empty.run.shards.len(), 4);
-    }
-
-    #[test]
-    fn windowed_sharded_run_is_deterministic_and_covers_window() {
-        let pts = spiral(3000);
-        for &kind in &[
-            SummaryKind::Exact,
-            SummaryKind::Adaptive,
-            SummaryKind::Radial,
-        ] {
-            let engine = ShardedIngest::new(SummaryBuilder::new(kind).with_r(16), 3).with_chunk(64);
-            let supervised = SupervisedIngest::new(engine);
-            let config = WindowConfig::last_n(500).with_granularity(32);
-            let a = supervised.run_stream_windowed(pts.iter().copied(), config);
-            let b = supervised.run_stream_windowed(pts.iter().copied(), config);
-            assert_eq!(a.run.points_seen(), 3000, "{kind}");
-            let (ans_a, ans_b) = (a.run.query_window(), b.run.query_window());
-            assert_eq!(
-                ans_a.summary.hull_ref().vertices(),
-                ans_b.summary.hull_ref().vertices(),
-                "{kind}: windowed shard merge must not depend on scheduling"
-            );
-            assert_eq!(ans_a.merged_points, ans_b.merged_points, "{kind}");
-            // Every in-window point lives in some live bucket, so the
-            // merge covers at least the window (window_points() is a
-            // conservative lower bound and may undershoot here: each
-            // shard can contribute one straddling bucket's slack).
-            assert!(ans_a.merged_points >= 500, "{kind}");
-            // Exact backend: the union-window hull contains every point of
-            // the true global window suffix.
-            if kind == SummaryKind::Exact {
-                for &p in &pts[pts.len() - 500..] {
-                    assert!(ans_a.hull().contains_linear(p), "{kind}: lost {p:?}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn windowed_sharded_empty_and_timestamped_runs() {
-        let supervised = SupervisedIngest::new(ShardedIngest::new(
-            SummaryBuilder::new(SummaryKind::Uniform).with_r(8),
-            4,
-        ));
-        let empty = supervised
-            .run_stream_windowed(std::iter::empty(), WindowConfig::last_n(10))
-            .run;
-        assert_eq!(empty.points_seen(), 0);
-        assert!(empty.query_window().is_empty());
-        assert_eq!(empty.now(), None);
-
-        // Timestamped entry point: two phases far apart in time; the old
-        // phase must be invisible in the union window.
-        let pts = spiral(1000);
-        let stamped = pts.iter().enumerate().map(|(i, &p)| {
-            if i < 500 {
-                (p, i as f64)
-            } else {
-                (p, 1e6 + i as f64)
-            }
-        });
-        let run = supervised.run_stream_windowed_at(stamped, WindowConfig::last_dur(2000.0));
-        let ans = run.run.query_window();
-        assert!(ans.merged_points >= 500, "whole recent phase covered");
-        assert!(
-            ans.merged_points < 1000,
-            "ancient phase must have expired (merged {})",
-            ans.merged_points
-        );
-    }
-
-    /// A two-shard engine with one-point chunks, so consecutive items land
-    /// on different shards: a bad timestamp would reach a worker that never
-    /// saw its predecessor unless the caller checks it.
-    fn two_shard_windows() -> SupervisedIngest {
-        SupervisedIngest::new(
-            ShardedIngest::new(SummaryBuilder::new(SummaryKind::Exact), 2).with_chunk(1),
-        )
-    }
-
-    #[test]
-    #[should_panic(expected = "global tick clock")]
-    fn windowed_timestamped_rejects_count_policy() {
-        let _ = two_shard_windows()
-            .run_stream_windowed_at([(Point2::new(0.0, 0.0), 0.0)], WindowConfig::last_n(5));
-    }
-
-    #[test]
-    #[should_panic(expected = "timestamps must be non-decreasing (got 1 after 2)")]
-    fn windowed_timestamped_rejects_a_decreasing_timestamp_on_the_caller() {
-        let items = [
-            (Point2::new(0.0, 0.0), 0.0),
-            (Point2::new(1.0, 0.0), 2.0),
-            (Point2::new(2.0, 0.0), 1.0),
-        ];
-        let _ = two_shard_windows().run_stream_windowed_at(items, WindowConfig::last_dur(10.0));
-    }
-
-    #[test]
-    #[should_panic(expected = "timestamps must be finite")]
-    fn windowed_timestamped_rejects_a_nan_timestamp_on_the_caller() {
-        let items = [
-            (Point2::new(0.0, 0.0), 0.0),
-            (Point2::new(1.0, 0.0), f64::NAN),
-        ];
-        let _ = two_shard_windows().run_stream_windowed_at(items, WindowConfig::last_dur(10.0));
-    }
-
-    #[test]
-    fn windowed_timestamped_drops_non_finite_points_whatever_their_stamp() {
-        // A non-finite point is dropped without its timestamp being
-        // checked, exactly as `insert_batch_timestamped` drops it.
-        let nan = Point2::new(f64::NAN, 0.0);
-        let items = [
-            (Point2::new(0.0, 0.0), 0.0),
-            (nan, -5.0),
-            (Point2::new(1.0, 0.0), 1.0),
-            (nan, f64::NAN),
-            (Point2::new(2.0, 1.0), 2.0),
-        ];
-        let run = two_shard_windows().run_stream_windowed_at(items, WindowConfig::last_dur(10.0));
-        assert!(!run.is_degraded());
-        assert_eq!(run.report.dropped_non_finite, 2);
-        assert_eq!(run.report.total_retries(), 0);
-        assert_eq!(run.run.points_seen(), 3);
-        assert_eq!(run.run.now(), Some(2.0));
     }
 
     #[test]

@@ -70,10 +70,10 @@ pub const FORMAT_VERSION: u16 = 1;
 /// index, 0–7).
 pub const WINDOWED_TAG: u8 = 8;
 
-/// Kind tag for supervised-ingestion checkpoint envelopes: a summary (or
-/// windowed) snapshot wrapped with the shard id and tick it covers, so a
-/// recovering supervisor can verify *whose* state it is restoring and
-/// where on the shared clock to resume (see [`crate::recovery`]).
+/// Kind tag for supervised-ingestion checkpoint envelopes: a summary
+/// snapshot wrapped with the shard id and tick it covers, so a recovering
+/// supervisor can verify *whose* state it is restoring and how far into
+/// the shard's stream it resumes (see [`crate::recovery`]).
 pub const CHECKPOINT_TAG: u8 = 9;
 
 /// Why a snapshot failed to decode. Decoding never panics: every failure
@@ -269,9 +269,8 @@ pub fn kind_tag(kind: SummaryKind) -> u8 {
 // ---------------------------------------------------------------------
 
 /// A validated checkpoint envelope: which shard it belongs to, the tick
-/// (cumulative points the shard had ingested — on windowed runs this is
-/// also the shard's position on the shared tick clock), and the inner
-/// snapshot bytes, themselves a complete sealed envelope readable by
+/// (cumulative points the shard had ingested), and the inner snapshot
+/// bytes, themselves a complete sealed envelope readable by
 /// [`SummaryBuilder::restore`](crate::builder::SummaryBuilder::restore)
 /// or [`Snapshot::decode`].
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -279,14 +278,14 @@ pub struct CheckpointEnvelope<'a> {
     /// Shard the checkpointed state belongs to.
     pub shard: u64,
     /// Points the shard had ingested when the checkpoint was taken; a
-    /// restart resumes the shared clock from here.
+    /// restart resumes from here.
     pub tick: u64,
     /// The wrapped snapshot (a sealed envelope in its own right).
     pub snapshot: &'a [u8],
 }
 
-/// Seals `snapshot` (an already-sealed summary or windowed envelope) into
-/// a checkpoint envelope carrying the owning shard and its tick.
+/// Seals `snapshot` (an already-sealed summary envelope) into a
+/// checkpoint envelope carrying the owning shard and its tick.
 pub fn seal_checkpoint(shard: u64, tick: u64, snapshot: &[u8]) -> Vec<u8> {
     let mut payload = Vec::with_capacity(16 + 8 + snapshot.len());
     put_u64(&mut payload, shard);

@@ -49,12 +49,6 @@
 //!   change whenever a bucket's summary does. Checkpoints are derived
 //!   state like the cached hull: snapshots omit them (a restored chain
 //!   starts cold) and `approx_bytes` does not count them.
-//!
-//! Windowed summaries compose with sharded ingestion: see
-//! [`SupervisedIngest::run_stream_windowed`](crate::recovery::SupervisedIngest::run_stream_windowed),
-//! which keeps one windowed summary per shard and merges their live
-//! buckets **in shard order** into a fresh collector at query time (the
-//! sharded engine's determinism contract).
 
 use crate::builder::SummaryBuilder;
 use crate::summary::{chain_bound, parallel_bound, GenCache, HullCache, HullSummary, Mergeable};
@@ -165,27 +159,10 @@ impl WindowConfig {
     }
 }
 
-/// The per-shard window configuration of a sharded run on the global
-/// tick clock: a count window over distinct integer ticks is the
-/// half-open tick interval `(now - n, now]`, carried as a duration
-/// window with `-0.5` to exclude the boundary tick. Applied by
-/// [`SupervisedIngest::run_stream_windowed`](crate::recovery::SupervisedIngest::run_stream_windowed),
-/// which stamps each point with its stream index, so every shard (and a
-/// recovered one) windows on the same clock.
-pub(crate) fn shard_window_config(config: WindowConfig) -> WindowConfig {
-    match config.policy {
-        WindowPolicy::LastN(n) => WindowConfig {
-            policy: WindowPolicy::LastDur(n as f64 - 0.5),
-            ..config
-        },
-        WindowPolicy::LastDur(_) => config,
-    }
-}
-
 /// Panics unless a point stamped `t` may follow a clock at `clock`
 /// (`None` before the first point): `t` must be finite and not earlier.
 /// The rule every timestamped entry point applies, with one message.
-pub(crate) fn check_timestamp(clock: Option<f64>, t: f64) {
+fn check_timestamp(clock: Option<f64>, t: f64) {
     assert!(t.is_finite(), "timestamps must be finite");
     if let Some(clock) = clock {
         assert!(
@@ -254,10 +231,10 @@ struct Absorbed {
 #[must_use = "a window answer carries the merged summary and its error/staleness bounds"]
 pub struct WindowAnswer {
     /// The collector: a summary of the configured kind that absorbed every
-    /// live bucket, oldest to newest (and in shard order for sharded
-    /// windows). A standalone query builds it from a copy of a saved
-    /// checkpoint when one is still valid; it is the answer's own copy
-    /// either way, bit-identical to a fresh collector fed every bucket.
+    /// live bucket, oldest to newest. A query builds it from a copy of a
+    /// saved checkpoint when one is still valid; it is the answer's own
+    /// copy either way, bit-identical to a fresh collector fed every
+    /// bucket.
     pub summary: Box<dyn Mergeable + Send + Sync>,
     /// Stream points covered by the merged buckets (in-window points plus
     /// at most [`stale_points`](WindowAnswer::stale_points) stale ones).
@@ -296,7 +273,10 @@ impl WindowAnswer {
         chain_bound([self.bucket_bound_max, self.summary.error_bound()])
     }
 
-    /// Lower bound on how many *in-window* points the answer covers.
+    /// How many *in-window* points the answer covers. Exact for a
+    /// [`LastN`](WindowPolicy::LastN) window: `min(n, points seen)`. For a
+    /// [`LastDur`](WindowPolicy::LastDur) window a lower bound: it counts
+    /// all but the straddling bucket's newest point as stale.
     #[must_use]
     pub fn window_points(&self) -> u64 {
         self.merged_points.saturating_sub(self.stale_points)
@@ -306,47 +286,6 @@ impl WindowAnswer {
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.merged_points == 0
-    }
-}
-
-/// Accumulator threaded through per-shard merges by
-/// [`WindowedRun::query_window`](crate::parallel::WindowedRun); the
-/// single-summary query uses it with one shard.
-#[derive(Debug, Default)]
-struct MergeStats {
-    merged_points: u64,
-    stale_points: u64,
-    stale_duration: f64,
-    buckets: usize,
-    bound_max: Option<f64>,
-}
-
-impl MergeStats {
-    fn new() -> Self {
-        MergeStats {
-            bound_max: Some(0.0),
-            ..Default::default()
-        }
-    }
-
-    fn add_bucket(&mut self, b: &Bucket) {
-        self.merged_points += b.count;
-        self.buckets += 1;
-        self.bound_max = parallel_bound([self.bound_max, b.composed_bound()]);
-    }
-
-    /// Packages the accumulated bookkeeping with the collector that
-    /// absorbed the buckets (shared by the standalone and sharded query
-    /// paths).
-    fn into_answer(self, collector: Box<dyn Mergeable + Send + Sync>) -> WindowAnswer {
-        WindowAnswer {
-            summary: collector,
-            merged_points: self.merged_points,
-            stale_points: self.stale_points,
-            stale_duration: self.stale_duration,
-            buckets: self.buckets,
-            bucket_bound_max: self.bound_max,
-        }
     }
 }
 
@@ -499,8 +438,8 @@ impl WindowedSummary {
         self.cache.invalidate();
     }
 
-    /// Feeds a batch of individually timestamped points (the sharded
-    /// dispatcher's entry point). Timestamps must be non-decreasing, both
+    /// Feeds a batch of individually timestamped points. Timestamps must
+    /// be non-decreasing, both
     /// within the slice and against earlier inserts. Observably identical
     /// to `for (p, t) in pts { insert_at(p, t) }`.
     pub fn insert_batch_timestamped(&mut self, pts: &[(Point2, f64)]) {
@@ -519,8 +458,8 @@ impl WindowedSummary {
             pts.windows(2).all(|w| w[0].1 <= w[1].1),
             "timestamps must be non-decreasing within the batch"
         );
-        // Strip the timestamps into the reusable scratch buffer so the
-        // sharded dispatch path stays allocation-free per chunk.
+        // Strip the timestamps into the reusable scratch buffer so
+        // repeated batches stay allocation-free.
         let mut points = std::mem::take(&mut self.scratch);
         points.clear();
         points.extend(pts.iter().map(|&(p, _)| p));
@@ -696,46 +635,34 @@ impl WindowedSummary {
         }
     }
 
-    /// The index of this chain's first bucket live in the window anchored
-    /// at `now`, after adding every live bucket's points, bound and
-    /// staleness to `stats`, oldest to newest. The live buckets are the
-    /// chain from that index on: spans are chronological, so buckets
-    /// expired w.r.t. a newer (global) clock lead. Shared by the
-    /// standalone and sharded query paths, which then merge those buckets.
-    fn live_from(&self, now: f64, stats: &mut MergeStats) -> usize {
-        let first = match self.config.policy {
+    /// The index of this chain's first live bucket, with the answer's
+    /// staleness bounds: how many merged points may be older than the
+    /// window, and how far before its start they may reach. Only that
+    /// first live bucket can straddle the window boundary.
+    fn live_from(&self) -> (usize, u64, f64) {
+        match self.config.policy {
             WindowPolicy::LastN(n) => {
-                // Expiry keeps the chain minimal, so every bucket is live;
-                // only the front one can straddle the count boundary.
+                // Expiry keeps the chain minimal, so every bucket is live.
                 let total: u64 = self.buckets.iter().map(|b| b.count).sum();
                 let stale = total.saturating_sub(n);
-                if stale > 0 {
-                    stats.stale_points += stale;
-                    if let Some(front) = self.buckets.front() {
-                        // The true window start lies inside the front
-                        // bucket, whose span bounds the extra time.
-                        stats.stale_duration =
-                            stats.stale_duration.max(front.t_last - front.t_first);
-                    }
+                match self.buckets.front() {
+                    // The true window start lies inside the front bucket,
+                    // whose span bounds the extra time.
+                    Some(front) if stale > 0 => (0, stale, front.t_last - front.t_first),
+                    _ => (0, 0, 0.0),
                 }
-                0
             }
             WindowPolicy::LastDur(d) => {
-                let start = now - d;
+                let start = self.clock - d;
                 let first = self.buckets.partition_point(|b| b.t_last < start);
-                if let Some(b) = self.buckets.get(first).filter(|b| b.t_first < start) {
+                match self.buckets.get(first).filter(|b| b.t_first < start) {
                     // Straddling: everything but the point at `t_last` may
                     // be stale, reaching back to `t_first`.
-                    stats.stale_points += b.count.saturating_sub(1);
-                    stats.stale_duration = stats.stale_duration.max(start - b.t_first);
+                    Some(b) => (first, b.count.saturating_sub(1), start - b.t_first),
+                    None => (first, 0, 0.0),
                 }
-                first
             }
-        };
-        for b in self.buckets.range(first..) {
-            stats.add_bucket(b);
         }
-        first
     }
 
     /// Answers the window query: merges the live buckets, oldest to
@@ -756,8 +683,7 @@ impl WindowedSummary {
     /// [`hull_ref`](HullSummary::hull_ref) is cheaper still: it caches
     /// per generation.
     pub fn query_window(&self) -> WindowAnswer {
-        let mut stats = MergeStats::new();
-        let first = self.live_from(self.clock, &mut stats);
+        let (first, stale_points, stale_duration) = self.live_from();
         let sealed = self.buckets.len() - usize::from(self.head_open);
         // Work on the list outside the lock: a panic mid-merge then leaves
         // an empty list behind, and the next query starts cold.
@@ -789,7 +715,15 @@ impl WindowedSummary {
             }
         }
         *self.absorbed.lock().unwrap_or_else(PoisonError::into_inner) = absorbed;
-        stats.into_answer(collector)
+        let live = self.buckets.range(first..);
+        WindowAnswer {
+            summary: collector,
+            merged_points: live.clone().map(|b| b.count).sum(),
+            stale_points,
+            stale_duration,
+            buckets: live.len(),
+            bucket_bound_max: parallel_bound(live.map(Bucket::composed_bound)),
+        }
     }
 
     /// Points currently stored across the chain (the window's memory
@@ -1015,102 +949,6 @@ impl HullSummary for WindowedSummary {
             .get_or_compute(self.cache.generation(), || {
                 self.query_window().error_bound()
             })
-    }
-}
-
-/// The result of a sharded windowed ingestion run
-/// ([`SupervisedIngest::run_stream_windowed`](crate::recovery::SupervisedIngest::run_stream_windowed)):
-/// one [`WindowedSummary`] per shard, each covering the shard's round-robin
-/// share of the stream on the **shared global clock**.
-///
-/// [`query_window`](WindowedRun::query_window) anchors every shard's
-/// window at the same global `now` (the newest timestamp any shard saw)
-/// and merges all live buckets into one collector **in shard order,
-/// oldest bucket first within each shard** — for a fixed stream, summary
-/// configuration, shard count, and chunk size the answer is bit-identical
-/// across runs, exactly PR 3's determinism contract.
-#[derive(Debug)]
-#[must_use = "a windowed run holds the per-shard window state; query it or inspect the shards"]
-pub struct WindowedRun {
-    builder: SummaryBuilder,
-    shards: Vec<WindowedSummary>,
-    elapsed: std::time::Duration,
-}
-
-impl WindowedRun {
-    /// Assembles a run from per-shard windowed summaries (the collector
-    /// kind comes from `builder`). Exposed for the parallel engine.
-    pub(crate) fn new(
-        builder: SummaryBuilder,
-        shards: Vec<WindowedSummary>,
-        elapsed: std::time::Duration,
-    ) -> Self {
-        WindowedRun {
-            builder,
-            shards,
-            elapsed,
-        }
-    }
-
-    /// Reassembles a run from per-shard windowed summaries restored
-    /// elsewhere — e.g. [`Snapshot`](crate::snapshot::Snapshot)-decoded
-    /// shard checkpoints shipped across processes. Feed the summaries in
-    /// shard order and [`query_window`](WindowedRun::query_window) answers
-    /// bit-identically to the in-process run they were snapshotted from
-    /// (`elapsed` reports zero: no ingestion happened here).
-    pub fn from_shards(builder: SummaryBuilder, shards: Vec<WindowedSummary>) -> Self {
-        WindowedRun::new(builder, shards, std::time::Duration::ZERO)
-    }
-
-    /// The per-shard windowed summaries, in shard order.
-    #[must_use]
-    pub fn shards(&self) -> &[WindowedSummary] {
-        &self.shards
-    }
-
-    /// Wall-clock time of the whole ingestion (dispatch through the last
-    /// worker join), for throughput accounting alongside
-    /// [`points_seen`](WindowedRun::points_seen).
-    #[must_use]
-    pub fn elapsed(&self) -> std::time::Duration {
-        self.elapsed
-    }
-
-    /// Total stream points consumed across all shards.
-    #[must_use]
-    pub fn points_seen(&self) -> u64 {
-        self.shards.iter().map(|s| s.points_seen()).sum()
-    }
-
-    /// Live buckets across all shards.
-    #[must_use]
-    pub fn bucket_count(&self) -> usize {
-        self.shards.iter().map(|s| s.bucket_count()).sum()
-    }
-
-    /// The newest timestamp any shard has seen (`None` on an empty run).
-    #[must_use]
-    pub fn now(&self) -> Option<f64> {
-        self.shards.iter().filter_map(|s| s.now()).reduce(f64::max)
-    }
-
-    /// Answers the union-window query: every shard's live buckets (w.r.t.
-    /// the shared global `now`) merge into one fresh collector in shard
-    /// order, with the same composed error and staleness bookkeeping as
-    /// [`WindowedSummary::query_window`]. Per-shard clocks may trail the
-    /// global one by at most the in-flight chunks, which the liveness
-    /// filter and staleness bounds already account for.
-    pub fn query_window(&self) -> WindowAnswer {
-        let now = self.now().unwrap_or(f64::NEG_INFINITY);
-        let mut collector = self.builder.build_mergeable();
-        let mut stats = MergeStats::new();
-        for shard in &self.shards {
-            let first = shard.live_from(now, &mut stats);
-            for b in shard.buckets.range(first..) {
-                collector.merge_from(b.summary.as_ref());
-            }
-        }
-        stats.into_answer(collector)
     }
 }
 

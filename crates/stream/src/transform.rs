@@ -136,8 +136,8 @@ impl<S: Iterator<Item = Point2>> Iterator for Translate<S> {
 }
 
 /// Attaches timestamps to a point stream, turning `Point2` items into
-/// `(Point2, f64)` pairs for the windowed ingestion paths
-/// (`WindowedSummary::insert_at` / `SupervisedIngest::run_stream_windowed_at`).
+/// `(Point2, f64)` pairs for a time-based window
+/// (`WindowedSummary::insert_at` / `insert_batch_timestamped`).
 ///
 /// Two arrival patterns:
 ///

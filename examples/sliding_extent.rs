@@ -4,10 +4,9 @@
 //! whole-stream hull keeps growing — it remembers everywhere the fleet
 //! has ever been — while a [`WindowedSummary`] over the last 60 time
 //! units forgets the old track and stays tight around the current
-//! position. The example prints both extents side by side, then shows
-//! the sharded windowed path and the bucket-count/staleness/error
-//! trade-off of the exponential-histogram chain (the table recorded in
-//! `EXPERIMENTS.md`).
+//! position. The example prints both extents side by side, then the
+//! bucket-count/staleness/error trade-off of the exponential-histogram
+//! chain (the table recorded in `EXPERIMENTS.md`).
 //!
 //! Run: `cargo run --release --example sliding_extent`
 
@@ -77,21 +76,7 @@ fn main() {
     );
     assert_eq!(warm.merged_points, cold.merged_points);
     assert_eq!(warm.stale_points, cold.stale_points);
-    println!("a snapshot-restored twin (no query checkpoints) answers bit-identically\n");
-
-    // The same stream through the sharded windowed engine: one windowed
-    // summary per shard on a shared clock, live buckets merged in shard
-    // order — bit-identical across runs.
-    let engine = SupervisedIngest::new(ShardedIngest::new(builder, 4).with_chunk(4096));
-    let run = engine.run_stream_windowed_at(stream.iter().copied(), WindowConfig::last_dur(60.0));
-    assert!(!run.is_degraded());
-    let ans = run.run.query_window();
-    println!(
-        "sharded (4 shards): window x-extent {:.1}, {} points merged across {} buckets",
-        locate::directional_extent(ans.hull(), x),
-        ans.merged_points,
-        ans.buckets,
-    );
+    println!("a snapshot-restored twin (no query checkpoints) answers bit-identically");
 
     // Chain-shape trade-off: more buckets per level (k) = finer chain =
     // tighter staleness, at more memory and query-time merging. This is

@@ -101,11 +101,6 @@
 //! assert!(ans.error_bound().is_some());
 //! ```
 //!
-//! Windows compose with sharding:
-//! [`SupervisedIngest::run_stream_windowed`] keeps one windowed summary
-//! per shard on a shared clock and merges live buckets in deterministic
-//! shard order at query time.
-//!
 //! ## Fault-tolerant ingestion
 //!
 //! [`SupervisedIngest`] is how a stream reaches the sharded engine's
@@ -275,7 +270,6 @@ pub use adaptive_hull;
 pub use geom;
 pub use streamgen;
 
-pub use adaptive_hull::window::WindowedRun;
 pub use adaptive_hull::{metrics, queries, recovery, snapshot, telemetry, tenant, viz, window};
 pub use adaptive_hull::{
     AdaptiveHull, AdaptiveHullConfig, AdmissionError, CheckpointEnvelope, ClusterHull,
@@ -285,9 +279,9 @@ pub use adaptive_hull::{
     PairAnswer, PressureAction, PressureEvent, PressureReport, QDir, QueryCacheStats, QueryEngine,
     QueryError, RadialHull, RecoveryAction, RecoveryReport, RetryPolicy, ShardHealth, ShardRun,
     ShardStats, ShardStatus, ShardedIngest, Snapshot, SnapshotError, StreamId, SummaryBuilder,
-    SummaryKind, SupervisedIngest, SupervisedRun, SupervisedWindowedRun, Telemetry, TenantConfig,
-    TenantEngine, TenantStats, Tier, TopKAnswer, TopKEntry, UniformHull, WindowAnswer,
-    WindowConfig, WindowPolicy, WindowedSummary,
+    SummaryKind, SupervisedIngest, SupervisedRun, Telemetry, TenantConfig, TenantEngine,
+    TenantStats, Tier, TopKAnswer, TopKEntry, UniformHull, WindowAnswer, WindowConfig,
+    WindowPolicy, WindowedSummary,
 };
 pub use adaptive_hull::{Counter, Gauge, Histogram, Scrape};
 pub use geom::{ConvexPolygon, Point2, Vec2};
@@ -302,8 +296,7 @@ pub mod prelude {
         PressureEvent, PressureReport, QDir, QueryCacheStats, QueryEngine, QueryError, RadialHull,
         RecoveryReport, RetryPolicy, Scrape, ShardRun, ShardStats, ShardedIngest, Snapshot,
         SnapshotError, StreamId, SummaryBuilder, SummaryKind, SupervisedIngest, SupervisedRun,
-        SupervisedWindowedRun, Telemetry, TenantConfig, TenantEngine, TenantStats, Tier,
-        TopKAnswer, TopKEntry, UniformHull, Vec2, WindowAnswer, WindowConfig, WindowPolicy,
-        WindowedRun, WindowedSummary,
+        Telemetry, TenantConfig, TenantEngine, TenantStats, Tier, TopKAnswer, TopKEntry,
+        UniformHull, Vec2, WindowAnswer, WindowConfig, WindowPolicy, WindowedSummary,
     };
 }

@@ -10,7 +10,7 @@
 //! outward spiral (every point leaves the previous hull), a regime switch,
 //! a drifting cloud and a duplicate flood.
 //!
-//! * a sharded `run_stream_windowed` `LastN` query, against the window;
+//! * a `LastN` or `LastDur` window chain's query, against the window;
 //! * a degraded `run_stream` whose crashed shard is quarantined, against
 //!   the **whole** stream, so the lost points' excess is checked;
 //! * `TenantEngine::absorb` of two runs after direct inserts;
@@ -102,12 +102,36 @@ fn supervised(builder: SummaryBuilder, chunk: usize) -> SupervisedIngest {
 }
 
 #[test]
-fn sharded_last_n_windows_are_honest() {
+fn window_chains_are_honest() {
     let window = 500;
-    for (label, builder, pts) in matrix() {
-        let config = WindowConfig::last_n(window as u64).with_granularity(32);
-        let run = supervised(builder, 64).run_stream_windowed(pts.iter().copied(), config);
-        let answer = run.run.query_window();
+    let rows = matrix();
+    let per_block = rows.len() / (KINDS.len() * RS.len());
+    for (i, (label, builder, pts)) in rows.into_iter().enumerate() {
+        // The policy alternates from input to input and flips from one
+        // (kind, r) block to the next, so every input meets both. On the
+        // auto-tick clock `LastDur(n - 0.5)` covers the last n points too.
+        let count_window = (i + i / per_block).is_multiple_of(2);
+        let (label, config) = if count_window {
+            (
+                format!("{label}/last_n"),
+                WindowConfig::last_n(window as u64),
+            )
+        } else {
+            let dur = window as f64 - 0.5;
+            (format!("{label}/last_dur"), WindowConfig::last_dur(dur))
+        };
+        let mut chain = builder.windowed(config.with_granularity(32));
+        for chunk in pts.chunks(64) {
+            chain.insert_batch(chunk);
+        }
+        let answer = chain.query_window();
+        if count_window {
+            assert!(
+                answer.window_points() >= window as u64,
+                "{label}: LastN covers {} in-window points",
+                answer.window_points()
+            );
+        }
         let in_window = &pts[pts.len() - window..];
         assert_honest(&label, answer.hull(), in_window, answer.error_bound());
     }

@@ -165,29 +165,6 @@ fn stream_fault_adapters_drive_the_sanitize_path() {
     assert_eq!(seen, clean_pts.len() as u64);
 }
 
-/// Windowed runs recover on the shared tick clock: a crash mid-stream
-/// leaves the `LastN` window answer exactly equal to the fault-free one.
-#[test]
-fn windowed_crash_recovery_keeps_last_n_exact() {
-    let pts = spiral(5000);
-    let config = WindowConfig::last_n(600).with_granularity(50);
-    let engine = ShardedIngest::new(SummaryBuilder::new(SummaryKind::Exact), 3).with_chunk(128);
-    let clean = SupervisedIngest::new(engine).run_stream_windowed(pts.iter().copied(), config);
-    assert!(!clean.is_degraded());
-    let clean = clean.run;
-    let run = SupervisedIngest::new(engine)
-        .with_checkpoint_interval(700)
-        .with_fault_plan(FaultPlan::new().crash(2, 8))
-        .run_stream_windowed(pts.iter().copied(), config);
-    assert!(!run.is_degraded());
-    assert_eq!(run.report.total_retries(), 1);
-    let (a, b) = (run.run.query_window(), clean.query_window());
-    assert_eq!(a.hull().vertices(), b.hull().vertices());
-    assert_eq!(a.merged_points, b.merged_points);
-    assert_eq!(a.stale_points, b.stale_points);
-    assert_eq!(a.buckets, b.buckets);
-}
-
 /// Exhausted retries quarantine the shard and the run completes degraded
 /// with honest geometry: the lost points widen `error_bound` (the
 /// outward spiral guarantees the lost suffix sticks out of the merged

@@ -2,9 +2,8 @@
 //! (`core::parallel::ShardedIngest`) and the `Mergeable` reduce it is
 //! built on: exact seen-count accounting, shard-count determinism, the
 //! one partition shared by the slice run and the supervised streaming
-//! path (plain and windowed), the composed error guarantee, and geometric
-//! soundness for every runtime kind — plus a merge associativity smoke
-//! test.
+//! path, the composed error guarantee, and geometric soundness for every
+//! runtime kind — plus a merge associativity smoke test.
 
 use proptest::prelude::*;
 use streamhull::prelude::*;
@@ -33,52 +32,6 @@ fn shard_stats(run: &ShardRun) -> Vec<(u64, usize, Option<u64>)> {
             )
         })
         .collect()
-}
-
-/// The windowed partition, built by hand: one `WindowedSummary` per shard,
-/// fed the chunks `c ≡ shard (mod N)` through `insert_batch_timestamped`
-/// with every point stamped by its global stream index, then combined with
-/// `WindowedRun::from_shards`. `shard_config` is the per-shard window on
-/// that tick clock.
-fn windowed_reference(
-    builder: SummaryBuilder,
-    pts: &[Point2],
-    shards: usize,
-    chunk: usize,
-    shard_config: WindowConfig,
-) -> WindowedRun {
-    let stamped: Vec<(Point2, f64)> = pts
-        .iter()
-        .enumerate()
-        .map(|(i, &p)| (p, i as f64))
-        .collect();
-    let mut windows: Vec<WindowedSummary> = (0..shards)
-        .map(|_| builder.windowed(shard_config))
-        .collect();
-    for (c, piece) in stamped.chunks(chunk).enumerate() {
-        windows[c % shards].insert_batch_timestamped(piece);
-    }
-    WindowedRun::from_shards(builder, windows)
-}
-
-/// Per-shard chain bytes plus every field of the window answer that the
-/// partition decides, bit-exact.
-type WindowPrint = (Vec<Vec<u8>>, Vec<(u64, u64)>, u64, u64, usize, Option<u64>);
-
-fn window_print(run: &WindowedRun) -> WindowPrint {
-    let ans = run.query_window();
-    (
-        run.shards().iter().map(WindowedSummary::encode).collect(),
-        ans.hull()
-            .vertices()
-            .iter()
-            .map(|p| (p.x.to_bits(), p.y.to_bits()))
-            .collect(),
-        ans.merged_points,
-        ans.stale_points,
-        ans.buckets,
-        ans.bucket_bound_max.map(f64::to_bits),
-    )
 }
 
 proptest! {
@@ -148,40 +101,6 @@ proptest! {
             prop_assert_eq!(
                 shard_stats(&sup.run), shard_stats(&a),
                 "{}: supervised shard stats differ from run", kind
-            );
-        }
-    }
-
-    #[test]
-    fn windowed_partition_matches_per_shard_reference(
-        pts in stream_strategy(300),
-        shards in 1usize..5,
-        chunk in prop_oneof![Just(1usize), 1usize..48],
-        window in 1u64..200,
-        count_window in 0usize..2,
-        granularity in 1usize..24,
-    ) {
-        // A fault-free supervised windowed run is the hand-built partition:
-        // same per-shard chains, same window answer. A count window LastN(n)
-        // rides the global tick clock as LastDur(n − 0.5).
-        let (config, shard_config) = if count_window == 1 {
-            (WindowConfig::last_n(window), WindowConfig::last_dur(window as f64 - 0.5))
-        } else {
-            (WindowConfig::last_dur(window as f64), WindowConfig::last_dur(window as f64))
-        };
-        let (config, shard_config) = (
-            config.with_granularity(granularity),
-            shard_config.with_granularity(granularity),
-        );
-        for &kind in &[SummaryKind::Exact, SummaryKind::Adaptive, SummaryKind::Cluster] {
-            let builder = SummaryBuilder::new(kind).with_r(8);
-            let engine = ShardedIngest::new(builder, shards).with_chunk(chunk);
-            let run = SupervisedIngest::new(engine).run_stream_windowed(pts.iter().copied(), config);
-            prop_assert!(!run.is_degraded(), "{}: fault-free run degraded", kind);
-            let reference = windowed_reference(builder, &pts, shards, chunk, shard_config);
-            prop_assert_eq!(
-                window_print(&run.run), window_print(&reference),
-                "{}: supervised windowed run differs from the per-shard reference", kind
             );
         }
     }

@@ -13,9 +13,7 @@
 //! * batch boundaries are invisible, even when a batch straddles bucket
 //!   seals and expiry (the "expiry races the batch boundary" case);
 //! * a query that resumes from the chain's collector checkpoints answers
-//!   bit-identically to a snapshot-restored twin, which holds none;
-//! * the sharded windowed engine agrees with the standalone semantics
-//!   and is deterministic.
+//!   bit-identically to a snapshot-restored twin, which holds none.
 
 use proptest::prelude::*;
 use streamhull::prelude::*;
@@ -341,44 +339,6 @@ proptest! {
         }
     }
 
-    #[test]
-    fn sharded_windowed_agrees_with_global_window(
-        pts in stream_strategy(400),
-        n in 1u64..200,
-        shards in 1usize..4,
-        chunk in 1usize..40,
-    ) {
-        // The sharded engine carries LastN on the global tick clock: the
-        // union answer must cover exactly the last n stream points (plus
-        // bounded staleness), independent of shard count, and be
-        // deterministic.
-        let engine = SupervisedIngest::new(
-            ShardedIngest::new(SummaryBuilder::new(SummaryKind::Exact), shards).with_chunk(chunk),
-        );
-        let config = WindowConfig::last_n(n).with_granularity(16);
-        let a = engine.run_stream_windowed(pts.iter().copied(), config).run;
-        let b = engine.run_stream_windowed(pts.iter().copied(), config).run;
-        prop_assert_eq!(a.points_seen(), pts.len() as u64);
-        let (ans_a, ans_b) = (a.query_window(), b.query_window());
-        prop_assert_eq!(
-            ans_a.hull().vertices(),
-            ans_b.hull().vertices(),
-            "sharded window must be deterministic"
-        );
-        let in_window = (n as usize).min(pts.len());
-        for &p in &pts[pts.len() - in_window..] {
-            prop_assert!(
-                ans_a.hull().contains_linear(p),
-                "sharded window lost in-window point {:?}", p
-            );
-        }
-        // Nothing outside the stream is ever reported.
-        let mut exact_all = ExactHull::new();
-        exact_all.insert_batch(&pts);
-        for &v in ans_a.hull().vertices() {
-            prop_assert!(exact_all.hull_ref().contains_linear(v));
-        }
-    }
 }
 
 #[test]
