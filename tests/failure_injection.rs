@@ -256,6 +256,59 @@ proptest! {
             assert_eq!(a.hull().vertices(), b.hull().vertices(), "{kind}");
         }
     }
+
+    // A time window restored mid-stream keeps its clock: ingestion with
+    // explicit timestamps (bursts share one) continues on both chains,
+    // which expire against the same `now` and stay byte-identical.
+    #[test]
+    fn timestamped_window_snapshot_keeps_the_clock(
+        pts in snap_stream(400),
+        cut_sel in 0.0f64..1.0,
+        dur in 1.0f64..100.0,
+        granularity in 1usize..48,
+        steps in prop::collection::vec(prop_oneof![Just(0.0), 0.25f64..4.0], 1..40),
+        chunk in 1usize..64,
+    ) {
+        let mut t = 0.0;
+        let stamped: Vec<(Point2, f64)> = pts
+            .iter()
+            .enumerate()
+            .map(|(i, &p)| {
+                t += steps[i % steps.len()];
+                (p, t)
+            })
+            .collect();
+        let cut = ((stamped.len() as f64) * cut_sel) as usize;
+        let (head, tail) = stamped.split_at(cut.min(stamped.len() - 1));
+        let config = WindowConfig::last_dur(dur).with_granularity(granularity);
+        for &kind in &[SummaryKind::Exact, SummaryKind::Adaptive, SummaryKind::Radial] {
+            let mut original = SummaryBuilder::new(kind).with_r(16).windowed(config);
+            original.insert_batch_timestamped(head);
+            let mut restored = WindowedSummary::decode(&Snapshot::encode(&original))
+                .unwrap_or_else(|e| panic!("{kind}: windowed decode failed: {e}"));
+            assert_eq!(
+                original.now().map(f64::to_bits),
+                restored.now().map(f64::to_bits),
+                "{kind}: clock at snapshot"
+            );
+            for piece in tail.chunks(chunk) {
+                original.insert_batch_timestamped(piece);
+                restored.insert_batch_timestamped(piece);
+            }
+            assert_eq!(
+                Snapshot::encode(&original),
+                Snapshot::encode(&restored),
+                "{kind}: chain bytes after the tail"
+            );
+            let (a, b) = (original.query_window(), restored.query_window());
+            assert_eq!(a.merged_points, b.merged_points, "{kind}");
+            assert_eq!(a.stale_points, b.stale_points, "{kind}");
+            assert_eq!(a.stale_duration.to_bits(), b.stale_duration.to_bits(), "{kind}");
+            assert_eq!(a.buckets, b.buckets, "{kind}");
+            assert_eq!(a.error_bound(), b.error_bound(), "{kind}");
+            assert_eq!(a.hull().vertices(), b.hull().vertices(), "{kind}");
+        }
+    }
 }
 
 /// Every kind's snapshot at several stream lengths (empty, one point,
@@ -358,6 +411,30 @@ fn shard_runs_report_elapsed_wall_time() {
     let engine = ShardedIngest::new(SummaryBuilder::new(SummaryKind::Adaptive).with_r(16), 2);
     let run = engine.run(&pts);
     assert!(run.elapsed > std::time::Duration::ZERO);
+}
+
+/// Supervised stream runs report wall time too, from the first chunk
+/// dealt to the reduce, so it includes the wait that detects a stall.
+#[test]
+fn supervised_runs_report_elapsed_wall_time() {
+    use std::time::Duration;
+    let pts = spiral(5000);
+    let engine =
+        ShardedIngest::new(SummaryBuilder::new(SummaryKind::Adaptive).with_r(16), 2).with_chunk(64);
+    let clean = SupervisedIngest::new(engine).run_stream(pts.iter().copied());
+    assert!(clean.run.elapsed > Duration::ZERO);
+    let deadline = Duration::from_millis(100);
+    let stalled = SupervisedIngest::new(engine)
+        .with_checkpoint_interval(256)
+        .with_stall_timeout(deadline)
+        .with_fault_plan(FaultPlan::new().stall(0, 6, Duration::from_millis(400)))
+        .run_stream(pts.iter().copied());
+    assert!(!stalled.is_degraded());
+    assert!(
+        stalled.run.elapsed >= deadline,
+        "elapsed {:?} misses the {deadline:?} stall deadline",
+        stalled.run.elapsed
+    );
 }
 
 fn all_kind_snapshots() -> Vec<(SummaryKind, Vec<u8>)> {

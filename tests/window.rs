@@ -13,7 +13,9 @@
 //! * batch boundaries are invisible, even when a batch straddles bucket
 //!   seals and expiry (the "expiry races the batch boundary" case);
 //! * a query that resumes from the chain's collector checkpoints answers
-//!   bit-identically to a snapshot-restored twin, which holds none.
+//!   bit-identically to a snapshot-restored twin, which holds none;
+//! * the auto-tick clock stamps the i-th point `i`: explicit stamps build
+//!   the same chain, and `LastN(n)` merges what `LastDur(n - 0.5)` does.
 
 use proptest::prelude::*;
 use streamhull::prelude::*;
@@ -310,6 +312,97 @@ proptest! {
             batched.hull_ref().vertices(),
             "timestamped batch must match the insert_at loop"
         );
+    }
+
+    #[test]
+    fn stream_index_stamps_match_the_auto_tick_clock(
+        pts in stream_strategy(250),
+        n in 1u64..150,
+        (g, k) in chain_strategy(),
+        chunk in 1usize..70,
+    ) {
+        // Auto-ticked ingestion stamps the i-th stream point `i`; feeding
+        // those stamps through `insert_batch_timestamped` must build the
+        // same chain, byte for byte, under either policy.
+        let stamped: Vec<(Point2, f64)> = pts
+            .iter()
+            .enumerate()
+            .map(|(i, &p)| (p, i as f64))
+            .collect();
+        for &kind in &SummaryKind::ALL {
+            let builder = SummaryBuilder::new(kind).with_r(8);
+            for config in [WindowConfig::last_n(n), WindowConfig::last_dur(n as f64)] {
+                let config = config.with_granularity(g).with_buckets_per_level(k);
+                let label = format!("{kind} {:?}", config.policy);
+                let mut ticked = builder.windowed(config);
+                for c in pts.chunks(chunk) {
+                    ticked.insert_batch(c);
+                }
+                let mut explicit = builder.windowed(config);
+                for c in stamped.chunks(chunk) {
+                    explicit.insert_batch_timestamped(c);
+                }
+                prop_assert_eq!(
+                    ticked.now().map(f64::to_bits),
+                    Some(((pts.len() - 1) as f64).to_bits()),
+                    "{}: clock", label
+                );
+                prop_assert_eq!(
+                    Snapshot::encode(&ticked),
+                    Snapshot::encode(&explicit),
+                    "{}: chain bytes", label
+                );
+                let (a, b) = (ticked.query_window(), explicit.query_window());
+                prop_assert_eq!(vertex_bits(a.hull()), vertex_bits(b.hull()), "{}: hull", label);
+                prop_assert_eq!(
+                    bound_bits(a.error_bound()),
+                    bound_bits(b.error_bound()),
+                    "{}: bound", label
+                );
+                prop_assert_eq!(a.merged_points, b.merged_points, "{}", label);
+                prop_assert_eq!(a.stale_points, b.stale_points, "{}", label);
+            }
+        }
+    }
+
+    #[test]
+    fn last_n_and_last_dur_agree_on_the_auto_tick_clock(
+        pts in stream_strategy(300),
+        n in 1u64..200,
+        (g, k) in chain_strategy(),
+        chunk in 1usize..64,
+    ) {
+        // On the auto-tick clock `LastDur(n - 0.5)` expires exactly the
+        // buckets `LastN(n)` expires, so both merge the same chain. Only
+        // the staleness accounting differs: `window_points` is exact for
+        // the count window and a lower bound for the time window, which
+        // counts all but the straddling bucket's newest point as stale.
+        for &kind in &SummaryKind::ALL {
+            let builder = SummaryBuilder::new(kind).with_r(8);
+            let shape = |c: WindowConfig| c.with_granularity(g).with_buckets_per_level(k);
+            let mut count = builder.windowed(shape(WindowConfig::last_n(n)));
+            let mut time = builder.windowed(shape(WindowConfig::last_dur(n as f64 - 0.5)));
+            for c in pts.chunks(chunk) {
+                count.insert_batch(c);
+                time.insert_batch(c);
+            }
+            prop_assert_eq!(count.bucket_count(), time.bucket_count(), "{}", kind);
+            let (a, b) = (count.query_window(), time.query_window());
+            prop_assert_eq!(vertex_bits(a.hull()), vertex_bits(b.hull()), "{}: hull", kind);
+            prop_assert_eq!(
+                bound_bits(a.error_bound()),
+                bound_bits(b.error_bound()),
+                "{}: bound", kind
+            );
+            prop_assert_eq!(a.merged_points, b.merged_points, "{}", kind);
+            prop_assert_eq!(a.buckets, b.buckets, "{}", kind);
+            let in_window = n.min(pts.len() as u64);
+            prop_assert_eq!(a.window_points(), in_window, "{}: LastN is exact", kind);
+            prop_assert!(
+                (1..=in_window).contains(&b.window_points()),
+                "{}: LastDur counts {} of {} in-window points", kind, b.window_points(), in_window
+            );
+        }
     }
 
     #[test]
