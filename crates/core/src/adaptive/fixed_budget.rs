@@ -10,7 +10,7 @@
 //! [`AdaptiveHull`](crate::adaptive::stream::AdaptiveHull) — which also
 //! makes it a useful cross-check of the tree-based implementation.
 
-use crate::adaptive::stream::PreparedArc;
+use crate::adaptive::stream::{hull_of_ccw_samples, PreparedArc};
 use crate::adaptive::weight::{slant, uncertainty, weight};
 use crate::batch::{incircle, CertCache, BATCH_LEAF};
 use crate::summary::{GenCache, HullCache, HullSummary, Mergeable};
@@ -408,7 +408,7 @@ impl HullSummary for FixedBudgetAdaptiveHull {
 
     fn hull_ref(&self) -> &ConvexPolygon {
         self.cache
-            .get_or_rebuild(|| ConvexPolygon::hull_of(&self.sample_points()))
+            .get_or_rebuild(|| hull_of_ccw_samples(&self.sample_points()))
     }
 
     fn hull_generation(&self) -> u64 {

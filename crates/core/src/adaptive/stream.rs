@@ -220,6 +220,17 @@ fn ccw_offset(s: f64, x: f64) -> f64 {
     }
 }
 
+/// The hull of both adaptive backends' `sample_points()`, which a
+/// direction-ordered leaf walk lists in weakly convex ccw order: one
+/// linear [`ConvexPolygon::assign_hull_of_ccw_cycle`] pass, which falls
+/// back to the sort on any reflex turn. Bit-identical to
+/// `ConvexPolygon::hull_of(samples)` either way.
+pub(crate) fn hull_of_ccw_samples(samples: &[Point2]) -> ConvexPolygon {
+    let mut hull = ConvexPolygon::empty();
+    hull.assign_hull_of_ccw_cycle(samples, &mut Vec::new());
+    hull
+}
+
 /// The streaming adaptive-sampling convex hull summary (Theorem 5.4).
 ///
 /// Keeps at most `2r + 1` stream points; the hull of the sample is within
@@ -941,7 +952,7 @@ impl HullSummary for AdaptiveHull {
 
     fn hull_ref(&self) -> &ConvexPolygon {
         self.cache
-            .get_or_rebuild(|| ConvexPolygon::hull_of(&self.sample_points()))
+            .get_or_rebuild(|| hull_of_ccw_samples(&self.sample_points()))
     }
 
     fn hull_generation(&self) -> u64 {

@@ -121,6 +121,11 @@ pub fn triangle_stats(triangles: &[UncertaintyTriangle]) -> TriangleStats {
 /// consecutive extrema, with supporting normals at the last direction of
 /// the first vertex and the first direction of the second (the paper's
 /// `θ(pq)` convention).
+///
+/// Folded to its tallest height, this is the reference for the uniform
+/// hull's [`error_bound`](crate::summary::HullSummary::error_bound), which
+/// builds only the triangles that could be the tallest and must equal the
+/// fold bit for bit (`tests/bit_identities.rs`).
 pub fn uniform_uncertainty_triangles(hull: &UniformHull) -> Vec<UncertaintyTriangle> {
     let runs = hull.runs();
     if runs.len() < 2 {

@@ -449,8 +449,10 @@ impl QueryEngine {
     ) -> Result<CachedValue, QueryError> {
         let timer = self.tel.latency_ns.enabled().then(Instant::now);
         // The hit path reads only the stream's validation token (an index
-        // lookup): the error bound (O(r) for some backends) and the hull
-        // are a miss's cost.
+        // lookup). A miss pays the error bound and the hull, each a linear
+        // pass over the summary's sample on a new generation (for the
+        // adaptive backends, the certificate's prefiltered pass over the
+        // substrate's runs and a walk of the refinement tree).
         let token = self.tenants.query_token(id)?;
         let key = (id, kind);
         let value = match self.cache.get(&key) {

@@ -428,11 +428,12 @@ impl HullCache {
 /// A tiny generation-keyed value cache for derived query results
 /// (`sample_size`, `error_bound`, …) computed from `&self`.
 ///
-/// Summaries answer those queries by recomputing over their whole sample —
-/// `O(r log r)` sorts, rebuilding every uncertainty triangle — on *every*
-/// call. `GenCache` memoises the answer keyed by the hull generation: while
-/// the generation is unchanged the cached value is returned, and the first
-/// query after a mutation recomputes once.
+/// Summaries answer those queries by a pass over their whole sample — a
+/// sort and dedup for `sample_size`, one uncertainty triangle per
+/// candidate edge for `error_bound`. `GenCache` memoises the answer keyed
+/// by the hull generation: while the generation is unchanged the cached
+/// value is returned, and the first query after a mutation recomputes
+/// once.
 ///
 /// Interior mutability is a `Mutex` so summaries stay `Send + Sync` (the
 /// sharded-ingestion story); the lock is uncontended and held only for the

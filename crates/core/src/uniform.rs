@@ -722,6 +722,89 @@ impl UniformHull {
         Ok(s)
     }
 
+    /// The Lemma 3.2 certificate: the tallest uncertainty triangle's height
+    /// (0 with fewer than two owners). Bit-identical to folding
+    /// [`crate::metrics::uniform_uncertainty_triangles`] to its tallest
+    /// height, but builds only the triangles that could be the tallest.
+    ///
+    /// The triangle between consecutive owners `a`, `b` has base length
+    /// `ℓ` and supporting normals one step `θ0 = 2π/r` apart. With base
+    /// angles `α, β ≥ 0`, `α + β = θ0`, its height `ℓ·sin α·sin β / sin θ0`
+    /// peaks at `α = β`, so it is at most `(ℓ/2)·tan(θ0/2)`. One pass finds
+    /// the longest base and the largest owner coordinate magnitude `M`; the
+    /// triangle on the longest base seeds the running max, and a second
+    /// pass builds a triangle only when its bound, widened by the rounding
+    /// margin below, reaches that max. A NaN bound is built.
+    ///
+    /// The margin bounds what the computed height can exceed
+    /// `(ℓ/2)·tan(θ0/2)` by. To first order, with `ε = f64::EPSILON` and
+    /// `sin(θ0/2) ≥ 2/r`, `sin θ0 ≥ 4/r` (`r ≥ 4`):
+    ///
+    /// * an apex on the inner side of `ab` ([`geom::UncertaintyTriangle::new`]):
+    ///   a point takes a direction only by beating its owner's rounded dot
+    ///   product, and a new run ends where that test failed, so adjacent
+    ///   owners are extrema against each other up to two rounded dots,
+    ///   `(b − a)·na ≤ 2√2·εM`. Such an apex lies within
+    ///   `|(b − a)·na| / sin θ0 ≤ 0.71·εMr` of the base;
+    /// * the apex's rounding: the offsets' errors (`√2·εM` each) pass
+    ///   through the inverse of the normals' matrix (`≤ 0.71·εMr`), the
+    ///   products' through the division by `sin θ0` (`≤ 0.5·εMr`), and the
+    ///   determinant's relative error `ε / sin θ0` scales an apex of norm
+    ///   `≤ 4.3·M` (`≤ 1.1·εMr`);
+    /// * the unit table: adjacent units sit up to `16ε` off `θ0` apart,
+    ///   which moves the bound by `≤ (ℓ/2)·16ε ≤ 23·εM ≤ 5.8·εMr`;
+    /// * the segment distance: `≤ 6·εM ≤ 1.5·εMr`.
+    ///
+    /// That sums to about `10·εMr`; the absolute part `16·εMr` holds it
+    /// with room. It grows with `r` because `sin θ0` shrinks, and with `M`
+    /// because the apex cancels far from the origin: without it the prefilter
+    /// skipped taller triangles on far-translated inputs at large `r`.
+    /// The relative part `10⁻¹²` covers rounding in `ℓ`, `tan(θ0/2)` and
+    /// the bound's own product.
+    fn certificate(&self) -> f64 {
+        let runs = &self.runs;
+        let n = runs.len();
+        // The consecutive owner pairs, skipping a wrap-around run of one
+        // owner, exactly as `uniform_uncertainty_triangles` pairs them.
+        let pair = |i: usize| {
+            let (cur, next) = (runs[i], runs[(i + 1) % n]);
+            (cur.point != next.point).then_some((cur, next))
+        };
+        let base_len2 = |(cur, next): (DirRun, DirRun)| (next.point - cur.point).norm_sq();
+        let mut m = 0.0f64;
+        let mut longest: Option<(usize, f64)> = None;
+        for (i, run) in runs.iter().enumerate() {
+            m = m.max(run.point.x.abs()).max(run.point.y.abs());
+            let Some(len2) = pair(i).map(base_len2) else {
+                continue;
+            };
+            if longest.is_none_or(|(_, best)| len2 > best) {
+                longest = Some((i, len2));
+            }
+        }
+        let Some((seed, _)) = longest else {
+            return 0.0;
+        };
+        // tan(θ0/2) = sin θ0 / (1 + cos θ0), from the unit table.
+        let step = self.units[1];
+        let half_tan = step.y / (1.0 + step.x);
+        let slack = 16.0 * f64::EPSILON * m * self.r as f64;
+        // The seed goes first: any bound reaches the initial max of 0.
+        let mut max = 0.0f64;
+        for i in core::iter::once(seed).chain((0..n).filter(|&i| i != seed)) {
+            let Some((cur, next)) = pair(i) else {
+                continue;
+            };
+            let reach = 0.5 * base_len2((cur, next)).sqrt() * half_tan * (1.0 + 1e-12) + slack;
+            if reach < max {
+                continue;
+            }
+            let (na, nb) = (self.unit(cur.hi), self.unit(next.lo));
+            max = max.max(geom::UncertaintyTriangle::new(cur.point, next.point, na, nb).height());
+        }
+        max
+    }
+
     fn runs_partition_all(&self) -> bool {
         let mut covered = 0u64;
         let mut prev_hi: Option<u32> = None;
@@ -812,9 +895,10 @@ impl HullSummary for UniformHull {
     }
 
     fn error_bound(&self) -> Option<f64> {
-        Some(self.bound.get_or_compute(self.generation, || {
-            max_triangle_height(&crate::metrics::uniform_uncertainty_triangles(self))
-        }))
+        Some(
+            self.bound
+                .get_or_compute(self.generation, || self.certificate()),
+        )
     }
 }
 

@@ -166,8 +166,9 @@ impl Segment {
 pub struct UncertaintyTriangle {
     /// The sampled edge.
     pub base: Segment,
-    /// Apex: intersection of the two supporting lines (`None` when the edge
-    /// is degenerate or the supporting lines are parallel/divergent).
+    /// Apex: intersection of the two supporting lines, on either side of
+    /// the base (`None` when the edge is degenerate or the supporting lines
+    /// are nearly parallel).
     pub apex: Option<Point2>,
 }
 
@@ -175,9 +176,13 @@ impl UncertaintyTriangle {
     /// Builds the uncertainty triangle for edge `(a, b)` with outward unit
     /// normals `na`, `nb` at the endpoints.
     ///
-    /// When the apex would fall on the inner side of `ab` (possible with a
-    /// degenerate edge or numerically inconsistent inputs) the apex is
-    /// clamped to `None`, making the triangle trivially flat.
+    /// The apex is where the two supporting lines meet, kept on whichever
+    /// side of `ab` it falls. It is `None` only for a degenerate edge
+    /// (`a == b`) or (nearly) parallel lines ([`Line::intersect`]). An apex
+    /// on the inner side of `ab` arises when rounded extremum comparisons
+    /// put the edge's normal just outside `[na, nb]`;
+    /// [`UncertaintyTriangle::height`] measures its distance to the base
+    /// segment like any other apex's.
     pub fn new(a: Point2, b: Point2, na: Vec2, nb: Vec2) -> Self {
         let base = Segment::new(a, b);
         if a == b {
@@ -185,15 +190,10 @@ impl UncertaintyTriangle {
         }
         let la = Line::supporting(a, na);
         let lb = Line::supporting(b, nb);
-        let apex = la.intersect(&lb).filter(|&t| {
-            // Keep only apexes on the outer (left-of-ab in ccw hulls or
-            // right) side — i.e. strictly off the base on the side the
-            // normals point to. We accept either side here and let the
-            // height computation measure the bulge; reject only
-            // non-finite/absurd intersections.
-            t.is_finite()
-        });
-        UncertaintyTriangle { base, apex }
+        UncertaintyTriangle {
+            base,
+            apex: la.intersect(&lb),
+        }
     }
 
     /// Height of the triangle: max distance from the apex to the base
@@ -346,6 +346,33 @@ mod tests {
             t.height(),
             expect
         );
+    }
+
+    #[test]
+    fn inner_side_apex_is_kept_and_measured_to_the_base_segment() {
+        // Swapped normals: the supporting lines meet straight below the
+        // base's midpoint, on the side the normals point away from.
+        let na = Vec2::from_angle(core::f64::consts::FRAC_PI_2 - 0.1);
+        let nb = Vec2::from_angle(core::f64::consts::FRAC_PI_2 + 0.1);
+        let t = UncertaintyTriangle::new(p(-1.0, 0.0), p(1.0, 0.0), na, nb);
+        let apex = t.apex.expect("a finite inner-side apex is kept");
+        assert!(apex.distance(p(0.0, -(0.1f64.tan()))) < 1e-12, "{apex:?}");
+        assert!((t.height() - 0.1f64.tan()).abs() < 1e-12);
+
+        // `b` loses to `a` in `nb`'s direction (b·nb < a·nb), as a rounded
+        // comparison can make it: the apex falls below the base and beyond
+        // `a`, so the height is its distance to `a`, not to the line.
+        let (a, b) = (p(0.0, 0.0), p(2.0, 0.0));
+        let na = Vec2::from_angle(core::f64::consts::FRAC_PI_2 + 0.3);
+        let nb = Vec2::from_angle(core::f64::consts::FRAC_PI_2 + 0.1);
+        let t = UncertaintyTriangle::new(a, b, na, nb);
+        let apex = t.apex.expect("a finite inner-side apex is kept");
+        let (ta, tb) = (0.3f64.tan(), 0.1f64.tan());
+        let x = -2.0 * tb / (ta - tb);
+        assert!(apex.distance(p(x, x * ta)) < 1e-12, "{apex:?}");
+        assert!(apex.x < 0.0 && apex.y < 0.0);
+        assert_eq!(t.height(), apex.distance(a));
+        assert!(t.height() > 0.9);
     }
 
     #[test]

@@ -13,8 +13,17 @@
 //! * the linear extrema-hull pass (`assign_hull_of_ccw_cycle`) equals
 //!   `ConvexPolygon::hull_of` on run-owner sequences — real ones taken from
 //!   `UniformHull`, and synthetic ones with repeats, collinear owners,
-//!   signed zeros and deliberately broken convexity.
+//!   signed zeros and deliberately broken convexity;
+//! * `UniformHull::error_bound`, whose Lemma 3.2 prefilter builds only the
+//!   uncertainty triangles that could be the tallest, equals the reference
+//!   fold of `metrics::uniform_uncertainty_triangles` to its tallest
+//!   height, and both adaptive backends' `hull_ref`, rebuilt by the linear
+//!   pass over their direction-ordered samples, equals `hull_of` of those
+//!   samples — on streams translated far from the origin and at large `r`,
+//!   where rounding is largest.
 //!
+//! A change to any of these sort-free or prefiltered paths extends this
+//! file with its reference and these far-translated, large-`r` inputs.
 //! The refinement tree's cached bisector units are checked by
 //! `AdaptiveHull::check_invariants`, which the summary proptests call.
 
@@ -22,7 +31,9 @@ use core::f64::consts::TAU;
 use geom::dyadic::{fan_unit, DirGrid};
 use geom::hull::monotone_chain_with;
 use proptest::prelude::*;
+use streamhull::metrics::uniform_uncertainty_triangles;
 use streamhull::prelude::*;
+use streamhull::streamgen::{Annulus, CirclePoints, Drift};
 
 fn bits(p: Point2) -> (u64, u64) {
     (p.x.to_bits(), p.y.to_bits())
@@ -232,5 +243,170 @@ proptest! {
         break_it in 0u32..4,
     ) {
         check_cycle(&synthetic_cycle(seed, n, span, break_it == 0))?;
+    }
+}
+
+/// Fan sizes for the certificate identity: every power of two from 4 to
+/// 4,096, and three sizes that bypass the shared fan table.
+const CERT_RS: [u32; 14] = [
+    4, 8, 12, 16, 32, 64, 100, 128, 256, 512, 1000, 1024, 2048, 4096,
+];
+
+/// The streams the certificate and adaptive-rebuild identities run on,
+/// before translation: a drift, an annulus, tiny clouds, integer-snapped
+/// and signed-zero points, a duplicate flood, and `2r` points on a circle
+/// (every uncertainty triangle the same height, up to rounding) for
+/// `r <= 512`.
+fn identity_streams(r: u32) -> Vec<(&'static str, Vec<Point2>)> {
+    let mut rng = Lcg(0x1d3a);
+    let mut unit = move || rng.next() as f64 / (1u64 << 31) as f64 * 2.0 - 1.0;
+    let mut streams = vec![
+        (
+            "drift",
+            Drift::new(3, 500, Point2::new(0.0, 0.0), Point2::new(256.0, 64.0), 1.0).collect(),
+        ),
+        ("annulus", Annulus::new(5, 500, 0.95, 1.0).collect()),
+    ];
+    for (name, n) in [
+        ("2 points", 2),
+        ("3 points", 3),
+        ("7 points", 7),
+        ("40 points", 40),
+    ] {
+        let pts = (0..n).map(|_| Point2::new(10.0 * unit(), 10.0 * unit()));
+        streams.push((name, pts.collect()));
+    }
+    let snapped = (0..300).map(|_| Point2::new((8.0 * unit()).round(), (8.0 * unit()).round()));
+    streams.push(("integer-snapped", snapped.collect()));
+    // Negative zeros first, so they own their directions against the
+    // positive copies that follow.
+    let mut zeros = Vec::new();
+    for v in [1.0, -1.0, 2.5, -3.0] {
+        zeros.push(Point2::new(-0.0, v));
+        zeros.push(Point2::new(v, -0.0));
+    }
+    zeros.push(Point2::new(-0.0, -0.0));
+    for v in [1.0, -1.0, 2.5, -3.0] {
+        zeros.push(Point2::new(0.0, v));
+        zeros.push(Point2::new(v, 0.0));
+    }
+    zeros.push(Point2::new(0.5, 0.5));
+    streams.push(("signed zeros", zeros));
+    let distinct: Vec<Point2> = (0..6).map(|_| Point2::new(unit(), unit())).collect();
+    let flood = (0..300).map(|i| distinct[(i * 7 + i / 5) % distinct.len()]);
+    streams.push(("duplicate flood", flood.collect()));
+    // Each point takes O(r) to insert here, so the circle stops at
+    // r = 512 to keep the debug build quick.
+    if r <= 512 {
+        streams.push((
+            "circle of 2r",
+            CirclePoints::new(2 * r as usize, 5.0).collect(),
+        ));
+    }
+    streams
+}
+
+/// A coordinate remapping applied to a whole stream.
+type Remap = fn(Point2) -> Point2;
+
+/// Each stream as given, translated by 10⁹ and by 10¹², and offset by
+/// 10⁶ at scale 10⁻⁶: far from the origin the apex computation cancels
+/// most, which is what the prefilter's rounding margin must cover.
+fn identity_inputs(r: u32) -> Vec<(String, Vec<Point2>)> {
+    let variants: [(&str, Remap); 4] = [
+        ("as given", |p| p),
+        ("+1e9", |p| Point2::new(p.x + 1e9, p.y - 1e9)),
+        ("+1e12", |p| Point2::new(p.x + 1e12, p.y + 1e12)),
+        ("1e6 + 1e-6·p", |p| {
+            Point2::new(1e6 + 1e-6 * p.x, 1e6 + 1e-6 * p.y)
+        }),
+    ];
+    let mut out = Vec::new();
+    for (name, pts) in identity_streams(r) {
+        for (variant, map) in variants {
+            out.push((
+                format!("{name}, {variant}"),
+                pts.iter().map(|&p| map(p)).collect(),
+            ));
+        }
+    }
+    out
+}
+
+/// Whether to check after the first `seen` of `len` points: every one of
+/// the first 32, then every eighth up to 512, and the last.
+fn checkpoint(seen: usize, len: usize) -> bool {
+    seen <= 32 || (seen <= 512 && seen.is_multiple_of(8)) || seen == len
+}
+
+/// The reference certificate: every uncertainty triangle, folded to the
+/// tallest height.
+fn folded_certificate(u: &UniformHull) -> f64 {
+    uniform_uncertainty_triangles(u)
+        .iter()
+        .map(|t| t.height())
+        .fold(0.0, f64::max)
+}
+
+#[test]
+fn prefiltered_certificate_equals_the_triangle_fold() {
+    let (mut checked, mut nonzero) = (0usize, 0usize);
+    for r in CERT_RS {
+        for (name, pts) in identity_inputs(r) {
+            let mut u = UniformHull::new(r);
+            for (i, &q) in pts.iter().enumerate() {
+                u.insert(q);
+                if !checkpoint(i + 1, pts.len()) {
+                    continue;
+                }
+                let got = u.error_bound().expect("the uniform hull reports a bound");
+                let want = folded_certificate(&u);
+                assert_eq!(
+                    got.to_bits(),
+                    want.to_bits(),
+                    "r = {r}, {name}, after {} points: {got} vs the fold's {want}",
+                    i + 1
+                );
+                checked += 1;
+                nonzero += usize::from(want > 0.0);
+            }
+        }
+    }
+    // Most checks must see real triangles, not empty or flat hulls.
+    assert!(
+        nonzero * 2 > checked,
+        "{nonzero} of {checked} checks had a triangle"
+    );
+}
+
+#[test]
+fn adaptive_rebuilds_equal_hull_of_their_samples() {
+    fn check(who: &str, name: &str, r: u32, h: &dyn HullSummary, samples: &[Point2]) {
+        assert_eq!(
+            vertex_bits(h.hull_ref()),
+            vertex_bits(&ConvexPolygon::hull_of(samples)),
+            "{who}, r = {r}, {name}"
+        );
+    }
+    // The adaptive backends take powers of two from 8; the budgeted
+    // variant rebalances in O(r²) per insert, so its sweep stops at 128.
+    for r in [8u32, 16, 32, 64, 128, 1024] {
+        for (name, pts) in identity_inputs(r) {
+            let mut adaptive = AdaptiveHull::with_r(r);
+            let mut budget = (r <= 128).then(|| FixedBudgetAdaptiveHull::new(r));
+            for (i, &q) in pts.iter().enumerate() {
+                adaptive.insert(q);
+                if let Some(b) = budget.as_mut() {
+                    b.insert(q);
+                }
+                if !checkpoint(i + 1, pts.len()) {
+                    continue;
+                }
+                check("adaptive", &name, r, &adaptive, &adaptive.sample_points());
+                if let Some(b) = budget.as_ref() {
+                    check("adaptive-2r", &name, r, b, &b.sample_points());
+                }
+            }
+        }
     }
 }
