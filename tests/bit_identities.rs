@@ -22,10 +22,11 @@
 //!   samples — on streams translated far from the origin and at large `r`,
 //!   where rounding is largest.
 //!
-//! A change to any of these sort-free or prefiltered paths extends this
-//! file with its reference and these far-translated, large-`r` inputs.
 //! The refinement tree's cached bisector units are checked by
 //! `AdaptiveHull::check_invariants`, which the summary proptests call.
+//!
+//! A change to any of these sort-free or prefiltered paths extends this
+//! file with its reference and these far-translated, large-`r` inputs.
 
 use core::f64::consts::TAU;
 use geom::dyadic::{fan_unit, DirGrid};
@@ -315,8 +316,12 @@ type Remap = fn(Point2) -> Point2;
 fn identity_inputs(r: u32) -> Vec<(String, Vec<Point2>)> {
     let variants: [(&str, Remap); 4] = [
         ("as given", |p| p),
-        ("+1e9", |p| Point2::new(p.x + 1e9, p.y - 1e9)),
-        ("+1e12", |p| Point2::new(p.x + 1e12, p.y + 1e12)),
+        ("moved by (1e9, -1e9)", |p| {
+            Point2::new(p.x + 1e9, p.y - 1e9)
+        }),
+        ("moved by (1e12, 1e12)", |p| {
+            Point2::new(p.x + 1e12, p.y + 1e12)
+        }),
         ("1e6 + 1e-6·p", |p| {
             Point2::new(1e6 + 1e-6 * p.x, 1e6 + 1e-6 * p.y)
         }),
@@ -388,6 +393,8 @@ fn adaptive_rebuilds_equal_hull_of_their_samples() {
             "{who}, r = {r}, {name}"
         );
     }
+    // Samples with an `x` of -0.0 send the linear pass to its sort.
+    let mut fell_back = 0;
     // The adaptive backends take powers of two from 8; the budgeted
     // variant rebalances in O(r²) per insert, so its sweep stops at 128.
     for r in [8u32, 16, 32, 64, 128, 1024] {
@@ -402,11 +409,15 @@ fn adaptive_rebuilds_equal_hull_of_their_samples() {
                 if !checkpoint(i + 1, pts.len()) {
                     continue;
                 }
-                check("adaptive", &name, r, &adaptive, &adaptive.sample_points());
+                let samples = adaptive.sample_points();
+                check("adaptive", &name, r, &adaptive, &samples);
+                fell_back +=
+                    usize::from(samples.iter().any(|p| p.x.to_bits() == (-0.0f64).to_bits()));
                 if let Some(b) = budget.as_ref() {
                     check("adaptive-2r", &name, r, b, &b.sample_points());
                 }
             }
         }
     }
+    assert!(fell_back > 0, "no check reached the sort fallback");
 }
