@@ -1,8 +1,10 @@
 //! A tiny generational arena for refinement-tree nodes.
 //!
 //! Nodes are addressed by [`NodeId`] = (slot index, generation). Freeing a
-//! slot bumps its generation, so stale ids held by the lazy unrefinement
-//! queue (§5.3) are detected instead of resurrecting unrelated nodes.
+//! slot bumps its generation, so a stale id is detected instead of
+//! resurrecting an unrelated node. Each slot also carries one caller-owned
+//! `u32` tag: the unrefinement queue (§5.3) keeps each node's entry index
+//! there.
 
 /// Handle to an arena slot; invalidated when the slot is freed.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -18,9 +20,15 @@ impl NodeId {
     }
 }
 
+/// Tag of a slot nobody has tagged: every insert starts from it.
+pub const UNTAGGED: u32 = u32::MAX;
+
 #[derive(Clone, Debug)]
 struct Slot<T> {
     gen: u32,
+    /// Caller-owned; sits in the padding beside `gen`, so a slot of 64-byte
+    /// values stays 72 bytes.
+    tag: u32,
     value: Option<T>,
 }
 
@@ -65,11 +73,13 @@ impl<T> Arena<T> {
             let slot = &mut self.slots[idx as usize];
             debug_assert!(slot.value.is_none());
             slot.value = Some(value);
+            slot.tag = UNTAGGED;
             NodeId { idx, gen: slot.gen }
         } else {
             let idx = u32::try_from(self.slots.len()).expect("arena overflow");
             self.slots.push(Slot {
                 gen: 0,
+                tag: UNTAGGED,
                 value: Some(value),
             });
             NodeId { idx, gen: 0 }
@@ -109,6 +119,18 @@ impl<T> Arena<T> {
     /// `true` iff the id refers to a live node.
     pub fn contains(&self, id: NodeId) -> bool {
         self.get(id).is_some()
+    }
+
+    /// The tag of `id`'s slot ([`UNTAGGED`] from insert until
+    /// [`set_tag`](Self::set_tag)). Reads the slot `id` names without a
+    /// generation check.
+    pub fn tag(&self, id: NodeId) -> u32 {
+        self.slots[id.idx as usize].tag
+    }
+
+    /// Sets the tag of `id`'s slot.
+    pub fn set_tag(&mut self, id: NodeId, tag: u32) {
+        self.slots[id.idx as usize].tag = tag;
     }
 }
 
@@ -150,6 +172,19 @@ mod tests {
         assert_eq!(a.remove(id), Some(7));
         assert_eq!(a.remove(id), None);
         assert!(a.is_empty());
+    }
+
+    #[test]
+    fn tags_start_untagged_on_every_insert() {
+        let mut a = Arena::new();
+        let id1 = a.insert(1);
+        assert_eq!(a.tag(id1), UNTAGGED);
+        a.set_tag(id1, 5);
+        assert_eq!(a.tag(id1), 5);
+        a.remove(id1);
+        let id2 = a.insert(2);
+        assert_eq!(id1.index(), id2.index());
+        assert_eq!(a.tag(id2), UNTAGGED, "a reused slot starts untagged");
     }
 
     #[test]

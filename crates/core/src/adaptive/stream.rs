@@ -61,30 +61,34 @@ enum QueueImpl {
 }
 
 impl QueueImpl {
-    fn push(&mut self, threshold: f64, id: NodeId) {
+    fn push(&mut self, threshold: f64, id: NodeId, arena: &mut Arena<Node>) {
         match self {
-            QueueImpl::Heap(q) => q.push(threshold, id),
-            QueueImpl::Bucket(q) => q.push(threshold, id),
+            QueueImpl::Heap(q) => q.push(threshold, id, arena),
+            QueueImpl::Bucket(q) => q.push(threshold, id, arena),
         }
     }
-    fn pop_due(&mut self, p: f64) -> Option<(f64, NodeId)> {
+    fn remove(&mut self, id: NodeId, arena: &mut Arena<Node>) {
         match self {
-            QueueImpl::Heap(q) => q.pop_due(p),
-            QueueImpl::Bucket(q) => q.pop_due(p),
+            QueueImpl::Heap(q) => q.remove(id, arena),
+            QueueImpl::Bucket(q) => q.remove(id, arena),
         }
     }
-    /// Is a node with (recomputed) threshold `t` due at perimeter `p` under
-    /// this queue's rounding discipline?
-    fn due(&self, t: f64, p: f64) -> bool {
+    fn pop_due(&mut self, p: f64, arena: &mut Arena<Node>) -> Option<(f64, NodeId)> {
         match self {
-            QueueImpl::Heap(_) => t <= p,
-            QueueImpl::Bucket(_) => {
-                if t <= 0.0 {
-                    true
-                } else {
-                    t.log2().floor().exp2() <= p
-                }
-            }
+            QueueImpl::Heap(q) => q.pop_due(p, arena),
+            QueueImpl::Bucket(q) => q.pop_due(p, arena),
+        }
+    }
+    fn key(&self, id: NodeId, arena: &Arena<Node>) -> Option<f64> {
+        match self {
+            QueueImpl::Heap(q) => q.key(id, arena),
+            QueueImpl::Bucket(q) => q.key(id, arena),
+        }
+    }
+    fn due_key(&self, threshold: f64) -> f64 {
+        match self {
+            QueueImpl::Heap(_) => HeapQueue::due_key(threshold),
+            QueueImpl::Bucket(_) => BucketQueue::due_key(threshold),
         }
     }
     fn len(&self) -> usize {
@@ -373,12 +377,14 @@ impl AdaptiveHull {
         (ul, ur)
     }
 
-    /// Frees a whole subtree, decrementing the active-direction count for
-    /// every internal node removed.
+    /// Frees a whole subtree, decrementing the active-direction count and
+    /// dropping the queue entry of every internal node removed.
     fn free_subtree(&mut self, id: NodeId) {
         if let Some(node) = self.arena.remove(id) {
             if let NodeKind::Internal { left, right, .. } = node.kind {
                 self.internal_count -= 1;
+                // A freed slot keeps its tag until reused.
+                self.queue.remove(id, &mut self.arena);
                 self.free_subtree(left);
                 self.free_subtree(right);
             }
@@ -393,6 +399,7 @@ impl AdaptiveHull {
             return;
         };
         self.internal_count -= 1;
+        self.queue.remove(id, &mut self.arena);
         // Free children (their own Internal descendants decrement too).
         self.free_subtree(left);
         self.free_subtree(right);
@@ -438,8 +445,11 @@ impl AdaptiveHull {
             mid: um,
         };
         self.internal_count += 1;
-        self.queue
-            .push(unrefine_threshold(s, node.range.depth, self.grid.r()), id);
+        self.queue.push(
+            unrefine_threshold(s, node.range.depth, self.grid.r()),
+            id,
+            &mut self.arena,
+        );
         self.try_refine(left, ul, um);
         self.try_refine(right, um, ur);
     }
@@ -479,13 +489,12 @@ impl AdaptiveHull {
                 let p = self.uniform.perimeter();
                 if weight(s, node.range.depth, self.grid.r(), p) <= 1.0 {
                     self.collapse(id);
-                    // A collapsed edge may immediately need re-refinement
-                    // with the new endpoints (weights are not monotone in
-                    // endpoint moves); keep the leaf invariant.
-                    self.try_refine(id, ul, ur);
                 } else {
-                    self.queue
-                        .push(unrefine_threshold(s, node.range.depth, self.grid.r()), id);
+                    self.queue.push(
+                        unrefine_threshold(s, node.range.depth, self.grid.r()),
+                        id,
+                        &mut self.arena,
+                    );
                 }
                 true
             }
@@ -493,27 +502,29 @@ impl AdaptiveHull {
     }
 
     /// Step 4: unrefine everything whose threshold the grown perimeter has
-    /// passed.
+    /// passed. Every entry carries its node's current threshold, so each
+    /// popped node collapses as it is.
     fn drain_queue(&mut self) {
         let p = self.uniform.perimeter();
-        while let Some((_, id)) = self.queue.pop_due(p) {
-            let Some(node) = self.arena.get(id) else {
-                continue; // stale id
-            };
-            let node = *node;
-            let NodeKind::Internal { .. } = node.kind else {
-                continue; // node was collapsed and is a leaf now
-            };
-            let (ul, ur) = self.boundary_units(&node.range);
-            let (a, b) = self.endpoints(id);
-            let s = slant_between(ul, ur, a, b);
-            let t = unrefine_threshold(s, node.range.depth, self.grid.r());
-            if self.queue.due(t, p) {
-                self.collapse(id);
-            } else {
-                self.queue.push(t, id);
-            }
+        while let Some((key, id)) = self.queue.pop_due(p, &mut self.arena) {
+            debug_assert_eq!(
+                key.to_bits(),
+                self.due_key(id).to_bits(),
+                "a queued threshold went stale"
+            );
+            self.collapse(id);
         }
+    }
+
+    /// The due key an internal node's queue entry must carry, derived from
+    /// its current endpoints.
+    fn due_key(&self, id: NodeId) -> f64 {
+        let range = self.node(id).range;
+        let (ul, ur) = self.boundary_units(&range);
+        let (a, b) = self.endpoints(id);
+        let s = slant_between(ul, ur, a, b);
+        self.queue
+            .due_key(unrefine_threshold(s, range.depth, self.grid.r()))
     }
 
     /// Circular range of sector indices whose trees the arc may touch
@@ -604,9 +615,17 @@ impl AdaptiveHull {
     /// Verifies the structural invariants (used heavily in tests):
     /// adjacent leaves share endpoints, sector boundaries agree with the
     /// uniform extrema, every internal node still deserves to exist (`w >
-    /// 1`, up to the queue's factor-2 rounding), and every cached bisector
-    /// unit is bit-equal to the grid's.
+    /// 1`, up to the queue's factor-2 rounding), every cached bisector
+    /// unit is bit-equal to the grid's, and the unrefinement queue holds
+    /// exactly one entry per internal node, carrying its current threshold.
     pub fn check_invariants(&self) -> Result<(), String> {
+        if self.queue.len() != self.internal_count {
+            return Err(format!(
+                "{} queue entries for {} internal nodes",
+                self.queue.len(),
+                self.internal_count
+            ));
+        }
         if self.roots.is_empty() {
             return Ok(());
         }
@@ -656,8 +675,8 @@ impl AdaptiveHull {
                 }
             }
         }
-        // 4. Every internal node has weight > 1 after draining, and caches
-        //    its bisector's exact unit.
+        // 4. Every internal node has weight > 1 after draining, caches its
+        //    bisector's exact unit, and is queued under its current key.
         let p = self.uniform.perimeter();
         for (j, &root) in self.roots.iter().enumerate() {
             let (ul, ur) = self.sector_units(j as u32);
@@ -685,6 +704,16 @@ impl AdaptiveHull {
                     node.range
                 ));
             }
+            let key = self.queue.key(id, &self.arena).map(f64::to_bits);
+            let want = self
+                .queue
+                .due_key(unrefine_threshold(s, node.range.depth, self.grid.r()));
+            if key != Some(want.to_bits()) {
+                return Err(format!(
+                    "internal node {:?} is queued under {key:?}, its threshold's key is {want}",
+                    node.range
+                ));
+            }
             self.check_internal_nodes(left, p, ul, mid)?;
             self.check_internal_nodes(right, p, mid, ur)?;
         }
@@ -698,18 +727,14 @@ impl AdaptiveHull {
     ///
     /// Nodes carry no explicit ranges on the wire: a root's range is its
     /// sector and children are the parent's bisection, so the decoder
-    /// rebuilds them exactly. The unrefinement queue is **not** encoded —
-    /// its live content is a function of the tree: every internal node
-    /// always has a queue entry carrying its current threshold (creation,
-    /// endpoint updates, and pop-recompute all re-push it), and the extra
-    /// stale/duplicate entries the lazy discipline accumulates are
-    /// behaviourally inert (popping one recomputes the current threshold
-    /// and either re-pushes or performs exactly the collapse the fresh
-    /// entry would). The decoder therefore re-seeds one entry per internal
-    /// node from its restored endpoints, which keeps snapshots at the
-    /// summary's own `O(r)` size instead of the queue's unbounded lazy
-    /// backlog — behaviour identity is pinned by the round-trip property
-    /// tests in `tests/failure_injection.rs`.
+    /// rebuilds them exactly. The unrefinement queue is **not** encoded:
+    /// it holds exactly one entry per internal node, carrying the threshold
+    /// the node's endpoints determine, so the decoder re-seeds that same
+    /// entry for every internal node from its restored endpoints. A
+    /// restored summary therefore has the original's queue length and
+    /// `approx_bytes` as well as its behaviour — pinned by the round-trip
+    /// property tests in `tests/failure_injection.rs` and the spill twins
+    /// in `tests/tenant.rs`.
     pub(crate) fn snapshot_payload(&self, out: &mut Vec<u8>) {
         use crate::snapshot::{put_u32, put_u8};
         put_u32(out, self.grid.r());
@@ -788,8 +813,7 @@ impl AdaptiveHull {
             }
             s.roots = roots;
             // Re-seed the unrefinement queue: one entry per internal node
-            // with its current threshold (see `snapshot_payload` for why
-            // this is behaviourally equivalent to the original backlog).
+            // with its current threshold, as the live summary holds it.
             for j in 0..r {
                 let (ul, ur) = s.sector_units(j);
                 s.seed_queue(s.roots[j as usize], ul, ur);
@@ -808,8 +832,11 @@ impl AdaptiveHull {
         };
         let (a, b) = self.endpoints(id);
         let s = slant_between(ul, ur, a, b);
-        self.queue
-            .push(unrefine_threshold(s, node.range.depth, self.grid.r()), id);
+        self.queue.push(
+            unrefine_threshold(s, node.range.depth, self.grid.r()),
+            id,
+            &mut self.arena,
+        );
         self.seed_queue(left, ul, mid);
         self.seed_queue(right, mid, ur);
     }

@@ -333,7 +333,8 @@ impl ClusterHull {
     /// cluster as `(stable id, nested AdaptiveHull envelope)` — the same
     /// codec all the way down. The derived per-cluster caches (hull, bbox,
     /// incircle, cost) and the pairwise merge-cost cache are pure
-    /// memoisations of that state and are recomputed on restore.
+    /// memoisations of that state and are recomputed on restore (the
+    /// pairwise cache eagerly, so `approx_bytes` survives the round trip).
     pub(crate) fn snapshot_payload(&self, out: &mut Vec<u8>) {
         use crate::snapshot::{put_bytes, put_f64, put_u32, put_u64, Snapshot};
         put_u64(out, self.config.max_clusters as u64);
@@ -402,6 +403,18 @@ impl ClusterHull {
             };
             cluster.refresh(perimeter_weight);
             s.clusters.push(cluster);
+        }
+        // The pairwise merge-cost cache holds every pair of live clusters
+        // once a merge has happened (each merge prices all pairs, then
+        // drops the loser's rows), so re-price them: the restored summary
+        // then accounts the same `approx_bytes` as the original.
+        if s.next_id > s.clusters.len() as u64 {
+            let n = s.clusters.len();
+            for i in 0..n {
+                for j in i + 1..n {
+                    s.pair_delta(i, j);
+                }
+            }
         }
         Ok(s)
     }

@@ -174,17 +174,22 @@ const CHECKSUM_LEN: usize = 8;
 /// Smallest possible envelope (header + checksum, empty payload).
 const MIN_ENVELOPE: usize = HEADER_LEN + CHECKSUM_LEN;
 
-/// Wraps `payload` in a sealed envelope carrying `tag`.
-pub(crate) fn seal(tag: u8, payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(MIN_ENVELOPE + payload.len());
+/// Seals the payload `write` appends into an envelope carrying `tag`,
+/// written in place: one buffer, trimmed to the envelope's exact length
+/// (a spilled tenant keeps it).
+pub(crate) fn seal_with(tag: u8, write: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+    let mut out = Vec::new();
     out.extend_from_slice(&MAGIC);
     out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
     out.push(tag);
     out.push(0); // reserved
-    out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    out.extend_from_slice(payload);
+    out.extend_from_slice(&[0; 8]); // payload length, patched below
+    write(&mut out);
+    let len = (out.len() - HEADER_LEN) as u64;
+    out[8..HEADER_LEN].copy_from_slice(&len.to_le_bytes());
     let checksum = fnv1a64(&out);
     out.extend_from_slice(&checksum.to_le_bytes());
+    out.shrink_to_fit();
     out
 }
 
@@ -287,11 +292,12 @@ pub struct CheckpointEnvelope<'a> {
 /// Seals `snapshot` (an already-sealed summary envelope) into a
 /// checkpoint envelope carrying the owning shard and its tick.
 pub fn seal_checkpoint(shard: u64, tick: u64, snapshot: &[u8]) -> Vec<u8> {
-    let mut payload = Vec::with_capacity(16 + 8 + snapshot.len());
-    put_u64(&mut payload, shard);
-    put_u64(&mut payload, tick);
-    put_bytes(&mut payload, snapshot);
-    seal(CHECKPOINT_TAG, &payload)
+    seal_with(CHECKPOINT_TAG, |out| {
+        out.reserve_exact(16 + 8 + snapshot.len() + CHECKSUM_LEN);
+        put_u64(out, shard);
+        put_u64(out, tick);
+        put_bytes(out, snapshot);
+    })
 }
 
 /// Validates a checkpoint envelope and returns its metadata plus the
@@ -489,6 +495,14 @@ pub(crate) fn decode_expecting<T>(
             found: tag_name(tag),
         });
     }
+    read_payload(payload, read)
+}
+
+/// Reads a whole opened payload with `read`, rejecting trailing bytes.
+pub(crate) fn read_payload<T>(
+    payload: &[u8],
+    read: impl FnOnce(&mut Reader<'_>) -> Result<T, SnapshotError>,
+) -> Result<T, SnapshotError> {
     let mut reader = Reader::new(payload);
     let value = read(&mut reader)?;
     reader.finish()?;
@@ -499,9 +513,7 @@ macro_rules! impl_snapshot {
     ($ty:path, $kind:expr) => {
         impl Snapshot for $ty {
             fn encode(&self) -> Vec<u8> {
-                let mut payload = Vec::new();
-                self.snapshot_payload(&mut payload);
-                seal(kind_tag($kind), &payload)
+                seal_with(kind_tag($kind), |out| self.snapshot_payload(out))
             }
 
             fn decode(bytes: &[u8]) -> Result<Self, SnapshotError> {
@@ -525,9 +537,7 @@ impl_snapshot!(crate::cluster::ClusterHull, SummaryKind::Cluster);
 
 impl Snapshot for crate::window::WindowedSummary {
     fn encode(&self) -> Vec<u8> {
-        let mut payload = Vec::new();
-        self.snapshot_payload(&mut payload);
-        seal(WINDOWED_TAG, &payload)
+        seal_with(WINDOWED_TAG, |out| self.snapshot_payload(out))
     }
 
     fn decode(bytes: &[u8]) -> Result<Self, SnapshotError> {
@@ -541,42 +551,61 @@ impl Snapshot for crate::window::WindowedSummary {
 pub(crate) fn restore_mergeable(
     bytes: &[u8],
 ) -> Result<Box<dyn Mergeable + Send + Sync>, SnapshotError> {
-    let (tag, _) = open(bytes)?;
+    let (tag, payload) = open(bytes)?;
+    restore_payload(summary_kind(tag)?, payload)
+}
+
+/// The backend an opened envelope's tag names; a windowed or checkpoint
+/// envelope is a [`SnapshotError::KindMismatch`].
+pub(crate) fn summary_kind(tag: u8) -> Result<SummaryKind, SnapshotError> {
     if tag == WINDOWED_TAG || tag == CHECKPOINT_TAG {
         return Err(SnapshotError::KindMismatch {
             expected: "a summary backend",
             found: tag_name(tag),
         });
     }
-    let kind = *SummaryKind::ALL
+    SummaryKind::ALL
         .get(tag as usize)
-        .ok_or(SnapshotError::UnknownKind(tag))?;
-    Ok(match kind {
-        SummaryKind::Exact => Box::new(crate::exact::ExactHull::decode(bytes)?),
-        SummaryKind::UniformNaive => Box::new(crate::uniform::NaiveUniformHull::decode(bytes)?),
-        SummaryKind::Uniform => Box::new(crate::uniform::UniformHull::decode(bytes)?),
-        SummaryKind::Radial => Box::new(crate::radial::RadialHull::decode(bytes)?),
-        SummaryKind::Frozen => Box::new(crate::frozen::FrozenHull::decode(bytes)?),
-        SummaryKind::Adaptive => Box::new(crate::adaptive::stream::AdaptiveHull::decode(bytes)?),
+        .copied()
+        .ok_or(SnapshotError::UnknownKind(tag))
+}
+
+/// Decodes an opened payload of `kind` into its backend.
+pub(crate) fn restore_payload(
+    kind: SummaryKind,
+    payload: &[u8],
+) -> Result<Box<dyn Mergeable + Send + Sync>, SnapshotError> {
+    use crate::adaptive::{AdaptiveHull, FixedBudgetAdaptiveHull};
+    use crate::uniform::{NaiveUniformHull, UniformHull};
+    use crate::{cluster::ClusterHull, exact::ExactHull, frozen::FrozenHull, radial::RadialHull};
+    fn boxed<T: Mergeable + Send + Sync + 'static>(
+        payload: &[u8],
+        read: impl FnOnce(&mut Reader<'_>) -> Result<T, SnapshotError>,
+    ) -> Result<Box<dyn Mergeable + Send + Sync>, SnapshotError> {
+        Ok(Box::new(read_payload(payload, read)?))
+    }
+    match kind {
+        SummaryKind::Exact => boxed(payload, ExactHull::from_snapshot_payload),
+        SummaryKind::UniformNaive => boxed(payload, NaiveUniformHull::from_snapshot_payload),
+        SummaryKind::Uniform => boxed(payload, UniformHull::from_snapshot_payload),
+        SummaryKind::Radial => boxed(payload, RadialHull::from_snapshot_payload),
+        SummaryKind::Frozen => boxed(payload, FrozenHull::from_snapshot_payload),
+        SummaryKind::Adaptive => boxed(payload, AdaptiveHull::from_snapshot_payload),
         SummaryKind::AdaptiveFixedBudget => {
-            Box::new(crate::adaptive::fixed_budget::FixedBudgetAdaptiveHull::decode(bytes)?)
+            boxed(payload, FixedBudgetAdaptiveHull::from_snapshot_payload)
         }
-        SummaryKind::Cluster => Box::new(crate::cluster::ClusterHull::decode(bytes)?),
-    })
+        SummaryKind::Cluster => boxed(payload, ClusterHull::from_snapshot_payload),
+    }
 }
 
 /// The [`SummaryKind`] a snapshot envelope holds, without decoding the
 /// payload (`None` for a windowed or checkpoint envelope).
 pub fn peek_kind(bytes: &[u8]) -> Result<Option<SummaryKind>, SnapshotError> {
     let (tag, _) = open(bytes)?;
-    if tag == WINDOWED_TAG || tag == CHECKPOINT_TAG {
-        return Ok(None);
+    match summary_kind(tag) {
+        Err(SnapshotError::KindMismatch { .. }) => Ok(None),
+        kind => kind.map(Some),
     }
-    SummaryKind::ALL
-        .get(tag as usize)
-        .copied()
-        .map(Some)
-        .ok_or(SnapshotError::UnknownKind(tag))
 }
 
 #[cfg(test)]
@@ -592,7 +621,7 @@ mod tests {
 
     #[test]
     fn envelope_round_trips() {
-        let sealed = seal(3, b"hello payload");
+        let sealed = seal_with(3, |out| out.extend_from_slice(b"hello payload"));
         let (tag, payload) = open(&sealed).unwrap();
         assert_eq!(tag, 3);
         assert_eq!(payload, b"hello payload");
@@ -600,7 +629,9 @@ mod tests {
 
     #[test]
     fn envelope_rejects_every_single_bit_flip() {
-        let sealed = seal(0, b"some bytes worth protecting");
+        let sealed = seal_with(0, |out| {
+            out.extend_from_slice(b"some bytes worth protecting")
+        });
         for byte in 0..sealed.len() {
             for bit in 0..8 {
                 let mut corrupt = sealed.clone();
@@ -615,7 +646,7 @@ mod tests {
 
     #[test]
     fn envelope_rejects_every_truncation() {
-        let sealed = seal(1, b"payload");
+        let sealed = seal_with(1, |out| out.extend_from_slice(b"payload"));
         for len in 0..sealed.len() {
             assert!(open(&sealed[..len]).is_err(), "length {len}");
         }
@@ -633,7 +664,7 @@ mod tests {
 
     #[test]
     fn envelope_rejects_version_skew() {
-        let mut sealed = seal(0, b"x");
+        let mut sealed = seal_with(0, |out| out.extend_from_slice(b"x"));
         sealed[4] = 99; // version low byte
         let err = open(&sealed).unwrap_err();
         // Either the version check or the checksum may fire first; the
@@ -671,7 +702,7 @@ mod tests {
 
     #[test]
     fn checkpoint_envelope_round_trips_and_rejects_corruption() {
-        let inner = seal(5, b"adaptive-ish payload");
+        let inner = seal_with(5, |out| out.extend_from_slice(b"adaptive-ish payload"));
         let sealed = seal_checkpoint(3, 4096, &inner);
         let cp = open_checkpoint(&sealed).unwrap();
         assert_eq!(cp.shard, 3);

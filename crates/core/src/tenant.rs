@@ -19,7 +19,7 @@
 //!   [`PressureReport`], the resource-pressure mirror of
 //!   [`crate::recovery::RecoveryReport`].
 //! * **Hot/cold tiering** — idle streams spill to
-//!   [`snapshot`](crate::snapshot) envelopes on an idle-tick policy and
+//!   [`snapshot`] envelopes on an idle-tick policy and
 //!   restore bit-exactly on touch. A corrupt or truncated spill is caught
 //!   by the hardened decode path and quarantines *only that tenant*; every
 //!   other stream keeps serving.
@@ -60,11 +60,10 @@ use crate::frozen::FrozenHull;
 use crate::fxhash::FxBuild;
 use crate::radial::RadialHull;
 use crate::recovery::SupervisedRun;
-use crate::snapshot::{peek_kind, Snapshot, SnapshotError};
+use crate::snapshot::{self, SnapshotError};
 use crate::summary::{chain_bound, parallel_bound, HullSummary, Mergeable};
 use crate::telemetry::{names, Scrape, Telemetry};
 use geom::{ConvexPolygon, Point2, Vec2};
-use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
@@ -546,6 +545,70 @@ enum Feed<'a> {
     Run(&'a SupervisedRun),
 }
 
+/// The direction fans and sector tables an engine shares across its
+/// tenants: one allocation per configuration, not per stream.
+#[derive(Debug, Default)]
+struct SharedTables {
+    /// Shared frozen direction fans, one per `(r, seed)`.
+    fans: HashMap<(u32, u64), Arc<[Vec2]>>,
+    /// Shared radial sector tables, one per `r`.
+    sectors: HashMap<u32, Arc<[(Vec2, bool)]>>,
+}
+
+impl SharedTables {
+    /// Builds a summary for `builder`, sharing the frozen fan / radial
+    /// sector table.
+    fn build(&mut self, builder: &SummaryBuilder) -> Box<dyn Mergeable + Send + Sync> {
+        match builder.kind() {
+            SummaryKind::Frozen => {
+                let key = (builder.r(), builder.seed());
+                let fan = self
+                    .fans
+                    .entry(key)
+                    .or_insert_with(|| builder.frozen_fan().into())
+                    .clone();
+                Box::new(FrozenHull::from_shared_units(fan))
+            }
+            SummaryKind::Radial => {
+                let r = builder.r().max(4);
+                let table = self
+                    .sectors
+                    .entry(r)
+                    .or_insert_with(|| RadialHull::sector_bounds(r))
+                    .clone();
+                Box::new(RadialHull::with_shared_bounds(r, table))
+            }
+            _ => builder.build_mergeable(),
+        }
+    }
+
+    /// Hardened decode with table re-interning: a restored frozen/radial
+    /// summary's private fan or sector table is swapped for the shared
+    /// allocation when bit-identical. Opens (and checksums) the envelope
+    /// once; the errors are those of
+    /// [`SummaryBuilder::restore`](crate::builder::SummaryBuilder::restore).
+    fn decode(&self, bytes: &[u8]) -> Result<Box<dyn Mergeable + Send + Sync>, SnapshotError> {
+        let (tag, payload) = snapshot::open(bytes)?;
+        match snapshot::summary_kind(tag)? {
+            SummaryKind::Frozen => {
+                let mut f = snapshot::read_payload(payload, FrozenHull::from_snapshot_payload)?;
+                for table in self.fans.values() {
+                    f.intern_directions(table);
+                }
+                Ok(Box::new(f))
+            }
+            SummaryKind::Radial => {
+                let mut h = snapshot::read_payload(payload, RadialHull::from_snapshot_payload)?;
+                if let Some(table) = self.sectors.get(&h.r()) {
+                    h.intern_bounds(table);
+                }
+                Ok(Box::new(h))
+            }
+            kind => snapshot::restore_payload(kind, payload),
+        }
+    }
+}
+
 /// The governed multi-tenant engine. See the [module docs](self) for the
 /// full contract; in one sentence: millions of per-stream summaries in a
 /// slab, under a byte budget that degrades gracefully instead of
@@ -560,10 +623,7 @@ pub struct TenantEngine {
     /// (see [`crate::fxhash`]) — ~4x cheaper than SipHash on the u64 key,
     /// still per-engine seeded.
     index: HashMap<StreamId, usize, FxBuild>,
-    /// Shared frozen direction fans, one per `(r, seed)`.
-    fans: HashMap<(u32, u64), Arc<[Vec2]>>,
-    /// Shared radial sector tables, one per `r`.
-    sectors: HashMap<u32, Arc<[(Vec2, bool)]>>,
+    tables: SharedTables,
     clock: u64,
     /// Source of [`Tenant::epoch`] stamps; see that field for the contract.
     next_epoch: u64,
@@ -587,8 +647,7 @@ impl TenantEngine {
             slots: Vec::new(),
             free: Vec::new(),
             index: HashMap::default(),
-            fans: HashMap::new(),
-            sectors: HashMap::new(),
+            tables: SharedTables::default(),
             clock: 0,
             next_epoch: 0,
             bytes_in_use: 0,
@@ -719,8 +778,8 @@ impl TenantEngine {
                 OverloadPolicy::Reject => {
                     // The whole batch is refused atomically, booked like
                     // any refusal: finite points, one event per stream.
-                    for (id, pts) in group_by_stream(traffic) {
-                        let n = finite_count(&pts);
+                    for (id, pts) in Grouped::new(traffic).iter() {
+                        let n = finite_count(pts);
                         if n > 0 {
                             self.report.points_rejected += n;
                             self.push_event(id, PressureAction::Rejected { points: n });
@@ -735,8 +794,8 @@ impl TenantEngine {
                     // Shed the oldest points of the batch; tally them on
                     // their tenants (admitting cheaply where possible).
                     start = traffic.len() - cap;
-                    for (id, pts) in group_by_stream(&traffic[..start]) {
-                        self.shed_points(id, finite_count(&pts));
+                    for (id, pts) in Grouped::new(&traffic[..start]).iter() {
+                        self.shed_points(id, finite_count(pts));
                     }
                 }
                 // Degrading relieves memory, not arrival rate: take the
@@ -744,13 +803,13 @@ impl TenantEngine {
                 OverloadPolicy::DegradeToCoarser => {}
             }
         }
-        for (id, pts) in group_by_stream(&traffic[start..]) {
-            match self.write(id, Feed::Points(&pts)) {
+        for (id, pts) in Grouped::new(&traffic[start..]).iter() {
+            match self.write(id, Feed::Points(pts)) {
                 Ok(()) => {}
                 Err(e) if self.config.policy == OverloadPolicy::Reject => return Err(e),
                 // Shedding/degrading engines never fail a bulk batch: the
                 // failing stream's points are shed and tallied.
-                Err(_) => self.shed_points(id, finite_count(&pts)),
+                Err(_) => self.shed_points(id, finite_count(pts)),
             }
         }
         self.clock += 1;
@@ -996,7 +1055,7 @@ impl TenantEngine {
             }
         }
         let builder = self.config.builder;
-        let summary = self.build_summary(&builder);
+        let summary = self.tables.build(&builder);
         let bytes = summary.approx_bytes();
         let epoch = self.fresh_epoch();
         let tenant = Tenant {
@@ -1029,58 +1088,6 @@ impl TenantEngine {
         self.report.streams_admitted += 1;
         self.note_peak();
         Ok(idx)
-    }
-
-    /// Builds a summary for `builder`, sharing the frozen fan / radial
-    /// sector table (one allocation per configuration, not per stream).
-    fn build_summary(&mut self, builder: &SummaryBuilder) -> Box<dyn Mergeable + Send + Sync> {
-        match builder.kind() {
-            SummaryKind::Frozen => {
-                let key = (builder.r(), builder.seed());
-                let fan = self
-                    .fans
-                    .entry(key)
-                    .or_insert_with(|| builder.frozen_fan().into())
-                    .clone();
-                Box::new(FrozenHull::from_shared_units(fan))
-            }
-            SummaryKind::Radial => {
-                let r = builder.r().max(4);
-                let table = self
-                    .sectors
-                    .entry(r)
-                    .or_insert_with(|| RadialHull::sector_bounds(r))
-                    .clone();
-                Box::new(RadialHull::with_shared_bounds(r, table))
-            }
-            _ => builder.build_mergeable(),
-        }
-    }
-
-    /// Hardened decode with table re-interning: a restored frozen/radial
-    /// summary's private fan or sector table is swapped for the engine's
-    /// shared allocation when bit-identical.
-    fn decode_interned(
-        &mut self,
-        bytes: &[u8],
-    ) -> Result<Box<dyn Mergeable + Send + Sync>, SnapshotError> {
-        match peek_kind(bytes)? {
-            Some(SummaryKind::Frozen) => {
-                let mut f = FrozenHull::decode(bytes)?;
-                for table in self.fans.values() {
-                    f.intern_directions(table);
-                }
-                Ok(Box::new(f))
-            }
-            Some(SummaryKind::Radial) => {
-                let mut h = RadialHull::decode(bytes)?;
-                if let Some(table) = self.sectors.get(&h.r()) {
-                    h.intern_bounds(table);
-                }
-                Ok(Box::new(h))
-            }
-            _ => crate::snapshot::restore_mergeable(bytes),
-        }
     }
 
     /// Hot → cold. `true` if a spill happened.
@@ -1122,7 +1129,9 @@ impl TenantEngine {
 
     /// Cold → hot (bit-exact), quarantining the tenant on a failed decode.
     fn make_hot(&mut self, idx: usize) -> Result<(), AdmissionError> {
-        let (id, envelope) = match self.slots.get(idx).and_then(|s| s.as_ref()) {
+        // Decode straight from the stored envelope; replacing the
+        // residency below drops it.
+        let (id, env_len, decoded) = match self.slots.get(idx).and_then(|s| s.as_ref()) {
             Some(t) => match &t.residency {
                 Residency::Hot(_) => return Ok(()),
                 Residency::Quarantined(e) => {
@@ -1131,7 +1140,7 @@ impl TenantEngine {
                         error: e.clone(),
                     })
                 }
-                Residency::Cold(bytes) => (t.id, bytes.clone()),
+                Residency::Cold(bytes) => (t.id, bytes.len(), self.tables.decode(bytes)),
             },
             None => {
                 return Err(AdmissionError::UnknownStream {
@@ -1139,7 +1148,7 @@ impl TenantEngine {
                 })
             }
         };
-        match self.decode_interned(&envelope) {
+        match decoded {
             Ok(summary) => {
                 let live = summary.approx_bytes();
                 let epoch = self.fresh_epoch();
@@ -1153,12 +1162,7 @@ impl TenantEngine {
                 self.hot += 1;
                 self.report.restores += 1;
                 self.note_peak();
-                self.push_event(
-                    id,
-                    PressureAction::Restored {
-                        bytes: envelope.len(),
-                    },
-                );
+                self.push_event(id, PressureAction::Restored { bytes: env_len });
                 Ok(())
             }
             Err(error) => {
@@ -1381,7 +1385,7 @@ impl TenantEngine {
         let summary = if was_cold {
             None
         } else {
-            match self.decode_interned(envelope) {
+            match self.tables.decode(envelope) {
                 Ok(s) => Some(s),
                 Err(_) => return false,
             }
@@ -1518,8 +1522,9 @@ impl TenantEngine {
             return false;
         }
         let fallback_r = (self.config.builder.r() / 4).max(4);
-        let mut coarse =
-            self.build_summary(&SummaryBuilder::new(SummaryKind::Radial).with_r(fallback_r));
+        let mut coarse = self
+            .tables
+            .build(&SummaryBuilder::new(SummaryKind::Radial).with_r(fallback_r));
         let epoch = self.fresh_epoch();
         let Some(Some(t)) = self.slots.get_mut(idx) else {
             return false;
@@ -1615,21 +1620,54 @@ impl TenantEngine {
     }
 }
 
-/// Groups `(stream, point)` traffic per stream in first-appearance order,
+/// `(stream, point)` traffic grouped per stream in first-appearance order,
 /// so admission, eviction, shedding and the event log follow the batch.
-fn group_by_stream(traffic: &[(StreamId, Point2)]) -> Vec<(StreamId, Vec<Point2>)> {
-    let mut slot: HashMap<StreamId, usize> = HashMap::new();
-    let mut groups: Vec<(StreamId, Vec<Point2>)> = Vec::new();
-    for &(id, p) in traffic {
-        match slot.entry(id) {
-            Entry::Occupied(e) => groups[*e.get()].1.push(p),
-            Entry::Vacant(e) => {
-                e.insert(groups.len());
-                groups.push((id, vec![p]));
-            }
+/// A counting sort over a keyed FxHash index lays the groups back to back
+/// in one point buffer: a batch costs a few allocations, not one per
+/// stream.
+struct Grouped {
+    /// Each stream with the end of its group in `points`.
+    groups: Vec<(StreamId, usize)>,
+    points: Vec<Point2>,
+}
+
+impl Grouped {
+    fn new(traffic: &[(StreamId, Point2)]) -> Self {
+        let mut slot: HashMap<StreamId, usize, FxBuild> = HashMap::default();
+        // Each stream's point count, then its group's start, then its end.
+        let mut groups: Vec<(StreamId, usize)> = Vec::new();
+        let mut which = Vec::with_capacity(traffic.len());
+        for &(id, _) in traffic {
+            let g = *slot.entry(id).or_insert_with(|| {
+                groups.push((id, 0));
+                groups.len() - 1
+            });
+            groups[g].1 += 1;
+            which.push(g);
         }
+        let mut start = 0;
+        for group in &mut groups {
+            let count = group.1;
+            group.1 = start;
+            start += count;
+        }
+        let mut points = vec![Point2::ORIGIN; traffic.len()];
+        for (&(_, p), &g) in traffic.iter().zip(&which) {
+            points[groups[g].1] = p;
+            groups[g].1 += 1;
+        }
+        Grouped { groups, points }
     }
-    groups
+
+    /// The groups in first-appearance order.
+    fn iter(&self) -> impl Iterator<Item = (StreamId, &[Point2])> {
+        let mut start = 0;
+        self.groups.iter().map(move |&(id, end)| {
+            let points = &self.points[start..end];
+            start = end;
+            (id, points)
+        })
+    }
 }
 
 #[cfg(test)]
@@ -1939,25 +1977,40 @@ mod tests {
 
     #[test]
     fn bulk_ingest_matches_per_stream_ingest() {
-        // Interleaved bulk traffic must land bit-identically to the same
-        // points fed stream by stream.
+        // Interleaved bulk traffic over more than a thousand streams, with
+        // non-finite points mixed in, must land bit-identically to the
+        // same points fed point by point: the same ledger per tenant and
+        // the same snapshot bytes.
         let mut bulk = engine(SummaryKind::Adaptive);
         let mut serial = engine(SummaryKind::Adaptive);
+        let streams = 1_200u64;
         let mut traffic = Vec::new();
-        for i in 0..300usize {
-            let id = StreamId((i % 7) as u64);
+        for i in 0..6_000u64 {
+            // A scrambled stream order: first appearance is not id order.
+            let id = StreamId(i * 7_919 % streams);
             let t = i as f64 * 0.1;
-            traffic.push((id, Point2::new(t.cos() * (1.0 + i as f64), t.sin())));
+            let p = match i % 97 {
+                0 => Point2::new(f64::NAN, t),
+                1 => Point2::new(t, f64::INFINITY),
+                _ => Point2::new(t.cos() * (1.0 + i as f64), t.sin()),
+            };
+            traffic.push((id, p));
         }
         bulk.ingest_bulk(&traffic).unwrap();
         for &(id, p) in &traffic {
             serial.insert(id, p).unwrap();
         }
-        for stream in 0..7u64 {
+        assert_eq!(bulk.len(), streams as usize);
+        for stream in 0..streams {
             let id = StreamId(stream);
-            let a = bulk.hull(id).unwrap();
-            let b = serial.hull(id).unwrap();
-            assert_eq!(a.vertices(), b.vertices(), "stream {stream}");
+            let (a, b) = (bulk.stats(id).unwrap(), serial.stats(id).unwrap());
+            assert_eq!(format!("{a:?}"), format!("{b:?}"), "stream {stream}");
+            assert!(bulk.spill(id) && serial.spill(id));
+            assert_eq!(
+                bulk.spilled_bytes(id),
+                serial.spilled_bytes(id),
+                "stream {stream}"
+            );
         }
     }
 

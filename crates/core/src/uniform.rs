@@ -20,9 +20,10 @@
 use crate::batch::{incircle, BatchScratch, CertCache, BATCH_LEAF, PREFILTER_MIN_DIRS};
 use crate::summary::{GenCache, HullCache, HullSummary, Mergeable};
 use core::f64::consts::TAU;
-use geom::dyadic::{fan_unit, MAX_R};
+use geom::dyadic::{fan_unit, shared_fan, MAX_R};
 use geom::tangent::visible_chain;
 use geom::{ConvexPolygon, Point2, Vec2};
+use std::borrow::Cow;
 
 /// Unit vectors of the `r` uniform directions `j·2π/r` ([`fan_unit`]).
 ///
@@ -33,6 +34,17 @@ fn direction_units(r: u32) -> Vec<Vec2> {
     assert!(r >= 4, "need at least 4 directions, got {r}");
     assert!(r <= MAX_R, "at most 2^20 directions, got {r}");
     (0..r as u64).map(|j| fan_unit(j, r as u64)).collect()
+}
+
+/// The `r` uniform direction units as `(table, stride)`, direction `j` at
+/// entry `j·stride`: a view of the shared [`fan_unit`] table for a
+/// power-of-two `r` up to 4,096, a private [`direction_units`] copy
+/// otherwise. Both are bit-equal to `fan_unit(j, r)`.
+fn direction_table(r: u32) -> (Cow<'static, [Vec2]>, usize) {
+    match shared_fan(u64::from(r)) {
+        Some((table, stride)) if r >= 4 => (Cow::Borrowed(table), stride),
+        _ => (Cow::Owned(direction_units(r)), 1),
+    }
 }
 
 /// The naive `O(r)`-per-point uniformly sampled hull (FKZ baseline).
@@ -360,7 +372,9 @@ pub enum UniformEffect {
 pub struct UniformHull {
     r: u32,
     theta0: f64,
-    units: Vec<Vec2>,
+    /// Direction `j`'s unit is `units[j·stride]` ([`direction_table`]).
+    units: Cow<'static, [Vec2]>,
+    stride: usize,
     /// Direction ownership runs, sorted by `lo`, partitioning `0..r`.
     runs: Vec<DirRun>,
     /// Strict convex hull of the extrema (cached eagerly — refreshed only
@@ -383,10 +397,12 @@ pub struct UniformHull {
 impl UniformHull {
     /// Creates the summary with `4 <= r <= 2^20` sample directions.
     pub fn new(r: u32) -> Self {
+        let (units, stride) = direction_table(r);
         UniformHull {
             r,
             theta0: TAU / r as f64,
-            units: direction_units(r),
+            units,
+            stride,
             runs: Vec::new(),
             hull: ConvexPolygon::empty(),
             perimeter: 0.0,
@@ -407,7 +423,7 @@ impl UniformHull {
 
     /// Unit vector of direction `j`.
     pub fn unit(&self, j: u32) -> Vec2 {
-        self.units[(j % self.r) as usize]
+        self.units[(j % self.r) as usize * self.stride]
     }
 
     /// Perimeter `P` of the hull of the extrema (paper §4/§5).
@@ -786,7 +802,7 @@ impl UniformHull {
             return 0.0;
         };
         // tan(θ0/2) = sin θ0 / (1 + cos θ0), from the unit table.
-        let step = self.units[1];
+        let step = self.unit(1);
         let half_tan = step.y / (1.0 + step.x);
         let slack = 16.0 * f64::EPSILON * m * self.r as f64;
         // The seed goes first: any bound reaches the initial max of 0.
@@ -924,6 +940,27 @@ impl Mergeable for UniformHull {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn units_read_the_shared_table_bit_for_bit() {
+        for r in [4u32, 8, 32, 1024, 4096, 12, 100, 1000, 8192] {
+            let h = UniformHull::new(r);
+            let shared = r.is_power_of_two() && r <= 4096;
+            assert_eq!(
+                matches!(h.units, Cow::Borrowed(_)),
+                shared,
+                "r = {r}: private copy only off the table"
+            );
+            for j in 0..2 * r {
+                let (got, want) = (h.unit(j), fan_unit(u64::from(j % r), u64::from(r)));
+                assert_eq!(
+                    (got.x.to_bits(), got.y.to_bits()),
+                    (want.x.to_bits(), want.y.to_bits()),
+                    "r = {r}, j = {j}"
+                );
+            }
+        }
+    }
 
     fn p(x: f64, y: f64) -> Point2 {
         Point2::new(x, y)

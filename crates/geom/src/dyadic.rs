@@ -65,6 +65,15 @@ pub fn fan_unit(index: u64, count: u64) -> Vec2 {
     }
 }
 
+/// The shared table behind [`fan_unit`], viewed as a fan of `count`
+/// directions: `(table, stride)` with entry `index · stride` bit-equal to
+/// `fan_unit(index, count)` for every `index < count`. `None` unless
+/// `count` is a power of two no larger than 4,096.
+pub fn shared_fan(count: u64) -> Option<(&'static [Vec2], usize)> {
+    (count.is_power_of_two() && count <= TABLE_DIRS)
+        .then(|| (unit_table(), (TABLE_DIRS / count) as usize))
+}
+
 /// A direction index on a circle subdivided into `resolution` equal parts.
 ///
 /// `Dir(n)` denotes the angle `2π·n / resolution` for the grid it belongs

@@ -14,8 +14,25 @@
 //! `uniform-naive`, `uniform`, `radial` and `adaptive-2r`; and the
 //! snapshot hash of those 8 window rows changed, because a window
 //! snapshot encodes each bucket's merge debt. Every hull, generation and
-//! `approx_bytes` column, and every other row, stayed as recorded. Each
-//! row hashes (FNV-1a)
+//! `approx_bytes` column, and every other row, stayed as recorded.
+//!
+//! A second change of meaning re-recorded one column: when the adaptive
+//! unrefinement queue came to hold one entry per internal node instead of
+//! one per endpoint change, the queue length that `approx_bytes` charges
+//! fell, so the `approx_bytes` column changed on 38 rows, old → new:
+//!
+//! | config | drift | annulus | few3 | few5 | few13 | few40 | snapped | zeros |
+//! |---|---|---|---|---|---|---|---|---|
+//! | `adaptive` | 15904 → 6112 | 18192 → 6896 | 4896 → 4576 | 5520 → 4752 | 7200 → 5280 | 9136 → 5552 | 12128 → 7328 | 7584 → 6432 |
+//! | `adaptive/bucket` | 12368 → 4880 | 11824 → 4784 | 4896 → 4576 | 5280 → 4576 | 5536 → 4224 | 7264 → 4672 | 11152 → 6800 | 6304 → 5728 |
+//! | `adaptive/r8` | 27840 → 2240 | 7264 → 2592 | 2144 → 1952 | 2528 → 1952 | 3744 → 1952 | 6944 → 1952 | 3152 → 1968 | 2624 → 2400 |
+//! | `adaptive/r128` | 39104 → 17504 | 69472 → 28096 | 13840 → 13488 | 15888 → 14896 | 21120 → 17760 | 24304 → 17200 | 31584 → 19584 | 17312 → 15520 |
+//! | `cluster` | 43440 → 27824 | 52656 → 25872 | — | — | 21040 → 20048 | 27856 → 23856 | 41456 → 30160 | 16096 → 15776 |
+//!
+//! The `few2` rows (no refinement yet), `cluster` `few3` and `few5`, and
+//! every window row (a window charges its stored points) kept their
+//! value. Every snapshot, hull, bound and generation column, and every
+//! other row, stayed as recorded. Each row hashes (FNV-1a)
 //! the sealed `encode_snapshot()` envelope and the raw IEEE-754 bits of the
 //! hull vertices, and records the raw bits of `error_bound()` (`u64::MAX`
 //! for `None`), `hull_generation()` and `approx_bytes()`.
@@ -233,15 +250,15 @@ const GOLDEN: &[(&str, &str, u64, u64, u64, u64, u64)] = &[
     ("frozen", "snapped", 0x1c3b28a6070be087, 0xbd62cc9a5f4d4581, 0xffffffffffffffff, 9, 1408),
     ("frozen", "zeros", 0x8b6a46711e877906, 0x6865e9c19dd51025, 0xffffffffffffffff, 7, 1408),
     ("frozen", "window", 0x6f39e9288edb8e02, 0x98d67ef7442b7205, 0xffffffffffffffff, 55, 3744),
-    ("adaptive", "drift", 0x7560059b8776ba60, 0x63e5d08483189ad5, 0x40242ae331c91a0c, 37, 15904),
-    ("adaptive", "annulus", 0x847427ea1a2ac610, 0x985845f14b6c6965, 0x3f8ebd154a50798f, 31, 18192),
+    ("adaptive", "drift", 0x7560059b8776ba60, 0x63e5d08483189ad5, 0x40242ae331c91a0c, 37, 6112),
+    ("adaptive", "annulus", 0x847427ea1a2ac610, 0x985845f14b6c6965, 0x3f8ebd154a50798f, 31, 6896),
     ("adaptive", "few2", 0x0558a2b5da2a1f7f, 0x6d9dc19d80f0f931, 0x40237d367153112e, 2, 4576),
-    ("adaptive", "few3", 0x4b37d09d5084ac17, 0x948dc9f3818eba10, 0x402292f939c853a2, 3, 4896),
-    ("adaptive", "few5", 0xc381ee7d5837357e, 0x80c1e7f2d86da1d2, 0x40257235fce55213, 5, 5520),
-    ("adaptive", "few13", 0x7ddf2356be6c888f, 0x95304b19c378d4e1, 0x402084d56300b9ec, 13, 7200),
-    ("adaptive", "few40", 0x105969b5b4c10786, 0xed6dba4da722ff83, 0x40240f1895ac6a5c, 8, 9136),
-    ("adaptive", "snapped", 0xbb35296258f23f02, 0xbd62cc9a5f4d4581, 0x3fe2654a1c273c44, 9, 12128),
-    ("adaptive", "zeros", 0x46ddf63e8ed9990f, 0x6865e9c19dd51025, 0x3fba03f0e9e3526d, 7, 7584),
+    ("adaptive", "few3", 0x4b37d09d5084ac17, 0x948dc9f3818eba10, 0x402292f939c853a2, 3, 4576),
+    ("adaptive", "few5", 0xc381ee7d5837357e, 0x80c1e7f2d86da1d2, 0x40257235fce55213, 5, 4752),
+    ("adaptive", "few13", 0x7ddf2356be6c888f, 0x95304b19c378d4e1, 0x402084d56300b9ec, 13, 5280),
+    ("adaptive", "few40", 0x105969b5b4c10786, 0xed6dba4da722ff83, 0x40240f1895ac6a5c, 8, 5552),
+    ("adaptive", "snapped", 0xbb35296258f23f02, 0xbd62cc9a5f4d4581, 0x3fe2654a1c273c44, 9, 7328),
+    ("adaptive", "zeros", 0x46ddf63e8ed9990f, 0x6865e9c19dd51025, 0x3fba03f0e9e3526d, 7, 6432),
     ("adaptive", "window", 0x7de88032f13ed5ff, 0x80ad994716582638, 0x40104d8388e760ac, 57, 4080),
     ("adaptive-2r", "drift", 0x2fc4ff85743fbb9f, 0x63e5d08483189ad5, 0x40242ae331c91a0c, 37, 4320),
     ("adaptive-2r", "annulus", 0x77f992626cedd0b9, 0x6828f88a8fb4f1ef, 0x3f8ebd154a50798f, 31, 5280),
@@ -253,45 +270,45 @@ const GOLDEN: &[(&str, &str, u64, u64, u64, u64, u64)] = &[
     ("adaptive-2r", "snapped", 0x5f0d67d9542ab099, 0xbd62cc9a5f4d4581, 0x3fe2654a1c273c44, 9, 4128),
     ("adaptive-2r", "zeros", 0x2280888af1f7d729, 0x6865e9c19dd51025, 0x3fba03f0e9e3526d, 7, 3936),
     ("adaptive-2r", "window", 0x1e8acb60700f86a9, 0x80ad994716582638, 0x40104d8388e760ac, 59, 4176),
-    ("cluster", "drift", 0xa0647fdbc87ab583, 0x63e5d08483189ad5, 0xffffffffffffffff, 35, 43440),
-    ("cluster", "annulus", 0x7d116088e62cb7b1, 0xd19322ba10d0166d, 0xffffffffffffffff, 35, 52656),
+    ("cluster", "drift", 0xa0647fdbc87ab583, 0x63e5d08483189ad5, 0xffffffffffffffff, 35, 27824),
+    ("cluster", "annulus", 0x7d116088e62cb7b1, 0xd19322ba10d0166d, 0xffffffffffffffff, 35, 25872),
     ("cluster", "few2", 0xfcd63b3189ecc419, 0x6d9dc19d80f0f931, 0xffffffffffffffff, 2, 6016),
     ("cluster", "few3", 0x3c7e5d097d7f64ee, 0x9ce3b36a24862c38, 0xffffffffffffffff, 2, 8928),
     ("cluster", "few5", 0xda50375c5eba1693, 0x80c1e7f2d86da1d2, 0xffffffffffffffff, 2, 13952),
-    ("cluster", "few13", 0xab053753b3544786, 0x4f5677848c5f1182, 0xffffffffffffffff, 3, 21040),
-    ("cluster", "few40", 0x5d54154c81f8a70b, 0xed6dba4da722ff83, 0xffffffffffffffff, 4, 27856),
-    ("cluster", "snapped", 0x009eb3ecb36be2c3, 0xbd62cc9a5f4d4581, 0xffffffffffffffff, 7, 41456),
-    ("cluster", "zeros", 0xd8108f88fa73a46c, 0x6865e9c19dd51025, 0xffffffffffffffff, 3, 16096),
+    ("cluster", "few13", 0xab053753b3544786, 0x4f5677848c5f1182, 0xffffffffffffffff, 3, 20048),
+    ("cluster", "few40", 0x5d54154c81f8a70b, 0xed6dba4da722ff83, 0xffffffffffffffff, 4, 23856),
+    ("cluster", "snapped", 0x009eb3ecb36be2c3, 0xbd62cc9a5f4d4581, 0xffffffffffffffff, 7, 30160),
+    ("cluster", "zeros", 0xd8108f88fa73a46c, 0x6865e9c19dd51025, 0xffffffffffffffff, 3, 15776),
     ("cluster", "window", 0x62e6bdf75d740160, 0xbe434e65eced525c, 0xffffffffffffffff, 8, 9456),
-    ("adaptive/bucket", "drift", 0xd85155a98857d6c1, 0x63e5d08483189ad5, 0x40242ae331c91a0c, 37, 12368),
-    ("adaptive/bucket", "annulus", 0x79b26900eb401486, 0x8da35e4d96984343, 0x3f8ebd154a50798f, 31, 11824),
+    ("adaptive/bucket", "drift", 0xd85155a98857d6c1, 0x63e5d08483189ad5, 0x40242ae331c91a0c, 37, 4880),
+    ("adaptive/bucket", "annulus", 0x79b26900eb401486, 0x8da35e4d96984343, 0x3f8ebd154a50798f, 31, 4784),
     ("adaptive/bucket", "few2", 0xe0ff60cfd1ae8c2d, 0x6d9dc19d80f0f931, 0x40237d367153112e, 2, 4576),
-    ("adaptive/bucket", "few3", 0xfd11595abdf83574, 0x948dc9f3818eba10, 0x402292f939c853a2, 3, 4896),
-    ("adaptive/bucket", "few5", 0x20a4cf7107141939, 0x80c1e7f2d86da1d2, 0x40257235fce55213, 5, 5280),
-    ("adaptive/bucket", "few13", 0xe2b0f52cebe1ba3c, 0x4547532adba2fd14, 0x402084d56300b9ec, 13, 5536),
-    ("adaptive/bucket", "few40", 0xc0685064889cedbc, 0xed6dba4da722ff83, 0x40240f1895ac6a5c, 8, 7264),
-    ("adaptive/bucket", "snapped", 0x35096db722a8c0f7, 0xbd62cc9a5f4d4581, 0x3fe2654a1c273c44, 9, 11152),
-    ("adaptive/bucket", "zeros", 0xa857f1186449041e, 0x6865e9c19dd51025, 0x3fba03f0e9e3526d, 7, 6304),
+    ("adaptive/bucket", "few3", 0xfd11595abdf83574, 0x948dc9f3818eba10, 0x402292f939c853a2, 3, 4576),
+    ("adaptive/bucket", "few5", 0x20a4cf7107141939, 0x80c1e7f2d86da1d2, 0x40257235fce55213, 5, 4576),
+    ("adaptive/bucket", "few13", 0xe2b0f52cebe1ba3c, 0x4547532adba2fd14, 0x402084d56300b9ec, 13, 4224),
+    ("adaptive/bucket", "few40", 0xc0685064889cedbc, 0xed6dba4da722ff83, 0x40240f1895ac6a5c, 8, 4672),
+    ("adaptive/bucket", "snapped", 0x35096db722a8c0f7, 0xbd62cc9a5f4d4581, 0x3fe2654a1c273c44, 9, 6800),
+    ("adaptive/bucket", "zeros", 0xa857f1186449041e, 0x6865e9c19dd51025, 0x3fba03f0e9e3526d, 7, 5728),
     ("adaptive/bucket", "window", 0xe27f8ab8306801be, 0xf80626ba5342a376, 0x40104d8388e760ac, 55, 3936),
-    ("adaptive/r8", "drift", 0x86078af8cef6f35b, 0x43ea7a7ca4e282fb, 0x40472fc2781283eb, 37, 27840),
-    ("adaptive/r8", "annulus", 0xe3bd2ba7e1a890f8, 0x8ead1f37a1435497, 0x3fc5f46bcdac596f, 52, 7264),
+    ("adaptive/r8", "drift", 0x86078af8cef6f35b, 0x43ea7a7ca4e282fb, 0x40472fc2781283eb, 37, 2240),
+    ("adaptive/r8", "annulus", 0xe3bd2ba7e1a890f8, 0x8ead1f37a1435497, 0x3fc5f46bcdac596f, 52, 2592),
     ("adaptive/r8", "few2", 0x54cc4fd6f02f9368, 0x6d9dc19d80f0f931, 0x40474c6802799654, 2, 1952),
-    ("adaptive/r8", "few3", 0x85b3ddfa77aba1f5, 0x948dc9f3818eba10, 0x404720a5639715cf, 3, 2144),
-    ("adaptive/r8", "few5", 0x7ce5dd2b20654457, 0xbea9c9f94889121a, 0x4047c862bea0c2b8, 5, 2528),
-    ("adaptive/r8", "few13", 0x8005f9872e8b59d2, 0xa327b7af3b6dacf5, 0x4046aa6883e85f65, 13, 3744),
-    ("adaptive/r8", "few40", 0x8ed8d74c0b13c5db, 0x8b81120807cf859a, 0x40476285242c280e, 8, 6944),
-    ("adaptive/r8", "snapped", 0xe17cc6682bc0e79f, 0x6e9e0bb5d569f755, 0x40043d136248490e, 11, 3152),
-    ("adaptive/r8", "zeros", 0x6f56ef74bf10bda8, 0x6865e9c19dd51025, 0x3fdc9f25c5bfeddd, 7, 2624),
+    ("adaptive/r8", "few3", 0x85b3ddfa77aba1f5, 0x948dc9f3818eba10, 0x404720a5639715cf, 3, 1952),
+    ("adaptive/r8", "few5", 0x7ce5dd2b20654457, 0xbea9c9f94889121a, 0x4047c862bea0c2b8, 5, 1952),
+    ("adaptive/r8", "few13", 0x8005f9872e8b59d2, 0xa327b7af3b6dacf5, 0x4046aa6883e85f65, 13, 1952),
+    ("adaptive/r8", "few40", 0x8ed8d74c0b13c5db, 0x8b81120807cf859a, 0x40476285242c280e, 8, 1952),
+    ("adaptive/r8", "snapped", 0xe17cc6682bc0e79f, 0x6e9e0bb5d569f755, 0x40043d136248490e, 11, 1968),
+    ("adaptive/r8", "zeros", 0x6f56ef74bf10bda8, 0x6865e9c19dd51025, 0x3fdc9f25c5bfeddd, 7, 2400),
     ("adaptive/r8", "window", 0x225728227d50c189, 0x2fc18011d4f18177, 0x4038265965e7b6fa, 48, 3024),
-    ("adaptive/r128", "drift", 0x8d1bc8790029ddfa, 0x23faf1fc7a1583cc, 0x3feb4c9e518e0a4d, 36, 39104),
-    ("adaptive/r128", "annulus", 0x8f308673d54cc412, 0x099d1f8486b24ea7, 0x3f5d5e484b1053ac, 29, 69472),
+    ("adaptive/r128", "drift", 0x8d1bc8790029ddfa, 0x23faf1fc7a1583cc, 0x3feb4c9e518e0a4d, 36, 17504),
+    ("adaptive/r128", "annulus", 0x8f308673d54cc412, 0x099d1f8486b24ea7, 0x3f5d5e484b1053ac, 29, 28096),
     ("adaptive/r128", "few2", 0x2066c999aaa80a96, 0x6d9dc19d80f0f931, 0x3f995c05f75b1eed, 2, 12960),
-    ("adaptive/r128", "few3", 0x159f62a49d5aafcc, 0x9ce3b36a24862c38, 0x3fe9efcf7c2d1879, 3, 13840),
-    ("adaptive/r128", "few5", 0x4d633ff40b224971, 0x80c1e7f2d86da1d2, 0x3ff9f8e39adb6612, 5, 15888),
-    ("adaptive/r128", "few13", 0x5ac997d0c9305662, 0x4f5677848c5f1182, 0x3ff9ceadf236e826, 13, 21120),
-    ("adaptive/r128", "few40", 0x60620e800dc3679b, 0x4f756c5f0f29d947, 0x3ff5f023114fc916, 8, 24304),
-    ("adaptive/r128", "snapped", 0x85c87816eeda6055, 0xbd62cc9a5f4d4581, 0x3fc3bf5829a86a03, 9, 31584),
-    ("adaptive/r128", "zeros", 0x136bd3a0b4c13c9e, 0x6865e9c19dd51025, 0x3f9bc4e3b9462fbf, 7, 17312),
+    ("adaptive/r128", "few3", 0x159f62a49d5aafcc, 0x9ce3b36a24862c38, 0x3fe9efcf7c2d1879, 3, 13488),
+    ("adaptive/r128", "few5", 0x4d633ff40b224971, 0x80c1e7f2d86da1d2, 0x3ff9f8e39adb6612, 5, 14896),
+    ("adaptive/r128", "few13", 0x5ac997d0c9305662, 0x4f5677848c5f1182, 0x3ff9ceadf236e826, 13, 17760),
+    ("adaptive/r128", "few40", 0x60620e800dc3679b, 0x4f756c5f0f29d947, 0x3ff5f023114fc916, 8, 17200),
+    ("adaptive/r128", "snapped", 0x85c87816eeda6055, 0xbd62cc9a5f4d4581, 0x3fc3bf5829a86a03, 9, 19584),
+    ("adaptive/r128", "zeros", 0x136bd3a0b4c13c9e, 0x6865e9c19dd51025, 0x3f9bc4e3b9462fbf, 7, 15520),
     ("adaptive/r128", "window", 0x9a413b50a3a52b52, 0xbe434e65eced525c, 0x3feb785864fd1216, 58, 4224),
 ];
 

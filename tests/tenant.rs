@@ -29,8 +29,12 @@ fn builder_for(kind_idx: usize, rexp: u32, seed: u64) -> SummaryBuilder {
     SummaryBuilder::new(kind).with_r(1 << rexp).with_seed(seed)
 }
 
-/// A summary's observable state, captured with bit-exact float identity.
-fn fingerprint(s: &dyn HullSummary) -> (Vec<(u64, u64)>, Option<u64>, usize, u64) {
+/// A summary's observable answers (hull vertices, error bound, sample
+/// size, points seen), captured with bit-exact float identity, and its
+/// accounted footprint.
+type Fingerprint = ((Vec<(u64, u64)>, Option<u64>, usize, u64), usize);
+
+fn fingerprint(s: &dyn HullSummary) -> Fingerprint {
     let verts: Vec<(u64, u64)> = s
         .hull()
         .vertices()
@@ -38,7 +42,10 @@ fn fingerprint(s: &dyn HullSummary) -> (Vec<(u64, u64)>, Option<u64>, usize, u64
         .map(|p| (p.x.to_bits(), p.y.to_bits()))
         .collect();
     let bound = s.error_bound().map(f64::to_bits);
-    (verts, bound, s.sample_size(), s.points_seen())
+    (
+        (verts, bound, s.sample_size(), s.points_seen()),
+        s.approx_bytes(),
+    )
 }
 
 proptest! {
@@ -46,8 +53,9 @@ proptest! {
 
     // Tentpole guarantee: spill -> idle -> touch -> restore is invisible.
     // A tenant that went cold and came back answers identically (hull
-    // vertices, error bound, sample size, points seen — all bit-exact)
-    // to a twin that never spilled, and stays identical under further
+    // vertices, error bound, sample size, points seen — all bit-exact) to
+    // a bare summary that never spilled, accounts the same `approx_bytes`
+    // as a tenant that never spilled, and stays identical under further
     // ingestion. Runs over all eight backends.
     #[test]
     fn spilled_tenant_is_bit_identical_to_never_spilled_twin(
@@ -63,9 +71,14 @@ proptest! {
         let id = StreamId(7);
         engine.insert_batch(id, &before).unwrap();
 
-        // The never-spilled twin ingests the same stream directly.
+        // Two never-spilled twins ingest the same stream: a bare summary,
+        // and a tenant of an engine that never ticks. Only the tenant
+        // shares frozen fans and radial sector tables the way the spilled
+        // tenant does, so only its footprint is comparable.
         let mut twin = builder.build();
         twin.insert_batch(&before);
+        let mut hot = TenantEngine::new(config);
+        hot.insert_batch(id, &before).unwrap();
 
         // Idle the tenant past the spill threshold. The idle sweep only
         // takes spills that shrink the footprint; tiny streams whose
@@ -78,15 +91,16 @@ proptest! {
         prop_assert_eq!(engine.tier(id), Some(Tier::Cold), "tenant should have spilled");
         let restored = fingerprint(engine.summary(id).unwrap());
         prop_assert_eq!(engine.tier(id), Some(Tier::Hot), "touch should restore");
-        prop_assert_eq!(&restored, &fingerprint(twin.as_ref()));
+        prop_assert_eq!(&restored.0, &fingerprint(twin.as_ref()).0);
+        prop_assert_eq!(&restored, &fingerprint(hot.summary(id).unwrap()));
 
         // Restoration must not perturb future behaviour either.
         engine.insert_batch(id, &after).unwrap();
         twin.insert_batch(&after);
-        prop_assert_eq!(
-            &fingerprint(engine.summary(id).unwrap()),
-            &fingerprint(twin.as_ref())
-        );
+        hot.insert_batch(id, &after).unwrap();
+        let resumed = fingerprint(engine.summary(id).unwrap());
+        prop_assert_eq!(&resumed.0, &fingerprint(twin.as_ref()).0);
+        prop_assert_eq!(&resumed, &fingerprint(hot.summary(id).unwrap()));
     }
 }
 
@@ -95,8 +109,9 @@ proptest! {
 
     // Corruption blast radius: flip any byte of any tenant's spilled
     // envelope and only that tenant is quarantined — the touch returns a
-    // typed [`AdmissionError::Quarantined`], never panics, and every
-    // other tenant keeps serving queries.
+    // typed [`AdmissionError::Quarantined`] carrying the error
+    // `SummaryBuilder::restore` gives for the same bytes, never panics,
+    // and every other tenant keeps serving queries.
     #[test]
     fn corrupt_spill_quarantines_exactly_one_tenant(
         kind_idx in 0usize..SummaryKind::ALL.len(),
@@ -121,10 +136,14 @@ proptest! {
         let id = StreamId(victim);
         let len = engine.spilled_bytes(id).unwrap().len();
         prop_assert!(engine.corrupt_spill(id, offset % len, mask));
+        let corrupt = engine.spilled_bytes(id).unwrap().to_vec();
+        let want = SummaryBuilder::restore(&corrupt).err();
+        prop_assert!(want.is_some(), "a corrupt envelope must not restore");
 
         match engine.summary(id) {
-            Err(AdmissionError::Quarantined { stream, .. }) => {
+            Err(AdmissionError::Quarantined { stream, error }) => {
                 prop_assert_eq!(stream, id);
+                prop_assert_eq!(Some(error), want);
             }
             other => prop_assert!(false, "expected Quarantined, got {:?}", other.map(|_| ())),
         }
