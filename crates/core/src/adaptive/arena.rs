@@ -2,7 +2,7 @@
 //!
 //! Nodes are addressed by [`NodeId`] = (slot index, generation). Freeing a
 //! slot bumps its generation, so a stale id is detected instead of
-//! resurrecting an unrelated node. Each slot also carries one caller-owned
+//! resurrecting an unrelated node. Each slot also carries one crate-private
 //! `u32` tag: the unrefinement queue (§5.3) keeps each node's entry index
 //! there.
 
@@ -21,7 +21,7 @@ impl NodeId {
 }
 
 /// Tag of a slot nobody has tagged: every insert starts from it.
-pub const UNTAGGED: u32 = u32::MAX;
+pub(crate) const UNTAGGED: u32 = u32::MAX;
 
 #[derive(Clone, Debug)]
 struct Slot<T> {
@@ -124,12 +124,12 @@ impl<T> Arena<T> {
     /// The tag of `id`'s slot ([`UNTAGGED`] from insert until
     /// [`set_tag`](Self::set_tag)). Reads the slot `id` names without a
     /// generation check.
-    pub fn tag(&self, id: NodeId) -> u32 {
+    pub(crate) fn tag(&self, id: NodeId) -> u32 {
         self.slots[id.idx as usize].tag
     }
 
     /// Sets the tag of `id`'s slot.
-    pub fn set_tag(&mut self, id: NodeId, tag: u32) {
+    pub(crate) fn set_tag(&mut self, id: NodeId, tag: u32) {
         self.slots[id.idx as usize].tag = tag;
     }
 }

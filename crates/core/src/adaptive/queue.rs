@@ -11,10 +11,10 @@
 //! current `P`. The queue's length is therefore the number of internal
 //! nodes, `O(r)`, however long the stream.
 //!
-//! A queue finds a node's entry through the node's arena tag
-//! ([`Arena::tag`]), which it keeps equal to the entry's index; an
-//! unqueued node's tag is [`UNTAGGED`]. The tag lives in the padding of
-//! the arena slot, so the index costs no memory and no allocation.
+//! A queue finds a node's entry through a crate-private `u32` tag in the
+//! node's arena slot, which it keeps equal to the entry's index (an
+//! unqueued node's tag is `UNTAGGED`). The tag lives in the padding of the
+//! arena slot, so the index costs no memory and no allocation.
 //!
 //! Two implementations, compared by the `queue_ablation` bench:
 //!
@@ -22,7 +22,9 @@
 //! * [`BucketQueue`] — Matias' power-of-two bucketing: thresholds are
 //!   rounded down to `2^⌊log2⌋`, so a replacement within a bucket is free
 //!   and a due entry pops in `O(1)`, at the cost of unrefining slightly
-//!   early (the error stays `O(D/r²)`, §5.3).
+//!   early (the error stays `O(D/r²)`, §5.3). Any other push, replace or
+//!   remove moves one entry per bucket boundary it crosses, `O(B)` for
+//!   `B` live buckets.
 
 use crate::adaptive::arena::{Arena, NodeId, UNTAGGED};
 
@@ -176,7 +178,7 @@ impl UnrefineQueue for HeapQueue {
     }
 }
 
-/// Power-of-two bucket queue (`PriQ(r) = O(1)`, §5.3).
+/// Power-of-two bucket queue (§5.3).
 ///
 /// Thresholds are bucketed by binary exponent (`f64::log2` floor). A node
 /// in bucket `e` becomes due when `P >= 2^e`, which is at most a factor 2
@@ -184,13 +186,20 @@ impl UnrefineQueue for HeapQueue {
 /// relaxation the paper proves harmless.
 ///
 /// The entries sit in one vector, grouped by bucket from the highest
-/// exponent down, so the first bucket to come due ends the vector and a
-/// due entry pops off its end. Moving an entry to another bucket, or
-/// removing it, passes one entry across each bucket boundary between its
-/// place and the end: `O(1)` per distinct exponent in between.
+/// exponent down, and a short list records where each live bucket starts.
+/// The first bucket to come due ends the vector, so a due entry pops off
+/// its end in `O(1)`, and a replacement within its bucket is `O(1)` too.
+/// Adding an entry, moving it to another bucket or removing it passes one
+/// entry across each bucket boundary between its place and the end:
+/// `O(B)` for `B` live buckets, the number of distinct threshold exponents
+/// queued, rather than the paper's `O(1)`.
 #[derive(Debug, Default, Clone)]
 pub struct BucketQueue {
-    entries: Vec<(i16, NodeId)>,
+    /// Queued nodes, grouped by bucket from the highest exponent down.
+    entries: Vec<NodeId>,
+    /// `(exponent, index of its first entry)` of every non-empty bucket,
+    /// in the order of `entries`.
+    buckets: Vec<(i16, u32)>,
 }
 
 impl BucketQueue {
@@ -218,70 +227,108 @@ impl BucketQueue {
         }
     }
 
-    /// Writes `entry` at index `i` and points its node's tag there.
-    fn place<T>(&mut self, i: usize, entry: (i16, NodeId), arena: &mut Arena<T>) {
-        self.entries[i] = entry;
-        arena.set_tag(entry.1, i as u32);
+    /// Position in `buckets` of the bucket holding entry `i`.
+    fn bucket_of(&self, i: usize) -> usize {
+        self.buckets
+            .partition_point(|&(_, first)| first as usize <= i)
+            - 1
     }
 
-    /// Closes the hole at `hole` (an entry already untagged): each bucket
-    /// from the hole's to the end passes its last entry back into the hole,
-    /// then the vector drops its last slot.
-    fn close<T>(&mut self, mut hole: usize, arena: &mut Arena<T>) {
-        let last = self.entries.len() - 1;
-        while hole < last {
-            let e = self.entries[hole + 1].0;
-            let end = hole + self.entries[hole + 1..].partition_point(|&(x, _)| x == e);
-            self.place(hole, self.entries[end], arena);
-            hole = end;
+    /// One past the last entry of bucket `k`.
+    fn end(&self, k: usize) -> usize {
+        self.buckets
+            .get(k + 1)
+            .map_or(self.entries.len(), |&(_, first)| first as usize)
+    }
+
+    /// Writes `id` at index `i` and points its tag there.
+    fn place<T>(&mut self, i: usize, id: NodeId, arena: &mut Arena<T>) {
+        self.entries[i] = id;
+        arena.set_tag(id, i as u32);
+    }
+
+    /// Closes the hole an entry leaving bucket `k` makes at `hole`: each
+    /// bucket from `k` to the end passes its last entry into the hole, and
+    /// every later bucket starts one slot earlier.
+    fn close<T>(&mut self, mut hole: usize, k: usize, arena: &mut Arena<T>) {
+        for j in k..self.buckets.len() {
+            if j > k {
+                self.buckets[j].1 -= 1;
+            }
+            let last = self.end(j) - 1;
+            if last != hole {
+                self.place(hole, self.entries[last], arena);
+            }
+            hole = last;
         }
         self.entries.pop();
+        if self.end(k) == self.buckets[k].1 as usize {
+            self.buckets.remove(k);
+        }
     }
 }
 
 impl UnrefineQueue for BucketQueue {
     fn push<T>(&mut self, threshold: f64, id: NodeId, arena: &mut Arena<T>) {
         let e = Self::exponent(threshold);
-        match arena.tag(id) {
-            UNTAGGED => {}
-            at if self.entries[at as usize].0 == e => return,
-            at => self.close(at as usize, arena),
+        let at = arena.tag(id);
+        if at != UNTAGGED {
+            let k = self.bucket_of(at as usize);
+            if self.buckets[k].0 == e {
+                return;
+            }
+            self.close(at as usize, k, arena);
+        }
+        let k = self.buckets.partition_point(|&(x, _)| x > e);
+        if self.buckets.get(k).is_none_or(|&(x, _)| x != e) {
+            // A new, empty bucket `e` where the next lower one starts.
+            let first = self
+                .buckets
+                .get(k)
+                .map_or(self.entries.len(), |b| b.1 as usize);
+            self.buckets.insert(k, (e, first as u32));
         }
         // Open a hole at the end; each lower bucket passes its first entry
-        // to the hole after its last, until the hole ends bucket `e`.
+        // to the hole after its last and starts one slot later, until the
+        // hole ends bucket `e`.
         let mut hole = self.entries.len();
-        self.entries.push((e, id));
-        while hole > 0 && self.entries[hole - 1].0 < e {
-            let lower = self.entries[hole - 1].0;
-            let first = self.entries[..hole].partition_point(|&(x, _)| x > lower);
-            self.place(hole, self.entries[first], arena);
+        self.entries.push(id);
+        for j in (k + 1..self.buckets.len()).rev() {
+            let first = self.buckets[j].1 as usize;
+            if first != hole {
+                self.place(hole, self.entries[first], arena);
+            }
+            self.buckets[j].1 += 1;
             hole = first;
         }
-        self.place(hole, (e, id), arena);
+        self.place(hole, id, arena);
     }
 
     fn remove<T>(&mut self, id: NodeId, arena: &mut Arena<T>) {
         let at = arena.tag(id);
         if at != UNTAGGED {
             arena.set_tag(id, UNTAGGED);
-            self.close(at as usize, arena);
+            self.close(at as usize, self.bucket_of(at as usize), arena);
         }
     }
 
     fn pop_due<T>(&mut self, p: f64, arena: &mut Arena<T>) -> Option<(f64, NodeId)> {
-        let &(e, id) = self.entries.last()?;
+        let &(e, first) = self.buckets.last()?;
         let floor = Self::floor(e);
         if p < floor {
             return None;
         }
-        self.entries.pop();
+        let id = self.entries.pop()?;
+        if first as usize == self.entries.len() {
+            self.buckets.pop();
+        }
         arena.set_tag(id, UNTAGGED);
         Some((floor, id))
     }
 
     fn key<T>(&self, id: NodeId, arena: &Arena<T>) -> Option<f64> {
-        let &(e, at) = self.entries.get(arena.tag(id) as usize)?;
-        (at == id).then(|| Self::floor(e))
+        let at = arena.tag(id) as usize;
+        (self.entries.get(at) == Some(&id)).then(|| Self::floor(self.buckets[self.bucket_of(at)].0))
     }
 
     fn due_key(threshold: f64) -> f64 {

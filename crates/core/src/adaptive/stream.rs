@@ -49,8 +49,9 @@ pub enum QueueKind {
     /// Binary min-heap: exact thresholds, `O(log r)` per operation.
     #[default]
     Heap,
-    /// Power-of-two buckets: `O(1)` per operation, unrefines up to a factor
-    /// of two early (§5.3; error stays `O(D/r²)`).
+    /// Power-of-two buckets: `O(1)` to pop or to replace within a bucket,
+    /// `O(1)` per bucket boundary crossed otherwise; unrefines up to a
+    /// factor of two early (§5.3; error stays `O(D/r²)`).
     Bucket,
 }
 
