@@ -1,7 +1,8 @@
 //! Ablation (paper §5.3): exact binary-heap unrefinement queue vs the
-//! Matias power-of-two bucket queue (`PriQ(r) = O(log r)` vs `O(1)`),
-//! on a growing stream where the perimeter keeps increasing and
-//! unrefinement actually fires (outward spiral).
+//! Matias power-of-two bucket queue (`PriQ(r) = O(log r)` vs `O(B)` per
+//! move for `B` live buckets, `O(1)` to pop), on a growing stream where
+//! the perimeter keeps increasing and unrefinement actually fires
+//! (outward spiral).
 
 use adaptive_hull::adaptive::{AdaptiveHullConfig, QueueKind};
 use adaptive_hull::{AdaptiveHull, HullSummary};

@@ -1,9 +1,8 @@
 //! Adaptive sampling (papers §4 and §5): the static scheme, the streaming
 //! scheme, and the fixed-budget variant used by the paper's experiments.
 
-pub mod arena;
 pub mod fixed_budget;
-pub mod queue;
+pub(crate) mod queue;
 pub mod static_;
 pub mod stream;
 pub mod weight;

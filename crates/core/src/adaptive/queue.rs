@@ -11,10 +11,12 @@
 //! current `P`. The queue's length is therefore the number of internal
 //! nodes, `O(r)`, however long the stream.
 //!
-//! A queue finds a node's entry through a crate-private `u32` tag in the
-//! node's arena slot, which it keeps equal to the entry's index (an
-//! unqueued node's tag is `UNTAGGED`). The tag lives in the padding of the
-//! arena slot, so the index costs no memory and no allocation.
+//! A node is a `u32` id, and a queue finds its entry through a `u32` tag
+//! the caller stores per id ([`Tags`]), which the queue keeps equal to the
+//! entry's index (an unqueued node's tag is [`UNTAGGED`]). The adaptive
+//! hull names each internal node by the leaf record at its bisector and
+//! keeps the tag in that record's padding, so the index costs no memory
+//! and no allocation.
 //!
 //! Two implementations, compared by the `queue_ablation` bench:
 //!
@@ -26,22 +28,32 @@
 //!   remove moves one entry per bucket boundary it crosses, `O(B)` for
 //!   `B` live buckets.
 
-use crate::adaptive::arena::{Arena, NodeId, UNTAGGED};
+/// Tag of a node without a queue entry.
+pub(crate) const UNTAGGED: u32 = u32::MAX;
+
+/// Per-node tag storage a queue keeps its entry indices in.
+pub(crate) trait Tags {
+    /// The tag of node `id` ([`UNTAGGED`] until a queue sets it).
+    fn tag(&self, id: u32) -> u32;
+
+    /// Sets the tag of node `id`.
+    fn set_tag(&mut self, id: u32, tag: u32);
+}
 
 /// Common interface of the unrefinement queues. Each method takes the
-/// arena that holds the queued nodes, whose tags the queue maintains.
-pub trait UnrefineQueue {
+/// tags of the queued nodes, which the queue maintains.
+pub(crate) trait UnrefineQueue {
     /// Queues `id` with `threshold`, replacing its entry if it has one.
-    fn push<T>(&mut self, threshold: f64, id: NodeId, arena: &mut Arena<T>);
+    fn push<T: Tags + ?Sized>(&mut self, threshold: f64, id: u32, tags: &mut T);
 
     /// Drops `id`'s entry, if it has one.
-    fn remove<T>(&mut self, id: NodeId, arena: &mut Arena<T>);
+    fn remove<T: Tags + ?Sized>(&mut self, id: u32, tags: &mut T);
 
     /// Pops one entry whose due key is `<= p`, if any, as `(key, id)`.
-    fn pop_due<T>(&mut self, p: f64, arena: &mut Arena<T>) -> Option<(f64, NodeId)>;
+    fn pop_due<T: Tags + ?Sized>(&mut self, p: f64, tags: &mut T) -> Option<(f64, u32)>;
 
     /// The due key of `id`'s entry (`None` if it has none).
-    fn key<T>(&self, id: NodeId, arena: &Arena<T>) -> Option<f64>;
+    fn key<T: Tags + ?Sized>(&self, id: u32, tags: &T) -> Option<f64>;
 
     /// The key under which an entry with `threshold` comes due: the
     /// threshold itself, or the floor of its bucket.
@@ -49,18 +61,13 @@ pub trait UnrefineQueue {
 
     /// Number of queued entries.
     fn len(&self) -> usize;
-
-    /// `true` iff no entries are queued.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
 }
 
 /// Heap entry.
 #[derive(Debug, Clone, Copy)]
 struct Entry {
     threshold: f64,
-    id: NodeId,
+    id: u32,
 }
 
 impl Entry {
@@ -74,31 +81,31 @@ impl Entry {
 
 /// Indexed binary-heap threshold queue (`PriQ(r) = O(log r)`).
 #[derive(Debug, Default, Clone)]
-pub struct HeapQueue {
+pub(crate) struct HeapQueue {
     heap: Vec<Entry>,
 }
 
 impl HeapQueue {
     /// Creates an empty queue.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Writes `e` at index `i` and points its node's tag there.
-    fn place<T>(&mut self, i: usize, e: Entry, arena: &mut Arena<T>) {
+    fn place<T: Tags + ?Sized>(&mut self, i: usize, e: Entry, tags: &mut T) {
         self.heap[i] = e;
-        arena.set_tag(e.id, i as u32);
+        tags.set_tag(e.id, i as u32);
     }
 
     /// Moves the entry at `i` up or down to its heap position.
-    fn sift<T>(&mut self, mut i: usize, arena: &mut Arena<T>) {
+    fn sift<T: Tags + ?Sized>(&mut self, mut i: usize, tags: &mut T) {
         let e = self.heap[i];
         while i > 0 {
             let parent = (i - 1) / 2;
             if !e.before(&self.heap[parent]) {
                 break;
             }
-            self.place(i, self.heap[parent], arena);
+            self.place(i, self.heap[parent], tags);
             i = parent;
         }
         loop {
@@ -115,27 +122,27 @@ impl HeapQueue {
             if !self.heap[child].before(&e) {
                 break;
             }
-            self.place(i, self.heap[child], arena);
+            self.place(i, self.heap[child], tags);
             i = child;
         }
-        self.place(i, e, arena);
+        self.place(i, e, tags);
     }
 
     /// Removes the entry at `i`, untagging its node.
-    fn take<T>(&mut self, i: usize, arena: &mut Arena<T>) -> Entry {
+    fn take<T: Tags + ?Sized>(&mut self, i: usize, tags: &mut T) -> Entry {
         let e = self.heap.swap_remove(i);
-        arena.set_tag(e.id, UNTAGGED);
+        tags.set_tag(e.id, UNTAGGED);
         if i < self.heap.len() {
-            self.sift(i, arena);
+            self.sift(i, tags);
         }
         e
     }
 }
 
 impl UnrefineQueue for HeapQueue {
-    fn push<T>(&mut self, threshold: f64, id: NodeId, arena: &mut Arena<T>) {
+    fn push<T: Tags + ?Sized>(&mut self, threshold: f64, id: u32, tags: &mut T) {
         let e = Entry { threshold, id };
-        let i = match arena.tag(id) {
+        let i = match tags.tag(id) {
             UNTAGGED => {
                 self.heap.push(e);
                 self.heap.len() - 1
@@ -145,27 +152,27 @@ impl UnrefineQueue for HeapQueue {
                 at as usize
             }
         };
-        self.sift(i, arena);
+        self.sift(i, tags);
     }
 
-    fn remove<T>(&mut self, id: NodeId, arena: &mut Arena<T>) {
-        let at = arena.tag(id);
+    fn remove<T: Tags + ?Sized>(&mut self, id: u32, tags: &mut T) {
+        let at = tags.tag(id);
         if at != UNTAGGED {
-            self.take(at as usize, arena);
+            self.take(at as usize, tags);
         }
     }
 
-    fn pop_due<T>(&mut self, p: f64, arena: &mut Arena<T>) -> Option<(f64, NodeId)> {
+    fn pop_due<T: Tags + ?Sized>(&mut self, p: f64, tags: &mut T) -> Option<(f64, u32)> {
         if self.heap.first()?.threshold <= p {
-            let e = self.take(0, arena);
+            let e = self.take(0, tags);
             Some((e.threshold, e.id))
         } else {
             None
         }
     }
 
-    fn key<T>(&self, id: NodeId, arena: &Arena<T>) -> Option<f64> {
-        let e = self.heap.get(arena.tag(id) as usize)?;
+    fn key<T: Tags + ?Sized>(&self, id: u32, tags: &T) -> Option<f64> {
+        let e = self.heap.get(tags.tag(id) as usize)?;
         (e.id == id).then_some(e.threshold)
     }
 
@@ -194,9 +201,9 @@ impl UnrefineQueue for HeapQueue {
 /// `O(B)` for `B` live buckets, the number of distinct threshold exponents
 /// queued, rather than the paper's `O(1)`.
 #[derive(Debug, Default, Clone)]
-pub struct BucketQueue {
+pub(crate) struct BucketQueue {
     /// Queued nodes, grouped by bucket from the highest exponent down.
-    entries: Vec<NodeId>,
+    entries: Vec<u32>,
     /// `(exponent, index of its first entry)` of every non-empty bucket,
     /// in the order of `entries`.
     buckets: Vec<(i16, u32)>,
@@ -204,7 +211,7 @@ pub struct BucketQueue {
 
 impl BucketQueue {
     /// Creates an empty queue.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
@@ -242,22 +249,22 @@ impl BucketQueue {
     }
 
     /// Writes `id` at index `i` and points its tag there.
-    fn place<T>(&mut self, i: usize, id: NodeId, arena: &mut Arena<T>) {
+    fn place<T: Tags + ?Sized>(&mut self, i: usize, id: u32, tags: &mut T) {
         self.entries[i] = id;
-        arena.set_tag(id, i as u32);
+        tags.set_tag(id, i as u32);
     }
 
     /// Closes the hole an entry leaving bucket `k` makes at `hole`: each
     /// bucket from `k` to the end passes its last entry into the hole, and
     /// every later bucket starts one slot earlier.
-    fn close<T>(&mut self, mut hole: usize, k: usize, arena: &mut Arena<T>) {
+    fn close<T: Tags + ?Sized>(&mut self, mut hole: usize, k: usize, tags: &mut T) {
         for j in k..self.buckets.len() {
             if j > k {
                 self.buckets[j].1 -= 1;
             }
             let last = self.end(j) - 1;
             if last != hole {
-                self.place(hole, self.entries[last], arena);
+                self.place(hole, self.entries[last], tags);
             }
             hole = last;
         }
@@ -269,15 +276,15 @@ impl BucketQueue {
 }
 
 impl UnrefineQueue for BucketQueue {
-    fn push<T>(&mut self, threshold: f64, id: NodeId, arena: &mut Arena<T>) {
+    fn push<T: Tags + ?Sized>(&mut self, threshold: f64, id: u32, tags: &mut T) {
         let e = Self::exponent(threshold);
-        let at = arena.tag(id);
+        let at = tags.tag(id);
         if at != UNTAGGED {
             let k = self.bucket_of(at as usize);
             if self.buckets[k].0 == e {
                 return;
             }
-            self.close(at as usize, k, arena);
+            self.close(at as usize, k, tags);
         }
         let k = self.buckets.partition_point(|&(x, _)| x > e);
         if self.buckets.get(k).is_none_or(|&(x, _)| x != e) {
@@ -296,23 +303,23 @@ impl UnrefineQueue for BucketQueue {
         for j in (k + 1..self.buckets.len()).rev() {
             let first = self.buckets[j].1 as usize;
             if first != hole {
-                self.place(hole, self.entries[first], arena);
+                self.place(hole, self.entries[first], tags);
             }
             self.buckets[j].1 += 1;
             hole = first;
         }
-        self.place(hole, id, arena);
+        self.place(hole, id, tags);
     }
 
-    fn remove<T>(&mut self, id: NodeId, arena: &mut Arena<T>) {
-        let at = arena.tag(id);
+    fn remove<T: Tags + ?Sized>(&mut self, id: u32, tags: &mut T) {
+        let at = tags.tag(id);
         if at != UNTAGGED {
-            arena.set_tag(id, UNTAGGED);
-            self.close(at as usize, self.bucket_of(at as usize), arena);
+            tags.set_tag(id, UNTAGGED);
+            self.close(at as usize, self.bucket_of(at as usize), tags);
         }
     }
 
-    fn pop_due<T>(&mut self, p: f64, arena: &mut Arena<T>) -> Option<(f64, NodeId)> {
+    fn pop_due<T: Tags + ?Sized>(&mut self, p: f64, tags: &mut T) -> Option<(f64, u32)> {
         let &(e, first) = self.buckets.last()?;
         let floor = Self::floor(e);
         if p < floor {
@@ -322,12 +329,12 @@ impl UnrefineQueue for BucketQueue {
         if first as usize == self.entries.len() {
             self.buckets.pop();
         }
-        arena.set_tag(id, UNTAGGED);
+        tags.set_tag(id, UNTAGGED);
         Some((floor, id))
     }
 
-    fn key<T>(&self, id: NodeId, arena: &Arena<T>) -> Option<f64> {
-        let at = arena.tag(id) as usize;
+    fn key<T: Tags + ?Sized>(&self, id: u32, tags: &T) -> Option<f64> {
+        let at = tags.tag(id) as usize;
         (self.entries.get(at) == Some(&id)).then(|| Self::floor(self.buckets[self.bucket_of(at)].0))
     }
 
@@ -341,14 +348,43 @@ impl UnrefineQueue for BucketQueue {
 }
 
 #[cfg(test)]
+impl HeapQueue {
+    /// Heap bytes the queue reserves.
+    pub(crate) fn reserved_bytes(&self) -> usize {
+        self.heap.capacity() * size_of::<Entry>()
+    }
+}
+
+#[cfg(test)]
+impl BucketQueue {
+    /// Heap bytes the queue reserves.
+    pub(crate) fn reserved_bytes(&self) -> usize {
+        self.entries.capacity() * size_of::<u32>()
+            + self.buckets.capacity() * size_of::<(i16, u32)>()
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
 
-    fn ids(a: &mut Arena<usize>, n: usize) -> Vec<NodeId> {
-        (0..n).map(|i| a.insert(i)).collect()
+    /// A plain tag per node id, as a test double for the leaf records.
+    impl Tags for Vec<u32> {
+        fn tag(&self, id: u32) -> u32 {
+            self[id as usize]
+        }
+
+        fn set_tag(&mut self, id: u32, tag: u32) {
+            self[id as usize] = tag;
+        }
     }
 
-    fn drain(q: &mut impl UnrefineQueue, p: f64, a: &mut Arena<usize>) -> Vec<NodeId> {
+    /// Tags for `n` nodes, none queued, and their ids.
+    fn ids(n: usize) -> (Vec<u32>, Vec<u32>) {
+        (vec![UNTAGGED; n], (0..n as u32).collect())
+    }
+
+    fn drain(q: &mut impl UnrefineQueue, p: f64, a: &mut Vec<u32>) -> Vec<u32> {
         let mut out = Vec::new();
         while let Some((_, id)) = q.pop_due(p, a) {
             out.push(id);
@@ -358,8 +394,7 @@ mod tests {
 
     #[test]
     fn heap_pops_in_threshold_order() {
-        let mut a = Arena::new();
-        let ids = ids(&mut a, 3);
+        let (mut a, ids) = ids(3);
         let mut q = HeapQueue::new();
         q.push(5.0, ids[0], &mut a);
         q.push(1.0, ids[1], &mut a);
@@ -373,13 +408,12 @@ mod tests {
         assert_eq!(q.pop_due(4.0, &mut a).map(|(t, _)| t), Some(3.0));
         assert_eq!(q.pop_due(4.0, &mut a), None, "5.0 not yet due");
         assert_eq!(q.pop_due(5.0, &mut a).map(|(t, _)| t), Some(5.0));
-        assert!(q.is_empty());
+        assert_eq!(q.len(), 0);
     }
 
     #[test]
     fn bucket_pops_everything_due_possibly_early() {
-        let mut a = Arena::new();
-        let ids = ids(&mut a, 4);
+        let (mut a, ids) = ids(4);
         let mut q = BucketQueue::new();
         q.push(5.0, ids[0], &mut a); // bucket 2 -> due at P >= 4
         q.push(1.5, ids[1], &mut a); // bucket 0 -> due at P >= 1
@@ -401,8 +435,7 @@ mod tests {
 
     #[test]
     fn bucket_never_pops_more_than_factor_two_early() {
-        let mut a = Arena::new();
-        let ids = ids(&mut a, 1);
+        let (mut a, ids) = ids(1);
         let mut q = BucketQueue::new();
         q.push(7.9, ids[0], &mut a); // bucket 2, floor 4.0
         assert_eq!(
@@ -415,8 +448,7 @@ mod tests {
 
     #[test]
     fn zero_and_tiny_thresholds() {
-        let mut a = Arena::new();
-        let ids = ids(&mut a, 2);
+        let (mut a, ids) = ids(2);
         let mut q = BucketQueue::new();
         q.push(0.0, ids[0], &mut a);
         q.push(1e-300, ids[1], &mut a);
@@ -425,13 +457,12 @@ mod tests {
             "zero threshold immediately due"
         );
         assert!(q.pop_due(1e-299, &mut a).is_some());
-        assert!(q.is_empty());
+        assert_eq!(q.len(), 0);
     }
 
     #[test]
     fn heap_handles_duplicate_thresholds() {
-        let mut a = Arena::new();
-        let ids = ids(&mut a, 3);
+        let (mut a, ids) = ids(3);
         let mut q = HeapQueue::new();
         for &id in &ids {
             q.push(2.0, id, &mut a);
@@ -441,8 +472,7 @@ mod tests {
 
     #[test]
     fn a_push_on_a_queued_node_replaces_its_threshold() {
-        let mut a = Arena::new();
-        let ids = ids(&mut a, 2);
+        let (mut a, ids) = ids(2);
         let mut heap = HeapQueue::new();
         let mut bucket = BucketQueue::new();
         for t in [1.0, 9.0, 3.0, 40.0] {
@@ -490,8 +520,7 @@ mod tests {
         let threshold = |rng: &mut Lcg| rng.below(64) as f64 * 0.375;
         for seed in 0..200u64 {
             let mut rng = Lcg(seed);
-            let mut arena = Arena::new();
-            let ids = ids(&mut arena, 1 + rng.below(40) as usize);
+            let (mut tags, ids) = ids(1 + rng.below(40) as usize);
             let mut q = new();
             let mut model: Vec<Option<f64>> = vec![None; ids.len()];
             for step in 0..300 {
@@ -499,16 +528,16 @@ mod tests {
                 match rng.below(8) {
                     0..=3 => {
                         let t = threshold(&mut rng);
-                        q.push(t, ids[k], &mut arena);
+                        q.push(t, ids[k], &mut tags);
                         model[k] = Some(t);
                     }
                     4 | 5 => {
-                        q.remove(ids[k], &mut arena);
+                        q.remove(ids[k], &mut tags);
                         model[k] = None;
                     }
                     6 => {
                         let p = threshold(&mut rng);
-                        if let Some((got, id)) = q.pop_due(p, &mut arena) {
+                        if let Some((got, id)) = q.pop_due(p, &mut tags) {
                             let i = ids.iter().position(|&x| x == id).unwrap();
                             let t = model[i].take().expect("popped an unqueued node");
                             assert_eq!(
@@ -527,14 +556,14 @@ mod tests {
                     _ => {
                         // Drain a copy: it pops exactly the due nodes.
                         let p = threshold(&mut rng);
-                        let (mut copy, mut scratch) = (q.clone(), arena.clone());
+                        let (mut copy, mut scratch) = (q.clone(), tags.clone());
                         let mut popped = drain(&mut copy, p, &mut scratch);
-                        let mut due: Vec<NodeId> = (0..ids.len())
+                        let mut due: Vec<u32> = (0..ids.len())
                             .filter(|&i| model[i].is_some_and(|t| key(t) <= p))
                             .map(|i| ids[i])
                             .collect();
-                        popped.sort_by_key(|id| id.index());
-                        due.sort_by_key(|id| id.index());
+                        popped.sort_unstable();
+                        due.sort_unstable();
                         assert_eq!(popped, due, "seed {seed} step {step}: drain at {p}");
                     }
                 }
@@ -545,7 +574,7 @@ mod tests {
                 );
                 for (i, &id) in ids.iter().enumerate() {
                     assert_eq!(
-                        q.key(id, &arena),
+                        q.key(id, &tags),
                         model[i].map(key),
                         "seed {seed} step {step}: node {i}'s key"
                     );

@@ -24,6 +24,7 @@ use geom::dyadic::{fan_unit, shared_fan, MAX_R};
 use geom::tangent::visible_chain;
 use geom::{ConvexPolygon, Point2, Vec2};
 use std::borrow::Cow;
+use std::cell::Cell;
 
 /// Unit vectors of the `r` uniform directions `j·2π/r` ([`fan_unit`]).
 ///
@@ -334,6 +335,15 @@ fn push_run(out: &mut Vec<DirRun>, point: Point2, lo: u32, hi: u32) {
     out.push(DirRun { point, lo, hi });
 }
 
+thread_local! {
+    /// `UniformHull::apply_beaten`'s buffers: the rewritten runs, the
+    /// owner cycle and the hull's sort buffer. One set per thread, taken
+    /// and put back by each call, so no summary (or copy of one) carries
+    /// them.
+    static SCRATCH: Cell<(Vec<DirRun>, Vec<Point2>, Vec<Point2>)> =
+        const { Cell::new((Vec::new(), Vec::new(), Vec::new())) };
+}
+
 /// The counterclockwise angular arc of directions a new point beats,
 /// reported by [`UniformHull::insert_detailed`]. Angles in radians,
 /// normalised to `[0, 2π)`; the arc runs ccw from `start` to `end` and its
@@ -385,11 +395,6 @@ pub struct UniformHull {
     seen: u64,
     /// Bumped whenever `hull` changes (interior points leave it alone).
     generation: u64,
-    /// Scratch for the run rewrite in `apply_beaten` (reused, no allocs).
-    runs_scratch: Vec<DirRun>,
-    /// Scratch point buffers for the in-place hull rebuild.
-    pts_scratch: Vec<Point2>,
-    hull_scratch: Vec<Point2>,
     distinct: GenCache<usize>,
     bound: GenCache<f64>,
 }
@@ -408,9 +413,6 @@ impl UniformHull {
             perimeter: 0.0,
             seen: 0,
             generation: 0,
-            runs_scratch: Vec::new(),
-            pts_scratch: Vec::new(),
-            hull_scratch: Vec::new(),
             distinct: GenCache::new(),
             bound: GenCache::new(),
         }
@@ -631,13 +633,13 @@ impl UniformHull {
     /// `[first, last]`, then refreshes the cached hull and perimeter.
     ///
     /// Linear, sort-free and allocation-free in steady state: the runs are
-    /// already in direction order, so `q`'s run is spliced in place (merging
-    /// with an equal-owner neighbour), and their owners are already in
-    /// counterclockwise order, so the strict hull comes from one
-    /// [`ConvexPolygon::assign_hull_of_ccw_cycle`] pass. All buffers live
-    /// on the struct.
+    /// already in direction order, so `q`'s run is spliced in (merging
+    /// with an equal-owner neighbour) in one pass, and their owners are
+    /// already in counterclockwise order, so the strict hull comes from one
+    /// [`ConvexPolygon::assign_hull_of_ccw_cycle`] pass. The buffers are
+    /// the thread's `SCRATCH`.
     fn apply_beaten(&mut self, q: Point2, first: u32, last: u32) {
-        let out = &mut self.runs_scratch;
+        let (mut out, mut cycle, mut sorted) = SCRATCH.take();
         out.clear();
         if first <= last {
             // Owners keep `[0, first)` and `(last, r)`; `q` takes the
@@ -645,33 +647,38 @@ impl UniformHull {
             let mut spliced = false;
             for run in &self.runs {
                 if run.lo < first {
-                    push_run(out, run.point, run.lo, run.hi.min(first - 1));
+                    push_run(&mut out, run.point, run.lo, run.hi.min(first - 1));
                 }
                 if run.hi >= first && !spliced {
-                    push_run(out, q, first, last);
+                    push_run(&mut out, q, first, last);
                     spliced = true;
                 }
                 if run.hi > last {
-                    push_run(out, run.point, run.lo.max(last + 1), run.hi);
+                    push_run(&mut out, run.point, run.lo.max(last + 1), run.hi);
                 }
             }
         } else {
             // `q` owns both ends of the index range; owners keep
             // `(last, first)`.
-            push_run(out, q, 0, last);
+            push_run(&mut out, q, 0, last);
             for run in &self.runs {
-                push_run(out, run.point, run.lo.max(last + 1), run.hi.min(first - 1));
+                push_run(
+                    &mut out,
+                    run.point,
+                    run.lo.max(last + 1),
+                    run.hi.min(first - 1),
+                );
             }
-            push_run(out, q, first, self.r - 1);
+            push_run(&mut out, q, first, self.r - 1);
         }
-        core::mem::swap(&mut self.runs, &mut self.runs_scratch);
+        self.runs.clear();
+        self.runs.extend_from_slice(&out);
         debug_assert!(self.runs_partition_all());
 
-        self.pts_scratch.clear();
-        self.pts_scratch
-            .extend(self.runs.iter().map(|run| run.point));
-        self.hull
-            .assign_hull_of_ccw_cycle(&self.pts_scratch, &mut self.hull_scratch);
+        cycle.clear();
+        cycle.extend(self.runs.iter().map(|run| run.point));
+        self.hull.assign_hull_of_ccw_cycle(&cycle, &mut sorted);
+        SCRATCH.set((out, cycle, sorted));
         self.perimeter = self.hull.perimeter();
         self.generation += 1;
     }

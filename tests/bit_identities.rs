@@ -22,7 +22,7 @@
 //!   samples — on streams translated far from the origin and at large `r`,
 //!   where rounding is largest.
 //!
-//! The refinement tree's cached bisector units are checked by
+//! The adaptive leaf records' cached boundary units are checked by
 //! `AdaptiveHull::check_invariants`, which the summary proptests call.
 //!
 //! A change to any of these sort-free or prefiltered paths extends this

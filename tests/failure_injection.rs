@@ -670,4 +670,23 @@ fn forged_checksum_valid_payloads_are_rejected() {
         Err(SnapshotError::Malformed(_)) => {}
         other => panic!("forged leaf depth must be Malformed, got {other:?}"),
     }
+
+    // Adjacent adaptive leaves that disagree on their shared endpoint: the
+    // summary stores one extremum per boundary direction. After one point
+    // the trees are 8 leaves (tag u8, then the extrema at both ends); move
+    // the right end of sector 0's leaf, which sector 1's leaf starts at.
+    let mut bytes = adaptive.encode_snapshot();
+    let at = bytes.len() - 8 - 8 * 33 + 17;
+    assert_eq!(bytes[at - 17], 0, "first leaf tag offset");
+    assert_eq!(
+        bytes[at..at + 8],
+        origin.x.to_le_bytes(),
+        "first leaf's right end"
+    );
+    bytes[at..at + 8].copy_from_slice(&5.0f64.to_le_bytes());
+    reseal(&mut bytes);
+    match SummaryBuilder::restore(&bytes) {
+        Err(SnapshotError::Malformed(_)) => {}
+        other => panic!("disagreeing adjacent leaves must be Malformed, got {other:?}"),
+    }
 }
