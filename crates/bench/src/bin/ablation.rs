@@ -1,15 +1,11 @@
-//! Ablation of the design knobs the paper calls out:
-//!
-//! * **tree height limit `k`** (§5.1: "the tree height parameter can be
-//!   used to control the degree of adaptive sampling" — `k = 0` is uniform
-//!   sampling, `k = log2 r` is the recommended maximum);
-//! * **unrefinement queue** (§5.3: exact heap vs Matias' power-of-two
-//!   buckets) — here measured for *accuracy* (the bucket queue unrefines
-//!   early); speed is covered by the `queue_ablation` Criterion bench.
+//! Ablation of the tree height limit `k`, the design knob the paper calls
+//! out (§5.1: "the tree height parameter can be used to control the degree
+//! of adaptive sampling" — `k = 0` is uniform sampling, `k = log2 r` is the
+//! recommended maximum), measured for accuracy against the exact hull.
 //!
 //! Usage: `cargo run -p sh-bench --release --bin ablation [n]`
 
-use adaptive_hull::adaptive::{AdaptiveHullConfig, QueueKind};
+use adaptive_hull::adaptive::AdaptiveHullConfig;
 use adaptive_hull::{AdaptiveHull, ExactHull, HullSummary};
 use bench_harness::write_output;
 use geom::Point2;
@@ -50,25 +46,9 @@ fn main() {
             a.adaptive_direction_count()
         ));
     }
-
-    out.push_str("\n## Unrefinement queue (accuracy; speed in `cargo bench queue_ablation`)\n");
-    out.push_str(&format!(
-        "{:>8} {:>14} {:>10}\n",
-        "queue", "hausdorff err", "samples"
-    ));
-    for (name, kind) in [("heap", QueueKind::Heap), ("bucket", QueueKind::Bucket)] {
-        let mut a = AdaptiveHull::new(AdaptiveHullConfig::new(r).with_queue(kind));
-        for &p in &pts {
-            a.insert(p);
-        }
-        let err = a.hull().directed_hausdorff_from(&truth);
-        out.push_str(&format!("{name:>8} {err:>14.6e} {:>10}\n", a.sample_size()));
-    }
     out.push_str(
         "\nExpectations: error drops steeply from k = 0 and plateaus around\n\
-         k = log2 r (deeper trees cannot help once every edge's weight is <= 1);\n\
-         the bucket queue's early unrefinement costs at most a small constant\n\
-         in error while making queue operations O(1).\n",
+         k = log2 r (deeper trees cannot help once every edge's weight is <= 1).\n",
     );
     println!("{out}");
     let path = write_output("ablation.txt", &out);

@@ -4,7 +4,7 @@
 //! workload construction (with the seeds recorded in `EXPERIMENTS.md`),
 //! metric collection, and plain-text table/CSV formatting. The binaries
 //! (`table1`, `lower_bound`, `error_scaling`, `figures`) are thin wrappers
-//! over this module, and the Criterion benches reuse the same workloads.
+//! over this module.
 //! [`schema`] is the one schema of the `throughput` bench document, which
 //! the `throughput` bin renders and the `check_schema` bin validates.
 
@@ -262,7 +262,7 @@ pub struct SummaryRun {
 /// Streams `points` through a summary built from `builder` and measures
 /// it against `truth` (the exact hull of the same stream, computed once
 /// by the caller and shared across kinds and `r` values) — the generic,
-/// builder-driven path used by `error_scaling` and the Criterion benches.
+/// builder-driven path used by `error_scaling`.
 pub fn run_builder(
     builder: &SummaryBuilder,
     points: &[Point2],

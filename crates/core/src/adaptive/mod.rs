@@ -9,4 +9,4 @@ pub mod weight;
 
 pub use fixed_budget::FixedBudgetAdaptiveHull;
 pub use static_::adaptive_sample_static;
-pub use stream::{AdaptiveHull, AdaptiveHullConfig, QueueKind};
+pub use stream::{AdaptiveHull, AdaptiveHullConfig};

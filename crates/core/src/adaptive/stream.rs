@@ -41,11 +41,10 @@
 //!    unrefinement threshold or collapse immediately when `w(e) <= 1`
 //!    (steps 3/5).
 //! 4. Since `P` may have grown, due entries are drained from the
-//!    unrefinement queue (step 4). With the power-of-two bucket queue
-//!    ([`QueueKind::Bucket`]) this may unrefine up to a factor 2 early, as
-//!    §5.3 allows.
+//!    unrefinement queue (step 4): an indexed heap of exact thresholds, so
+//!    a node unrefines as soon as its weight reaches 1, never earlier.
 
-use crate::adaptive::queue::{BucketQueue, HeapQueue, Tags, UnrefineQueue, UNTAGGED};
+use crate::adaptive::queue::{HeapQueue, Tags, UNTAGGED};
 use crate::adaptive::weight::{slant_between, unrefine_threshold, weight};
 use crate::batch::{incircle, CertCache, BATCH_LEAF};
 use crate::summary::{GenCache, HullCache, HullSummary, Mergeable};
@@ -54,69 +53,6 @@ use core::f64::consts::TAU;
 use geom::dyadic::{DirGrid, DirRange, MAX_R};
 use geom::{ConvexPolygon, Point2, UncertaintyTriangle, Vec2};
 
-/// Which unrefinement queue the adaptive hull uses.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum QueueKind {
-    /// Binary min-heap: exact thresholds, `O(log r)` per operation.
-    #[default]
-    Heap,
-    /// Power-of-two buckets: `O(1)` to pop or to replace within a bucket,
-    /// `O(1)` per bucket boundary crossed otherwise; unrefines up to a
-    /// factor of two early (§5.3; error stays `O(D/r²)`).
-    Bucket,
-}
-
-#[derive(Debug, Clone)]
-enum QueueImpl {
-    Heap(HeapQueue),
-    Bucket(BucketQueue),
-}
-
-impl QueueImpl {
-    fn new(kind: QueueKind) -> Self {
-        match kind {
-            QueueKind::Heap => QueueImpl::Heap(HeapQueue::new()),
-            QueueKind::Bucket => QueueImpl::Bucket(BucketQueue::new()),
-        }
-    }
-    fn push(&mut self, threshold: f64, id: u32, leaves: &mut [Leaf]) {
-        match self {
-            QueueImpl::Heap(q) => q.push(threshold, id, leaves),
-            QueueImpl::Bucket(q) => q.push(threshold, id, leaves),
-        }
-    }
-    fn remove(&mut self, id: u32, leaves: &mut [Leaf]) {
-        match self {
-            QueueImpl::Heap(q) => q.remove(id, leaves),
-            QueueImpl::Bucket(q) => q.remove(id, leaves),
-        }
-    }
-    fn pop_due(&mut self, p: f64, leaves: &mut [Leaf]) -> Option<(f64, u32)> {
-        match self {
-            QueueImpl::Heap(q) => q.pop_due(p, leaves),
-            QueueImpl::Bucket(q) => q.pop_due(p, leaves),
-        }
-    }
-    fn key(&self, id: u32, leaves: &[Leaf]) -> Option<f64> {
-        match self {
-            QueueImpl::Heap(q) => q.key(id, leaves),
-            QueueImpl::Bucket(q) => q.key(id, leaves),
-        }
-    }
-    fn due_key(&self, threshold: f64) -> f64 {
-        match self {
-            QueueImpl::Heap(_) => HeapQueue::due_key(threshold),
-            QueueImpl::Bucket(_) => BucketQueue::due_key(threshold),
-        }
-    }
-    fn len(&self) -> usize {
-        match self {
-            QueueImpl::Heap(q) => q.len(),
-            QueueImpl::Bucket(q) => q.len(),
-        }
-    }
-}
-
 /// Configuration for [`AdaptiveHull`].
 #[derive(Clone, Copy, Debug)]
 pub struct AdaptiveHullConfig {
@@ -124,29 +60,17 @@ pub struct AdaptiveHullConfig {
     pub r: u32,
     /// Refinement-tree height limit `k` (`None` = the paper's `log2 r`).
     pub depth: Option<u32>,
-    /// Unrefinement queue implementation.
-    pub queue: QueueKind,
 }
 
 impl AdaptiveHullConfig {
     /// Default configuration for a given `r`.
     pub fn new(r: u32) -> Self {
-        AdaptiveHullConfig {
-            r,
-            depth: None,
-            queue: QueueKind::Heap,
-        }
+        AdaptiveHullConfig { r, depth: None }
     }
 
     /// Sets the tree height limit.
     pub fn with_depth(mut self, k: u32) -> Self {
         self.depth = Some(k);
-        self
-    }
-
-    /// Selects the unrefinement queue.
-    pub fn with_queue(mut self, q: QueueKind) -> Self {
-        self.queue = q;
         self
     }
 }
@@ -185,7 +109,7 @@ const _: () = assert!(size_of::<Leaf>() == 48);
 /// End of the free list.
 const NIL: u32 = u32::MAX;
 
-impl Tags for [Leaf] {
+impl Tags for Vec<Leaf> {
     fn tag(&self, id: u32) -> u32 {
         self[id as usize].tag
     }
@@ -307,7 +231,7 @@ pub struct AdaptiveHull {
     leaves: Vec<Leaf>,
     /// First freed record, or [`NIL`].
     free: u32,
-    queue: QueueImpl,
+    queue: HeapQueue,
     internal_count: usize,
     cache: HullCache,
     distinct: GenCache<usize>,
@@ -323,7 +247,7 @@ impl AdaptiveHull {
             uniform: UniformHull::new(config.r),
             leaves: Vec::new(),
             free: NIL,
-            queue: QueueImpl::new(config.queue),
+            queue: HeapQueue::new(),
             internal_count: 0,
             cache: HullCache::new(),
             distinct: GenCache::new(),
@@ -550,23 +474,21 @@ impl AdaptiveHull {
     /// popped node collapses as it is.
     fn drain_queue(&mut self) {
         let p = self.uniform.perimeter();
-        while let Some((key, mid)) = self.queue.pop_due(p, &mut self.leaves) {
+        while let Some((threshold, mid)) = self.queue.pop_due(p, &mut self.leaves) {
             let (lo, hi, depth) = self.node_at(mid);
             debug_assert_eq!(
-                key.to_bits(),
-                self.due_key(lo, hi, depth).to_bits(),
+                threshold.to_bits(),
+                self.threshold(lo, hi, depth).to_bits(),
                 "a queued threshold went stale"
             );
             self.collapse(lo, hi, depth);
         }
     }
 
-    /// The due key the queue entry of the internal node of depth `depth`
-    /// spanning records `lo` to `hi` must carry.
-    fn due_key(&self, lo: u32, hi: u32, depth: u32) -> f64 {
-        let s = self.slant(lo, hi);
-        self.queue
-            .due_key(unrefine_threshold(s, depth, self.grid.r()))
+    /// The unrefinement threshold of the internal node of depth `depth`
+    /// spanning records `lo` to `hi`, which its queue entry must carry.
+    fn threshold(&self, lo: u32, hi: u32, depth: u32) -> f64 {
+        unrefine_threshold(self.slant(lo, hi), depth, self.grid.r())
     }
 
     /// Circular range of sector indices whose trees the arc may touch
@@ -655,9 +577,8 @@ impl AdaptiveHull {
     /// leaf records link into one circle whose leaves tile each sector in
     /// order, every boundary's unit and split depth match the grid, sector
     /// boundary extrema agree with the uniform extrema, every internal node
-    /// still deserves to exist (`w > 1`, up to the queue's factor-2
-    /// rounding), and the unrefinement queue holds exactly one entry per
-    /// internal node, carrying its current threshold.
+    /// still deserves to exist (`w > 1`), and the unrefinement queue holds
+    /// exactly one entry per internal node, carrying its current threshold.
     pub fn check_invariants(&self) -> Result<(), String> {
         if self.queue.len() != self.internal_count {
             return Err(format!(
@@ -743,7 +664,7 @@ impl AdaptiveHull {
             }
         }
         // 3. Every internal node has weight > 1 after draining and is
-        //    queued under its current key.
+        //    queued under its current threshold.
         let p = self.uniform.perimeter();
         for (lo, mid, hi, depth) in self.internal_nodes() {
             let s = self.slant(lo, hi);
@@ -754,10 +675,10 @@ impl AdaptiveHull {
                 ));
             }
             let key = self.queue.key(mid, &self.leaves).map(f64::to_bits);
-            let want = self.due_key(lo, hi, depth);
+            let want = self.threshold(lo, hi, depth);
             if key != Some(want.to_bits()) {
                 return Err(format!(
-                    "internal node at record {mid} is queued under {key:?}, its threshold's key is {want}"
+                    "internal node at record {mid} is queued under {key:?}, its threshold is {want}"
                 ));
             }
         }
@@ -766,9 +687,10 @@ impl AdaptiveHull {
 }
 
 impl AdaptiveHull {
-    /// Snapshot payload: grid shape, queue discipline, the uniform
-    /// substrate, and every refinement tree in preorder, each leaf with
-    /// the extrema at both its boundaries.
+    /// Snapshot payload: grid shape, a queue byte (always 0, which keeps
+    /// earlier heap-queue snapshots decodable; decode rejects any other
+    /// value), the uniform substrate, and every refinement tree in
+    /// preorder, each leaf with the extrema at both its boundaries.
     ///
     /// Nodes carry no explicit ranges on the wire: a root's range is its
     /// sector and children are the parent's bisection, so the decoder
@@ -784,13 +706,7 @@ impl AdaptiveHull {
         use crate::snapshot::{put_u32, put_u8};
         put_u32(out, self.grid.r());
         put_u32(out, self.grid.depth());
-        put_u8(
-            out,
-            match self.queue {
-                QueueImpl::Heap(_) => 0,
-                QueueImpl::Bucket(_) => 1,
-            },
-        );
+        put_u8(out, 0);
         self.uniform.snapshot_payload(out);
         put_u8(out, !self.leaves.is_empty() as u8);
         if !self.leaves.is_empty() {
@@ -828,11 +744,9 @@ impl AdaptiveHull {
         if !r.is_power_of_two() || !(8..=MAX_R).contains(&r) || depth > 32 {
             return Err(SnapshotError::Malformed("invalid adaptive grid shape"));
         }
-        let queue = match reader.u8()? {
-            0 => QueueKind::Heap,
-            1 => QueueKind::Bucket,
-            _ => return Err(SnapshotError::Malformed("unknown queue kind")),
-        };
+        if reader.u8()? != 0 {
+            return Err(SnapshotError::Malformed("unknown queue kind"));
+        }
         let grid = DirGrid::new(r, depth);
         let uniform = UniformHull::from_snapshot_payload(reader)?;
         if uniform.r() != r {
@@ -843,7 +757,7 @@ impl AdaptiveHull {
             uniform,
             leaves: Vec::new(),
             free: NIL,
-            queue: QueueImpl::new(queue),
+            queue: HeapQueue::new(),
             internal_count: 0,
             cache: HullCache::new(),
             distinct: GenCache::new(),
@@ -862,7 +776,7 @@ impl AdaptiveHull {
             // Re-seed the unrefinement queue: one entry per internal node
             // with its current threshold, as the live summary holds it.
             for (lo, mid, hi, depth) in s.internal_nodes() {
-                let t = unrefine_threshold(s.slant(lo, hi), depth, r);
+                let t = s.threshold(lo, hi, depth);
                 s.queue.push(t, mid, &mut s.leaves);
             }
         }
@@ -1042,14 +956,13 @@ impl HullSummary for AdaptiveHull {
         // sector roots and for both children of every internal node, an
         // 8-byte root handle per sector, and 32 bytes per queue entry.
         // That is an upper bound on the live leaf records (48 bytes, one per
-        // root and one per internal node) and the queue entries (16 bytes
-        // on the heap, 4 in the buckets) the summary holds. Measured with
-        // a counting allocator, an r = 32 summary of one hot
-        // `fleet_ingest` stream (47 points, 12 samples) charges 7,824 B
-        // and holds 4,224 B of heap, and one of a 1M-point annulus
-        // charges 7,776 B and holds 4,864 B. Unlike the trait default it
-        // stays above the snapshot envelope, so spilling an idle adaptive
-        // tenant genuinely shrinks its accounted footprint.
+        // root and one per internal node) and the 16-byte queue entries the
+        // summary holds. Measured with a counting allocator, an r = 32
+        // summary of one hot `fleet_ingest` stream (47 points, 12 samples)
+        // charges 7,824 B and holds 4,224 B of heap, and one of a 1M-point
+        // annulus charges 7,776 B and holds 4,864 B. Unlike the trait
+        // default it stays above the snapshot envelope, so spilling an idle
+        // adaptive tenant genuinely shrinks its accounted footprint.
         let roots = if self.leaves.is_empty() {
             0
         } else {
@@ -1310,26 +1223,20 @@ mod tests {
     }
 
     #[test]
-    fn spiral_stress_with_bucket_queue() {
-        for kind in [QueueKind::Heap, QueueKind::Bucket] {
-            let mut h = AdaptiveHull::new(AdaptiveHullConfig::new(16).with_queue(kind));
-            let pts: Vec<Point2> = (0..2000)
-                .map(|i| {
-                    let t = 2.399963229728653 * i as f64;
-                    let rad = 1.0 + 0.01 * i as f64;
-                    p(rad * t.cos(), rad * t.sin())
-                })
-                .collect();
-            feed(&mut h, &pts, 101);
-            assert!(
-                h.sample_size() <= 33,
-                "{kind:?}: sample {}",
-                h.sample_size()
-            );
-            // The final hull approximates a disk of radius ~21.
-            let d = geom::calipers::diameter(&h.hull()).unwrap().2;
-            assert!(d > 38.0 && d < 42.5, "{kind:?}: diameter {d}");
-        }
+    fn spiral_stress() {
+        let mut h = AdaptiveHull::with_r(16);
+        let pts: Vec<Point2> = (0..2000)
+            .map(|i| {
+                let t = 2.399963229728653 * i as f64;
+                let rad = 1.0 + 0.01 * i as f64;
+                p(rad * t.cos(), rad * t.sin())
+            })
+            .collect();
+        feed(&mut h, &pts, 101);
+        assert!(h.sample_size() <= 33, "sample {}", h.sample_size());
+        // The final hull approximates a disk of radius ~21.
+        let d = geom::calipers::diameter(&h.hull()).unwrap().2;
+        assert!(d > 38.0 && d < 42.5, "diameter {d}");
     }
 
     #[test]
@@ -1432,11 +1339,7 @@ mod tests {
         }
         h.check_invariants().unwrap();
         assert_eq!((h.sample_size(), most), (12, 27));
-        let queue = match &h.queue {
-            QueueImpl::Heap(q) => q.reserved_bytes(),
-            QueueImpl::Bucket(q) => q.reserved_bytes(),
-        };
-        let reserved = h.leaves.capacity() * size_of::<Leaf>() + queue;
+        let reserved = h.leaves.capacity() * size_of::<Leaf>() + h.queue.reserved_bytes();
         assert!(reserved <= 9_216 / 2, "{reserved} B reserved");
     }
 

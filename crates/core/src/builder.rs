@@ -27,7 +27,7 @@
 //! }
 //! ```
 
-use crate::adaptive::stream::{AdaptiveHull, AdaptiveHullConfig, QueueKind};
+use crate::adaptive::stream::{AdaptiveHull, AdaptiveHullConfig};
 use crate::cluster::{ClusterHull, ClusterHullConfig};
 use crate::exact::ExactHull;
 use crate::frozen::FrozenHull;
@@ -114,29 +114,27 @@ impl FromStr for SummaryKind {
 
 /// Builds any [`SummaryKind`] as a boxed trait object.
 ///
-/// Unused knobs are ignored by kinds that do not need them (`depth` and
-/// `queue` only affect the adaptive scheme, `max_clusters` only the
-/// cluster summary, `seed` only kinds with randomised structure — today
-/// the frozen fan's rotation).
+/// Unused knobs are ignored by kinds that do not need them (`depth` only
+/// affects the adaptive scheme, `max_clusters` only the cluster summary,
+/// `seed` only kinds with randomised structure — today the frozen fan's
+/// rotation).
 #[derive(Clone, Copy, Debug)]
 pub struct SummaryBuilder {
     kind: SummaryKind,
     r: u32,
     depth: Option<u32>,
-    queue: QueueKind,
     seed: u64,
     max_clusters: usize,
 }
 
 impl SummaryBuilder {
     /// A builder for `kind` with the defaults `r = 16`, paper depth,
-    /// heap queue, seed 0, and 4 clusters.
+    /// seed 0, and 4 clusters.
     pub fn new(kind: SummaryKind) -> Self {
         SummaryBuilder {
             kind,
             r: 16,
             depth: None,
-            queue: QueueKind::Heap,
             seed: 0,
             max_clusters: 4,
         }
@@ -151,12 +149,6 @@ impl SummaryBuilder {
     /// Sets the refinement-tree height limit (adaptive kinds).
     pub fn with_depth(mut self, depth: u32) -> Self {
         self.depth = Some(depth);
-        self
-    }
-
-    /// Selects the unrefinement queue (adaptive kind).
-    pub fn with_queue(mut self, queue: QueueKind) -> Self {
-        self.queue = queue;
         self
     }
 
@@ -185,11 +177,6 @@ impl SummaryBuilder {
     /// The configured refinement-depth override, if any.
     pub fn depth(&self) -> Option<u32> {
         self.depth
-    }
-
-    /// The configured unrefinement queue.
-    pub fn queue(&self) -> QueueKind {
-        self.queue
     }
 
     /// The configured seed.
@@ -283,13 +270,9 @@ impl SummaryBuilder {
         put_u32(out, self.r);
         put_u8(out, self.depth.is_some() as u8);
         put_u32(out, self.depth.unwrap_or(0));
-        put_u8(
-            out,
-            match self.queue {
-                QueueKind::Heap => 0,
-                QueueKind::Bucket => 1,
-            },
-        );
+        // The adaptive payload's queue byte, always 0 (see
+        // `AdaptiveHull::snapshot_payload`).
+        put_u8(out, 0);
         put_u64(out, self.seed);
         put_u64(out, self.max_clusters as u64);
     }
@@ -306,11 +289,9 @@ impl SummaryBuilder {
         let r = reader.u32()?;
         let has_depth = reader.u8()? != 0;
         let depth = reader.u32()?;
-        let queue = match reader.u8()? {
-            0 => QueueKind::Heap,
-            1 => QueueKind::Bucket,
-            _ => return Err(SnapshotError::Malformed("unknown queue kind")),
-        };
+        if reader.u8()? != 0 {
+            return Err(SnapshotError::Malformed("unknown queue kind"));
+        }
         let seed = reader.u64()?;
         let max_clusters = reader.u64()? as usize;
         if r < 4 || max_clusters < 1 {
@@ -332,14 +313,13 @@ impl SummaryBuilder {
             kind,
             r,
             depth: has_depth.then_some(depth),
-            queue,
             seed,
             max_clusters,
         })
     }
 
     fn adaptive_config(&self) -> AdaptiveHullConfig {
-        let mut config = AdaptiveHullConfig::new(self.r).with_queue(self.queue);
+        let mut config = AdaptiveHullConfig::new(self.r);
         if let Some(depth) = self.depth {
             config = config.with_depth(depth);
         }
@@ -348,12 +328,9 @@ impl SummaryBuilder {
 }
 
 impl From<AdaptiveHullConfig> for SummaryBuilder {
-    /// An adaptive-kind builder carrying the config's `r`, depth, and
-    /// queue.
+    /// An adaptive-kind builder carrying the config's `r` and depth.
     fn from(config: AdaptiveHullConfig) -> Self {
-        let mut b = SummaryBuilder::new(SummaryKind::Adaptive)
-            .with_r(config.r)
-            .with_queue(config.queue);
+        let mut b = SummaryBuilder::new(SummaryKind::Adaptive).with_r(config.r);
         if let Some(depth) = config.depth {
             b = b.with_depth(depth);
         }

@@ -76,7 +76,6 @@ pub mod adaptive;
 pub(crate) mod batch;
 pub mod builder;
 pub mod cluster;
-pub mod dudley;
 pub mod exact;
 pub mod frozen;
 pub(crate) mod fxhash;

@@ -171,24 +171,18 @@ proptest! {
     // The acceptance property: snapshot mid-stream, restore, feed the
     // same tail to both — every subsequent observable (hull vertices,
     // error bound, sample, merge input) is bit-identical, for all eight
-    // kinds and both queue disciplines.
+    // kinds.
     #[test]
     fn snapshot_roundtrip_is_behaviour_identical(
         pts in snap_stream(300),
         cut_sel in 0.0f64..1.0,
         rexp in 3u32..6,
-        queue_sel in 0u32..2,
         chunk in 1usize..97,
     ) {
         let cut = ((pts.len() as f64) * cut_sel) as usize;
         let (head, tail) = pts.split_at(cut.min(pts.len() - 1));
         for &kind in &SummaryKind::ALL {
-            let queue = if queue_sel == 1 {
-                adaptive_hull::adaptive::stream::QueueKind::Bucket
-            } else {
-                adaptive_hull::adaptive::stream::QueueKind::Heap
-            };
-            let builder = SummaryBuilder::new(kind).with_r(1 << rexp).with_queue(queue);
+            let builder = SummaryBuilder::new(kind).with_r(1 << rexp);
             let mut original = builder.build_mergeable();
             original.insert_batch(head);
             let bytes = original.encode_snapshot();
@@ -688,5 +682,32 @@ fn forged_checksum_valid_payloads_are_rejected() {
     match SummaryBuilder::restore(&bytes) {
         Err(SnapshotError::Malformed(_)) => {}
         other => panic!("disagreeing adjacent leaves must be Malformed, got {other:?}"),
+    }
+
+    // The queue byte of an adaptive snapshot (after r u32 and depth u32)
+    // is always 0: the summary has one unrefinement queue, and 1 named the
+    // retired bucket queue.
+    let mut bytes = adaptive.encode_snapshot();
+    assert_eq!(bytes[24], 0, "adaptive queue byte offset");
+    bytes[24] = 1;
+    reseal(&mut bytes);
+    match SummaryBuilder::restore(&bytes) {
+        Err(SnapshotError::Malformed(_)) => {}
+        other => panic!("adaptive queue byte 1 must be Malformed, got {other:?}"),
+    }
+
+    // So is the queue byte of the builder a window snapshot embeds (after
+    // kind u8, r u32, has-depth u8 and depth u32).
+    let mut window = SummaryBuilder::new(SummaryKind::Adaptive)
+        .with_r(8)
+        .windowed(WindowConfig::last_n(100).with_granularity(32));
+    window.insert_batch(&spiral(80));
+    let mut bytes = Snapshot::encode(&window);
+    assert_eq!(bytes[26], 0, "window builder queue byte offset");
+    bytes[26] = 1;
+    reseal(&mut bytes);
+    match WindowedSummary::decode(&bytes) {
+        Err(SnapshotError::Malformed(_)) => {}
+        other => panic!("window builder queue byte 1 must be Malformed, got {other:?}"),
     }
 }
