@@ -36,15 +36,15 @@
 //!
 //! One config was removed with the code it pinned: the adaptive summary
 //! lost its power-of-two bucket queue and the option that selected it, so
-//! the `adaptive/bucket` config and its ten rows (eight streams, `few2`
-//! and the window) went too. The snapshot format kept its queue byte,
+//! the `adaptive/bucket` config and its ten rows (its nine streams and
+//! its window chain) went too. The snapshot format kept its queue byte,
 //! always 0, so every remaining row stayed as recorded, window snapshot
 //! hashes included.
 //!
-//! Each row hashes (FNV-1a)
-//! the sealed `encode_snapshot()` envelope and the raw IEEE-754 bits of the
-//! hull vertices, and records the raw bits of `error_bound()` (`u64::MAX`
-//! for `None`), `hull_generation()` and `approx_bytes()`.
+//! Each row hashes (FNV-1a) the sealed `encode_snapshot()` envelope and
+//! the raw IEEE-754 bits of the hull vertices, and records the raw bits of
+//! `error_bound()` (`u64::MAX` for `None`), `hull_generation()` and
+//! `approx_bytes()`.
 //!
 //! Streams: a drifting Gaussian and a thin annulus (4000 points each),
 //! few-point drifts of 2–40 points, an integer-snapped cloud full of
