@@ -16,7 +16,7 @@ pub mod schema;
 
 use adaptive_hull::metrics::{self, ProbeStats, TriangleStats};
 use adaptive_hull::{
-    ExactHull, FixedBudgetAdaptiveHull, FrozenHull, HullSummary, NaiveUniformHull, SummaryBuilder,
+    FixedBudgetAdaptiveHull, FrozenHull, HullSummary, NaiveUniformHull, SummaryBuilder,
 };
 use geom::Point2;
 use streamgen::{Changing, Disk, Ellipse, Square};
@@ -235,15 +235,6 @@ pub fn format_table(title: &str, rows: &[Table1Row], left_name: &str, right_name
     s
 }
 
-/// Final Hausdorff error of any summary against the exact hull of the
-/// same stream. Takes a trait object so the whole harness works over
-/// summaries chosen at runtime.
-pub fn final_error(summary: &dyn HullSummary, points: &[Point2]) -> f64 {
-    let mut exact = ExactHull::new();
-    exact.insert_batch(points);
-    metrics::hausdorff_error(summary.hull_ref(), exact.hull_ref())
-}
-
 /// Outcome of streaming one workload through one runtime-chosen summary.
 #[derive(Clone, Debug)]
 #[must_use = "a summary run carries the measured error and timing; dropping it discards the experiment"]
@@ -319,7 +310,7 @@ mod tests {
 
     #[test]
     fn run_builder_is_generic_over_kinds() {
-        use adaptive_hull::SummaryKind;
+        use adaptive_hull::{ExactHull, SummaryKind};
         let pts: Vec<Point2> = Disk::new(9, 2000, 1.0).collect();
         let mut exact = ExactHull::new();
         exact.insert_batch(&pts);

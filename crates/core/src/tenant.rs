@@ -30,7 +30,9 @@
 //!   radial tenants carry one sector table, not a million.
 //! * **Bulk interleaved ingest** — `(stream, point)` traffic is grouped
 //!   per stream in first-appearance order, so one batch is one
-//!   deterministic sequence of writes.
+//!   deterministic sequence of writes. On an ungoverned engine those
+//!   writes commute, and a large batch feeds its summaries on scoped
+//!   threads with the same result.
 //! * **Backfill** — [`TenantEngine::absorb`] merges a finished
 //!   [`SupervisedRun`] (an archive replayed through
 //!   [`SupervisedIngest`](crate::recovery::SupervisedIngest), which
@@ -64,9 +66,18 @@ use crate::snapshot::{self, SnapshotError};
 use crate::summary::{chain_bound, parallel_bound, HullSummary, Mergeable};
 use crate::telemetry::{names, Scrape, Telemetry};
 use geom::{ConvexPolygon, Point2, Vec2};
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::fmt;
+use std::mem;
+use std::num::NonZeroUsize;
 use std::sync::Arc;
+
+/// The fewest points a worker takes when an ungoverned bulk batch fans
+/// its summary writes out ([`TenantEngine::ingest_bulk`]), so a batch
+/// fans out from twice this size. A scoped spawn and join costs about
+/// 9 µs, and a young stream about 1 µs a point (2-vCPU x86-64 host).
+const WORKER_POINTS: usize = 512;
 
 /// Identifies one tenant stream. Plain `u64` newtype: dense ids, hash
 /// keys, and foreign keys from an upstream router all work unchanged.
@@ -493,6 +504,13 @@ impl TenantConfig {
     pub fn telemetry(&self) -> Telemetry {
         self.telemetry
     }
+
+    /// Whether a budget, a tenant cap or a stream limit is set: then one
+    /// write's enforcement can spill, evict or degrade a tenant that a
+    /// later write touches.
+    fn governed(&self) -> bool {
+        self.budget_bytes != 0 || self.tenant_cap_bytes != 0 || self.max_streams != 0
+    }
 }
 
 enum Residency {
@@ -632,6 +650,10 @@ pub struct TenantEngine {
     cold: usize,
     quarantined: usize,
     report: PressureReport,
+    /// Workers an ungoverned bulk batch may feed its summaries on: the
+    /// host's available parallelism, read once (each read costs
+    /// microseconds).
+    threads: usize,
 }
 
 impl TenantEngine {
@@ -655,6 +677,7 @@ impl TenantEngine {
             cold: 0,
             quarantined: 0,
             report,
+            threads: std::thread::available_parallelism().map_or(1, NonZeroUsize::get),
         }
     }
 
@@ -695,7 +718,7 @@ impl TenantEngine {
     }
 
     /// The engine clock (advanced by [`tick`](Self::tick) and once per
-    /// [`ingest_bulk`](Self::ingest_bulk) batch).
+    /// [`ingest_bulk`](Self::ingest_bulk) batch it does not refuse).
     pub fn clock(&self) -> u64 {
         self.clock
     }
@@ -765,10 +788,27 @@ impl TenantEngine {
     /// Bulk interleaved ingest: `(stream, point)` traffic in arrival
     /// order. Points are grouped per stream (first-appearance order, so
     /// the outcome is deterministic), the bounded queue policy is applied
-    /// up front, and — under a shedding or degrading policy — per-stream
-    /// failures (a quarantined tenant, the stream limit) shed that
-    /// stream's points instead of failing the batch. Advances the idle
-    /// clock by one.
+    /// up front, and each group is then written as
+    /// [`insert_batch`](Self::insert_batch) writes it, in that order.
+    /// Under a shedding or degrading policy, per-stream failures (a
+    /// quarantined tenant, the stream limit) shed that stream's points
+    /// instead of failing the batch.
+    ///
+    /// A batch that is taken advances the idle clock by one. A refused
+    /// batch returns its error with the clock unchanged: a
+    /// [`QueueFull`](AdmissionError::QueueFull) batch has written
+    /// nothing, and a write refused under [`OverloadPolicy::Reject`]
+    /// leaves the groups before it written and the groups after it
+    /// untouched.
+    ///
+    /// On an ungoverned engine (no budget, tenant cap or stream limit:
+    /// the default configuration) the groups' writes commute, so a batch
+    /// of 1,024 points or more runs the summaries' `insert_batch` calls
+    /// on scoped threads, up to the host's available parallelism, and
+    /// joins them before returning. Admission, restores, events and the
+    /// ledger stay on the caller's thread in group order, so every result
+    /// (summaries, epochs, events, `bytes_peak`) is the same for any
+    /// number of workers.
     pub fn ingest_bulk(&mut self, traffic: &[(StreamId, Point2)]) -> Result<(), AdmissionError> {
         let finite_count = |pts: &[Point2]| pts.iter().filter(|p| p.is_finite()).count() as u64;
         let cap = self.config.queue_points;
@@ -803,14 +843,19 @@ impl TenantEngine {
                 OverloadPolicy::DegradeToCoarser => {}
             }
         }
-        for (id, pts) in Grouped::new(&traffic[start..]).iter() {
-            match self.write(id, Feed::Points(pts)) {
-                Ok(()) => {}
-                Err(e) if self.config.policy == OverloadPolicy::Reject => return Err(e),
-                // Shedding/degrading engines never fail a bulk batch: the
-                // failing stream's points are shed and tallied.
-                Err(_) => self.shed_points(id, finite_count(pts)),
+        let groups = Grouped::new(&traffic[start..]);
+        if self.config.governed() {
+            for (id, pts) in groups.iter() {
+                match self.write(id, Feed::Points(pts)) {
+                    Ok(()) => {}
+                    Err(e) if self.config.policy == OverloadPolicy::Reject => return Err(e),
+                    // Shedding/degrading engines never fail a bulk batch:
+                    // the failing stream's points are shed and tallied.
+                    Err(_) => self.shed_points(id, finite_count(pts)),
+                }
             }
+        } else {
+            self.write_groups(&groups)?;
         }
         self.clock += 1;
         Ok(())
@@ -1210,10 +1255,10 @@ impl TenantEngine {
         // Non-finite points are silently dropped up front — the same
         // contract every summary honours — so the engine ledger counts
         // finite points only and `seen == ingested + shed` stays exact.
-        let finite: Vec<Point2>;
+        let finite;
         let feed = match feed {
-            Feed::Points(points) if !points.iter().all(|p| p.is_finite()) => {
-                finite = points.iter().copied().filter(|p| p.is_finite()).collect();
+            Feed::Points(points) => {
+                finite = finite_points(points);
                 Feed::Points(&finite)
             }
             feed => feed,
@@ -1347,6 +1392,87 @@ impl TenantEngine {
                 } else {
                     Err(e)
                 }
+            }
+        }
+    }
+
+    /// An ungoverned engine's bulk writes, in three phases. With no
+    /// budget, cap or stream limit, a write touches only its own tenant
+    /// and the ledger's sums, so the groups' summary writes commute:
+    ///
+    /// 1. on the caller's thread, in group order, each tenant is admitted
+    ///    and restored exactly as [`write`](Self::write) does it (epochs,
+    ///    events, quarantines), and its summary is moved out of its slot;
+    ///    a refused group stops the batch under `Reject` and is shed
+    ///    otherwise;
+    /// 2. [`insert_groups`] feeds every summary its group;
+    /// 3. back in group order, each summary returns to its slot and the
+    ///    ledger is booked, replaying the byte trajectory of group-by-group
+    ///    writes so that `bytes_peak` is theirs as well.
+    fn write_groups(&mut self, groups: &Grouped) -> Result<(), AdmissionError> {
+        let (bytes, peak) = (self.bytes_in_use, self.report.bytes_peak);
+        let mut writes = Vec::with_capacity(groups.groups.len());
+        let mut refused = Ok(());
+        for (id, pts) in groups.iter() {
+            let before = self.bytes_in_use;
+            let taken = self.take_for_write(id);
+            let mut write = GroupWrite {
+                points: finite_points(pts),
+                prepared: self.bytes_in_use as isize - before as isize,
+                summary: None,
+                bytes: 0,
+            };
+            match taken {
+                Ok(summary) => write.summary = Some(summary),
+                Err(e) if self.config.policy == OverloadPolicy::Reject => refused = Err(e),
+                Err(_) => self.shed_points(id, write.points.len() as u64),
+            }
+            writes.push(write);
+            if refused.is_err() {
+                break;
+            }
+        }
+        insert_groups(&mut writes, self.threads);
+        self.bytes_in_use = bytes;
+        self.report.bytes_peak = peak;
+        for write in writes {
+            self.bytes_in_use = self.bytes_in_use.saturating_add_signed(write.prepared);
+            self.note_peak();
+            let Some((idx, summary)) = write.summary else {
+                continue;
+            };
+            let n = write.points.len() as u64;
+            if let Some(Some(t)) = self.slots.get_mut(idx) {
+                t.residency = Residency::Hot(summary);
+                self.bytes_in_use = self.bytes_in_use + write.bytes - t.bytes;
+                t.bytes = write.bytes;
+                t.seen += n;
+                t.ingested += n;
+                t.last_touch = self.clock;
+            }
+            self.report.points_seen += n;
+            self.report.points_ingested += n;
+            self.note_peak();
+        }
+        refused
+    }
+
+    /// Phase 1 of [`write_groups`](Self::write_groups) for one tenant:
+    /// admits and restores it, then moves its summary out of its slot
+    /// (an empty envelope holds the place until phase 3 puts it back).
+    fn take_for_write(
+        &mut self,
+        id: StreamId,
+    ) -> Result<(usize, Box<dyn Mergeable + Send + Sync>), AdmissionError> {
+        let idx = self.admit(id)?;
+        self.make_hot(idx)?;
+        let t = self.slots.get_mut(idx).and_then(Option::as_mut);
+        let t = t.ok_or(AdmissionError::UnknownStream { stream: id })?;
+        match mem::replace(&mut t.residency, Residency::Cold(Vec::new())) {
+            Residency::Hot(summary) => Ok((idx, summary)),
+            other => {
+                t.residency = other;
+                Err(AdmissionError::UnknownStream { stream: id })
             }
         }
     }
@@ -1670,6 +1796,78 @@ impl Grouped {
     }
 }
 
+/// One group of an ungoverned bulk batch
+/// ([`TenantEngine::write_groups`]).
+struct GroupWrite<'a> {
+    /// The group's finite points.
+    points: Cow<'a, [Point2]>,
+    /// What admitting or restoring the tenant did to `bytes_in_use`
+    /// (negative when a failed restore dropped its envelope).
+    prepared: isize,
+    /// The tenant's slot and its summary, moved out for the insert;
+    /// `None` when the group was refused or shed.
+    summary: Option<(usize, Box<dyn Mergeable + Send + Sync>)>,
+    /// The summary's `approx_bytes` after the insert.
+    bytes: usize,
+}
+
+/// Phase 2 of [`TenantEngine::write_groups`]: every summary's
+/// `insert_batch` and `approx_bytes`. The groups are cut into contiguous
+/// runs of about equal point counts, one per worker and each of at least
+/// [`WORKER_POINTS`] points; the caller's thread takes the first run and
+/// scoped threads the others. Every summary is written by one thread in
+/// its group's order, so the result does not depend on the cut.
+fn insert_groups(writes: &mut [GroupWrite<'_>], threads: usize) {
+    fn insert(run: &mut [GroupWrite<'_>]) {
+        for write in run {
+            if let Some((_, summary)) = &mut write.summary {
+                summary.insert_batch(&write.points);
+                write.bytes = summary.approx_bytes();
+            }
+        }
+    }
+    let points: usize = writes.iter().map(|w| w.points.len()).sum();
+    let workers = threads.min(points / WORKER_POINTS);
+    if workers < 2 {
+        insert(writes);
+        return;
+    }
+    let share = points.div_ceil(workers);
+    let mut runs = Vec::with_capacity(workers);
+    let mut rest = writes;
+    while !rest.is_empty() {
+        let (mut cut, mut taken) = (0, 0);
+        while cut < rest.len() && taken < share {
+            taken += rest[cut].points.len();
+            cut += 1;
+        }
+        let (run, tail) = mem::take(&mut rest).split_at_mut(cut);
+        runs.push(run);
+        rest = tail;
+    }
+    let mut runs = runs.into_iter();
+    std::thread::scope(|scope| {
+        let first = runs.next();
+        let workers: Vec<_> = runs.map(|run| scope.spawn(move || insert(run))).collect();
+        if let Some(run) = first {
+            insert(run);
+        }
+        for worker in workers {
+            worker.join().expect("tenant insert worker panicked"); // lint:allow(no-panic): re-raising a worker panic on the caller is the only sound way to surface it
+        }
+    });
+}
+
+/// `points` without its non-finite ones (borrowed when all are finite):
+/// what every summary keeps of a batch, so the ledger counts it exactly.
+fn finite_points(points: &[Point2]) -> Cow<'_, [Point2]> {
+    if points.iter().all(|p| p.is_finite()) {
+        Cow::Borrowed(points)
+    } else {
+        Cow::Owned(points.iter().copied().filter(|p| p.is_finite()).collect())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1980,8 +2178,8 @@ mod tests {
         // Interleaved bulk traffic over more than a thousand streams, with
         // non-finite points mixed in, must land bit-identically to the
         // same points fed point by point: the same ledger per tenant and
-        // the same snapshot bytes.
-        let mut bulk = engine(SummaryKind::Adaptive);
+        // the same snapshot bytes, whatever the number of workers, which
+        // leaves the pressure report unchanged too.
         let mut serial = engine(SummaryKind::Adaptive);
         let streams = 1_200u64;
         let mut traffic = Vec::new();
@@ -1996,22 +2194,41 @@ mod tests {
             };
             traffic.push((id, p));
         }
-        bulk.ingest_bulk(&traffic).unwrap();
         for &(id, p) in &traffic {
             serial.insert(id, p).unwrap();
         }
-        assert_eq!(bulk.len(), streams as usize);
-        for stream in 0..streams {
-            let id = StreamId(stream);
-            let (a, b) = (bulk.stats(id).unwrap(), serial.stats(id).unwrap());
-            assert_eq!(format!("{a:?}"), format!("{b:?}"), "stream {stream}");
-            assert!(bulk.spill(id) && serial.spill(id));
-            assert_eq!(
-                bulk.spilled_bytes(id),
-                serial.spilled_bytes(id),
-                "stream {stream}"
-            );
+        let ids = (0..streams).map(StreamId);
+        let stats: Vec<String> = ids
+            .clone()
+            .map(|id| format!("{:?}", serial.stats(id).unwrap()))
+            .collect();
+        let envelopes: Vec<Vec<u8>> = ids
+            .clone()
+            .map(|id| {
+                assert!(serial.spill(id));
+                serial.spilled_bytes(id).unwrap().to_vec()
+            })
+            .collect();
+        let mut reports = Vec::new();
+        for threads in [1, 2, 3, 5] {
+            let mut bulk = engine(SummaryKind::Adaptive);
+            bulk.threads = threads;
+            bulk.ingest_bulk(&traffic).unwrap();
+            assert_eq!(bulk.len(), streams as usize);
+            reports.push(format!("{:?}", bulk.pressure_report()));
+            for (i, id) in ids.clone().enumerate() {
+                let a = format!("{:?}", bulk.stats(id).unwrap());
+                assert_eq!(a, stats[i], "stream {id}, {threads} workers");
+                assert!(bulk.spill(id));
+                assert_eq!(
+                    bulk.spilled_bytes(id),
+                    Some(&envelopes[i][..]),
+                    "stream {id}, {threads} workers"
+                );
+            }
         }
+        reports.dedup();
+        assert_eq!(reports.len(), 1, "the report depends on the workers");
     }
 
     #[test]

@@ -7,7 +7,9 @@
 #![recursion_limit = "1024"]
 
 use proptest::prelude::*;
+use std::collections::HashMap;
 use streamhull::prelude::*;
+use streamhull::streamgen::TenantTraffic;
 
 fn pt_strategy() -> impl Strategy<Value = Point2> {
     prop_oneof![
@@ -376,4 +378,172 @@ fn overflowing_bulk_batches_are_deterministic_and_book_finite_points() {
         rejected,
         [(StreamId(1), 2), (StreamId(2), 1), (StreamId(3), 1)]
     );
+}
+
+/// `traffic` grouped per stream in first-appearance order, the order in
+/// which `ingest_bulk` writes its groups.
+fn first_appearance_groups(traffic: &[(StreamId, Point2)]) -> Vec<(StreamId, Vec<Point2>)> {
+    let mut slot: HashMap<StreamId, usize> = HashMap::new();
+    let mut groups: Vec<(StreamId, Vec<Point2>)> = Vec::new();
+    for &(id, p) in traffic {
+        let g = *slot.entry(id).or_insert_with(|| {
+            groups.push((id, Vec::new()));
+            groups.len() - 1
+        });
+        groups[g].1.push(p);
+    }
+    groups
+}
+
+/// A fleet batch large enough to fan its summary writes out over worker
+/// threads lands exactly as its groups written one `insert_batch` at a
+/// time in first-appearance order: the same pressure report (events and
+/// their ticks, `bytes_peak`, spills, restores, admissions) and, per
+/// stream, the same stats, query token and spilled bytes. The batch
+/// carries non-finite points (one stream gets nothing else), cold tenants
+/// it restores, and, three quarters in, a tenant whose corrupted envelope
+/// quarantines it at its group. Under `Reject` the batch stops there: the
+/// groups before it are booked, the groups after it are untouched, and
+/// the clock does not advance. Under `ShedOldest` that tenant's finite
+/// points are shed and the rest of the batch is written.
+#[test]
+fn bulk_batch_equals_group_by_group_writes() {
+    const CORRUPT: StreamId = StreamId(1_000_000);
+    const ALL_NAN: StreamId = StreamId(1_000_001);
+    let nan = Point2::new(f64::NAN, 0.0);
+    let mut traffic: Vec<(StreamId, Point2)> = TenantTraffic::new(2801, 20_000, 4_096)
+        .enumerate()
+        .map(|(i, (s, p))| (StreamId(s), if i % 97 == 0 { nan } else { p }))
+        .collect();
+    traffic.insert(100, (ALL_NAN, Point2::new(1.0, f64::INFINITY)));
+    let late = traffic.len() * 3 / 4;
+    for k in 0..8 {
+        let p = if k == 3 {
+            nan
+        } else {
+            Point2::new(k as f64, 1.0)
+        };
+        traffic.insert(late + 8 * k, (CORRUPT, p));
+    }
+    let groups = first_appearance_groups(&traffic);
+    let at = groups.iter().position(|(id, _)| *id == CORRUPT).unwrap();
+    let finite = |pts: &[Point2]| pts.iter().filter(|p| p.is_finite()).count() as u64;
+    let shed = finite(&groups[at].1);
+    assert_eq!(shed, 7);
+    let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
+    println!(
+        "{} points in {} groups, available parallelism {workers}: the {} path ran",
+        traffic.len(),
+        groups.len(),
+        if workers > 1 { "fan-out" } else { "inline" }
+    );
+
+    for policy in [OverloadPolicy::Reject, OverloadPolicy::ShedOldest] {
+        let config = TenantConfig::new(SummaryBuilder::new(SummaryKind::Adaptive).with_r(32))
+            .with_policy(policy);
+        // 64 preloaded streams with every fourth spilled cold, and a
+        // spilled tenant whose envelope is then corrupted.
+        let [mut bulk, mut reference] = [(); 2].map(|()| {
+            let mut engine = TenantEngine::new(config);
+            for s in (0..64).chain([CORRUPT.0]) {
+                let pts: Vec<Point2> = (0..400)
+                    .map(|i| {
+                        let t = i as f64 * 0.0157;
+                        Point2::new(s as f64 + 3.0 * t.cos(), 2.0 * t.sin())
+                    })
+                    .collect();
+                engine.insert_batch(StreamId(s), &pts).unwrap();
+            }
+            for s in (0..64).step_by(4).chain([CORRUPT.0]) {
+                assert!(engine.spill(StreamId(s)));
+            }
+            assert!(engine.corrupt_spill(CORRUPT, 12, 0xA5));
+            engine
+        });
+        let clock = bulk.clock();
+        let before: Vec<String> = groups
+            .iter()
+            .map(|(id, _)| format!("{:?}", bulk.stats(*id)))
+            .collect();
+
+        let outcome = bulk.ingest_bulk(&traffic);
+        let mut refused = None;
+        for (id, pts) in &groups {
+            if let Err(e) = reference.insert_batch(*id, pts) {
+                assert!(refused.is_none(), "{id}: a second refusal");
+                assert!(
+                    matches!(e, AdmissionError::Quarantined { stream, .. } if stream == CORRUPT)
+                );
+                refused = Some(e);
+                if policy == OverloadPolicy::Reject {
+                    break;
+                }
+            }
+        }
+        let refused = refused.expect("the corrupted tenant refuses its write");
+        let mut expected = reference.pressure_report();
+        if policy == OverloadPolicy::Reject {
+            assert_eq!(outcome, Err(refused));
+            assert_eq!(bulk.clock(), clock, "a refused batch advanced the clock");
+            for (g, (id, pts)) in groups.iter().enumerate() {
+                let now = bulk.stats(*id);
+                if g < at {
+                    let was = reference.stats(*id).unwrap().seen;
+                    assert_eq!(now.unwrap().seen, was, "group {g} ({id}) not booked");
+                    assert!(finite(pts) == 0 || now.unwrap().ingested > 0, "{id}");
+                } else if g > at {
+                    assert_eq!(format!("{now:?}"), before[g], "group {g} ({id}) touched");
+                }
+            }
+        } else {
+            assert_eq!(outcome, Ok(()));
+            assert_eq!(bulk.clock(), clock + 1);
+            // `insert_batch` refuses the quarantined tenant's points, where
+            // `ingest_bulk` sheds them right after the quarantine.
+            expected.points_seen += shed;
+            expected.points_shed += shed;
+            let q = expected
+                .events
+                .iter()
+                .position(|e| matches!(e.action, PressureAction::Quarantined { .. }))
+                .unwrap();
+            let action = PressureAction::ShedPoints { points: shed };
+            expected.events.insert(
+                q + 1,
+                PressureEvent {
+                    stream: CORRUPT,
+                    tick: clock,
+                    action,
+                },
+            );
+        }
+        let report = bulk.pressure_report();
+        assert!(report.restores > 0 && report.streams_quarantined == 1);
+        assert_eq!(format!("{report:?}"), format!("{expected:?}"), "{policy:?}");
+
+        let mut ids: Vec<StreamId> = bulk.ids().collect();
+        ids.sort_unstable();
+        let mut reference_ids: Vec<StreamId> = reference.ids().collect();
+        reference_ids.sort_unstable();
+        assert_eq!(ids, reference_ids);
+        assert!(ids.contains(&ALL_NAN));
+        for &id in &ids {
+            let mut want = reference.stats(id);
+            if let Some(w) = want.as_mut().filter(|_| id == CORRUPT) {
+                if policy == OverloadPolicy::ShedOldest {
+                    w.seen += shed;
+                    w.shed += shed;
+                }
+            }
+            let got = bulk.stats(id);
+            assert_eq!(format!("{got:?}"), format!("{want:?}"), "{policy:?} {id}");
+        }
+        for &id in &ids {
+            assert_eq!(bulk.query_token(id), reference.query_token(id), "{id}");
+        }
+        for &id in &ids {
+            assert_eq!(bulk.spill(id), reference.spill(id), "{id}");
+            assert_eq!(bulk.spilled_bytes(id), reference.spilled_bytes(id), "{id}");
+        }
+    }
 }
