@@ -309,6 +309,55 @@ impl ShardedIngest {
     }
 }
 
+/// Runs `work` over `items` cut into contiguous runs of about equal
+/// `weight`, at most `workers` of them: scoped threads take every run but
+/// the first, the caller's thread runs `first` over the first run, and the
+/// call returns once all runs are done. Each item is handled by one thread
+/// and the runs keep the items' order, so when an item's work reads no
+/// other item the result depends neither on the cut nor on `workers`.
+/// With fewer than two workers no thread starts and `first` gets every
+/// item.
+///
+/// The window chain builds a batch's full buckets with it
+/// ([`WindowedSummary`](crate::window::WindowedSummary)), and an
+/// ungoverned [`TenantEngine::ingest_bulk`](crate::tenant::TenantEngine::ingest_bulk)
+/// feeds its groups' summaries.
+pub(crate) fn fan_out<T: Send>(
+    items: &mut [T],
+    workers: usize,
+    weight: impl Fn(&T) -> usize,
+    work: impl Fn(&mut [T]) + Sync,
+    first: impl FnOnce(&mut [T]),
+) {
+    if workers < 2 {
+        first(items);
+        return;
+    }
+    let share = items.iter().map(&weight).sum::<usize>().div_ceil(workers);
+    let mut runs = Vec::with_capacity(workers);
+    let mut rest = items;
+    while !rest.is_empty() {
+        let (mut cut, mut taken) = (0, 0);
+        while cut < rest.len() && (cut == 0 || taken < share) {
+            taken += weight(&rest[cut]);
+            cut += 1;
+        }
+        let (run, tail) = std::mem::take(&mut rest).split_at_mut(cut);
+        runs.push(run);
+        rest = tail;
+    }
+    let mut runs = runs.into_iter();
+    let head = runs.next().unwrap_or_default();
+    let work = &work;
+    std::thread::scope(|scope| {
+        let workers: Vec<_> = runs.map(|run| scope.spawn(move || work(run))).collect();
+        first(head);
+        for worker in workers {
+            worker.join().expect("fan-out worker panicked"); // lint:allow(no-panic): re-raising a worker panic on the caller is the only sound way to surface it
+        }
+    });
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -60,6 +60,7 @@
 use crate::builder::{SummaryBuilder, SummaryKind};
 use crate::frozen::FrozenHull;
 use crate::fxhash::FxBuild;
+use crate::parallel::fan_out;
 use crate::radial::RadialHull;
 use crate::recovery::SupervisedRun;
 use crate::snapshot::{self, SnapshotError};
@@ -1812,11 +1813,11 @@ struct GroupWrite<'a> {
 }
 
 /// Phase 2 of [`TenantEngine::write_groups`]: every summary's
-/// `insert_batch` and `approx_bytes`. The groups are cut into contiguous
-/// runs of about equal point counts, one per worker and each of at least
-/// [`WORKER_POINTS`] points; the caller's thread takes the first run and
-/// scoped threads the others. Every summary is written by one thread in
-/// its group's order, so the result does not depend on the cut.
+/// `insert_batch` and `approx_bytes`, fanned out by
+/// [`fan_out`](crate::parallel::fan_out) over runs of about equal point
+/// counts, one per worker and each of at least [`WORKER_POINTS`] points.
+/// Every summary is written by one thread in its group's order, so the
+/// result does not depend on the cut.
 fn insert_groups(writes: &mut [GroupWrite<'_>], threads: usize) {
     fn insert(run: &mut [GroupWrite<'_>]) {
         for write in run {
@@ -1828,34 +1829,7 @@ fn insert_groups(writes: &mut [GroupWrite<'_>], threads: usize) {
     }
     let points: usize = writes.iter().map(|w| w.points.len()).sum();
     let workers = threads.min(points / WORKER_POINTS);
-    if workers < 2 {
-        insert(writes);
-        return;
-    }
-    let share = points.div_ceil(workers);
-    let mut runs = Vec::with_capacity(workers);
-    let mut rest = writes;
-    while !rest.is_empty() {
-        let (mut cut, mut taken) = (0, 0);
-        while cut < rest.len() && taken < share {
-            taken += rest[cut].points.len();
-            cut += 1;
-        }
-        let (run, tail) = mem::take(&mut rest).split_at_mut(cut);
-        runs.push(run);
-        rest = tail;
-    }
-    let mut runs = runs.into_iter();
-    std::thread::scope(|scope| {
-        let first = runs.next();
-        let workers: Vec<_> = runs.map(|run| scope.spawn(move || insert(run))).collect();
-        if let Some(run) = first {
-            insert(run);
-        }
-        for worker in workers {
-            worker.join().expect("tenant insert worker panicked"); // lint:allow(no-panic): re-raising a worker panic on the caller is the only sound way to surface it
-        }
-    });
+    fan_out(writes, workers, |w| w.points.len(), insert, insert);
 }
 
 /// `points` without its non-finite ones (borrowed when all are finite):

@@ -19,6 +19,7 @@
 
 use proptest::prelude::*;
 use streamhull::prelude::*;
+use streamhull::telemetry::names;
 
 fn vertex_bits(hull: &ConvexPolygon) -> Vec<(u64, u64)> {
     hull.vertices()
@@ -432,6 +433,113 @@ proptest! {
         }
     }
 
+}
+
+/// Everything a differential check compares: the chain's snapshot bytes,
+/// the query answer bit for bit, and the scrape's lifecycle counters.
+fn chain_record(w: &WindowedSummary, tel: Telemetry) -> (Vec<u8>, String, [u64; 3]) {
+    let ans = w.query_window();
+    let answer = format!(
+        "hull {:?} bound {:?} merged {} stale {} buckets {}",
+        vertex_bits(ans.hull()),
+        bound_bits(ans.error_bound()),
+        ans.merged_points,
+        ans.stale_points,
+        ans.buckets
+    );
+    let scrape = tel.scrape();
+    let counters = [
+        names::WINDOW_SEALS,
+        names::WINDOW_MERGES,
+        names::WINDOW_EXPIRIES,
+    ]
+    .map(|name| scrape.counter_total(name));
+    (Snapshot::encode(w), answer, counters)
+}
+
+#[test]
+fn batches_closing_many_buckets_match_the_per_point_loop() {
+    // Batches of 512 to 4,096 points close 2 to 64 full buckets each, so
+    // on a multi-core host they build them on scoped threads for every
+    // kind but radial (the 4,096-point batches for every such kind, the
+    // smaller ones for the costlier kinds), in windows shorter than one
+    // batch: expiries and multi-level carries fire inside a batch. Each
+    // chain must equal the per-point loop's, under `LastN` (auto-tick),
+    // under `LastDur` fed individual timestamps, and under `LastDur` fed
+    // one timestamp per batch.
+    let mut pts: Vec<Point2> = streamgen::Drift::new(
+        29,
+        9_000,
+        Point2::new(0.0, 0.0),
+        Point2::new(256.0, 64.0),
+        1.0,
+    )
+    .collect();
+    pts[5_000] = Point2::new(f64::NAN, 1.0);
+    let sizes = [512, 4_096, 777, 2_048, 512, 1_000];
+    let mut batches = Vec::new();
+    let mut start = 0;
+    for &size in sizes.iter().cycle() {
+        let end = (start + size).min(pts.len());
+        batches.push(start..end);
+        start = end;
+        if start == pts.len() {
+            break;
+        }
+    }
+    let stamp = |i: usize| (i / 3) as f64 * 0.5;
+    let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
+    println!(
+        "available parallelism {workers}: the {} path ran",
+        if workers > 1 { "fan-out" } else { "inline" }
+    );
+    for kind in SummaryKind::ALL {
+        for g in [64, 256] {
+            let builder = SummaryBuilder::new(kind).with_r(16);
+            for policy in ["last_n", "timestamped", "at"] {
+                let config = match policy {
+                    "last_n" => WindowConfig::last_n(1_500),
+                    "timestamped" => WindowConfig::last_dur(600.0),
+                    _ => WindowConfig::last_dur(150.0),
+                }
+                .with_granularity(g);
+                let label = format!("{kind} g={g} {policy}");
+                let [(mut looped, lt), (mut batched, bt)] = [(); 2].map(|()| {
+                    let tel = Telemetry::new();
+                    (builder.windowed(config).with_telemetry(tel), tel)
+                });
+                for (b, range) in batches.iter().enumerate() {
+                    let batch = &pts[range.clone()];
+                    match policy {
+                        "last_n" => {
+                            batch.iter().for_each(|&p| looped.insert(p));
+                            batched.insert_batch(batch);
+                        }
+                        "timestamped" => {
+                            let stamped: Vec<(Point2, f64)> =
+                                range.clone().map(|i| (pts[i], stamp(i))).collect();
+                            stamped.iter().for_each(|&(p, t)| looped.insert_at(p, t));
+                            batched.insert_batch_timestamped(&stamped);
+                        }
+                        _ => {
+                            let t = 100.0 * b as f64;
+                            batch.iter().for_each(|&p| looped.insert_at(p, t));
+                            batched.insert_batch_at(batch, t);
+                        }
+                    }
+                    // After every batch: a later expiry can drop the
+                    // buckets a wrong batch built.
+                    let (want, got) = (chain_record(&looped, lt), chain_record(&batched, bt));
+                    assert!(want.0 == got.0, "{label}, batch {b}: chain bytes");
+                    assert_eq!(want.1, got.1, "{label}, batch {b}: answer");
+                    assert_eq!(want.2, got.2, "{label}, batch {b}: seals, merges, expiries");
+                }
+                assert_eq!(looped.points_seen(), pts.len() as u64 - 1, "{label}");
+                let counters = chain_record(&looped, lt).2;
+                assert!(counters[1] > 0 && counters[2] > 0, "{label}: {counters:?}");
+            }
+        }
+    }
 }
 
 #[test]
