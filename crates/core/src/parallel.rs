@@ -333,12 +333,15 @@ pub(crate) fn fan_out<T: Send>(
         first(items);
         return;
     }
-    let share = items.iter().map(&weight).sum::<usize>().div_ceil(workers);
+    let total = items.iter().map(&weight).sum::<usize>();
+    let share = total.div_ceil(workers).max(1);
     let mut runs = Vec::with_capacity(workers);
     let mut rest = items;
     while !rest.is_empty() {
+        // A run ends at `share` and takes the weightless items after it,
+        // so there are at most `workers` runs.
         let (mut cut, mut taken) = (0, 0);
-        while cut < rest.len() && (cut == 0 || taken < share) {
+        while cut < rest.len() && (taken < share || weight(&rest[cut]) == 0) {
             taken += weight(&rest[cut]);
             cut += 1;
         }
@@ -461,5 +464,30 @@ mod tests {
         // Frozen reports no bound, so neither does the run.
         let frozen = ShardedIngest::new(SummaryBuilder::new(SummaryKind::Frozen).with_r(16), 3);
         assert!(frozen.run(&pts).error_bound().is_none());
+    }
+
+    #[test]
+    fn fan_out_cuts_at_most_one_run_per_worker() {
+        // Weightless items (a bulk group with no finite point) join the
+        // run before them, so the cut never exceeds the workers, and every
+        // item is handled exactly once.
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let cases = [
+            (vec![5, 5, 0], 2),
+            (vec![0, 0, 0], 3),
+            (vec![0, 4, 0, 4, 0, 4, 0], 3),
+            (vec![1; 10], 4),
+        ];
+        for (weights, workers) in cases {
+            let runs = AtomicUsize::new(0);
+            let mut items: Vec<(usize, u32)> = weights.iter().map(|&w| (w, 0)).collect();
+            let visit = |run: &mut [(usize, u32)]| {
+                runs.fetch_add(1, Ordering::Relaxed);
+                run.iter_mut().for_each(|item| item.1 += 1);
+            };
+            fan_out(&mut items, workers, |item| item.0, visit, visit);
+            assert!(runs.into_inner() <= workers, "{weights:?}");
+            assert!(items.iter().all(|item| item.1 == 1), "{weights:?}");
+        }
     }
 }
