@@ -76,8 +76,8 @@ const ROUND_RUN: usize = 8;
 /// 256-point `Drift` bucket of r = 32 about 50 µs adaptive, 220
 /// adaptive-2r, 285 cluster, 20 uniform, 15–24 exact, 9 uniform-naive, 9
 /// frozen and 6 radial (2-vCPU x86-64 host). Fanned out at 2,048 points a
-/// worker, uniform-naive, frozen and radial windows read from 0.66× to
-/// 1.09× their inline time in process, from run to run; the other kinds
+/// worker, uniform-naive, frozen and radial windows read from 0.65× to
+/// 1.17× their inline time in process, from run to run; the other kinds
 /// gained at these minimums.
 fn worker_points(kind: crate::builder::SummaryKind) -> Option<usize> {
     use crate::builder::SummaryKind;
@@ -607,10 +607,10 @@ impl WindowedSummary {
         }
     }
 
-    /// Seals the chain's newest bucket: the head becomes a closed level-0
-    /// bucket; restore the exponential-histogram invariant. Expire first
-    /// so the carry never merges a bucket the per-point loop would already
-    /// have dropped (the expiry-races-batch-boundary case).
+    /// Seals the chain's newest bucket, now a closed level-0 bucket, and
+    /// restores the exponential-histogram invariant. Expire first so the
+    /// carry never merges a bucket the per-point loop would already have
+    /// dropped (the expiry-races-batch-boundary case).
     fn seal(&mut self) {
         self.instruments.seals.inc();
         self.expire();
@@ -620,11 +620,12 @@ impl WindowedSummary {
     /// Whether a batch whose rest holds `full` full buckets builds the
     /// next of them on threads, and if so the round's `(workers,
     /// buckets)`. Each worker gets at least [`worker_points`] points of
-    /// the chain's kind and at most [`ROUND_RUN`] buckets (or that many
-    /// points' worth), and the workers are capped by the host's available
-    /// parallelism, read once per chain. The rule reads only the batch
-    /// and the kind, never the host's load, so a host cuts a given batch
-    /// the same way every time (and any cut gives the same chain).
+    /// the chain's kind, and at most [`ROUND_RUN`] buckets or, if more,
+    /// the buckets holding that minimum; the workers are capped by the
+    /// host's available parallelism, read once per chain. The rule reads
+    /// only the batch and the kind, never the host's load, so a host cuts
+    /// a given batch the same way every time (and any cut gives the same
+    /// chain).
     fn fan_out_round(&mut self, full: usize) -> Option<(usize, usize)> {
         let min = worker_points(self.builder.kind())?;
         let g = self.config.granularity;
