@@ -460,13 +460,14 @@ fn chain_record(w: &WindowedSummary, tel: Telemetry) -> (Vec<u8>, String, [u64; 
 #[test]
 fn batches_closing_many_buckets_match_the_per_point_loop() {
     // Batches of 512 to 4,096 points close 2 to 64 full buckets each, so
-    // on a multi-core host they build them on scoped threads for every
-    // kind but radial (the 4,096-point batches for every such kind, the
-    // smaller ones for the costlier kinds), in windows shorter than one
-    // batch: expiries and multi-level carries fire inside a batch. Each
-    // chain must equal the per-point loop's, under `LastN` (auto-tick),
-    // under `LastDur` fed individual timestamps, and under `LastDur` fed
-    // one timestamp per batch.
+    // on a multi-core host they build them on scoped threads for the
+    // kinds whose buckets pay for it (adaptive, adaptive-2r and cluster
+    // from 512 points, uniform and exact from 4,096; uniform-naive,
+    // frozen and radial stay inline), in windows shorter than one batch:
+    // expiries and multi-level carries fire inside a batch. Each chain
+    // must equal the per-point loop's, under `LastN` (auto-tick), under
+    // `LastDur` fed individual timestamps, and under `LastDur` fed one
+    // timestamp per batch.
     let mut pts: Vec<Point2> = streamgen::Drift::new(
         29,
         9_000,
