@@ -42,6 +42,32 @@
 //! `streamhull_recovery_*` series of the runs whose reports
 //! [`RecoveryReport::export_to`] wrote into it.
 //!
+//! # Hand-offs
+//!
+//! The supervisor hands a worker several of its shard's consecutive
+//! buffered chunks per message, a *hand-off*, so it sleeps and wakes once
+//! per hand-off rather than once per chunk. A hand-off ends at the
+//! shard's checkpoint chunk and holds at most the replay bound and
+//! [`DEFAULT_CHECKPOINT_INTERVAL`] points' worth of chunks: 8 chunks at
+//! the defaults, 1 when the checkpoint interval is at most one chunk. The
+//! supervisor dispatches a shard's chunks once a hand-off's worth is
+//! buffered, flushes the rest at the end of the stream and on replay, and
+//! shares each buffered chunk with the worker instead of copying it, so a
+//! replay re-sends the same allocation. Everything else stays per chunk:
+//! the worker acts out a chunk's injected fault, ingests it with one
+//! `insert_batch`, encodes its checkpoint and acknowledges it before it
+//! takes the next chunk, and the supervisor drains ready acknowledgements
+//! on every submitted chunk. One hand-off waits in each worker's queue
+//! while the worker ingests another, so a crash replays at most two
+//! hand-offs.
+//!
+//! The stall deadline is measured from the worker's last event, not from
+//! the start of a send, so a healthy worker busy with a hand-off of
+//! several chunks is never declared stalled. Before a dead or stalled
+//! worker is charged, the supervisor books every acknowledgement it sent
+//! and attributes the fault to the first chunk of that shard it never
+//! acknowledged (see [`FaultEvent::chunk`]).
+//!
 //! # Determinism contract
 //!
 //! The supervised entry point shares [`ShardedIngest::run`]'s partition:
@@ -68,12 +94,13 @@ use crate::summary::{parallel_bound, HullSummary, Mergeable};
 use crate::telemetry::{names, Histogram, Scrape};
 use geom::{ConvexPolygon, Point2};
 use std::collections::VecDeque;
-use std::sync::mpsc;
+use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
-/// Commands in flight to one worker: a slow shard stalls the reader
-/// instead of buffering the stream.
-const CMD_QUEUE_DEPTH: usize = 2;
+/// Hand-offs queued to one worker beside the one it is ingesting: a slow
+/// shard stalls the reader instead of buffering the stream. With one, a
+/// crash replays at most two hand-offs.
+const CMD_QUEUE_DEPTH: usize = 1;
 
 /// Default checkpoint interval in ingested points per shard.
 pub const DEFAULT_CHECKPOINT_INTERVAL: u64 = 8192;
@@ -432,9 +459,16 @@ pub enum RecoveryAction {
 pub struct FaultEvent {
     /// Shard the fault was attributed to.
     pub shard: usize,
-    /// Global chunk sequence number at which the fault was *detected*
-    /// (for stalls this can trail the injection point by the command
-    /// queue depth).
+    /// Global chunk sequence number the fault is attributed to. A
+    /// sanitised chunk and a rejected checkpoint name the chunk they came
+    /// with. A dead or stalled worker is charged after the supervisor has
+    /// booked every acknowledgement it sent: the fault names the first
+    /// chunk of `shard` that the worker never acknowledged, so a crash at
+    /// chunk `c` reports `c`. A stall names the chunk the worker held when
+    /// the deadline expired, or a later one of the same shard when the
+    /// worker finished chunks before the supervisor abandoned it; it never
+    /// trails the held chunk by more than the two hand-offs in flight to
+    /// that worker.
     pub chunk: u64,
     /// What was detected.
     pub fault: DetectedFault,
@@ -715,9 +749,13 @@ impl SupervisedIngest {
     /// produces no event for `deadline` is treated as faulted. Off by
     /// default (a slow shard then simply backpressures the reader).
     ///
-    /// The deadline must be non-zero, and it must exceed the slowest
-    /// chunk's ingest time: a healthy shard that needs longer is declared
-    /// stalled, restarted, and eventually quarantined.
+    /// The worker acknowledges every chunk of a hand-off as it finishes
+    /// it, and the deadline restarts at each acknowledgement, so a busy
+    /// worker with a hand-off of several chunks is not stalled. The
+    /// deadline must be non-zero, and it must exceed the slowest chunk's
+    /// ingest time (with its checkpoint encode): a healthy shard that
+    /// needs longer is declared stalled, restarted, and eventually
+    /// quarantined.
     pub fn with_stall_timeout(mut self, deadline: Duration) -> Self {
         assert!(!deadline.is_zero(), "stall deadline must be non-zero");
         self.stall_timeout = Some(deadline);
@@ -729,7 +767,9 @@ impl SupervisedIngest {
     /// points cannot be replayed after a later fault and are then
     /// accounted as lost **with no geometric trace** (the error bound
     /// becomes unknown). 0 (the default) derives a bound covering four
-    /// checkpoint intervals.
+    /// checkpoint intervals. A hand-off never holds more chunks than
+    /// this bound, and chunks are evicted one at a time as their
+    /// acknowledgements arrive, not a hand-off at a time.
     pub fn with_replay_bound(mut self, chunks: usize) -> Self {
         self.max_replay_chunks = chunks;
         self
@@ -746,11 +786,15 @@ impl SupervisedIngest {
     }
 
     /// Ingests an unmaterialised stream: points are gathered into chunks
-    /// of the engine's size as they arrive and chunk `c` is dispatched to
-    /// shard `c % N` over a bounded channel, with checkpointing, fault
-    /// detection, checkpoint-replay recovery, and degraded completion
-    /// under the configured [`RetryPolicy`]. A fault-free run is
-    /// bit-identical to [`ShardedIngest::run`] over the same points.
+    /// of the engine's size as they arrive and chunk `c` is routed to
+    /// shard `c % N`, with checkpointing, fault detection,
+    /// checkpoint-replay recovery, and degraded completion under the
+    /// configured [`RetryPolicy`]. A shard's chunks travel over a bounded
+    /// channel in hand-offs of several chunks (see the
+    /// [module docs](self#hand-offs)); the worker still ingests,
+    /// checkpoints and acknowledges each chunk on its own. A fault-free
+    /// run is bit-identical to [`ShardedIngest::run`] over the same
+    /// points.
     pub fn run_stream<I>(&self, points: I) -> SupervisedRun
     where
         I: IntoIterator<Item = Point2>,
@@ -793,22 +837,26 @@ enum Inject {
     Stall(Duration),
 }
 
-/// One unit of work for a shard worker.
-struct Cmd {
+/// One chunk of a hand-off, shared with the supervisor's replay buffer.
+struct Chunk {
     seq: u64,
-    items: Vec<Point2>,
+    items: Arc<Vec<Point2>>,
     checkpoint: bool,
     inject: Option<Inject>,
 }
 
+/// One message to a shard worker: consecutive buffered chunks of its
+/// shard, taken one at a time.
+type HandOff = Vec<Chunk>;
+
 /// Worker → supervisor feedback.
 enum Event {
-    /// A command was fully ingested.
+    /// A chunk was fully ingested.
     Ack {
         seq: u64,
         points_seen: u64,
         dropped: u64,
-        /// Raw inner snapshot, when the command requested a checkpoint.
+        /// Raw inner snapshot, when the chunk requested a checkpoint.
         snapshot: Option<Vec<u8>>,
     },
     /// The command channel closed; here is the final state.
@@ -820,7 +868,7 @@ enum Event {
 /// what makes stalled epochs safely discardable.
 struct Link {
     /// `None` once the finish phase closed the channel.
-    tx: Option<mpsc::SyncSender<Cmd>>,
+    tx: Option<mpsc::SyncSender<HandOff>>,
     rx: mpsc::Receiver<Event>,
     handle: std::thread::JoinHandle<()>,
 }
@@ -836,7 +884,7 @@ struct WorkerInstruments {
 }
 
 fn spawn_worker(state: ShardState, inst: WorkerInstruments) -> Link {
-    let (tx, cmd_rx) = mpsc::sync_channel::<Cmd>(CMD_QUEUE_DEPTH);
+    let (tx, cmd_rx) = mpsc::sync_channel::<HandOff>(CMD_QUEUE_DEPTH);
     let (event_tx, rx) = mpsc::channel::<Event>();
     let handle = std::thread::spawn(move || worker_loop(state, cmd_rx, event_tx, inst));
     Link {
@@ -848,41 +896,44 @@ fn spawn_worker(state: ShardState, inst: WorkerInstruments) -> Link {
 
 fn worker_loop(
     mut state: ShardState,
-    rx: mpsc::Receiver<Cmd>,
+    rx: mpsc::Receiver<HandOff>,
     tx: mpsc::Sender<Event>,
     inst: WorkerInstruments,
 ) {
-    while let Ok(cmd) = rx.recv() {
-        match cmd.inject {
-            Some(Inject::Crash) => {
-                panic!("injected fault: worker crash") // lint:allow(no-panic): deterministic fault injection — the chaos harness needs a genuine worker panic to exercise detection and recovery
+    while let Ok(hand_off) = rx.recv() {
+        for chunk in hand_off {
+            match chunk.inject {
+                Some(Inject::Crash) => {
+                    panic!("injected fault: worker crash") // lint:allow(no-panic): deterministic fault injection — the chaos harness needs a genuine worker panic to exercise detection and recovery
+                }
+                Some(Inject::Stall(hold)) => std::thread::sleep(hold),
+                None => {}
             }
-            Some(Inject::Stall(hold)) => std::thread::sleep(hold),
-            None => {}
-        }
-        // Replays re-ingest, so the ingest counters measure work actually
-        // performed — a recovered run records more than a fault-free one.
-        let dropped = inst
-            .ingest
-            .chunk(cmd.items.len(), || ingest(&mut state, &cmd.items));
-        let snapshot = cmd.checkpoint.then(|| {
-            if inst.encode_ns.enabled() {
-                let t0 = Instant::now();
-                let bytes = state.encode_snapshot();
-                inst.encode_ns.record(t0.elapsed().as_nanos() as u64);
-                bytes
-            } else {
-                state.encode_snapshot()
+            // Replays re-ingest, so the ingest counters measure work
+            // actually performed — a recovered run records more than a
+            // fault-free one.
+            let dropped = inst
+                .ingest
+                .chunk(chunk.items.len(), || ingest(&mut state, &chunk.items));
+            let snapshot = chunk.checkpoint.then(|| {
+                if inst.encode_ns.enabled() {
+                    let t0 = Instant::now();
+                    let bytes = state.encode_snapshot();
+                    inst.encode_ns.record(t0.elapsed().as_nanos() as u64);
+                    bytes
+                } else {
+                    state.encode_snapshot()
+                }
+            });
+            let ack = Event::Ack {
+                seq: chunk.seq,
+                points_seen: state.points_seen(),
+                dropped,
+                snapshot,
+            };
+            if tx.send(ack).is_err() {
+                return; // the supervisor abandoned this epoch
             }
-        });
-        let ack = Event::Ack {
-            seq: cmd.seq,
-            points_seen: state.points_seen(),
-            dropped,
-            snapshot,
-        };
-        if tx.send(ack).is_err() {
-            return; // the supervisor abandoned this epoch
         }
     }
     let _ = tx.send(Event::Final { state });
@@ -904,7 +955,7 @@ enum Detected {
 /// checkpoint coverage.
 struct Buffered {
     seq: u64,
-    items: Vec<Point2>,
+    items: Arc<Vec<Point2>>,
     checkpoint: bool,
 }
 
@@ -918,8 +969,9 @@ struct ValidCheckpoint {
 struct ShardCtx {
     link: Option<Link>,
     /// Events received but not yet processed (gathered while blocked in
-    /// a send); cleared on fault so stale epochs never leak into the
-    /// accounting.
+    /// a send). A dead or stalled epoch's are booked before it is charged;
+    /// any left at a fault are cleared, so a replaced epoch never leaks
+    /// into the accounting.
     pending: VecDeque<Event>,
     finished: Option<ShardState>,
     quarantined: bool,
@@ -989,6 +1041,8 @@ struct SupervisorCore<'e> {
     interval: u64,
     stall: Option<Duration>,
     max_replay: usize,
+    /// Most chunks in one hand-off.
+    hand_off: usize,
     shards: Vec<ShardCtx>,
     events: Vec<FaultEvent>,
     lost_hull: ExactHull,
@@ -1004,13 +1058,16 @@ impl<'e> SupervisorCore<'e> {
     fn new(config: &'e SupervisedIngest) -> Self {
         let engine = &config.engine;
         let tel = engine.telemetry();
+        let max_replay = config.replay_bound();
+        let per_default_interval = DEFAULT_CHECKPOINT_INTERVAL / engine.chunk() as u64;
         SupervisorCore {
             engine,
             policy: config.policy,
             plan: config.plan.clone(),
             interval: config.checkpoint_interval,
             stall: config.stall_timeout,
-            max_replay: config.replay_bound(),
+            max_replay,
+            hand_off: max_replay.min(per_default_interval.max(1) as usize),
             shards: (0..engine.shards()).map(|_| ShardCtx::new()).collect(),
             events: Vec::new(),
             lost_hull: ExactHull::new(),
@@ -1034,18 +1091,24 @@ impl<'e> SupervisorCore<'e> {
         let start = Instant::now();
         let chunk_size = self.engine.chunk();
         let shard_count = self.engine.shards();
-        let mut buf: Vec<Point2> = Vec::with_capacity(chunk_size);
+        let mut items = items.into_iter();
         let mut seq = 0_u64;
-        for item in items {
-            buf.push(item);
-            if buf.len() == chunk_size {
-                let full = std::mem::replace(&mut buf, Vec::with_capacity(chunk_size));
-                self.submit(seq, full);
+        loop {
+            // One `extend` per chunk: a slice's points are copied in bulk.
+            let mut chunk = Vec::with_capacity(chunk_size);
+            chunk.extend(items.by_ref().take(chunk_size));
+            let full = chunk.len() == chunk_size;
+            if !chunk.is_empty() {
+                self.submit(seq, chunk);
                 seq += 1;
             }
+            if !full {
+                break;
+            }
         }
-        if !buf.is_empty() {
-            self.submit(seq, buf);
+        // Hand every shard its partial last hand-off before waiting on any.
+        for shard in 0..shard_count {
+            self.pump(shard, true);
         }
         let mut states = Vec::with_capacity(shard_count);
         for shard in 0..shard_count {
@@ -1072,10 +1135,10 @@ impl<'e> SupervisorCore<'e> {
         let checkpoint = self.tick_checkpoint(shard, items.len());
         self.shards[shard].buffer.push_back(Buffered {
             seq,
-            items,
+            items: Arc::new(items),
             checkpoint,
         });
-        self.pump(shard);
+        self.pump(shard, false);
         self.enforce_replay_bound(shard);
     }
 
@@ -1094,39 +1157,65 @@ impl<'e> SupervisorCore<'e> {
         }
     }
 
-    /// Dispatches every undelivered buffered chunk to the shard's live
-    /// epoch, processing feedback (and faults) as it goes. Returns once
-    /// the buffer is fully in flight or the shard is quarantined.
-    fn pump(&mut self, shard: usize) {
+    /// Processes the shard's ready feedback (and faults), then dispatches
+    /// its undelivered buffered chunks in hand-offs. Returns once no full
+    /// hand-off is left undelivered, or none at all with `flush` (which a
+    /// restart sets, so a replay re-sends the whole buffer), or once the
+    /// shard is quarantined.
+    fn pump(&mut self, shard: usize, mut flush: bool) {
         loop {
             if let Err((fseq, d)) = self.drain_ready_events(shard) {
                 self.handle_fault(shard, fseq, d);
+                flush = true;
                 continue;
             }
-            {
+            let Some(len) = self.next_hand_off(shard, flush) else {
+                return;
+            };
+            self.ensure_live(shard);
+            let mut hand_off: HandOff = {
                 let ctx = &self.shards[shard];
-                if ctx.quarantined || ctx.sent >= ctx.buffer.len() {
-                    return;
+                let due = ctx.buffer.range(ctx.sent..ctx.sent + len);
+                due.map(|b| Chunk {
+                    seq: b.seq,
+                    items: Arc::clone(&b.items),
+                    checkpoint: b.checkpoint,
+                    inject: None,
+                })
+                .collect()
+            };
+            for chunk in &mut hand_off {
+                chunk.inject = self.plan.take_worker_fault(shard, chunk.seq);
+            }
+            match self.send_cmd(shard, hand_off) {
+                Ok(()) => self.shards[shard].sent += len,
+                Err(d) => {
+                    let (fseq, d) = self.epoch_fault(shard, d);
+                    self.handle_fault(shard, fseq, d);
+                    flush = true;
                 }
             }
-            self.ensure_live(shard);
-            let (seq, items, checkpoint) = {
-                let ctx = &self.shards[shard];
-                let b = &ctx.buffer[ctx.sent];
-                (b.seq, b.items.clone(), b.checkpoint)
-            };
-            let inject = self.plan.take_worker_fault(shard, seq);
-            let cmd = Cmd {
-                seq,
-                items,
-                checkpoint,
-                inject,
-            };
-            match self.send_cmd(shard, cmd) {
-                Ok(()) => self.shards[shard].sent += 1,
-                Err(d) => self.handle_fault(shard, seq, d),
+        }
+    }
+
+    /// The number of chunks in the shard's next hand-off: its undelivered
+    /// buffered chunks up to and including the first checkpoint chunk, at
+    /// most `hand_off` of them. `None` when the shard is quarantined, has
+    /// nothing undelivered, or (without `flush`) has less than a full
+    /// hand-off buffered.
+    fn next_hand_off(&self, shard: usize, flush: bool) -> Option<usize> {
+        let ctx = &self.shards[shard];
+        if ctx.quarantined {
+            return None;
+        }
+        let mut len = 0;
+        for b in ctx.buffer.range(ctx.sent..) {
+            len += 1;
+            if b.checkpoint || len == self.hand_off {
+                return Some(len);
             }
         }
+        (flush && len > 0).then_some(len)
     }
 
     /// Evicts acknowledged chunks past the replay bound (soft bound:
@@ -1182,31 +1271,43 @@ impl<'e> SupervisorCore<'e> {
             match pulled {
                 Pulled::Ev(ev) => self.process_event(shard, ev)?,
                 Pulled::Idle => return Ok(()),
-                Pulled::Dead => {
-                    let seq = self.next_unacked_seq(shard);
-                    let detected = self.take_dead(shard);
-                    return Err((seq, detected));
-                }
+                Pulled::Dead => return Err(self.epoch_fault(shard, Detected::Panic)),
             }
         }
     }
 
-    /// Best-effort chunk attribution for faults detected outside a
-    /// specific send: the first chunk the dead epoch never confirmed.
-    fn next_unacked_seq(&self, shard: usize) -> u64 {
-        let ctx = &self.shards[shard];
-        match ctx.acked {
-            Some(a) => a + 1,
-            None => ctx.buffer.front().map_or(0, |b| b.seq),
+    /// Charges a dead or stalled worker epoch. Every event it already sent
+    /// is booked first: its acknowledgements and checkpoints record work
+    /// the worker really did. The epoch is then reaped (a dead one
+    /// joined, a stalled one abandoned, never joined), and the fault is
+    /// attributed to the first chunk of the shard that the epoch never
+    /// acknowledged. A checkpoint that fails validation while its events
+    /// are booked is reported instead.
+    fn epoch_fault(&mut self, shard: usize, detected: Detected) -> (u64, Detected) {
+        loop {
+            let ctx = &mut self.shards[shard];
+            let ev = match ctx.pending.pop_front() {
+                Some(ev) => Some(ev),
+                None => ctx.link.as_ref().and_then(|l| l.rx.try_recv().ok()),
+            };
+            let Some(ev) = ev else { break };
+            if let Err(bad) = self.process_event(shard, ev) {
+                return bad;
+            }
         }
-    }
-
-    /// Reaps a dead worker epoch.
-    fn take_dead(&mut self, shard: usize) -> Detected {
         if let Some(link) = self.shards[shard].link.take() {
-            let _ = link.handle.join();
+            if matches!(detected, Detected::Panic) {
+                let _ = link.handle.join();
+            }
         }
-        Detected::Panic
+        let ctx = &self.shards[shard];
+        let unacked = ctx
+            .buffer
+            .iter()
+            .map(|b| b.seq)
+            .find(|&seq| ctx.acked.is_none_or(|a| seq > a));
+        let after_acked = ctx.acked.map_or(0, |a| a + self.engine.shards() as u64);
+        (unacked.unwrap_or(after_acked), detected)
     }
 
     /// Applies one worker event to the accounting. A rejected checkpoint
@@ -1337,38 +1438,42 @@ impl<'e> SupervisorCore<'e> {
         self.shards[shard].link = Some(spawn_worker(state, self.worker_inst));
     }
 
-    /// Sends one command, detecting death (disconnect) and — when a
+    /// Sends one hand-off, detecting death (disconnect) and — when a
     /// stall deadline is configured — stalls (bounded retry on a full
-    /// queue). Events arriving while blocked are queued for processing.
-    fn send_cmd(&mut self, shard: usize, cmd: Cmd) -> Result<(), Detected> {
-        let Some(link) = self.shards[shard].link.take() else {
+    /// queue; the deadline restarts at every event the worker sends).
+    /// Events arriving while blocked are queued for processing, and the
+    /// epoch stays linked so [`Self::epoch_fault`] can book and reap it.
+    fn send_cmd(&mut self, shard: usize, hand_off: HandOff) -> Result<(), Detected> {
+        let Some(link) = self.shards[shard].link.as_ref() else {
             return Err(Detected::Panic);
         };
-        let Some(tx) = link.tx.clone() else {
+        let Some(tx) = link.tx.as_ref() else {
             // The finish phase closed this epoch's channel; a live send
             // afterwards means the epoch must be replaced.
-            drop(link);
             return Err(Detected::Panic);
         };
         let mut gathered: Vec<Event> = Vec::new();
         let verdict: Result<(), Detected> = match self.stall {
-            None => tx.send(cmd).map_err(|_| Detected::Panic),
+            None => tx.send(hand_off).map_err(|_| Detected::Panic),
             Some(deadline) => {
-                let begun = Instant::now();
-                let mut pending_cmd = cmd;
+                let mut last_event = Instant::now();
+                let mut unsent = hand_off;
                 loop {
-                    match tx.try_send(pending_cmd) {
+                    match tx.try_send(unsent) {
                         Ok(()) => break Ok(()),
                         Err(mpsc::TrySendError::Disconnected(_)) => break Err(Detected::Panic),
-                        Err(mpsc::TrySendError::Full(c)) => {
-                            pending_cmd = c;
-                            let elapsed = begun.elapsed();
-                            if elapsed >= deadline {
+                        Err(mpsc::TrySendError::Full(h)) => {
+                            unsent = h;
+                            let quiet = last_event.elapsed();
+                            if quiet >= deadline {
                                 break Err(Detected::Stall);
                             }
-                            let wait = (deadline - elapsed).min(Duration::from_millis(5));
+                            let wait = (deadline - quiet).min(Duration::from_millis(5));
                             match link.rx.recv_timeout(wait) {
-                                Ok(ev) => gathered.push(ev),
+                                Ok(ev) => {
+                                    gathered.push(ev);
+                                    last_event = Instant::now();
+                                }
                                 Err(mpsc::RecvTimeoutError::Timeout) => {}
                                 Err(mpsc::RecvTimeoutError::Disconnected) => {
                                     break Err(Detected::Panic)
@@ -1380,20 +1485,7 @@ impl<'e> SupervisorCore<'e> {
             }
         };
         self.shards[shard].pending.extend(gathered);
-        match verdict {
-            Ok(()) => {
-                self.shards[shard].link = Some(link);
-                Ok(())
-            }
-            Err(Detected::Panic) => {
-                let _ = link.handle.join();
-                Err(Detected::Panic)
-            }
-            Err(d) => {
-                drop(link); // abandon the stalled epoch, never join it
-                Err(d)
-            }
-        }
+        verdict
     }
 
     /// Central fault response: abandon the epoch, then restart or
@@ -1459,7 +1551,7 @@ impl<'e> SupervisorCore<'e> {
     /// Retries exhausted: the shard keeps only its last valid checkpoint
     /// and everything since is accounted as lost.
     fn quarantine(&mut self, shard: usize, seq: u64, fault: DetectedFault) {
-        let buffered: Vec<Vec<Point2>> = {
+        let buffered: Vec<Arc<Vec<Point2>>> = {
             let ctx = &mut self.shards[shard];
             ctx.quarantined = true;
             ctx.sent = 0;
@@ -1537,16 +1629,8 @@ impl<'e> SupervisorCore<'e> {
         match waited {
             Waited::Ev(ev) => Ok(Some(ev)),
             Waited::NoLink => Ok(None),
-            Waited::Dead => {
-                let seq = self.next_unacked_seq(shard);
-                let detected = self.take_dead(shard);
-                Err((seq, detected))
-            }
-            Waited::Stalled => {
-                let seq = self.next_unacked_seq(shard);
-                self.shards[shard].link = None; // abandon, never join
-                Err((seq, Detected::Stall))
-            }
+            Waited::Dead => Err(self.epoch_fault(shard, Detected::Panic)),
+            Waited::Stalled => Err(self.epoch_fault(shard, Detected::Stall)),
         }
     }
 
@@ -1556,7 +1640,7 @@ impl<'e> SupervisorCore<'e> {
     /// merge.
     fn finish_shard(&mut self, shard: usize) -> ShardState {
         loop {
-            self.pump(shard);
+            self.pump(shard, true);
             if self.shards[shard].quarantined {
                 return self.quarantined_state(shard);
             }

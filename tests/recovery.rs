@@ -343,3 +343,167 @@ proptest! {
         }
     }
 }
+
+/// The crash events of a run, as `(shard, chunk)` pairs.
+fn crash_sites(run: &SupervisedRun) -> Vec<(usize, u64)> {
+    let events = run.report.events.iter();
+    let crashes = events.filter(|e| matches!(e.fault, DetectedFault::WorkerPanic));
+    crashes.map(|e| (e.shard, e.chunk)).collect()
+}
+
+/// A crash at chunk `c` is attributed to `c` on every run, whether the
+/// supervisor finds the dead worker while draining its acknowledgements
+/// or while blocked sending it the next hand-off: it books the dead
+/// epoch's acknowledgements first and names the first chunk of that
+/// shard the epoch never acknowledged.
+#[test]
+fn crashes_are_attributed_to_the_injected_chunk() {
+    let pts = spiral(20_000);
+    let engine = |shards| {
+        ShardedIngest::new(
+            SummaryBuilder::new(SummaryKind::Adaptive).with_r(16),
+            shards,
+        )
+        .with_chunk(64)
+    };
+    let cases = [(2, 1, 5), (3, 2, 11), (2, 0, 40), (3, 0, 99)];
+    for (shards, shard, at_chunk) in cases {
+        let clean = engine(shards).run(&pts);
+        for interval in [256, 8192] {
+            for rep in 0..25 {
+                let run = SupervisedIngest::new(engine(shards))
+                    .with_checkpoint_interval(interval)
+                    .with_fault_plan(FaultPlan::new().crash(shard, at_chunk))
+                    .run_stream(pts.iter().copied());
+                let label = format!(
+                    "crash({shard}, {at_chunk}), N = {shards}, interval {interval}, run {rep}"
+                );
+                assert_eq!(crash_sites(&run), [(shard, at_chunk)], "{label}");
+                assert_runs_equal(&run.run, &clean, &label);
+            }
+        }
+    }
+    // Found by a blocked send: the first hand-off holds the worker for
+    // 30 ms, so the supervisor queues the next one and blocks on the
+    // third before the worker reaches the crash.
+    for rep in 0..10 {
+        let plan = FaultPlan::new()
+            .stall(0, 0, Duration::from_millis(30))
+            .crash(0, 4);
+        let run = SupervisedIngest::new(engine(2))
+            .with_checkpoint_interval(256)
+            .with_fault_plan(plan)
+            .run_stream(pts.iter().copied());
+        assert_eq!(crash_sites(&run), [(0, 4)], "blocked send, run {rep}");
+        assert_runs_equal(&run.run, &engine(2).run(&pts), "blocked send");
+    }
+}
+
+/// Bit-level equality of two runs: hull, bound and per-shard stats.
+fn assert_runs_bit_equal(a: &ShardRun, b: &ShardRun, label: &str) {
+    let bits = |r: &ShardRun| -> Vec<(u64, u64)> {
+        let hull = r.summary.hull_ref().vertices().iter();
+        hull.map(|p| (p.x.to_bits(), p.y.to_bits())).collect()
+    };
+    assert_eq!(bits(a), bits(b), "{label}: hull bits");
+    let bound = |r: &ShardRun| r.error_bound().map(f64::to_bits);
+    assert_eq!(bound(a), bound(b), "{label}: bound bits");
+    assert_runs_equal(a, b, label);
+    for (x, y) in a.shards.iter().zip(&b.shards) {
+        let bound = |s: &ShardStats| s.error_bound.map(f64::to_bits);
+        assert_eq!(bound(x), bound(y), "{label}: shard bound bits");
+    }
+}
+
+/// Hand-offs carry several chunks, yet the partition, every
+/// `insert_batch`, the checkpoints and the replays stay per chunk.
+/// Hand-offs of 1, 2, 4 and 8 chunks (a checkpoint every that many of a
+/// shard's chunks) and one capped at 2 by the replay bound, over 1, 2 and
+/// 3 shards and a stream that ends in a partial chunk: a fault-free run
+/// equals `ShardedIngest::run`, and a crash at the first, a middle and the
+/// last chunk of a hand-off recovers bit-identically, replaying no more
+/// than the two hand-offs in flight to the worker.
+#[test]
+fn hand_offs_keep_per_chunk_semantics() {
+    const CHUNK: usize = 64;
+    let pts = spiral(CHUNK * 150 + 37);
+    // (chunks per checkpoint, replay bound, chunks per hand-off)
+    let configs = [(1, 0, 1), (2, 0, 2), (4, 0, 4), (8, 0, 8), (8, 2, 2)];
+    for shards in 1..=3 {
+        let engine = ShardedIngest::new(
+            SummaryBuilder::new(SummaryKind::Adaptive).with_r(16),
+            shards,
+        )
+        .with_chunk(CHUNK);
+        let reference = engine.run(&pts);
+        for (stride, bound, hand_off) in configs {
+            let supervised = || {
+                SupervisedIngest::new(engine)
+                    .with_checkpoint_interval((stride * CHUNK) as u64)
+                    .with_replay_bound(bound)
+            };
+            let label = format!("{shards} shards, checkpoint every {stride} chunks, bound {bound}");
+            let clean = supervised().run_stream(pts.iter().copied());
+            assert!(
+                clean.report.events.is_empty(),
+                "{label}: {:?}",
+                clean.report.events
+            );
+            assert_runs_bit_equal(&clean.run, &reference, &label);
+            // Crash in the second checkpoint interval of the last shard.
+            // Under the replay bound only the interval's first chunk is
+            // recoverable for certain: acknowledged chunks past the bound
+            // may be evicted before a later crash needs them.
+            let offsets: Vec<usize> = if bound == 0 {
+                let mut o = vec![0, hand_off / 2, hand_off - 1];
+                o.dedup();
+                o
+            } else {
+                vec![0]
+            };
+            let shard = shards - 1;
+            for offset in offsets {
+                let local = (stride + offset) as u64;
+                let at_chunk = local * shards as u64 + shard as u64;
+                let run = supervised()
+                    .with_fault_plan(FaultPlan::new().crash(shard, at_chunk))
+                    .run_stream(pts.iter().copied());
+                let label = format!("{label}: crash at chunk {at_chunk}");
+                assert!(!run.is_degraded(), "{label}");
+                assert_eq!(crash_sites(&run), [(shard, at_chunk)], "{label}");
+                assert_runs_bit_equal(&run.run, &reference, &label);
+                let replayed = run.report.shards[shard].replayed_chunks;
+                assert!(
+                    (1..=2 * hand_off as u64).contains(&replayed),
+                    "{label}: replayed {replayed} chunks, hand-offs of {hand_off}"
+                );
+            }
+        }
+    }
+}
+
+/// A slow but healthy worker is not a stall: four 40 ms holds inside one
+/// 8-chunk hand-off keep the worker busy for 160 ms while the supervisor
+/// waits to send it more, but every chunk's acknowledgement restarts the
+/// 100 ms deadline.
+#[test]
+fn a_busy_hand_off_is_not_a_stall() {
+    let pts = spiral(12_000);
+    let engine =
+        ShardedIngest::new(SummaryBuilder::new(SummaryKind::Adaptive).with_r(16), 2).with_chunk(64);
+    let clean = engine.run(&pts);
+    // Shard 0's second hand-off holds its chunks 8..16; hold on 9..13.
+    let mut plan = FaultPlan::new();
+    for local in 9..13_u64 {
+        plan = plan.stall(0, local * 2, Duration::from_millis(40));
+    }
+    let run = SupervisedIngest::new(engine)
+        .with_checkpoint_interval(512)
+        .with_stall_timeout(Duration::from_millis(100))
+        .with_fault_plan(plan)
+        .run_stream(pts.iter().copied());
+    assert!(run.report.events.is_empty(), "{:?}", run.report.events);
+    assert_eq!(run.report.total_retries(), 0);
+    assert!(run.run.elapsed >= Duration::from_millis(160));
+    assert_runs_bit_equal(&run.run, &clean, "slow hand-off");
+}
