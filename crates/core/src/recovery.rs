@@ -66,7 +66,10 @@
 //! several chunks is never declared stalled. Before a dead or stalled
 //! worker is charged, the supervisor books every acknowledgement it sent
 //! and attributes the fault to the first chunk of that shard it never
-//! acknowledged (see [`FaultEvent::chunk`]).
+//! acknowledged (see [`FaultEvent::chunk`]). A scripted crash or stall
+//! that was handed over with a later chunk of the abandoned worker's
+//! hand-offs has not acted on the run, so it goes back to the
+//! [`FaultPlan`] and the replay acts it out.
 //!
 //! # Determinism contract
 //!
@@ -205,7 +208,10 @@ pub enum Fault {
 /// A deterministic, script- or seed-driven set of faults to inject into
 /// one supervised run. Each fault fires at most once; the plan is
 /// evaluated entirely on the supervisor thread, so replayed chunks never
-/// re-trigger a consumed fault.
+/// re-trigger a consumed fault. A crash or stall is consumed when its
+/// chunk is handed to a worker and given back when that worker is
+/// abandoned before it acts on the chunk (a fault on an earlier chunk of
+/// the same hand-off, say), so the replay acts it out instead.
 #[derive(Clone, Debug, Default)]
 pub struct FaultPlan {
     faults: Vec<(Fault, bool)>,
@@ -347,6 +353,30 @@ impl FaultPlan {
             }
         }
         None
+    }
+
+    /// Gives back one consumed `inject` aimed at `(shard, seq)`.
+    fn rearm_worker_fault(&mut self, shard: usize, seq: u64, inject: Inject) {
+        for (fault, fired) in self.faults.iter_mut().rev() {
+            let same = match (*fault, inject) {
+                (Fault::CrashShard { shard: s, at_chunk }, Inject::Crash) => {
+                    s == shard && at_chunk == seq
+                }
+                (
+                    Fault::StallShard {
+                        shard: s,
+                        at_chunk,
+                        hold,
+                    },
+                    Inject::Stall(h),
+                ) => s == shard && at_chunk == seq && hold == h,
+                _ => false,
+            };
+            if *fired && same {
+                *fired = false;
+                return;
+            }
+        }
     }
 
     /// Consumes a corrupt-checkpoint fault aimed at `(shard, ordinal)`.
@@ -830,8 +860,9 @@ fn ingest(state: &mut ShardState, items: &[Point2]) -> u64 {
     }
 }
 
-/// A fault to act out on receipt of a command (scripted via
-/// [`FaultPlan`], consumed supervisor-side so replays never re-fire it).
+/// A fault to act out on receipt of a chunk (scripted via [`FaultPlan`],
+/// consumed supervisor-side so replays never re-fire it).
+#[derive(Clone, Copy)]
 enum Inject {
     Crash,
     Stall(Duration),
@@ -986,6 +1017,9 @@ struct ShardCtx {
     /// gating on this watermark keeps `dropped_non_finite` counting
     /// logical stream points, not ingestion attempts.
     drop_tallied: Option<u64>,
+    /// Worker faults handed to the current epoch with their chunks, until
+    /// an acknowledgement shows the worker got past them.
+    armed: Vec<(u64, Inject)>,
     since_checkpoint: u64,
     checkpoint: Option<ValidCheckpoint>,
     checkpoint_ordinal: u32,
@@ -1011,6 +1045,7 @@ impl ShardCtx {
             sent: 0,
             acked: None,
             drop_tallied: None,
+            armed: Vec::new(),
             since_checkpoint: 0,
             checkpoint: None,
             checkpoint_ordinal: 0,
@@ -1186,6 +1221,9 @@ impl<'e> SupervisorCore<'e> {
             };
             for chunk in &mut hand_off {
                 chunk.inject = self.plan.take_worker_fault(shard, chunk.seq);
+                if let Some(inject) = chunk.inject {
+                    self.shards[shard].armed.push((chunk.seq, inject));
+                }
             }
             match self.send_cmd(shard, hand_off) {
                 Ok(()) => self.shards[shard].sent += len,
@@ -1325,6 +1363,7 @@ impl<'e> SupervisorCore<'e> {
                 snapshot,
             } => {
                 self.shards[shard].acked = Some(seq);
+                self.shards[shard].armed.retain(|&(s, _)| s > seq);
                 let fresh = self.shards[shard].drop_tallied.is_none_or(|w| seq > w);
                 if dropped > 0 && fresh {
                     self.shards[shard].drop_tallied = Some(seq);
@@ -1498,6 +1537,13 @@ impl<'e> SupervisorCore<'e> {
             ctx.finished = None;
             ctx.acked = None;
             ctx.faults += 1;
+        }
+        // Faults handed over with chunks after `seq` have not acted on the
+        // run: the abandoned epoch's later work never counts.
+        for (s, inject) in std::mem::take(&mut self.shards[shard].armed) {
+            if s > seq {
+                self.plan.rearm_worker_fault(shard, s, inject);
+            }
         }
         let fault = match detected {
             Detected::Panic => DetectedFault::WorkerPanic,

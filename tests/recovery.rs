@@ -507,3 +507,33 @@ fn a_busy_hand_off_is_not_a_stall() {
     assert!(run.run.elapsed >= Duration::from_millis(160));
     assert_runs_bit_equal(&run.run, &clean, "slow hand-off");
 }
+
+/// A crash or stall scripted for a later chunk of the hand-off (or of the
+/// queued one) that a crash cut short has not acted on the run: the
+/// replay acts it out, so every scripted crash is reported at its chunk.
+#[test]
+fn faults_behind_a_crash_in_flight_still_fire() {
+    let pts = spiral(20_000);
+    for (shards, first, second) in [(2, 2, 8), (2, 2, 20), (3, 4, 13)] {
+        let engine = ShardedIngest::new(
+            SummaryBuilder::new(SummaryKind::Adaptive).with_r(16),
+            shards,
+        )
+        .with_chunk(64);
+        let clean = engine.run(&pts);
+        let shard = (first % shards as u64) as usize;
+        for rep in 0..10 {
+            let run = SupervisedIngest::new(engine)
+                .with_checkpoint_interval(512)
+                .with_fault_plan(FaultPlan::new().crash(shard, first).crash(shard, second))
+                .run_stream(pts.iter().copied());
+            let label = format!("crashes at {first} and {second}, N = {shards}, run {rep}");
+            assert_eq!(
+                crash_sites(&run),
+                [(shard, first), (shard, second)],
+                "{label}"
+            );
+            assert_runs_bit_equal(&run.run, &clean, &label);
+        }
+    }
+}
