@@ -1322,21 +1322,23 @@ impl<'e> SupervisorCore<'e> {
     /// acknowledged. A checkpoint that fails validation while its events
     /// are booked is reported instead.
     fn epoch_fault(&mut self, shard: usize, detected: Detected) -> (u64, Detected) {
-        loop {
+        let mut rejected = None;
+        while rejected.is_none() {
             let ctx = &mut self.shards[shard];
             let ev = match ctx.pending.pop_front() {
                 Some(ev) => Some(ev),
                 None => ctx.link.as_ref().and_then(|l| l.rx.try_recv().ok()),
             };
             let Some(ev) = ev else { break };
-            if let Err(bad) = self.process_event(shard, ev) {
-                return bad;
-            }
+            rejected = self.process_event(shard, ev).err();
         }
         if let Some(link) = self.shards[shard].link.take() {
             if matches!(detected, Detected::Panic) {
                 let _ = link.handle.join();
             }
+        }
+        if let Some(bad) = rejected {
+            return bad;
         }
         let ctx = &self.shards[shard];
         let unacked = ctx
