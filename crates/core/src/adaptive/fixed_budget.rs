@@ -46,17 +46,11 @@ impl FixedBudgetAdaptiveHull {
     /// Creates the summary with `r` uniform directions and `r` adaptive
     /// ones (total `2r`, the paper's experimental configuration).
     pub fn new(r: u32) -> Self {
-        Self::with_budget(r, r as usize)
-    }
-
-    /// Creates the summary with an explicit adaptive-direction budget.
-    pub fn with_budget(r: u32, extra: usize) -> Self {
-        let grid = DirGrid::with_default_depth(r);
         FixedBudgetAdaptiveHull {
-            grid,
+            grid: DirGrid::with_default_depth(r),
             uniform: UniformHull::new(r),
             leaves: Vec::new(),
-            extra_budget: extra,
+            extra_budget: r as usize,
             cache: HullCache::new(),
             distinct: GenCache::new(),
         }

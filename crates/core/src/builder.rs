@@ -115,9 +115,9 @@ impl FromStr for SummaryKind {
 /// Builds any [`SummaryKind`] as a boxed trait object.
 ///
 /// Unused knobs are ignored by kinds that do not need them (`depth` only
-/// affects the adaptive scheme, `max_clusters` only the cluster summary,
-/// `seed` only kinds with randomised structure — today the frozen fan's
-/// rotation).
+/// affects the adaptive scheme, the cluster budget of 4, which builder
+/// snapshots carry, only the cluster summary, `seed` only kinds with
+/// randomised structure — today the frozen fan's rotation).
 #[derive(Clone, Copy, Debug)]
 pub struct SummaryBuilder {
     kind: SummaryKind,
@@ -158,12 +158,6 @@ impl SummaryBuilder {
         self
     }
 
-    /// Sets the cluster budget `k` (cluster kind).
-    pub fn with_max_clusters(mut self, k: usize) -> Self {
-        self.max_clusters = k;
-        self
-    }
-
     /// The kind this builder produces.
     pub fn kind(&self) -> SummaryKind {
         self.kind
@@ -174,19 +168,9 @@ impl SummaryBuilder {
         self.r
     }
 
-    /// The configured refinement-depth override, if any.
-    pub fn depth(&self) -> Option<u32> {
-        self.depth
-    }
-
     /// The configured seed.
     pub fn seed(&self) -> u64 {
         self.seed
-    }
-
-    /// The configured cluster budget.
-    pub fn max_clusters(&self) -> usize {
-        self.max_clusters
     }
 
     /// Builds the summary as a plain [`HullSummary`] trait object.

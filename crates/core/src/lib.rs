@@ -27,8 +27,9 @@
 //!   ([`SummaryBuilder::restore`](builder::SummaryBuilder::restore),
 //!   [`ShardedIngest::merge_snapshots`](parallel::ShardedIngest::merge_snapshots));
 //! * [`recovery`] — fault-tolerant supervised ingestion
-//!   ([`SupervisedIngest`]): per-shard checkpointing through validated
-//!   [`CheckpointEnvelope`]s, deterministic fault injection
+//!   ([`SupervisedIngest`]): per-shard checkpoints that are the
+//!   summary's own snapshot, validated by a full restore whose state the
+//!   supervisor keeps, deterministic fault injection
 //!   ([`FaultPlan`]), checkpoint-replay recovery under a
 //!   [`RetryPolicy`] (a restart cap), and degraded completion with a
 //!   [`RecoveryReport`];
@@ -107,7 +108,7 @@ pub use recovery::{
     DetectedFault, Fault, FaultEvent, FaultPlan, RecoveryAction, RecoveryReport, RetryPolicy,
     ShardHealth, ShardStatus, SupervisedIngest, SupervisedRun,
 };
-pub use snapshot::{CheckpointEnvelope, Snapshot, SnapshotError};
+pub use snapshot::{Snapshot, SnapshotError};
 pub use summary::{GenCache, HullCache, HullSummary, HullSummaryExt, Mergeable, NonFiniteInput};
 pub use telemetry::{Counter, Gauge, Histogram, Scrape, Telemetry};
 pub use tenant::{

@@ -216,35 +216,31 @@ impl ShardedIngest {
         self.builder
     }
 
-    /// Ingests a materialised stream without copying it: shard `i` runs on
-    /// its own scoped thread over the borrowed chunks `i, i + N, i + 2N, …`
-    /// of the slice (the shared partition, chunk `c` → shard `c % N`), and
-    /// the workers are merged in shard order. Bit-identical to a fault-free
+    /// Ingests a materialised stream without copying it: shard `i` runs
+    /// over the borrowed chunks `i, i + N, i + 2N, …` of the slice (the
+    /// shared partition, chunk `c` → shard `c % N`), and the workers are
+    /// merged in shard order. Shard 0 runs on the caller's thread and every
+    /// other shard on a scoped thread of its own, so a 1-shard run starts
+    /// no thread. Bit-identical to a fault-free
     /// [`SupervisedIngest::run_stream`](crate::recovery::SupervisedIngest::run_stream)
     /// over the same points, without its per-chunk copy, channel hop and
     /// checkpoints.
     pub fn run(&self, points: &[Point2]) -> ShardRun {
         let start = Instant::now();
         let inst = IngestInstruments::register(self.telemetry, self.builder);
-        let workers = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..self.shards)
-                .map(|shard| {
-                    scope.spawn(move || {
-                        let mut s = self.builder.build_mergeable();
-                        let mine = points.chunks(self.chunk).skip(shard).step_by(self.shards);
-                        for piece in mine {
-                            inst.chunk(piece.len(), || s.insert_batch(piece));
-                        }
-                        s
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("shard worker panicked")) // lint:allow(no-panic): re-raising a worker panic on the coordinator is the only sound way to surface it
-                .collect()
-        });
-        self.reduce(workers, start)
+        let mut shards: Vec<_> = (0..self.shards)
+            .map(|shard| (shard, self.builder.build_mergeable()))
+            .collect();
+        let ingest = |run: &mut [(usize, Box<dyn Mergeable + Send + Sync>)]| {
+            for (shard, s) in run {
+                let mine = points.chunks(self.chunk).skip(*shard).step_by(self.shards);
+                for piece in mine {
+                    inst.chunk(piece.len(), || s.insert_batch(piece));
+                }
+            }
+        };
+        fan_out(&mut shards, self.shards, |_| 1, ingest, ingest);
+        self.reduce(shards.into_iter().map(|(_, s)| s).collect(), start)
     }
 
     /// Checked variant of [`run`](ShardedIngest::run): validates the whole
@@ -318,7 +314,8 @@ impl ShardedIngest {
 /// With fewer than two workers no thread starts and `first` gets every
 /// item.
 ///
-/// The window chain builds a batch's full buckets with it
+/// [`ShardedIngest::run`] ingests one shard per item with it, the window
+/// chain builds a batch's full buckets with it
 /// ([`WindowedSummary`](crate::window::WindowedSummary)), and an
 /// ungoverned [`TenantEngine::ingest_bulk`](crate::tenant::TenantEngine::ingest_bulk)
 /// feeds its groups' summaries.

@@ -414,11 +414,6 @@ impl QueryEngine {
         &mut self.tenants
     }
 
-    /// Unwraps the serving layer, returning the fleet.
-    pub fn into_tenants(self) -> TenantEngine {
-        self.tenants
-    }
-
     /// Cache accounting since construction (or the last
     /// [`flush_cache`](QueryEngine::flush_cache) does not reset counts).
     pub fn cache_stats(&self) -> QueryCacheStats {

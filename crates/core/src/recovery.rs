@@ -8,10 +8,10 @@
 //!
 //! * **Checkpointing** — every shard serialises its summary through the
 //!   snapshot codec each [`checkpoint interval`](SupervisedIngest::with_checkpoint_interval)
-//!   ingested points. Checkpoints are sealed as
-//!   [`CheckpointEnvelope`](crate::snapshot::CheckpointEnvelope)s (shard
-//!   id + tick + inner snapshot) and validated by a **full restore**
-//!   before they are trusted.
+//!   ingested points. A checkpoint is the summary's own snapshot,
+//!   validated by a **full restore** whose state the supervisor keeps: it
+//!   is trusted only once it has produced a state, and a restart clones
+//!   that state instead of decoding the bytes again.
 //! * **Detection** — worker panics (a joined `Err`), stalls past a
 //!   configurable deadline, corrupt or undecodable checkpoints (a typed
 //!   [`SnapshotError`]), and non-finite floods (the `try_*` validation
@@ -92,7 +92,7 @@
 use crate::builder::SummaryBuilder;
 use crate::exact::ExactHull;
 use crate::parallel::{IngestInstruments, ShardRun, ShardedIngest};
-use crate::snapshot::{open_checkpoint, seal_checkpoint, SnapshotError};
+use crate::snapshot::SnapshotError;
 use crate::summary::{parallel_bound, HullSummary, Mergeable};
 use crate::telemetry::{names, Histogram, Scrape};
 use geom::{ConvexPolygon, Point2};
@@ -190,7 +190,7 @@ pub enum Fault {
         shard: usize,
         /// 1-based per-shard checkpoint ordinal to corrupt.
         at_checkpoint: u32,
-        /// Byte offset to flip (taken modulo the envelope length).
+        /// Byte offset to flip (taken modulo the snapshot length).
         byte: usize,
     },
     /// `len` non-finite points are spliced into chunk `at_chunk` before
@@ -570,7 +570,7 @@ pub struct RecoveryReport {
     /// re-ingested deterministically, never double-counted in
     /// `points_seen`).
     pub replayed_points: u64,
-    /// Checkpoints sealed and offered for validation.
+    /// Checkpoints taken and offered for validation.
     pub checkpoints_taken: u64,
     /// Checkpoints that failed validation.
     pub checkpoints_rejected: u64,
@@ -887,7 +887,7 @@ enum Event {
         seq: u64,
         points_seen: u64,
         dropped: u64,
-        /// Raw inner snapshot, when the chunk requested a checkpoint.
+        /// The state's own snapshot, when the chunk requested a checkpoint.
         snapshot: Option<Vec<u8>>,
     },
     /// The command channel closed; here is the final state.
@@ -990,10 +990,12 @@ struct Buffered {
     checkpoint: bool,
 }
 
-/// A validated checkpoint: the sealed envelope plus its tick.
+/// A validated checkpoint: the state a full restore of the summary's own
+/// snapshot produced, and the tick (points ingested) it covers. A restart
+/// runs on a clone of it; a quarantined shard contributes it.
 struct ValidCheckpoint {
     tick: u64,
-    sealed: Vec<u8>,
+    state: ShardState,
 }
 
 /// Per-shard supervisor state.
@@ -1379,48 +1381,49 @@ impl<'e> SupervisorCore<'e> {
                     });
                 }
                 match snapshot {
-                    Some(inner) => self.accept_checkpoint(shard, seq, points_seen, &inner),
+                    Some(bytes) => self.accept_checkpoint(shard, seq, points_seen, bytes),
                     None => Ok(()),
                 }
             }
         }
     }
 
-    /// Seals, (optionally) corrupts per the plan, and validates one
-    /// checkpoint. Valid: store it and shrink the replay buffer to the
-    /// uncovered suffix. Invalid: surface a fault.
+    /// Validates one checkpoint, the summary's own snapshot, by a full
+    /// restore whose state the supervisor keeps. A scripted corruption
+    /// flips one byte of these bytes before the restore. Valid: keep the
+    /// restored state and shrink the replay buffer to the uncovered
+    /// suffix. Invalid: surface a fault.
     fn accept_checkpoint(
         &mut self,
         shard: usize,
         seq: u64,
         tick: u64,
-        inner: &[u8],
+        mut snapshot: Vec<u8>,
     ) -> Result<(), (u64, Detected)> {
         let ordinal = {
             let ctx = &mut self.shards[shard];
             ctx.checkpoint_ordinal += 1;
             ctx.checkpoint_ordinal
         };
-        let mut sealed = seal_checkpoint(shard as u64, tick, inner);
         if let Some(byte) = self.plan.take_corrupt(shard, ordinal) {
-            let idx = byte % sealed.len().max(1);
-            if let Some(b) = sealed.get_mut(idx) {
+            let idx = byte % snapshot.len().max(1);
+            if let Some(b) = snapshot.get_mut(idx) {
                 *b ^= 0xff;
             }
         }
-        let verdict = if self.decode_ns.enabled() {
+        let restored = if self.decode_ns.enabled() {
             let t0 = Instant::now();
-            let verdict = self.validate_checkpoint(shard, &sealed);
+            let restored = SummaryBuilder::restore(&snapshot);
             self.decode_ns.record(t0.elapsed().as_nanos() as u64);
-            verdict
+            restored
         } else {
-            self.validate_checkpoint(shard, &sealed)
+            SummaryBuilder::restore(&snapshot)
         };
-        match verdict {
-            Ok(()) => {
+        match restored {
+            Ok(state) => {
                 let ctx = &mut self.shards[shard];
                 ctx.checkpoints_valid += 1;
-                ctx.checkpoint = Some(ValidCheckpoint { tick, sealed });
+                ctx.checkpoint = Some(ValidCheckpoint { tick, state });
                 while ctx.buffer.front().is_some_and(|b| b.seq <= seq) {
                     ctx.buffer.pop_front();
                     ctx.sent = ctx.sent.saturating_sub(1);
@@ -1435,45 +1438,15 @@ impl<'e> SupervisorCore<'e> {
         }
     }
 
-    /// Full validation: envelope decode, shard-id match, and a complete
-    /// restore of the inner snapshot. A checkpoint is only trusted once
-    /// it has actually produced a state.
-    fn validate_checkpoint(&self, shard: usize, sealed: &[u8]) -> Result<(), SnapshotError> {
-        let env = open_checkpoint(sealed)?;
-        if env.shard != shard as u64 {
-            return Err(SnapshotError::Malformed("checkpoint shard id mismatch"));
-        }
-        let _restored = SummaryBuilder::restore(env.snapshot)?;
-        Ok(())
-    }
-
-    /// Restores a validated checkpoint into a fresh shard state.
-    fn restore_checkpoint(&self, cp: &ValidCheckpoint) -> Result<ShardState, SnapshotError> {
-        let env = open_checkpoint(&cp.sealed)?;
-        SummaryBuilder::restore(env.snapshot)
-    }
-
-    /// Spawns a worker epoch for `shard` if none is live: from the last
-    /// valid checkpoint when one exists, fresh otherwise.
+    /// Spawns a worker epoch for `shard` if none is live: from a clone of
+    /// the last valid checkpoint's state when one exists, fresh otherwise.
     fn ensure_live(&mut self, shard: usize) {
-        if self.shards[shard].link.is_some() || self.shards[shard].quarantined {
+        let ctx = &self.shards[shard];
+        if ctx.link.is_some() || ctx.quarantined {
             return;
         }
-        let state = match self.shards[shard].checkpoint.take() {
-            Some(cp) => match self.restore_checkpoint(&cp) {
-                Ok(state) => {
-                    self.shards[shard].checkpoint = Some(cp);
-                    state
-                }
-                Err(_) => {
-                    // Unreachable in practice (validation restored it
-                    // once already); degrade honestly if it happens: the
-                    // checkpointed prefix is lost with no geometry.
-                    self.lost_unbounded = true;
-                    self.shards[shard].lost += cp.tick;
-                    self.engine.builder().build_mergeable()
-                }
-            },
+        let state = match &ctx.checkpoint {
+            Some(cp) => cp.state.clone_box(),
             None => self.engine.builder().build_mergeable(),
         };
         self.shards[shard].link = Some(spawn_worker(state, self.worker_inst));
@@ -1717,18 +1690,10 @@ impl<'e> SupervisorCore<'e> {
     }
 
     /// The state a quarantined shard contributes to the merge: its last
-    /// valid checkpoint (already accounted), or an empty summary.
+    /// valid checkpoint's state (already accounted), or an empty summary.
     fn quarantined_state(&mut self, shard: usize) -> ShardState {
         match self.shards[shard].checkpoint.take() {
-            Some(cp) => match self.restore_checkpoint(&cp) {
-                Ok(state) => state,
-                Err(_) => {
-                    // Unreachable in practice; degrade honestly.
-                    self.lost_unbounded = true;
-                    self.shards[shard].lost += cp.tick;
-                    self.engine.builder().build_mergeable()
-                }
-            },
+            Some(cp) => cp.state,
             None => self.engine.builder().build_mergeable(),
         }
     }

@@ -16,7 +16,7 @@
 //! |-------:|-----:|-------|
 //! | 0      | 4    | magic `b"HSNP"` |
 //! | 4      | 2    | format version (`u16` LE, currently 1) |
-//! | 6      | 1    | kind tag (index into [`SummaryKind::ALL`], or 8 = windowed) |
+//! | 6      | 1    | kind tag (index into [`SummaryKind::ALL`], or 8 = windowed; 9 is retired, never to be reused) |
 //! | 7      | 1    | reserved (0) |
 //! | 8      | 8    | payload length (`u64` LE) |
 //! | 16     | len  | kind-specific payload |
@@ -69,12 +69,6 @@ pub const FORMAT_VERSION: u16 = 1;
 /// snapshots (the eight summary backends use their [`SummaryKind::ALL`]
 /// index, 0–7).
 pub const WINDOWED_TAG: u8 = 8;
-
-/// Kind tag for supervised-ingestion checkpoint envelopes: a summary
-/// snapshot wrapped with the shard id and tick it covers, so a recovering
-/// supervisor can verify *whose* state it is restoring and how far into
-/// the shard's stream it resumes (see [`crate::recovery`]).
-pub const CHECKPOINT_TAG: u8 = 9;
 
 /// Why a snapshot failed to decode. Decoding never panics: every failure
 /// mode of untrusted bytes maps to one of these.
@@ -235,8 +229,6 @@ pub(crate) fn open(bytes: &[u8]) -> Result<(u8, &[u8]), SnapshotError> {
 fn tag_name(tag: u8) -> &'static str {
     if tag == WINDOWED_TAG {
         "windowed"
-    } else if tag == CHECKPOINT_TAG {
-        "checkpoint"
     } else {
         SummaryKind::ALL
             .get(tag as usize)
@@ -267,61 +259,6 @@ pub fn kind_tag(kind: SummaryKind) -> u8 {
         SummaryKind::AdaptiveFixedBudget => 6,
         SummaryKind::Cluster => 7,
     }
-}
-
-// ---------------------------------------------------------------------
-// Checkpoint envelopes (shard id + tick metadata around a snapshot)
-// ---------------------------------------------------------------------
-
-/// A validated checkpoint envelope: which shard it belongs to, the tick
-/// (cumulative points the shard had ingested), and the inner snapshot
-/// bytes, themselves a complete sealed envelope readable by
-/// [`SummaryBuilder::restore`](crate::builder::SummaryBuilder::restore)
-/// or [`Snapshot::decode`].
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct CheckpointEnvelope<'a> {
-    /// Shard the checkpointed state belongs to.
-    pub shard: u64,
-    /// Points the shard had ingested when the checkpoint was taken; a
-    /// restart resumes from here.
-    pub tick: u64,
-    /// The wrapped snapshot (a sealed envelope in its own right).
-    pub snapshot: &'a [u8],
-}
-
-/// Seals `snapshot` (an already-sealed summary envelope) into a
-/// checkpoint envelope carrying the owning shard and its tick.
-pub fn seal_checkpoint(shard: u64, tick: u64, snapshot: &[u8]) -> Vec<u8> {
-    seal_with(CHECKPOINT_TAG, |out| {
-        out.reserve_exact(16 + 8 + snapshot.len() + CHECKSUM_LEN);
-        put_u64(out, shard);
-        put_u64(out, tick);
-        put_bytes(out, snapshot);
-    })
-}
-
-/// Validates a checkpoint envelope and returns its metadata plus the
-/// inner snapshot bytes. The inner snapshot is length-checked here but
-/// only fully validated by whoever decodes it — a recovering supervisor
-/// does both before trusting a checkpoint. Never panics.
-pub fn open_checkpoint(bytes: &[u8]) -> Result<CheckpointEnvelope<'_>, SnapshotError> {
-    let (tag, payload) = open(bytes)?;
-    if tag != CHECKPOINT_TAG {
-        return Err(SnapshotError::KindMismatch {
-            expected: "checkpoint",
-            found: tag_name(tag),
-        });
-    }
-    let mut r = Reader::new(payload);
-    let shard = r.u64()?;
-    let tick = r.u64()?;
-    let snapshot = r.bytes()?;
-    r.finish()?;
-    Ok(CheckpointEnvelope {
-        shard,
-        tick,
-        snapshot,
-    })
 }
 
 // ---------------------------------------------------------------------
@@ -484,10 +421,7 @@ pub(crate) fn decode_expecting<T>(
 ) -> Result<T, SnapshotError> {
     let (tag, payload) = open(bytes)?;
     if tag != expected_tag {
-        if tag != WINDOWED_TAG
-            && tag != CHECKPOINT_TAG
-            && SummaryKind::ALL.get(tag as usize).is_none()
-        {
+        if tag != WINDOWED_TAG && SummaryKind::ALL.get(tag as usize).is_none() {
             return Err(SnapshotError::UnknownKind(tag));
         }
         return Err(SnapshotError::KindMismatch {
@@ -555,10 +489,10 @@ pub(crate) fn restore_mergeable(
     restore_payload(summary_kind(tag)?, payload)
 }
 
-/// The backend an opened envelope's tag names; a windowed or checkpoint
-/// envelope is a [`SnapshotError::KindMismatch`].
+/// The backend an opened envelope's tag names; a windowed envelope is a
+/// [`SnapshotError::KindMismatch`].
 pub(crate) fn summary_kind(tag: u8) -> Result<SummaryKind, SnapshotError> {
-    if tag == WINDOWED_TAG || tag == CHECKPOINT_TAG {
+    if tag == WINDOWED_TAG {
         return Err(SnapshotError::KindMismatch {
             expected: "a summary backend",
             found: tag_name(tag),
@@ -599,7 +533,7 @@ pub(crate) fn restore_payload(
 }
 
 /// The [`SummaryKind`] a snapshot envelope holds, without decoding the
-/// payload (`None` for a windowed or checkpoint envelope).
+/// payload (`None` for a windowed envelope).
 pub fn peek_kind(bytes: &[u8]) -> Result<Option<SummaryKind>, SnapshotError> {
     let (tag, _) = open(bytes)?;
     match summary_kind(tag) {
@@ -698,42 +632,6 @@ mod tests {
                 "tag must round-trip"
             );
         }
-    }
-
-    #[test]
-    fn checkpoint_envelope_round_trips_and_rejects_corruption() {
-        let inner = seal_with(5, |out| out.extend_from_slice(b"adaptive-ish payload"));
-        let sealed = seal_checkpoint(3, 4096, &inner);
-        let cp = open_checkpoint(&sealed).unwrap();
-        assert_eq!(cp.shard, 3);
-        assert_eq!(cp.tick, 4096);
-        assert_eq!(cp.snapshot, inner.as_slice());
-        // The inner envelope survives the round trip intact.
-        let (tag, payload) = open(cp.snapshot).unwrap();
-        assert_eq!(tag, 5);
-        assert_eq!(payload, b"adaptive-ish payload");
-        // Every single-byte corruption of the outer envelope is caught.
-        for byte in 0..sealed.len() {
-            let mut corrupt = sealed.clone();
-            corrupt[byte] ^= 0xff;
-            assert!(open_checkpoint(&corrupt).is_err(), "byte {byte}");
-        }
-        // A plain summary envelope is not a checkpoint, and vice versa.
-        assert_eq!(
-            open_checkpoint(&inner),
-            Err(SnapshotError::KindMismatch {
-                expected: "checkpoint",
-                found: "adaptive",
-            })
-        );
-        assert!(matches!(
-            restore_mergeable(&sealed),
-            Err(SnapshotError::KindMismatch {
-                found: "checkpoint",
-                ..
-            })
-        ));
-        assert_eq!(peek_kind(&sealed), Ok(None));
     }
 
     #[test]

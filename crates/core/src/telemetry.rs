@@ -334,11 +334,6 @@ impl Telemetry {
         Telemetry { inner: None }
     }
 
-    /// `true` when this handle records anything.
-    pub fn is_enabled(&self) -> bool {
-        self.inner.is_some()
-    }
-
     /// Register (or look up) the counter `name` with `labels`.
     /// Registration locks a mutex — do it once up front, then hand the
     /// `Copy` handle to the hot path.
@@ -923,7 +918,7 @@ pub mod hot {
 
     /// Flush one batch's certificate tallies (called from the kernel's
     /// batch epilogue).
-    pub fn record_cert(hits: u64, refreshes: u64) {
+    pub(crate) fn record_cert(hits: u64, refreshes: u64) {
         if hits > 0 {
             CERT_HITS.fetch_add(hits, Ordering::Relaxed);
         }
@@ -948,7 +943,6 @@ mod tests {
     #[test]
     fn disabled_handle_is_inert_and_scrapes_empty() {
         let tel = Telemetry::disabled();
-        assert!(!tel.is_enabled());
         let c = tel.counter("x_total", &[]);
         c.add(5);
         tel.gauge("g", &[]).set(7);

@@ -272,16 +272,15 @@ pub use streamgen;
 
 pub use adaptive_hull::{metrics, queries, recovery, snapshot, telemetry, tenant, viz, window};
 pub use adaptive_hull::{
-    AdaptiveHull, AdaptiveHullConfig, AdmissionError, CheckpointEnvelope, ClusterHull,
-    ClusterHullConfig, DetectedFault, Estimate, ExactHull, Fault, FaultEvent, FaultPlan,
-    FixedBudgetAdaptiveHull, FrozenHull, HullCache, HullSummary, HullSummaryExt, JoinAnswer,
-    JoinCertificate, JoinPair, Mergeable, NaiveUniformHull, NonFiniteInput, OverloadPolicy,
-    PairAnswer, PressureAction, PressureEvent, PressureReport, QDir, QueryCacheStats, QueryEngine,
-    QueryError, RadialHull, RecoveryAction, RecoveryReport, RetryPolicy, ShardHealth, ShardRun,
-    ShardStats, ShardStatus, ShardedIngest, Snapshot, SnapshotError, StreamId, SummaryBuilder,
-    SummaryKind, SupervisedIngest, SupervisedRun, Telemetry, TenantConfig, TenantEngine,
-    TenantStats, Tier, TopKAnswer, TopKEntry, UniformHull, WindowAnswer, WindowConfig,
-    WindowPolicy, WindowedSummary,
+    AdaptiveHull, AdaptiveHullConfig, AdmissionError, ClusterHull, ClusterHullConfig,
+    DetectedFault, Estimate, ExactHull, Fault, FaultEvent, FaultPlan, FixedBudgetAdaptiveHull,
+    FrozenHull, HullCache, HullSummary, HullSummaryExt, JoinAnswer, JoinCertificate, JoinPair,
+    Mergeable, NaiveUniformHull, NonFiniteInput, OverloadPolicy, PairAnswer, PressureAction,
+    PressureEvent, PressureReport, QDir, QueryCacheStats, QueryEngine, QueryError, RadialHull,
+    RecoveryAction, RecoveryReport, RetryPolicy, ShardHealth, ShardRun, ShardStats, ShardStatus,
+    ShardedIngest, Snapshot, SnapshotError, StreamId, SummaryBuilder, SummaryKind,
+    SupervisedIngest, SupervisedRun, Telemetry, TenantConfig, TenantEngine, TenantStats, Tier,
+    TopKAnswer, TopKEntry, UniformHull, WindowAnswer, WindowConfig, WindowPolicy, WindowedSummary,
 };
 pub use adaptive_hull::{Counter, Gauge, Histogram, Scrape};
 pub use geom::{ConvexPolygon, Point2, Vec2};

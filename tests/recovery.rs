@@ -13,7 +13,7 @@
 use proptest::prelude::*;
 use std::time::Duration;
 use streamhull::prelude::*;
-use streamhull::{DetectedFault, ShardStatus};
+use streamhull::{DetectedFault, RecoveryAction, ShardStatus};
 
 fn spiral(n: usize) -> Vec<Point2> {
     (0..n)
@@ -43,25 +43,48 @@ fn assert_runs_equal(a: &ShardRun, b: &ShardRun, label: &str) {
 }
 
 /// A mid-stream crash recovers via checkpoint replay to a result
-/// bit-identical to the fault-free run — for all eight kinds.
+/// bit-identical to the fault-free run — for all eight kinds. Two crashes
+/// at chunk 16 restart shard 1 twice from its checkpoint at tick 512, so
+/// the first restart must leave that checkpoint intact for the second.
 #[test]
 fn crash_recovery_is_bit_identical_for_every_kind() {
     let pts = spiral(4000);
+    let plans = [
+        (FaultPlan::new().crash(1, 10), vec![0]),
+        (FaultPlan::new().crash(1, 16).crash(1, 16), vec![512, 512]),
+    ];
     for &kind in &SummaryKind::ALL {
         let engine = ShardedIngest::new(SummaryBuilder::new(kind).with_r(16), 3).with_chunk(128);
         let clean = engine.run(&pts);
-        let run = SupervisedIngest::new(engine)
-            .with_checkpoint_interval(512)
-            .with_fault_plan(FaultPlan::new().crash(1, 10))
-            .run_stream(pts.iter().copied());
-        assert!(!run.is_degraded(), "{kind}");
-        assert_eq!(run.report.total_retries(), 1, "{kind}");
-        assert_runs_equal(&run.run, &clean, &format!("{kind}: crash recovery"));
-        assert_eq!(
-            run.error_bound(),
-            clean.error_bound(),
-            "{kind}: composed bound unchanged"
-        );
+        for (plan, from_ticks) in &plans {
+            let label = format!("{kind}, {plan:?}");
+            let run = SupervisedIngest::new(engine)
+                .with_checkpoint_interval(512)
+                .with_fault_plan(plan.clone())
+                .run_stream(pts.iter().copied());
+            assert!(!run.is_degraded(), "{label}");
+            let restarts: Vec<u64> = run
+                .report
+                .events
+                .iter()
+                .filter_map(|e| match e.action {
+                    RecoveryAction::Restarted { from_tick, .. } => Some(from_tick),
+                    _ => None,
+                })
+                .collect();
+            assert_eq!(&restarts, from_ticks, "{label}: restart ticks");
+            assert_eq!(
+                run.report.shards[1].status,
+                ShardStatus::Recovered,
+                "{label}"
+            );
+            assert_runs_equal(&run.run, &clean, &format!("{label}: crash recovery"));
+            assert_eq!(
+                run.error_bound(),
+                clean.error_bound(),
+                "{label}: composed bound unchanged"
+            );
+        }
     }
 }
 
@@ -92,28 +115,63 @@ fn stall_recovery_detects_and_replays() {
 
 /// A corrupted checkpoint is rejected by validation (typed
 /// `SnapshotError`), the shard restarts from the previous valid one, and
-/// the result is unchanged.
+/// the result is unchanged — whichever field of the snapshot the flipped
+/// byte lands in.
 #[test]
 fn corrupt_checkpoint_is_rejected_and_recovered() {
     let pts = spiral(4000);
     let engine = ShardedIngest::new(SummaryBuilder::new(SummaryKind::Exact), 2).with_chunk(100);
     let clean = engine.run(&pts);
-    let run = SupervisedIngest::new(engine)
-        .with_checkpoint_interval(300)
-        .with_fault_plan(FaultPlan::new().corrupt_checkpoint(1, 2, 17))
-        .run_stream(pts.iter().copied());
-    assert!(!run.is_degraded());
-    assert_eq!(run.report.checkpoints_rejected, 1);
-    assert!(
-        run.report
-            .events
-            .iter()
-            .any(|e| matches!(e.fault, DetectedFault::CorruptCheckpoint(_))),
-        "{:?}",
-        run.report.events
-    );
-    assert!(run.report.checkpoints_taken > run.report.checkpoints_rejected);
-    assert_runs_equal(&run.run, &clean, "corrupt checkpoint recovery");
+    // Shard 1's second checkpoint is the snapshot of its first six chunks.
+    let mut shard1 = SummaryBuilder::new(SummaryKind::Exact).build_mergeable();
+    for chunk in pts.chunks(100).skip(1).step_by(2).take(6) {
+        shard1.insert_batch(chunk);
+    }
+    let len = shard1.encode_snapshot().len();
+    // Magic, version, kind tag, reserved byte, payload length, payload and
+    // checksum; `len + 3` wraps to byte 3.
+    let offsets = [
+        0,
+        3,
+        4,
+        5,
+        6,
+        7,
+        8,
+        15,
+        16,
+        17,
+        len / 2,
+        len - 9,
+        len - 8,
+        len - 1,
+        len + 3,
+    ];
+    for byte in offsets {
+        let run = SupervisedIngest::new(engine)
+            .with_checkpoint_interval(300)
+            .with_fault_plan(FaultPlan::new().corrupt_checkpoint(1, 2, byte))
+            .run_stream(pts.iter().copied());
+        assert!(!run.is_degraded(), "byte {byte}");
+        assert_eq!(run.report.checkpoints_rejected, 1, "byte {byte}");
+        assert!(
+            run.report
+                .events
+                .iter()
+                .any(|e| matches!(e.fault, DetectedFault::CorruptCheckpoint(_))),
+            "byte {byte}: {:?}",
+            run.report.events
+        );
+        assert!(
+            run.report.checkpoints_taken > run.report.checkpoints_rejected,
+            "byte {byte}"
+        );
+        assert_runs_equal(
+            &run.run,
+            &clean,
+            &format!("byte {byte}: corrupt checkpoint recovery"),
+        );
+    }
 }
 
 /// A scripted non-finite burst is detected by the validating ingest
