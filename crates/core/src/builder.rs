@@ -115,9 +115,9 @@ impl FromStr for SummaryKind {
 /// Builds any [`SummaryKind`] as a boxed trait object.
 ///
 /// Unused knobs are ignored by kinds that do not need them (`depth` only
-/// affects the adaptive scheme, the cluster budget of 4, which builder
-/// snapshots carry, only the cluster summary, `seed` only kinds with
-/// randomised structure — today the frozen fan's rotation).
+/// affects the adaptive scheme, `seed` only kinds with randomised
+/// structure — today the frozen fan's rotation). The cluster summary
+/// keeps at most 4 clusters, or the budget a restored builder carries.
 #[derive(Clone, Copy, Debug)]
 pub struct SummaryBuilder {
     kind: SummaryKind,
